@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"atomemu/internal/arch"
 	"atomemu/internal/asm"
+	"atomemu/internal/core"
 	"atomemu/internal/mmu"
 )
 
@@ -261,6 +264,54 @@ barcell: .word 0
 	}
 	if out[0]+out[1] != 33 {
 		t.Fatalf("outputs = %v, want {11,22}", out)
+	}
+}
+
+// TestHostSpawnsSurviveEarlyPark pins the spawn/park ordering that made
+// TestGuestBarrier flake (8/300 at nproc=2): SpawnThread launches the vCPU
+// goroutine at once, so the first thread can park on the barrier before the
+// host has spawned the second. That is a machine half set up, not a guest
+// deadlock — the detector must not fire until Run owns the machine. Here
+// the host waits for the first park on purpose, so the ordering is certain.
+func TestHostSpawnsSurviveEarlyPark(t *testing.T) {
+	im := buildImage(t, `
+.org 0x10000
+.entry worker
+worker:
+    ldr r0, =barcell
+    svc #10         ; barrier_wait
+    svc #1
+.align 4
+barcell: .word 0
+`)
+	m := newTestMachine(t, "pico-cas", im)
+	m.InitBarrier(im.MustSymbol("barcell"), 2)
+	if _, err := m.SpawnThread(im.Entry); err != nil {
+		t.Fatal(err)
+	}
+	for parked := 0; parked == 0 && !m.Stopped(); {
+		time.Sleep(time.Millisecond)
+		m.parkMu.Lock()
+		parked = m.parked
+		m.parkMu.Unlock()
+	}
+	if _, err := m.SpawnThread(im.Entry); err != nil {
+		t.Fatalf("second host spawn after the first thread parked: %v", err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A park that really is a deadlock is still reported once Run owns the
+	// machine: one thread, a barrier of two, nobody else coming.
+	m = newTestMachine(t, "pico-cas", im)
+	m.InitBarrier(im.MustSymbol("barcell"), 2)
+	if _, err := m.SpawnThread(im.Entry); err != nil {
+		t.Fatal(err)
+	}
+	var de *core.DeadlockError
+	if err := m.Run(); !errors.As(err, &de) {
+		t.Fatalf("lone barrier waiter should deadlock, got %v", err)
 	}
 }
 
