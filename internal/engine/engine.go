@@ -325,6 +325,14 @@ type Machine struct {
 	// cpuMu; never call stop while holding parkMu.
 	parkMu sync.Mutex
 	parked int
+	// deadlockArmed gates the detector (guarded by parkMu). SpawnThread
+	// launches a vCPU goroutine at once, so between two host-side spawns the
+	// first thread can park on a barrier the second has yet to reach, and
+	// "every live vCPU is parked" is then true of a machine that is only
+	// half set up. The detector arms when RunContext takes the machine,
+	// which re-checks once for parks it ignored; StepMode arms at
+	// construction, where the caller sequences spawns and steps itself.
+	deadlockArmed bool
 
 	// Checkpoint/recovery state. lastCkpt is the newest consistent cut;
 	// nextCkptVT is the virtual time at which the next capture is claimed
@@ -465,6 +473,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 		futexes:  make(map[uint32]*futexQueue),
 		barriers: make(map[uint32]*guestBarrier),
 		stopCh:   make(chan struct{}),
+
+		deadlockArmed: cfg.StepMode,
 	}
 	m.mem.SetInjector(cfg.FaultInjector)
 	m.nextCkptVT.Store(cfg.CheckpointEvery)
