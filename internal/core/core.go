@@ -346,7 +346,7 @@ type CostModel struct {
 	SyscallBase uint64 // guest syscall entry/exit
 	TBLookup    uint64 // translation-cache hit
 	TBTranslate uint64 // per guest instruction translated (decode→IR→optimize)
-	TBDecode    uint64 // per guest instruction decoded for the interp tier (no IR)
+	TBDecode    uint64 // per guest instruction of a cold (unoptimized) translation
 
 	// Checkpoint capture costs, charged to the checkpoint component only —
 	// never the guest-visible clock — so enabling checkpoints leaves a

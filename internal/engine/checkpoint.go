@@ -283,18 +283,14 @@ func (m *Machine) demoteScheme() error {
 	m.topts.InstrumentStores = sch.InstrumentsStores()
 	m.topts.InstrumentLoads = sch.InstrumentsLoads()
 	if m.topts != old {
-		m.tbs.retain(func(tb *TB) *TB {
-			if !tb.compatibleAfter(old.InstrumentStores, m.topts.InstrumentStores,
-				old.InstrumentLoads, m.topts.InstrumentLoads) {
-				return nil
-			}
-			// A dec-only TB is still promotable: re-wrap it so a future
-			// promotion CASes post-demotion IR onto a fresh object, never
-			// onto one resident in the pre-demotion shared-store segment.
-			if tb.ir.Load() == nil && tb.dec != nil {
-				return newDecTB(tb.dec)
-			}
-			return tb
+		m.tbs.retain(func(tb *TB) bool {
+			// A block still in its cold form goes too: a later promotion
+			// would CAS post-demotion IR onto an object that may sit in the
+			// pre-demotion shared-store segment. Cold blocks are the cheap
+			// ones to bring back (Cost.TBDecode).
+			return tb.ir.Load() != nil && tb.compatibleAfter(
+				old.InstrumentStores, m.topts.InstrumentStores,
+				old.InstrumentLoads, m.topts.InstrumentLoads)
 		})
 		m.rekeySharedTB()
 	}

@@ -42,7 +42,7 @@ type CPU struct {
 	// map, no synchronization, absorbs every repeat lookup so the shared
 	// lock-free cache (Machine.tbs, tbcache.go) is only consulted once per
 	// (vCPU, pc). Each entry also carries this vCPU's chain links and
-	// interp-tier promotion counter (tier.go).
+	// cold-execution promotion counter (tier.go).
 	localTBs map[uint32]*localTB
 
 	// yieldRng drives randomized host-yield spacing so deschedule points
@@ -851,22 +851,15 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 
 // guestFault reports an unhandled guest memory fault — the emulated program
 // crashed (e.g. the corrupted lock-free stack dereferencing garbage).
-func (c *CPU) guestFault(f *mmu.Fault, in *ir.Inst) { c.guestFaultAt(f, in.GuestPC) }
-
-// guestFaultAt is guestFault for call sites without an IR instruction (the
-// interp tier carries guest pcs directly).
-func (c *CPU) guestFaultAt(f *mmu.Fault, pc uint32) {
-	c.fail(fmt.Errorf("engine: tid %d: guest fault at pc %#08x: %w", c.tid, pc, f))
+func (c *CPU) guestFault(f *mmu.Fault, in *ir.Inst) {
+	c.fail(fmt.Errorf("engine: tid %d: guest fault at pc %#08x: %w", c.tid, in.GuestPC, f))
 }
 
 // schemeFault reports an error from the emulation scheme: either a guest
 // fault surfaced through the scheme, or a scheme failure such as PICO-HTM
 // livelock.
-func (c *CPU) schemeFault(err error, in *ir.Inst) { c.schemeFaultAt(err, in.GuestPC) }
-
-// schemeFaultAt is schemeFault for call sites without an IR instruction.
-func (c *CPU) schemeFaultAt(err error, pc uint32) {
-	c.fail(fmt.Errorf("engine: tid %d: at pc %#08x: %w", c.tid, pc, err))
+func (c *CPU) schemeFault(err error, in *ir.Inst) {
+	c.fail(fmt.Errorf("engine: tid %d: at pc %#08x: %w", c.tid, in.GuestPC, err))
 }
 
 func sdiv32(a, b uint32) uint32 {

@@ -90,12 +90,12 @@ type Config struct {
 	// get. 0 (the default) disables chaining; forced off in StepMode and
 	// under TraceWriter, which need the loop after every block.
 	ChainBudget int
-	// Tiered enables profile-gated tiering: cold blocks run in a
-	// decoder-direct interp tier (translate.Interp — no IR, no optimizer)
-	// and are re-translated as optimized superblocks once their per-vCPU
-	// execution count crosses HotThreshold. Off by default: the tier's
-	// virtual-time charges are close to but not cycle-identical with the
-	// always-IR pipeline, so the figure/correctness harness leaves it off.
+	// Tiered enables profile-gated tiering: cold blocks run as unoptimized,
+	// unfused IR translated at the decode rate (Cost.TBDecode) and are
+	// re-translated as optimized superblocks once their per-vCPU execution
+	// count crosses HotThreshold. Off by default: translation charges and
+	// superblock shapes differ from the always-optimized pipeline, so the
+	// figure/correctness harness leaves it off.
 	Tiered bool
 	// HotThreshold is the per-vCPU execution count at which a tiered
 	// block is promoted to optimized IR (0 = default 64).
@@ -273,7 +273,7 @@ type Machine struct {
 	sharedImage [32]byte
 	sharedWatch *mmu.StoreWatch
 
-	// Effective IR-bypass knobs (tier.go), derived from cfg at
+	// Effective chaining/tiering knobs (tier.go), derived from cfg at
 	// construction: StepMode and TraceWriter force both off.
 	chainBudget  int
 	tiered       bool
@@ -360,12 +360,12 @@ type Machine struct {
 // TB is a cached translation block — the shared, scheme-consistent unit of
 // the two-level cache. Without tiering, ir is set before the TB is
 // published and never changes. Under profile-gated tiering a TB is born
-// with only its decoded form (dec) and ir is published once, by the first
-// vCPU that promotes the block (tier.go); dec stays valid so vCPUs that
-// have not noticed the promotion yet can still interpret.
+// with only its cold form (unoptimized IR, immutable) and ir is published
+// once, by the first vCPU that promotes the block (tier.go); cold stays
+// valid so vCPUs that have not noticed the promotion yet keep running it.
 type TB struct {
-	ir  atomic.Pointer[ir.Block]
-	dec *translate.Decoded
+	ir   atomic.Pointer[ir.Block]
+	cold *ir.Block
 
 	// lo/hi bound the guest addresses the block was translated from (hi
 	// exclusive; widened at promotion, before the superblock IR publishes)
@@ -375,22 +375,18 @@ type TB struct {
 	sens   atomic.Uint32
 }
 
-// newIRTB wraps an already-translated IR block as a TB.
-func newIRTB(block *ir.Block) *TB {
+// newTB wraps a freshly translated block as a TB: as its cold form when
+// cold is set (tiering), otherwise as its one and only IR.
+func newTB(block *ir.Block, cold bool) *TB {
 	tb := &TB{}
 	tb.lo.Store(block.GuestLo)
 	tb.hi.Store(block.GuestHi)
 	tb.sens.Store(sensOf(block.HasStores, block.HasLoads))
-	tb.ir.Store(block)
-	return tb
-}
-
-// newDecTB wraps a decoded (interp-tier) block as a TB.
-func newDecTB(dec *translate.Decoded) *TB {
-	tb := &TB{dec: dec}
-	tb.lo.Store(dec.Start)
-	tb.hi.Store(dec.End())
-	tb.sens.Store(sensOf(dec.HasStores, dec.HasLoads))
+	if cold {
+		tb.cold = block
+	} else {
+		tb.ir.Store(block)
+	}
 	return tb
 }
 
@@ -887,9 +883,10 @@ func (m *Machine) tbFor(c *CPU, pc uint32) (*TB, error) {
 // transaction" effect.
 //
 // Cycle attribution: cache probes charge CompTBLookup and translation
-// charges CompTBTranslate (both tiers folded these into CompNative once,
-// which made the translate pipeline invisible in /metrics and in tiering
-// decisions). Under tiering a cold miss only decodes (Cost.TBDecode per
+// charges CompTBTranslate (both were folded into CompNative once, which
+// made the translate pipeline invisible in /metrics and in tiering
+// decisions). Under tiering a cold miss lowers the block without the
+// optimizer or fusion and is charged as a decode (Cost.TBDecode per
 // instruction); the full Cost.TBTranslate is paid at promotion.
 func (m *Machine) localFor(c *CPU, pc uint32) (*localTB, error) {
 	if lt := c.localTBs[pc]; lt != nil {
@@ -918,38 +915,33 @@ func (m *Machine) localFor(c *CPU, pc uint32) (*localTB, error) {
 		c.abortOpenTxn(pc)
 		// The vCPU does the translation work whether or not its block wins
 		// the publish race, so it pays the translate cost either way.
-		var newTB *TB
+		opts, perInstr := m.topts, m.cfg.Cost.TBTranslate
 		if m.tiered {
-			dec, err := translate.Decode(m.fetcher(), pc, m.topts)
-			if err != nil {
-				return nil, err
-			}
-			newTB = newDecTB(dec)
-			c.charge(stats.CompTBTranslate, m.cfg.Cost.TBDecode*uint64(dec.GuestLen))
-		} else {
-			block, err := translate.Block(m.fetcher(), pc, m.topts)
-			if err != nil {
-				return nil, err
-			}
-			newTB = newIRTB(block)
-			c.charge(stats.CompTBTranslate, m.cfg.Cost.TBTranslate*uint64(block.GuestLen))
+			opts.Optimize, opts.FuseAtomics = false, false
+			perInstr = m.cfg.Cost.TBDecode
 		}
+		block, err := translate.Block(m.fetcher(), pc, opts)
+		if err != nil {
+			return nil, err
+		}
+		fresh := newTB(block, m.tiered)
+		c.charge(stats.CompTBTranslate, perInstr*uint64(block.GuestLen))
 		// Offer the block to the cross-job store first — adopt-the-winner
 		// there too, so racing machines converge on one canonical TB — then
 		// publish into the machine cache. The span must be pristine AFTER
 		// translation: the watch bumps before a mutating word is written,
 		// so a translation that read mutated bytes cannot pass this check.
 		if m.sharedView != nil {
-			if lo, hi := newTB.tbSpan(); m.sharedSpanClean(lo, hi) {
+			if lo, hi := fresh.tbSpan(); m.sharedSpanClean(lo, hi) {
 				var pubWon bool
-				newTB, pubWon = m.sharedView.Publish(pc, newTB)
+				fresh, pubWon = m.sharedView.Publish(pc, fresh)
 				if pubWon {
 					c.st.TBStorePublishes++
 				}
 			}
 		}
 		var won bool
-		tb, won = m.tbs.insert(pc, newTB)
+		tb, won = m.tbs.insert(pc, fresh)
 		c.st.TBTranslations++
 		if !won {
 			c.st.TBRaceDiscards++

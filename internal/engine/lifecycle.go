@@ -233,9 +233,8 @@ func (m *Machine) noteResume(c *CPU) {
 
 // deadlockedLocked builds the structured deadlock diagnostic when every
 // live vCPU is parked in a blocking syscall with no wake in flight and the
-// detector is armed (see Machine.deadlockArmed). Caller
-// holds parkMu and must pass a non-nil result to Machine.stop only after
-// releasing it.
+// detector is armed (see Machine.deadlockArmed). Caller holds parkMu and
+// must pass a non-nil result to Machine.stop only after releasing it.
 func (m *Machine) deadlockedLocked() error {
 	running := int(m.runningCPUs.Load())
 	if !m.deadlockArmed || m.parked <= 0 || m.parked != running || m.stopped.Load() {

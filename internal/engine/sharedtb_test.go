@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"io"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -369,16 +371,17 @@ func TestDemotionRetainsCompatibleTranslations(t *testing.T) {
 	}
 }
 
-// TestDemotionRetentionRewrapsDecOnlyTBs covers the tiered variant: a
-// retained decode-only block must come back as a fresh TB object so a
-// post-demotion promotion can never install new-universe IR onto an object
-// still resident in the pre-demotion shared-store segment.
-func TestDemotionRetentionRewrapsDecOnlyTBs(t *testing.T) {
+// TestDemotionDropsUnpromotedColdTBs covers the tiered variant: a block
+// still in its cold form must not survive a demotion that changes the
+// translation options, even when its own translation would be compatible —
+// a post-demotion promotion would otherwise install new-universe IR onto an
+// object still resident in the pre-demotion shared-store segment.
+func TestDemotionDropsUnpromotedColdTBs(t *testing.T) {
 	im := buildImage(t, demotionRetentionImage)
 	cfg := DefaultConfig("pico-htm")
 	cfg.MaxGuestInstrs = 50_000_000
 	cfg.Tiered = true
-	cfg.HotThreshold = 1 << 30 // nothing promotes: every block stays dec-only
+	cfg.HotThreshold = 1 << 30 // nothing promotes: every block stays cold
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -397,21 +400,14 @@ func TestDemotionRetentionRewrapsDecOnlyTBs(t *testing.T) {
 	if old == nil {
 		t.Fatal("setup: compute block not cached")
 	}
-	if old.ir.Load() != nil {
+	if old.ir.Load() != nil || old.cold == nil {
 		t.Fatal("setup: compute block promoted despite the huge threshold")
 	}
 	if err := m.demoteScheme(); err != nil {
 		t.Fatal(err)
 	}
-	now := m.tbs.get(computePC)
-	if now == nil {
-		t.Fatal("dec-only compute block dropped by demotion")
-	}
-	if now == old {
-		t.Error("retained dec-only block must be re-wrapped, not shared with the old universe")
-	}
-	if now.dec != old.dec {
-		t.Error("re-wrap must reuse the decoded block, not re-decode")
+	if m.tbs.get(computePC) != nil {
+		t.Error("cold compute block survived demotion; a promotion could publish onto the old universe's object")
 	}
 }
 
@@ -485,5 +481,101 @@ yvar: .word 2
 	}
 	if m.tbs.get(im.MustSymbol("c1")) == nil {
 		t.Error("compute block evicted across mid-run demotion")
+	}
+}
+
+// sharedKeyShaping perturbs, one field at a time, every Config field that
+// changes what a translation block means; sharedOptsKey must render each.
+var sharedKeyShaping = map[string]func(*Config){
+	"Scheme":              func(c *Config) { c.Scheme = "pico-st" },
+	"MaxGuestInstrsPerTB": func(c *Config) { c.MaxGuestInstrsPerTB = 8 },
+	"NoOptimize":          func(c *Config) { c.NoOptimize = true },
+	"FuseAtomics":         func(c *Config) { c.FuseAtomics = true },
+	"ChainBudget":         func(c *Config) { c.ChainBudget = 16 },
+	"Tiered":              func(c *Config) { c.Tiered = true },
+	"HotThreshold":        func(c *Config) { c.HotThreshold = 7 },
+	"StepMode":            func(c *Config) { c.StepMode = true },          // one-instruction blocks
+	"TraceWriter":         func(c *Config) { c.TraceWriter = io.Discard }, // likewise
+}
+
+// sharedKeyNeutral names every other Config field and why two machines that
+// differ only there may exchange translation blocks.
+var sharedKeyNeutral = map[string]string{
+	"Cost":               "charged when a block is translated or run; not part of the block",
+	"MemBytes":           "sizes guest memory",
+	"HashBits":           "sizes the scheme's table, reached through the same hooks",
+	"HTMBits":            "sizes the software HTM",
+	"HTMCapacity":        "sizes the software HTM",
+	"StackBytes":         "guest stack size",
+	"MaxThreads":         "spawn limit",
+	"QuantumTBs":         "host yield cadence",
+	"PreemptMemOps":      "host preemption cadence",
+	"HTMInterference":    "abort probability at block boundaries, decided at run time",
+	"MaxGuestInstrs":     "run budget; the clamp's one-off blocks bypass both caches",
+	"TraceEvents":        "event ring, emitted by the executor",
+	"TraceRingBits":      "event ring size",
+	"ProfileCollisions":  "census inside the hst scheme; same name, same hooks",
+	"StrictPaper":        "scheme retry policy at run time",
+	"HTMMaxRetries":      "scheme retry policy at run time",
+	"HTMBackoffBase":     "scheme retry policy at run time",
+	"HTMBackoffMax":      "scheme retry policy at run time",
+	"FallbackCooldown":   "scheme retry policy at run time",
+	"ResilienceSeed":     "scheme retry policy at run time",
+	"WatchdogSCFails":    "dispatch-loop watchdog",
+	"CheckpointEvery":    "checkpoint cadence",
+	"RecoveryAttempts":   "rollback policy; a demotion re-keys through Scheme",
+	"CheckpointSink":     "host plumbing",
+	"VirtualDeadline":    "run budget",
+	"HashSpinBudget":     "hash-lock spin bound at run time",
+	"FaultInjector":      "can fault a fetch mid-translation: callers must not attach an injected machine (server.run does not)",
+	"SchedHook":          "host plumbing",
+	"SharedTBStore":      "the store itself",
+	"SharedTBImage":      "the other half of tbstore.Key",
+	"SharedTBBase":       "span the store watch guards",
+	"SharedTBSize":       "span the store watch guards",
+	"SharedTBSeedStores": "pre-marked pages of the store watch",
+}
+
+// TestSharedOptsKeyCoversConfig is the drift guard for the hand-written
+// field list in sharedOptsKey: every Config field must either move the key
+// when it changes or be listed above with the reason it need not. A new
+// knob that is in neither table fails here, before the store can serve a
+// block translated under different semantics.
+func TestSharedOptsKeyCoversConfig(t *testing.T) {
+	keyOf := func(cfg Config) string {
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.sharedOptsKey()
+	}
+	base := keyOf(DefaultConfig("hst"))
+	typ := reflect.TypeOf(Config{})
+	fields := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		fields[name] = true
+		perturb, shaping := sharedKeyShaping[name]
+		_, neutral := sharedKeyNeutral[name]
+		switch {
+		case shaping == neutral:
+			t.Errorf("Config.%s must be in exactly one of sharedKeyShaping (and rendered by sharedOptsKey) or sharedKeyNeutral", name)
+		case shaping:
+			cfg := DefaultConfig("hst")
+			perturb(&cfg)
+			if keyOf(cfg) == base {
+				t.Errorf("Config.%s changes translations but sharedOptsKey does not render it", name)
+			}
+		}
+	}
+	for name := range sharedKeyShaping {
+		if !fields[name] {
+			t.Errorf("sharedKeyShaping names %s, which is not a Config field", name)
+		}
+	}
+	for name := range sharedKeyNeutral {
+		if !fields[name] {
+			t.Errorf("sharedKeyNeutral names %s, which is not a Config field", name)
+		}
 	}
 }

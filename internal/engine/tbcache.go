@@ -84,34 +84,21 @@ func (c *tbCache) insert(pc uint32, tb *TB) (canonical *TB, won bool) {
 	return tb, true
 }
 
-// reset drops every cached block. Needed when scheme demotion changes the
-// translation options: blocks translated without store instrumentation are
-// wrong for a scheme that requires it. Callers must also clear per-vCPU
-// local caches.
-func (c *tbCache) reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.snap.Store(nil)
-		s.mu.Unlock()
-	}
-}
-
-// retain rebuilds every shard through the mapping function — scheme
-// demotion's surgical alternative to reset: translations that are
-// invariant under the instrumentation change survive (possibly re-wrapped
-// in a fresh *TB), so vCPUs do not re-pay decode+translate+optimize for
-// pure-compute blocks. A nil return drops the block. Callers must still
-// clear per-vCPU local caches.
-func (c *tbCache) retain(keep func(*TB) *TB) {
+// retain keeps only the blocks keep approves — what scheme demotion does
+// when it changes the translation options: translations that are invariant
+// under the instrumentation change survive, so vCPUs do not re-pay
+// decode+translate+optimize for pure-compute blocks, while a block
+// translated without store instrumentation (wrong for a scheme that
+// requires it) is dropped. Callers must still clear per-vCPU local caches.
+func (c *tbCache) retain(keep func(*TB) bool) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		if old := s.snap.Load(); old != nil {
 			next := make(tbMap, len(*old))
 			for pc, tb := range *old {
-				if kept := keep(tb); kept != nil {
-					next[pc] = kept
+				if keep(tb) {
+					next[pc] = tb
 				}
 			}
 			if len(next) == 0 {

@@ -2,30 +2,30 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 
-	"atomemu/internal/arch"
 	"atomemu/internal/htm"
 	"atomemu/internal/ir"
-	"atomemu/internal/mmu"
 	"atomemu/internal/obs"
 	"atomemu/internal/stats"
 	"atomemu/internal/translate"
 )
 
-// This file is the IR-bypass fast path (ROADMAP item 1): direct block
-// chaining, the decoder-direct interp tier, and superblock promotion.
+// This file is the fast path around the dispatch loop (ROADMAP item 1):
+// direct block chaining, profile-gated tiering, and superblock promotion.
 //
 //   - Chaining: a localTB records its taken/fallthrough successors, so
 //     stepOnce follows a committed exit straight to the next block without
 //     a cache lookup. Links live in the vCPU-private tier only and die
 //     with it (TB flush, scheme demotion, checkpoint restore).
-//   - Tiering: with Config.Tiered, a cold block is only decoded
-//     (translate.Interp tier: no IR, no optimizer) and interpreted off the
-//     instruction slice; once its per-vCPU execution count crosses
+//   - Tiering: with Config.Tiered, a cold block is lowered to IR but not
+//     optimized, fused or extended (charged Cost.TBDecode per instruction,
+//     see Machine.localFor); once its per-vCPU execution count crosses
 //     HotThreshold it is re-translated as an optimized superblock
 //     (translation follows unconditional branches) and the IR is published
-//     on the shared TB for every vCPU to adopt.
+//     on the shared TB for every vCPU to adopt. Both forms are ir.Blocks
+//     run by execBlock, so a block's effect and its per-op charges are the
+//     same in either; only the optimizer's savings differ, which is the
+//     point of promoting.
 
 // localTB is one vCPU's private view of a TB: the resolved executable form
 // plus the direct-chaining links to its successors. Everything here is
@@ -34,8 +34,8 @@ import (
 type localTB struct {
 	tb    *TB
 	start uint32
-	block *ir.Block // resolved IR; nil while the block runs in the interp tier
-	execs uint32    // interp-tier executions by this vCPU, drives promotion
+	block *ir.Block // promoted (or only) IR; nil while the block runs in its cold form
+	execs uint32    // cold executions by this vCPU, drives promotion
 	taken *localTB  // successor after a taken/direct exit
 	fall  *localTB  // successor after a fallthrough exit
 }
@@ -92,7 +92,7 @@ func (m *Machine) fetcher() translate.FetchFunc {
 	}
 }
 
-// promote re-translates a hot interp-tier block as an optimized superblock
+// promote re-translates a hot cold-form block as an optimized superblock
 // and publishes the IR on its shared TB. The first promoter wins the
 // publish; a racer adopts the published block but still pays for the
 // translation work it did (mirroring the TB-cache race-discard account).
@@ -125,7 +125,7 @@ func (m *Machine) promote(c *CPU, lt *localTB) error {
 		c.st.TBRaceDiscards++
 	}
 	lt.block = lt.tb.ir.Load()
-	// The superblock's terminator need not match the decoded block's;
+	// The superblock's terminator need not match the cold block's;
 	// stale links would chain to the wrong successor.
 	lt.taken, lt.fall = nil, nil
 	c.ring.Emit(obs.EvTierPromote, lt.start, uint64(lt.execs))
@@ -137,12 +137,16 @@ func (m *Machine) promote(c *CPU, lt *localTB) error {
 // final block of a MaxGuestInstrs-bounded run, and caching it would poison
 // the caches with an artificially short block. Fusion is disabled because
 // a fused LL/SC loop consumes several guest instructions as one unit and
-// could punch through the cap.
-func (m *Machine) truncatedBlock(c *CPU, pc uint32, n int) (*ir.Block, error) {
+// could punch through the cap; the remainder of a cold block stays
+// unoptimized like the block it stands in for.
+func (m *Machine) truncatedBlock(c *CPU, pc uint32, n int, cold bool) (*ir.Block, error) {
 	opts := m.topts
 	opts.MaxGuestInstrs = n
 	opts.FuseAtomics = false
 	opts.FollowUncond = false
+	if cold {
+		opts.Optimize = false
+	}
 	block, err := translate.Block(m.fetcher(), pc, opts)
 	if err != nil {
 		return nil, err
@@ -151,366 +155,41 @@ func (m *Machine) truncatedBlock(c *CPU, pc uint32, n int) (*ir.Block, error) {
 	return block, nil
 }
 
-// exec runs one resolved block: optimized IR when available, otherwise the
-// decoder-direct interp tier. Interp executions are counted toward
+// exec runs one resolved block through execBlock, the only code that gives
+// a guest instruction meaning: the optimized IR when the block has been
+// promoted, otherwise its cold form. Cold executions are counted toward
 // promotion; IR published by another vCPU's promotion is adopted first.
 func (c *CPU) exec(lt *localTB) exitOutcome {
 	if lt.block == nil {
 		if b := lt.tb.ir.Load(); b != nil {
 			lt.block = b
 			lt.taken, lt.fall = nil, nil
-		} else {
-			lt.execs++
-			if lt.execs >= c.m.hotThreshold {
-				c.abortOpenTxn(lt.start)
-				if err := c.m.promote(c, lt); err != nil {
-					c.fail(fmt.Errorf("engine: tid %d: %w", c.tid, err))
-					return exitNone
-				}
+		} else if lt.execs++; lt.execs >= c.m.hotThreshold {
+			c.abortOpenTxn(lt.start)
+			if err := c.m.promote(c, lt); err != nil {
+				c.fail(fmt.Errorf("engine: tid %d: %w", c.tid, err))
+				return exitNone
 			}
 		}
 	}
-	if b := lt.block; b != nil {
-		if max := c.m.cfg.MaxGuestInstrs; max > 0 {
-			if remain := max - c.st.GuestInstrs; uint64(b.GuestLen) > remain {
-				// Fewer guest instructions remain in the budget than the
-				// block holds: run a one-off translation of just the
-				// remainder so the overshoot stays bounded (the dispatch
-				// loop fails the run at the next block boundary).
-				tb, err := c.m.truncatedBlock(c, b.Start, int(remain))
-				if err != nil {
-					c.fail(fmt.Errorf("engine: tid %d: %w", c.tid, err))
-					return exitNone
-				}
-				b = tb
-			}
-		}
-		return c.execBlock(b)
+	b, cold := lt.block, lt.block == nil
+	if cold {
+		b = lt.tb.cold
+		c.st.InterpBlocks++
 	}
-	c.st.InterpBlocks++
-	d := lt.tb.dec
-	limit := len(d.Instrs)
 	if max := c.m.cfg.MaxGuestInstrs; max > 0 {
-		if remain := max - c.st.GuestInstrs; uint64(limit) > remain {
-			limit = int(remain)
-		}
-	}
-	return c.execDecoded(d, limit)
-}
-
-// execDecoded interprets a decoded block straight off the instruction
-// slice — the translate.Interp tier. Architectural semantics and
-// virtual-cycle charges mirror the IR lowering in translate.emit op for op
-// (MOVT and TST lower to two IR ops, register-offset memory ops pay an
-// extra address add), so a block's effect is the same in either tier; only
-// the optimizer's savings differ, which is the point of promoting. limit
-// caps how many instructions run (the MaxGuestInstrs clamp); a block cut
-// short — by limit or by a truncated decode — resumes at the next pc
-// exactly like a truncated IR block's continuation ExitJmp.
-func (c *CPU) execDecoded(d *translate.Decoded, limit int) exitOutcome {
-	s := c.slots
-	mem := c.m.mem
-	scheme := c.m.scheme
-	cost := &c.m.cfg.Cost
-	tm := c.m.tm
-	var native uint64
-	executed, irops := 0, 0
-
-	defer func() {
-		c.st.IROps += uint64(irops)
-		c.st.GuestInstrs += uint64(executed)
-		c.charge(stats.CompNative, native)
-	}()
-
-	if limit > len(d.Instrs) {
-		limit = len(d.Instrs)
-	}
-	for i := 0; i < limit; i++ {
-		in := &d.Instrs[i]
-		pc := d.Start + uint32(i)*arch.InstrBytes
-		next := pc + arch.InstrBytes
-		executed++
-		irops++ // most opcodes lower to one IR op; multi-op cases add more
-		switch in.Op {
-		case arch.ADD:
-			s[in.Rd] = s[in.Rn] + s[in.Rm]
-			native += cost.IROp
-		case arch.SUB:
-			s[in.Rd] = s[in.Rn] - s[in.Rm]
-			native += cost.IROp
-		case arch.RSB:
-			s[in.Rd] = s[in.Rm] - s[in.Rn]
-			native += cost.IROp
-		case arch.AND:
-			s[in.Rd] = s[in.Rn] & s[in.Rm]
-			native += cost.IROp
-		case arch.ORR:
-			s[in.Rd] = s[in.Rn] | s[in.Rm]
-			native += cost.IROp
-		case arch.EOR:
-			s[in.Rd] = s[in.Rn] ^ s[in.Rm]
-			native += cost.IROp
-		case arch.MUL:
-			s[in.Rd] = s[in.Rn] * s[in.Rm]
-			native += cost.IROp
-		case arch.UDIV:
-			if dvs := s[in.Rm]; dvs == 0 {
-				s[in.Rd] = 0
-			} else {
-				s[in.Rd] = s[in.Rn] / dvs
-			}
-			native += cost.IROp
-		case arch.SDIV:
-			s[in.Rd] = sdiv32(s[in.Rn], s[in.Rm])
-			native += cost.IROp
-		case arch.LSL:
-			s[in.Rd] = s[in.Rn] << (s[in.Rm] & 31)
-			native += cost.IROp
-		case arch.LSR:
-			s[in.Rd] = s[in.Rn] >> (s[in.Rm] & 31)
-			native += cost.IROp
-		case arch.ASR:
-			s[in.Rd] = uint32(int32(s[in.Rn]) >> (s[in.Rm] & 31))
-			native += cost.IROp
-		case arch.ADDS:
-			s[in.Rd], c.flags = addFlags(s[in.Rn], s[in.Rm])
-			native += cost.IROp
-		case arch.SUBS:
-			s[in.Rd], c.flags = subFlags(s[in.Rn], s[in.Rm])
-			native += cost.IROp
-
-		case arch.ADDI:
-			s[in.Rd] = s[in.Rn] + uint32(in.Imm)
-			native += cost.IROp
-		case arch.SUBI:
-			s[in.Rd] = s[in.Rn] - uint32(in.Imm)
-			native += cost.IROp
-		case arch.RSBI:
-			s[in.Rd] = uint32(in.Imm) - s[in.Rn]
-			native += cost.IROp
-		case arch.ANDI:
-			s[in.Rd] = s[in.Rn] & uint32(in.Imm)
-			native += cost.IROp
-		case arch.ORRI:
-			s[in.Rd] = s[in.Rn] | uint32(in.Imm)
-			native += cost.IROp
-		case arch.EORI:
-			s[in.Rd] = s[in.Rn] ^ uint32(in.Imm)
-			native += cost.IROp
-		case arch.LSLI:
-			s[in.Rd] = s[in.Rn] << (uint32(in.Imm) & 31)
-			native += cost.IROp
-		case arch.LSRI:
-			s[in.Rd] = s[in.Rn] >> (uint32(in.Imm) & 31)
-			native += cost.IROp
-		case arch.ASRI:
-			s[in.Rd] = uint32(int32(s[in.Rn]) >> (uint32(in.Imm) & 31))
-			native += cost.IROp
-		case arch.ADDSI:
-			s[in.Rd], c.flags = addFlags(s[in.Rn], uint32(in.Imm))
-			native += cost.IROp
-		case arch.SUBSI:
-			s[in.Rd], c.flags = subFlags(s[in.Rn], uint32(in.Imm))
-			native += cost.IROp
-
-		case arch.MOV:
-			s[in.Rd] = s[in.Rm]
-			native += cost.IROp
-		case arch.MVN:
-			s[in.Rd] = ^s[in.Rm]
-			native += cost.IROp
-		case arch.MOVI, arch.MOVW:
-			s[in.Rd] = uint32(in.Imm)
-			native += cost.IROp
-		case arch.MOVT:
-			s[in.Rd] = (s[in.Rd] & 0xffff) | uint32(in.Imm)<<16
-			irops++
-			native += 2 * cost.IROp
-		case arch.CMP:
-			_, c.flags = subFlags(s[in.Rn], s[in.Rm])
-			native += cost.IROp
-		case arch.CMN:
-			_, c.flags = addFlags(s[in.Rn], s[in.Rm])
-			native += cost.IROp
-		case arch.CMPI:
-			_, c.flags = subFlags(s[in.Rn], uint32(in.Imm))
-			native += cost.IROp
-		case arch.TST:
-			v := s[in.Rn] & s[in.Rm]
-			c.flags.N = int32(v) < 0
-			c.flags.Z = v == 0
-			irops++
-			native += 2 * cost.IROp
-
-		case arch.LDR, arch.LDRB, arch.LDRR, arch.LDRBR:
-			addr := s[in.Rn]
-			byte_ := in.Op == arch.LDRB || in.Op == arch.LDRBR
-			if in.Op == arch.LDRR || in.Op == arch.LDRBR {
-				addr += s[in.Rm]
-				irops++
-				native += cost.IROp
-			} else {
-				addr += uint32(in.Imm)
-			}
-			c.maybePreempt()
-			if c.m.topts.InstrumentLoads {
-				if byte_ {
-					b8, err := scheme.LoadB(c, addr)
-					if err != nil {
-						c.schemeFaultAt(err, pc)
-						return exitNone
-					}
-					s[in.Rd] = uint32(b8)
-				} else {
-					v, err := scheme.Load(c, addr)
-					if err != nil {
-						c.schemeFaultAt(err, pc)
-						return exitNone
-					}
-					s[in.Rd] = v
-				}
-			} else {
-				if byte_ {
-					b8, f := mem.LoadByte(addr)
-					if f != nil {
-						c.guestFaultAt(f, pc)
-						return exitNone
-					}
-					s[in.Rd] = uint32(b8)
-				} else {
-					v, f := mem.LoadWord(addr)
-					if f != nil {
-						c.guestFaultAt(f, pc)
-						return exitNone
-					}
-					s[in.Rd] = v
-				}
-			}
-			c.st.Loads++
-			native += cost.MemAccess
-
-		case arch.STR, arch.STRB, arch.STRR, arch.STRBR:
-			addr := s[in.Rn]
-			byte_ := in.Op == arch.STRB || in.Op == arch.STRBR
-			if in.Op == arch.STRR || in.Op == arch.STRBR {
-				addr += s[in.Rm]
-				irops++
-				native += cost.IROp
-			} else {
-				addr += uint32(in.Imm)
-			}
-			c.maybePreempt()
-			if c.m.topts.InstrumentStores {
-				var err error
-				if byte_ {
-					err = scheme.StoreB(c, addr, uint8(s[in.Rd]))
-				} else {
-					err = scheme.Store(c, addr, s[in.Rd])
-				}
-				if err != nil {
-					c.schemeFaultAt(err, pc)
-					return exitNone
-				}
-			} else {
-				var mf *mmu.Fault
-				if byte_ {
-					mf = mem.StoreByte(addr, uint8(s[in.Rd]))
-				} else {
-					mf = mem.StoreWord(addr, s[in.Rd])
-				}
-				if mf != nil {
-					c.guestFaultAt(mf, pc)
-					return exitNone
-				}
-				if tm != nil {
-					if byte_ {
-						tm.NotifyStore(addr &^ 3)
-					} else {
-						tm.NotifyStore(addr)
-					}
-				}
-			}
-			c.st.Stores++
-			native += cost.MemAccess
-
-		case arch.LDREX:
-			c.maybePreempt()
-			addr := s[in.Rn]
-			v, err := scheme.LL(c, addr)
+		if remain := max - c.st.GuestInstrs; uint64(b.GuestLen) > remain {
+			// Fewer guest instructions remain in the budget than the
+			// block holds: run a one-off translation of just the
+			// remainder so the overshoot stays bounded (the dispatch
+			// loop fails the run at the next block boundary).
+			tb, err := c.m.truncatedBlock(c, b.Start, int(remain), cold)
 			if err != nil {
-				c.schemeFaultAt(err, pc)
+				c.fail(fmt.Errorf("engine: tid %d: %w", c.tid, err))
 				return exitNone
 			}
-			s[in.Rd] = v
-			c.st.LLs++
-			c.ring.Emit(obs.EvLL, addr, 0)
-			native += cost.MemAccess
-		case arch.STREX:
-			c.maybePreempt()
-			addr := s[in.Rn]
-			c.lastSCAddr = addr
-			status, err := scheme.SC(c, addr, s[in.Rm])
-			if err != nil {
-				c.schemeFaultAt(err, pc)
-				return exitNone
-			}
-			if status == 0 {
-				c.ring.Emit(obs.EvSCOk, addr, 0)
-			}
-			s[in.Rd] = status
-			c.st.SCs++
-			c.st.SCFails += uint64(status)
-			native += cost.MemAccess
-		case arch.CLREX:
-			scheme.Clrex(c)
-			native += cost.IROp
-		case arch.DMB:
-			native += cost.IROp
-
-		case arch.B:
-			target := in.BranchTarget(pc)
-			if in.Cond == arch.AL {
-				c.pc = target
-				return exitTaken
-			}
-			native += cost.IROp
-			if c.flags.Test(in.Cond) {
-				c.pc = target
-				return exitTaken
-			}
-			c.pc = next
-			return exitFall
-		case arch.BL:
-			s[arch.LR] = next
-			irops++
-			native += cost.IROp
-			c.pc = in.BranchTarget(pc)
-			return exitTaken
-		case arch.BX:
-			c.pc = s[in.Rm]
-			native += cost.IROp
-			return exitNone
-		case arch.SVC:
-			c.pc = next
-			c.m.syscall(c, uint32(in.Imm))
-			return exitNone
-		case arch.HLT:
-			c.halted = true
-			return exitNone
-		case arch.NOP:
-			irops--
-		case arch.YIELD:
-			c.pc = next
-			runtime.Gosched()
-			return exitNone
-
-		default:
-			c.fail(fmt.Errorf("engine: tid %d: unhandled opcode %s at %#08x", c.tid, in.Op, pc))
-			return exitNone
+			b = tb
 		}
 	}
-	// Cut short (limit clamp or truncated decode) without a block ender:
-	// continue at the next instruction, like a truncated IR block.
-	c.pc = d.Start + uint32(executed)*arch.InstrBytes
-	return exitTaken
+	return c.execBlock(b)
 }

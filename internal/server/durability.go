@@ -331,6 +331,12 @@ func (s *Server) liveRecords() []durable.Record {
 	})
 	var out []durable.Record
 	for _, j := range jobs {
+		// Read the request before the status: finish drops it in the same
+		// critical section that makes the status terminal, so a job still
+		// live at the snapshot below had its request intact here.
+		j.mu.Lock()
+		rawReq := j.rawReq
+		j.mu.Unlock()
 		st := j.snapshot()
 		if st.State.Terminal() {
 			b, err := json.Marshal(st)
@@ -340,7 +346,7 @@ func (s *Server) liveRecords() []durable.Record {
 			out = append(out, durable.Record{Type: durable.TypeFinished, Job: j.id, Key: j.key, Status: b})
 			continue
 		}
-		out = append(out, durable.Record{Type: durable.TypeSubmitted, Job: j.id, Key: j.key, Request: j.rawReq})
+		out = append(out, durable.Record{Type: durable.TypeSubmitted, Job: j.id, Key: j.key, Request: rawReq})
 		if st.State == StateRunning {
 			out = append(out, durable.Record{Type: durable.TypeStarted, Job: j.id, Resumes: j.resumes})
 		}

@@ -395,3 +395,79 @@ func equalU32(a, b []uint32) bool {
 	}
 	return true
 }
+
+// TestFinishedJobDropsRunState: a terminal job is only ever read through
+// its status and key, so finish must release the image, config (with any
+// fault injector), journaled request and resume snapshot — a long-lived
+// daemon otherwise pins every program it ever ran. GET, a journal
+// compaction and a restart replay must keep answering with the same status.
+func TestFinishedJobDropsRunState(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newTestServer(t, Options{Workers: 2, DataDir: dir, Fsync: "always", AllowFaultInjection: true})
+	req := JobRequest{Scheme: "pico-cas", GAC: counterGAC, Threads: 2, Arg: 200, IdempotencyKey: "drop-key",
+		Fault: []FaultRule{{Op: "mem-load", Action: "fault", After: 1 << 40}}}
+	id, err := s1.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := awaitTerminal(t, s1, id)
+	if want.State != StateDone {
+		t.Fatalf("job: state=%s err=%q", want.State, want.Error)
+	}
+
+	s1.mu.Lock()
+	j := s1.jobs[id]
+	s1.mu.Unlock()
+	j.mu.Lock()
+	if j.im != nil || j.rawReq != nil || j.resumeSnap != nil || j.machine != nil || j.cancel != nil ||
+		j.cfg.FaultInjector != nil || j.cfg.Scheme != "" {
+		t.Errorf("finished job still holds run state: im=%v rawReq=%d bytes resumeSnap=%v cfg.Scheme=%q injector=%v",
+			j.im != nil, len(j.rawReq), j.resumeSnap != nil, j.cfg.Scheme, j.cfg.FaultInjector != nil)
+	}
+	j.mu.Unlock()
+
+	same := func(stage string, got JobStatus) {
+		t.Helper()
+		g, _ := json.Marshal(got)
+		w, _ := json.Marshal(want)
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s: status changed:\n got  %s\n want %s", stage, g, w)
+		}
+	}
+	ts := httptest.NewServer(s1.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viaHTTP JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&viaHTTP); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	same("GET", viaHTTP)
+	if id2, err := s1.Submit(req); err != nil || id2 != id {
+		t.Fatalf("idempotent replay of a finished job: id=%q err=%v, want %s", id2, err, id)
+	}
+
+	if err := s1.dur.jour.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := s1.Status(id)
+	same("after compaction", got)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newTestServer(t, Options{Workers: 2, DataDir: dir, Fsync: "always", AllowFaultInjection: true})
+	got, ok := s2.Status(id)
+	if !ok {
+		t.Fatalf("job %s lost across restart", id)
+	}
+	same("after restart", got)
+	if id2, err := s2.Submit(req); err != nil || id2 != id {
+		t.Fatalf("key after restart: id=%q err=%v, want %s", id2, err, id)
+	}
+}

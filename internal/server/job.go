@@ -63,8 +63,9 @@ type JobConfig struct {
 	VirtualDeadline  uint64 `json:"virtual_deadline,omitempty"`
 	WatchdogSCFails  int64  `json:"watchdog_sc_fails,omitempty"`
 	// ChainBudget enables direct block chaining (max blocks per dispatch);
-	// 0 leaves it off. Tiered starts blocks in the interpreter and promotes
-	// at HotThreshold executions (0 takes the engine default threshold).
+	// 0 leaves it off. Tiered starts blocks as unoptimized IR and promotes
+	// them to optimized superblocks at HotThreshold executions (0 takes the
+	// engine default threshold).
 	ChainBudget  int  `json:"chain_budget,omitempty"`
 	Tiered       bool `json:"tiered,omitempty"`
 	HotThreshold int  `json:"hot_threshold,omitempty"`
@@ -165,7 +166,9 @@ type JobStatus struct {
 
 // job is the server-side job record. The mutex guards every mutable field;
 // machine is non-nil only while running, so status requests can take a live
-// snapshot without keeping finished machines alive.
+// snapshot without keeping finished machines alive, and finish drops the
+// image, config, journaled request and resume snapshot at the terminal
+// transition, so a finished record costs its status and key only.
 type job struct {
 	id  string
 	im  *asm.Image

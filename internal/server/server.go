@@ -459,6 +459,9 @@ func (s *Server) admit(j *job, req JobRequest) (string, error) {
 		}
 		j.rawReq = raw
 	}
+	// Once queued the job belongs to a worker, which may finish it (and
+	// drop rawReq) before the submission is journaled below.
+	rawReq := j.rawReq
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
 	if s.draining.Load() {
@@ -509,7 +512,7 @@ func (s *Server) admit(j *job, req JobRequest) (string, error) {
 	s.mu.Unlock()
 	s.accepted.Add(1)
 	s.jobWG.Add(1)
-	s.journalAppend(durable.Record{Type: durable.TypeSubmitted, Job: j.id, Key: j.key, Request: j.rawReq})
+	s.journalAppend(durable.Record{Type: durable.TypeSubmitted, Job: j.id, Key: j.key, Request: rawReq})
 	return j.id, nil
 }
 
@@ -861,6 +864,10 @@ func (s *Server) finish(j *job, class engine.StopClass, err error, m *engine.Mac
 	}
 	j.machine = nil
 	j.cancel = nil
+	// A terminal job is only ever read through status and key (GET, journal
+	// compaction, idempotent replay): let go of everything it ran from.
+	j.im, j.rawReq, j.resumeSnap = nil, nil, nil
+	j.cfg = engine.Config{}
 	final := j.status
 	j.mu.Unlock()
 	s.noteFinish(final.FinishedAt)

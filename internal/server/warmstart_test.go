@@ -5,10 +5,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"atomemu/internal/checkpoint"
+	"atomemu/internal/engine"
 )
 
 // warmOptions is the warm-start-enabled server shape the daemon flags
@@ -274,5 +276,105 @@ func TestWarmPoolEvictsLRU(t *testing.T) {
 	p.publish("a", &warmTemplate{snap: &checkpoint.Snapshot{}})
 	if p.lookup("a") != tmpl {
 		t.Fatal("re-publish replaced an existing template")
+	}
+}
+
+// warmKeyRendered perturbs, one field at a time, every engine.Config field
+// a job request can set; warmJobKey must render each, or a template built
+// under one value forks a job that asked for another.
+var warmKeyRendered = map[string]func(*engine.Config){
+	"Scheme":           func(c *engine.Config) { c.Scheme = "pico-st" },
+	"MemBytes":         func(c *engine.Config) { c.MemBytes = 32 << 20 },
+	"HashBits":         func(c *engine.Config) { c.HashBits = 10 },
+	"MaxGuestInstrs":   func(c *engine.Config) { c.MaxGuestInstrs = 12345 },
+	"FuseAtomics":      func(c *engine.Config) { c.FuseAtomics = true },
+	"CheckpointEvery":  func(c *engine.Config) { c.CheckpointEvery = 777 },
+	"RecoveryAttempts": func(c *engine.Config) { c.RecoveryAttempts = 1 },
+	"VirtualDeadline":  func(c *engine.Config) { c.VirtualDeadline = 999 },
+	"WatchdogSCFails":  func(c *engine.Config) { c.WatchdogSCFails = 4242 },
+	"ChainBudget":      func(c *engine.Config) { c.ChainBudget = 16 },
+	"Tiered":           func(c *engine.Config) { c.Tiered = true },
+	"HotThreshold":     func(c *engine.Config) { c.HotThreshold = 7 },
+}
+
+// warmKeyFixed names every other engine.Config field.
+var warmKeyFixed = []string{
+	// No job field reaches these: decode leaves DefaultConfig's value for
+	// every job (checked below against a request with every knob set).
+	"Cost", "HTMBits", "HTMCapacity", "MaxGuestInstrsPerTB", "NoOptimize",
+	"StackBytes", "MaxThreads", "QuantumTBs", "PreemptMemOps", "HTMInterference",
+	"StepMode", "TraceWriter", "TraceEvents", "TraceRingBits", "ProfileCollisions",
+	"StrictPaper", "HTMMaxRetries", "HTMBackoffBase", "HTMBackoffMax",
+	"FallbackCooldown", "ResilienceSeed", "HashSpinBudget", "SchedHook",
+	// A job carrying one is not warmable and never takes a key.
+	"FaultInjector",
+	// Host plumbing that run installs after the key is taken (the image
+	// hash behind SharedTBImage is rendered from the job).
+	"CheckpointSink", "SharedTBStore", "SharedTBImage", "SharedTBBase", "SharedTBSize", "SharedTBSeedStores",
+}
+
+// TestWarmJobKeyCoversConfig is the drift guard for the hand-written field
+// list in warmJobKey: every engine.Config field must either move the key
+// when it changes or be one no job can set. A new job knob that reaches a
+// Config field listed as fixed fails the second half.
+func TestWarmJobKeyCoversConfig(t *testing.T) {
+	j := &job{threads: 1}
+	base := warmJobKey(j, engine.DefaultConfig("hst"))
+	typ := reflect.TypeOf(engine.Config{})
+	fixedSet := map[string]bool{}
+	for _, name := range warmKeyFixed {
+		fixedSet[name] = true
+	}
+	fields := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		fields[name] = true
+		perturb, rendered := warmKeyRendered[name]
+		fixed := fixedSet[name]
+		switch {
+		case rendered == fixed:
+			t.Errorf("engine.Config.%s must be in exactly one of warmKeyRendered (and rendered by warmJobKey) or warmKeyFixed", name)
+		case rendered:
+			cfg := engine.DefaultConfig("hst")
+			perturb(&cfg)
+			if warmJobKey(j, cfg) == base {
+				t.Errorf("a job can set engine.Config.%s but warmJobKey does not render it", name)
+			}
+		}
+	}
+	for name := range warmKeyRendered {
+		if !fields[name] {
+			t.Errorf("warmKeyRendered names %s, which is not an engine.Config field", name)
+		}
+	}
+	for _, name := range warmKeyFixed {
+		if !fields[name] {
+			t.Fatalf("warmKeyFixed names %s, which is not an engine.Config field", name)
+		}
+	}
+
+	// A request with every JobConfig knob set must leave the fixed fields
+	// where DefaultConfig put them.
+	knobs := JobConfig{
+		MemBytes: 32 << 20, HashBits: 10, MaxGuestInstrs: 12345, FuseAtomics: true,
+		CheckpointEvery: 777, RecoveryAttempts: 1, VirtualDeadline: 999, WatchdogSCFails: 4242,
+		ChainBudget: 16, Tiered: true, HotThreshold: 7,
+	}
+	kv := reflect.ValueOf(knobs)
+	for i := 0; i < kv.NumField(); i++ {
+		if kv.Field(i).IsZero() {
+			t.Fatalf("JobConfig.%s is not set in this test's request; set it so the check below covers it", kv.Type().Field(i).Name)
+		}
+	}
+	s := newTestServer(t, Options{Workers: 1})
+	decoded, err := s.decode(JobRequest{Scheme: "pico-st", GAC: counterGAC, Threads: 2, Arg: 5, Config: knobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, def := reflect.ValueOf(decoded.cfg), reflect.ValueOf(engine.DefaultConfig("pico-st"))
+	for _, name := range warmKeyFixed {
+		if !reflect.DeepEqual(got.FieldByName(name).Interface(), def.FieldByName(name).Interface()) {
+			t.Errorf("decode set engine.Config.%s from the request, but warmKeyFixed says no job can", name)
+		}
 	}
 }

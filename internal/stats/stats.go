@@ -91,8 +91,8 @@ type CPU struct {
 	// IR-bypass fast path (chaining + profile-gated tiering).
 	ChainLinks     uint64 // successor links installed between per-vCPU TBs
 	ChainFollows   uint64 // block transitions taken via a chain link (no dispatch loop)
-	TierPromotions uint64 // blocks promoted from the interp tier to optimized IR
-	InterpBlocks   uint64 // block executions served by the decoder-direct interp tier
+	TierPromotions uint64 // blocks promoted from their cold form to optimized IR
+	InterpBlocks   uint64 // block executions served by the cold (unoptimized IR) form
 
 	// Cross-job content-addressed translation store (internal/tbstore):
 	// lookups against the process-wide shared view, publications into it,

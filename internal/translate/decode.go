@@ -6,18 +6,18 @@ import (
 	"atomemu/internal/arch"
 )
 
-// Decoded is a decoded-but-not-lowered guest basic block, the unit of the
-// Interp tier: cold code runs straight off this instruction slice with no
-// IR and no optimizer. Instructions are contiguous — Decode never follows
-// branches — so the i'th instruction sits at Start + i*arch.InstrBytes.
+// Decoded is a decoded-but-not-lowered guest basic block: the instruction
+// slice Block would lower, without the IR. The engine does not execute
+// it (cold blocks run as unoptimized IR); it is the cheap way to walk
+// an image's block boundaries and to time decode apart from lowering.
+// Instructions are contiguous — Decode never follows branches — so the
+// i'th instruction sits at Start + i*arch.InstrBytes.
 type Decoded struct {
 	Start    uint32
 	Instrs   []arch.Instruction
 	GuestLen int // == len(Instrs); mirrors ir.Block.GuestLen
 	// HasStores/HasLoads mirror ir.Block's instrumentation-sensitivity
-	// flags: whether the block contains plain guest stores/loads. The
-	// interp tier consults Options.Instrument* at run time, so these only
-	// matter for cache-retention decisions, not execution.
+	// flags: whether the block contains plain guest stores/loads.
 	HasStores bool
 	HasLoads  bool
 }

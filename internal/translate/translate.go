@@ -36,18 +36,6 @@ type Options struct {
 	FollowUncond bool
 }
 
-// Mode selects the execution tier a block is prepared for.
-type Mode uint8
-
-const (
-	// IR is the full decode→IR→optimize pipeline.
-	IR Mode = iota
-	// Interp interprets straight off the decoder: no IR is built and the
-	// optimizer never runs. Used for cold blocks under profile-gated
-	// tiering; promotion to IR happens once the block proves hot.
-	Interp
-)
-
 // DefaultMaxGuestInstrs is the block cap when Options.MaxGuestInstrs is 0.
 const DefaultMaxGuestInstrs = 32
 
