@@ -126,6 +126,10 @@ type Options struct {
 	// has been read but before recovered jobs are requeued — pinning the
 	// server in its recovering state so the 503 window is observable.
 	testReplayHold chan struct{}
+	// testAdmitHold, when set by a test, runs in admit after the job has won
+	// its queue slot — pinning the submitter while a worker already owns the
+	// job, so the ordering of hand-off and registration is observable.
+	testAdmitHold func()
 }
 
 func (o Options) withDefaults() Options {
@@ -497,6 +501,9 @@ func (s *Server) admit(j *job, req JobRequest) (string, error) {
 		s.mu.Unlock()
 		s.journalAppend(durable.Record{Type: durable.TypeShed, Job: j.id, Key: j.key})
 		return "", &SubmitError{Status: http.StatusTooManyRequests, Msg: "queue full", ID: j.id, RetryAfter: retry}
+	}
+	if hold := s.opts.testAdmitHold; hold != nil {
+		hold()
 	}
 	// Registered only after winning a queue slot, so an unkeyed shed job
 	// leaves no record behind.

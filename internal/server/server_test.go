@@ -426,3 +426,32 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("GET /jobs/nope = %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestAdmitRegistersBeforeHandOff pins the submitter right after its job
+// won a queue slot until a worker has finished that job — the interleaving
+// a fast-failing job meets when the submitter loses the CPU. The job must
+// already be accounted for by then: jobWG.Done may never precede its Add
+// (a negative WaitGroup counter panics the daemon), and the finished job
+// must be visible to Status.
+func TestAdmitRegistersBeforeHandOff(t *testing.T) {
+	var s *Server
+	s = newTestServer(t, Options{Workers: 1, testAdmitHold: func() {
+		deadline := time.Now().Add(30 * time.Second)
+		for s.completed.Load() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		// finish has counted the job; give run's deferred jobWG.Done its turn.
+		time.Sleep(20 * time.Millisecond)
+	}})
+	id, err := s.Submit(JobRequest{Scheme: "pico-cas", GAC: counterGAC, Arg: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := s.Status(id)
+	if !ok || st.State != StateDone {
+		t.Fatalf("job finished while its submitter was held: status found=%v state=%s, want done", ok, st.State)
+	}
+	if got := s.Metrics().Accepted; got != 1 {
+		t.Fatalf("accepted = %d, want 1", got)
+	}
+}
