@@ -126,9 +126,10 @@ type Options struct {
 	// has been read but before recovered jobs are requeued — pinning the
 	// server in its recovering state so the 503 window is observable.
 	testReplayHold chan struct{}
-	// testAdmitHold, when set by a test, runs in admit after the job has won
-	// its queue slot — pinning the submitter while a worker already owns the
-	// job, so the ordering of hand-off and registration is observable.
+	// testAdmitHold, when set by a test, runs in admit (s.mu held) after the
+	// job has won its queue slot — pinning the submitter while a worker
+	// already owns the job, so the ordering of hand-off and registration is
+	// observable.
 	testAdmitHold func()
 }
 
@@ -482,43 +483,45 @@ func (s *Server) admit(j *job, req JobRequest) (string, error) {
 	j.id = fmt.Sprintf("job-%d", s.nextID)
 	j.status.ID = j.id
 	j.status.EnqueuedAt = time.Now()
-	queue := s.queue
-	s.mu.Unlock()
+	// The hand-off and the registration are one critical section (the send
+	// never blocks), and the jobWG count precedes both: a worker may run the
+	// job to its terminal state before this goroutine is scheduled again,
+	// and run's deferred Done, the completion feed's Status lookup and drain
+	// must all find the job accounted for. An unkeyed shed leaves no record.
+	s.jobWG.Add(1)
 	select {
-	case queue <- j:
-	default:
-		s.shed.Add(1)
-		retry := s.retryAfterSecs()
-		if j.key == "" {
-			return "", &SubmitError{Status: http.StatusTooManyRequests, Msg: "queue full", RetryAfter: retry}
+	case s.queue <- j:
+		if hold := s.opts.testAdmitHold; hold != nil {
+			hold()
 		}
+		s.jobs[j.id] = j
+		if j.key != "" {
+			s.idemp[j.key] = j.id
+			if old := s.shedByKey[j.key]; old != "" {
+				delete(s.shedByKey, j.key)
+				delete(s.shedByID, old)
+			}
+		}
+		s.mu.Unlock()
+	default:
+		s.jobWG.Done()
 		// A keyed shed is remembered (and journaled), so a client retrying
 		// the key later gets a fresh attempt, and a GET on this id gets a
 		// distinct "shed" answer rather than "never seen".
-		s.mu.Lock()
-		s.shedByKey[j.key] = j.id
-		s.shedByID[j.id] = j.key
-		s.mu.Unlock()
-		s.journalAppend(durable.Record{Type: durable.TypeShed, Job: j.id, Key: j.key})
-		return "", &SubmitError{Status: http.StatusTooManyRequests, Msg: "queue full", ID: j.id, RetryAfter: retry}
-	}
-	if hold := s.opts.testAdmitHold; hold != nil {
-		hold()
-	}
-	// Registered only after winning a queue slot, so an unkeyed shed job
-	// leaves no record behind.
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	if j.key != "" {
-		s.idemp[j.key] = j.id
-		if old := s.shedByKey[j.key]; old != "" {
-			delete(s.shedByKey, j.key)
-			delete(s.shedByID, old)
+		if j.key != "" {
+			s.shedByKey[j.key] = j.id
+			s.shedByID[j.id] = j.key
 		}
+		s.mu.Unlock()
+		s.shed.Add(1)
+		se := &SubmitError{Status: http.StatusTooManyRequests, Msg: "queue full", RetryAfter: s.retryAfterSecs()}
+		if j.key != "" {
+			s.journalAppend(durable.Record{Type: durable.TypeShed, Job: j.id, Key: j.key})
+			se.ID = j.id
+		}
+		return "", se
 	}
-	s.mu.Unlock()
 	s.accepted.Add(1)
-	s.jobWG.Add(1)
 	s.journalAppend(durable.Record{Type: durable.TypeSubmitted, Job: j.id, Key: j.key, Request: rawReq})
 	return j.id, nil
 }
