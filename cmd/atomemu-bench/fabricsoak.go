@@ -128,7 +128,6 @@ func runFabricsoak(cfg fabricsoakConfig) error {
 		ProbeTimeout:            2 * time.Second,
 		ProbeSuspectAfter:       1,
 		ProbeDownAfter:          2,
-		PollInterval:            50 * time.Millisecond,
 		CheckpointFetchInterval: 250 * time.Millisecond,
 		Client:                  &http.Client{Timeout: 10 * time.Second},
 	})

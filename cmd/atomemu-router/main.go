@@ -1,8 +1,9 @@
 // Command atomemu-router fronts a fleet of atomemud workers: it
 // consistent-hash routes submitted jobs across the fleet, health-probes
-// every worker, fails in-flight jobs over to survivors when a worker dies
-// (shipping the last fetched checkpoint so work resumes instead of
-// restarting), and enforces weighted per-tenant admission quotas with
+// every worker, watches each worker's completion feed so a job is final
+// the moment its worker says so, fails in-flight jobs over to survivors
+// when a worker dies (shipping the last fetched checkpoint so work resumes
+// instead of restarting), and enforces weighted per-tenant admission quotas with
 // deficit-round-robin dispatch.
 //
 //	atomemu-router -worker http://h1:8347 -worker http://h2:8347 [-addr :8348]
@@ -15,7 +16,7 @@
 //	                  503 while draining
 //	GET  /jobs        list router job views
 //	GET  /jobs/{id}   one job's view; dispatched jobs proxy the worker's
-//	                  live status
+//	                  live status (a terminal one finalizes the job)
 //	GET  /workers     per-worker health (healthy/suspect/down, probes,
 //	                  queue gauges)
 //	GET  /healthz     liveness
@@ -107,7 +108,6 @@ func run() error {
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
 	downAfter := flag.Int("down-after", 3, "consecutive failures before a worker is evicted and its jobs failed over")
 	probeBackoffMax := flag.Duration("probe-backoff-max", 5*time.Second, "cap on the probe backoff while a worker stays down")
-	pollInterval := flag.Duration("poll-interval", 200*time.Millisecond, "status/checkpoint poll cadence over dispatched jobs")
 	dataDir := flag.String("data-dir", "", "router journal directory; in-flight jobs survive router restarts (empty = in-memory only)")
 	fsync := flag.String("fsync", "batch", "journal sync policy: always, batch, never")
 	drainWait := flag.Duration("drain-wait", 2*time.Minute, "how long to wait for live jobs on SIGTERM before exiting anyway")
@@ -131,7 +131,6 @@ func run() error {
 		ProbeTimeout:     *probeTimeout,
 		ProbeDownAfter:   *downAfter,
 		ProbeBackoffMax:  *probeBackoffMax,
-		PollInterval:     *pollInterval,
 		DataDir:          *dataDir,
 		JournalSync:      sync,
 		Logger:           log.Default(),

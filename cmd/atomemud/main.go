@@ -12,6 +12,9 @@
 //	GET  /jobs/{id}/checkpoint  latest live checkpoint as an ACKP image
 //	POST /jobs/{id}/resume      admit a job resuming from a shipped ACKP
 //	                  snapshot (router failover hand-off)
+//	GET  /completions long-poll feed of the jobs that turned terminal after
+//	                  a cursor (?epoch=E&after=N&wait=S); what routers watch
+//	                  instead of polling job statuses
 //	GET  /healthz     liveness + metrics (always 200 while the process is up)
 //	GET  /readyz      admission readiness (503 once draining starts or
 //	                  while journal replay is still running, Retry-After set)
@@ -152,8 +155,9 @@ func run() error {
 	stop() // second signal kills the process via default handling
 
 	log.Printf("atomemud: draining (grace %s)", *drainGrace)
-	// Drain first so in-flight status polls keep working until every
-	// accepted job is terminal, then close the HTTP server.
+	// Drain first so status reads and the completion feed keep working
+	// until every accepted job is terminal (the drain then releases blocked
+	// feed watchers), then close the HTTP server.
 	dctx, cancel := context.WithTimeout(context.Background(), *drainGrace+30*time.Second)
 	defer cancel()
 	if err := s.Drain(dctx); err != nil {

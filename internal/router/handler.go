@@ -25,6 +25,7 @@ type WorkerView struct {
 	Completed   uint64    `json:"completed"`
 	Shed        uint64    `json:"shed"`
 	Warmth      int       `json:"warmth"`
+	WatchLive   bool      `json:"watch_live"`
 	Dispatched  uint64    `json:"dispatched"`
 	Downs       uint64    `json:"downs"`
 	Rejoins     uint64    `json:"rejoins"`
@@ -41,7 +42,7 @@ func (r *Router) Workers() []WorkerView {
 			ConsecFails: w.consecFails, LastError: w.lastErr, LastProbe: w.lastProbe,
 			Queued: w.queued, QueueDepth: w.queueDepth,
 			Accepted: w.accepted, Completed: w.completed, Shed: w.shed,
-			Warmth: w.warmth,
+			Warmth: w.warmth, WatchLive: w.watchLive,
 			Dispatched: w.dispatched, Downs: w.downs, Rejoins: w.rejoins,
 		})
 	}
@@ -102,7 +103,8 @@ func (r *Router) httpError(w http.ResponseWriter, code int, msg string) {
 //	                    shed (Retry-After) | 503 draining
 //	GET  /jobs          list router job views
 //	GET  /jobs/{id}     one job's view, live-proxying the worker status
-//	                    for dispatched jobs → 200 | 404
+//	                    for dispatched jobs (a terminal one finalizes the
+//	                    job) → 200 | 404
 //	GET  /workers       per-worker health views
 //	GET  /healthz       liveness (200 while the process serves)
 //	GET  /readyz        routability → 200 | 503 draining or no live workers

@@ -24,9 +24,9 @@ import (
 // successful probe resets the counters, rejoins the ring, and the worker
 // starts taking its hash arc again.
 //
-// Dispatch and poll errors against a worker feed the same counter as
-// probe failures, so a worker that dies right after a clean probe is
-// detected at the speed of traffic, not of the probe interval.
+// Dispatch and completion-feed errors against a worker feed the same
+// counter as probe failures, so a worker that dies right after a clean
+// probe is detected at the speed of traffic, not of the probe interval.
 
 type healthState int32
 
@@ -76,6 +76,18 @@ type worker struct {
 	rejoins uint64
 
 	dispatched uint64 // jobs this router dispatched here
+
+	// inflight indexes the jobs dispatched here and not yet terminal by
+	// their worker-side idempotency key: where feed events find their job,
+	// and the list a resync or the down transition walks. pending holds the
+	// jobs whose dispatch POST to this worker is still in flight — the
+	// worker may finish one before the 202 that names its worker-side id is
+	// processed, and the key is known before the POST. syncGen moves when a
+	// resync lists inflight, so such a dispatch can tell it was left out.
+	inflight  map[string]*job
+	pending   map[string]*job
+	syncGen   uint64
+	watchLive bool // the last feed request succeeded
 }
 
 // probeLoop wakes every half ProbeInterval and launches probes for workers
@@ -87,7 +99,7 @@ func (r *Router) probeLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-r.stopCh:
+		case <-r.ctx.Done():
 			return
 		case <-tick.C:
 		}
@@ -106,9 +118,17 @@ func (r *Router) probeLoop() {
 }
 
 // probe performs one health check against a worker and feeds the result to
-// the state machine. Runs outside Router.mu.
+// the state machine. Runs outside Router.mu. Only this goroutine clears
+// the probing flag it runs under: a dispatch or feed failure noted while
+// the probe is still blocked must not let probeLoop start a second one,
+// or the pair would double-count toward ProbeDownAfter.
 func (r *Router) probe(url string) {
 	defer r.wg.Done()
+	defer func() {
+		r.mu.Lock()
+		r.workers[url].probing = false
+		r.mu.Unlock()
+	}()
 	q, depth, err := r.probeReadyz(url)
 	if err != nil {
 		r.noteWorkerFailure(url, err.Error())
@@ -202,7 +222,6 @@ func (r *Router) noteWorkerSuccess(url string) {
 	if w == nil {
 		return
 	}
-	w.probing = false
 	w.lastProbe = time.Now()
 	w.consecFails = 0
 	w.lastErr = ""
@@ -216,8 +235,9 @@ func (r *Router) noteWorkerSuccess(url string) {
 	w.state = stateHealthy
 }
 
-// noteWorkerFailure records a failed probe/dispatch/poll and advances the
-// state machine, evicting and failing over on the down transition.
+// noteWorkerFailure records a failed probe/dispatch/feed attempt and
+// advances the state machine, evicting and failing over on the down
+// transition.
 func (r *Router) noteWorkerFailure(url, detail string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -225,7 +245,6 @@ func (r *Router) noteWorkerFailure(url, detail string) {
 	if w == nil {
 		return
 	}
-	w.probing = false
 	w.lastProbe = time.Now()
 	w.consecFails++
 	w.lastErr = detail

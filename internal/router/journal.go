@@ -55,9 +55,10 @@ func (r *Router) initJournal() error {
 }
 
 // replayFold rebuilds the job table from journal records. Unfinished jobs
-// that were dispatched stay dispatched (the poller reconciles against the
-// worker: terminal → finalize, forgotten → failover); undispatched ones
-// re-enter the dispatch queue.
+// that were dispatched stay dispatched (the worker's watch loop reconciles
+// them at first contact: terminal → finalize, forgotten → failover);
+// undispatched ones, and ones dispatched to a worker this router no longer
+// fronts, re-enter the dispatch queue.
 func (r *Router) replayFold(recs []durable.Record) {
 	type acc struct {
 		raw        json.RawMessage
@@ -160,9 +161,10 @@ func (r *Router) replayFold(recs []durable.Record) {
 		}
 		t := r.tenantLocked(tname)
 		t.live++
-		if a.dispatched {
+		if w := r.workers[a.worker]; a.dispatched && w != nil {
 			j.state = jobDispatched
 			j.worker, j.workerJob = a.worker, a.workerJob
+			w.inflight[req.IdempotencyKey] = j
 			t.inflight++
 		} else {
 			r.enqueueLocked(t, j)

@@ -35,6 +35,11 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 	counter("atomemu_router_jobs_completed_total", "Router jobs that finished done.", r.completed.Load())
 	counter("atomemu_router_jobs_failed_total", "Router jobs that finished failed.", r.failed.Load())
 	counter("atomemu_router_journal_errors_total", "Router journal append failures.", r.journalErrs.Load())
+	counter("atomemu_router_watch_events_total", "Completion-feed events received from workers.", r.watchEvents.Load())
+	fmt.Fprintf(&b, "# HELP atomemu_router_watch_resyncs_total Per-job reconciliations of a worker's in-flight jobs, by what (re)established its feed.\n# TYPE atomemu_router_watch_resyncs_total counter\n")
+	for i, reason := range resyncReasonNames {
+		fmt.Fprintf(&b, "atomemu_router_watch_resyncs_total{reason=%q} %d\n", reason, r.watchResyncs[i].Load())
+	}
 
 	gauge("atomemu_router_ring_workers", "Workers currently on the hash ring.")
 	fmt.Fprintf(&b, "atomemu_router_ring_workers %d\n", r.ringSize())
@@ -57,6 +62,14 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 	gauge("atomemu_router_worker_queued", "Worker-reported queue length at the last successful probe.")
 	for _, wv := range workers {
 		fmt.Fprintf(&b, "atomemu_router_worker_queued{worker=%q} %d\n", wv.URL, wv.Queued)
+	}
+	gauge("atomemu_router_watch_live", "1 while the worker's completion feed answered its last request, else 0.")
+	for _, wv := range workers {
+		live := 0
+		if wv.WatchLive {
+			live = 1
+		}
+		fmt.Fprintf(&b, "atomemu_router_watch_live{worker=%q} %d\n", wv.URL, live)
 	}
 	gauge("atomemu_router_worker_warmth", "Worker warm-start score (shared TB blocks + weighted warm templates) at the last successful probe.")
 	for _, wv := range workers {
@@ -111,18 +124,26 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.Unlock()
 	sort.Slice(hists, func(i, k int) bool { return hists[i].name < hists[k].name })
+	// labels is "" or `key="value",` — the le label follows it.
+	hist := func(name, labels string, h obs.HistSnapshot) {
+		for i, bound := range h.Bounds {
+			fmt.Fprintf(&b, "%s_bucket{%sle=%q} %d\n", name, labels, strconv.FormatFloat(bound, 'g', -1, 64), h.Buckets[i])
+		}
+		fmt.Fprintf(&b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, h.Buckets[len(h.Buckets)-1])
+		series := ""
+		if labels != "" {
+			series = "{" + strings.TrimSuffix(labels, ",") + "}"
+		}
+		fmt.Fprintf(&b, "%s_sum%s %s\n", name, series, strconv.FormatFloat(h.Sum, 'g', -1, 64))
+		fmt.Fprintf(&b, "%s_count%s %d\n", name, series, h.Count)
+	}
 	fmt.Fprintf(&b, "# HELP atomemu_router_dispatch_wait_seconds Enqueue-to-dispatch wait per tenant.\n# TYPE atomemu_router_dispatch_wait_seconds histogram\n")
 	for _, t := range hists {
-		for i, bound := range t.h.Bounds {
-			fmt.Fprintf(&b, "atomemu_router_dispatch_wait_seconds_bucket{tenant=%q,le=%q} %d\n",
-				t.name, strconv.FormatFloat(bound, 'g', -1, 64), t.h.Buckets[i])
-		}
-		fmt.Fprintf(&b, "atomemu_router_dispatch_wait_seconds_bucket{tenant=%q,le=\"+Inf\"} %d\n",
-			t.name, t.h.Buckets[len(t.h.Buckets)-1])
-		fmt.Fprintf(&b, "atomemu_router_dispatch_wait_seconds_sum{tenant=%q} %s\n",
-			t.name, strconv.FormatFloat(t.h.Sum, 'g', -1, 64))
-		fmt.Fprintf(&b, "atomemu_router_dispatch_wait_seconds_count{tenant=%q} %d\n", t.name, t.h.Count)
+		hist("atomemu_router_dispatch_wait_seconds", fmt.Sprintf("tenant=%q,", t.name), t.h)
 	}
+	// The production twin of the bench ledger's router.finish_lag_ms.
+	fmt.Fprintf(&b, "# HELP atomemu_router_finish_lag_seconds Worker-side finish to router finalize, per job.\n# TYPE atomemu_router_finish_lag_seconds histogram\n")
+	hist("atomemu_router_finish_lag_seconds", "", r.finishLag.Snapshot())
 
 	js := r.JournalStats()
 	counter("atomemu_router_journal_records_total", "Records appended to the router journal by this process.", js.Appends)

@@ -19,9 +19,10 @@ import (
 // dispatchResp is the decoded outcome of one dispatch POST.
 type dispatchResp struct {
 	code    int
-	id      string // worker-side job id on 202
-	resumed bool   // worker adopted the shipped snapshot
-	errMsg  string // body text on non-202
+	id      string          // worker-side job id on 202
+	state   server.JobState // worker-side state on 202 (terminal on an idempotent hit)
+	resumed bool            // worker adopted the shipped snapshot
+	errMsg  string          // body text on non-202
 }
 
 // postDispatch performs the worker hand-off: POST /jobs with the original
@@ -58,13 +59,14 @@ func (r *Router) postDispatch(url, routerID string, raw []byte, req server.JobRe
 	out := &dispatchResp{code: resp.StatusCode}
 	if resp.StatusCode == http.StatusAccepted {
 		var ack struct {
-			ID      string `json:"id"`
-			Resumed bool   `json:"resumed"`
+			ID      string          `json:"id"`
+			State   server.JobState `json:"state"`
+			Resumed bool            `json:"resumed"`
 		}
 		if err := json.Unmarshal(data, &ack); err != nil || ack.ID == "" {
 			return nil, fmt.Errorf("bad accept body %q", string(data))
 		}
-		out.id, out.resumed = ack.ID, ack.Resumed
+		out.id, out.state, out.resumed = ack.ID, ack.State, ack.Resumed
 		return out, nil
 	}
 	var eb struct {
@@ -78,120 +80,86 @@ func (r *Router) postDispatch(url, routerID string, raw []byte, req server.JobRe
 	return out, nil
 }
 
-// pollLoop reconciles dispatched jobs against their workers every
-// PollInterval: terminal statuses finalize the router job, running jobs
-// with checkpointing enabled get their latest checkpoint image fetched
-// and cached (the image failover will ship), and a worker that has
-// forgotten a job — an in-memory restart — triggers immediate failover.
-func (r *Router) pollLoop() {
-	defer r.wg.Done()
-	tick := time.NewTicker(r.opts.PollInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stopCh:
-			return
-		case <-tick.C:
-		}
-		r.pollOnce()
-	}
-}
-
-// pollOnce runs one reconciliation sweep. Jobs are grouped by worker and a
-// worker is abandoned for the sweep on its first transport error — one
-// dead worker must cost one health-machine failure per sweep, not one per
-// in-flight job (which would rocket consecFails past the down threshold
-// in a single sweep).
-func (r *Router) pollOnce() {
-	type ref struct {
-		j         *job
-		workerJob string
-		fetchCkpt bool
-	}
-	now := time.Now()
-	r.mu.Lock()
-	byWorker := make(map[string][]ref)
-	for _, j := range r.jobs {
-		if j.state != jobDispatched {
-			continue
-		}
-		fetch := j.req.Config.CheckpointEvery > 0 &&
-			now.Sub(j.lastCkptFetch) >= r.opts.CheckpointFetchInterval
-		if fetch {
-			j.lastCkptFetch = now
-		}
-		byWorker[j.worker] = append(byWorker[j.worker], ref{
-			j:         j,
-			workerJob: j.workerJob,
-			fetchCkpt: fetch,
-		})
-	}
-	r.mu.Unlock()
-
-	for url, refs := range byWorker {
-		for _, p := range refs {
-			st, code, err := r.fetchStatus(url, p.workerJob)
-			if err != nil {
-				r.noteWorkerFailure(url, "poll: "+err.Error())
-				break // skip this worker's remaining jobs this sweep
-			}
-			switch {
-			case code == http.StatusNotFound:
-				// The worker restarted without durability (or another router's
-				// drain flushed it): the job is gone there. Re-dispatch.
-				r.mu.Lock()
-				if p.j.state == jobDispatched && p.j.worker == url {
-					r.failoverLocked(p.j, fmt.Sprintf("worker %s no longer knows job %s", url, p.workerJob))
-				}
-				r.mu.Unlock()
-			case code == http.StatusOK && st != nil && st.State.Terminal():
-				r.finalize(p.j, url, st)
-			case code == http.StatusOK && p.fetchCkpt:
-				r.fetchCheckpoint(p.j, url, p.workerJob)
-			}
-		}
-	}
-}
-
 // fetchStatus GETs one worker-side job status. A non-200/404 code is
-// reported as an error (it implicates the worker, not the job).
-func (r *Router) fetchStatus(url, workerJob string) (*server.JobStatus, int, error) {
-	resp, err := r.client.Get(url + "/jobs/" + workerJob)
+// reported as an error (it implicates the worker, not the job). An answer
+// about a job admitted under another key is a 404: worker job ids restart
+// with an in-memory worker process, so after a restart the id the router
+// remembers may name somebody else's job.
+func (r *Router) fetchStatus(url, workerJob, key string) (*server.JobStatus, int, error) {
+	req, err := http.NewRequestWithContext(r.ctx, http.MethodGet, url+"/jobs/"+workerJob, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	switch resp.StatusCode {
-	case http.StatusOK:
+	switch {
+	case resp.StatusCode == http.StatusOK && resp.Header.Get(server.KeyHeader) != key:
+		return nil, http.StatusNotFound, nil
+	case resp.StatusCode == http.StatusOK:
 		var st server.JobStatus
 		if err := json.Unmarshal(data, &st); err != nil {
 			return nil, 0, fmt.Errorf("bad status body: %w", err)
 		}
 		return &st, http.StatusOK, nil
-	case http.StatusNotFound:
+	case resp.StatusCode == http.StatusNotFound:
 		return nil, http.StatusNotFound, nil
 	default:
 		return nil, 0, fmt.Errorf("status: HTTP %d", resp.StatusCode)
 	}
 }
 
-// fetchCheckpoint pulls the job's latest live checkpoint image and caches
-// it as the failover resume point. 404 (not running / no checkpoint yet)
-// is a non-event; transport errors are left to the status poll to count.
-func (r *Router) fetchCheckpoint(j *job, url, workerJob string) {
-	resp, err := r.client.Get(url + "/jobs/" + workerJob + "/checkpoint")
+// reconcile asks the worker about one dispatched job and acts on the
+// answer: a terminal status finalizes the router job, and a worker that
+// has forgotten the job — an in-memory restart — fails it over at once.
+// It is the "list" half of list+watch (resync runs it over a worker's
+// in-flight jobs when its feed is re-established) and the fallback for
+// the windows the feed cannot cover. The status is returned for callers
+// that proxy it; the error is a transport-level one that implicates the
+// worker.
+func (r *Router) reconcile(j *job, url, workerJob string) (*server.JobStatus, error) {
+	st, code, err := r.fetchStatus(url, workerJob, j.req.IdempotencyKey)
 	if err != nil {
-		return
+		return nil, err
+	}
+	switch {
+	case code == http.StatusNotFound:
+		r.mu.Lock()
+		if j.state == jobDispatched && j.worker == url && j.workerJob == workerJob {
+			r.failoverLocked(j, fmt.Sprintf("worker %s no longer knows job %s", url, workerJob))
+		}
+		r.mu.Unlock()
+	case st.State.Terminal():
+		r.finalize(j, url, st)
+	}
+	return st, nil
+}
+
+// fetchCheckpoint pulls the job's latest live checkpoint image and caches
+// it as the failover resume point. A 404 (not running / no checkpoint yet)
+// or an image of somebody else's job (see fetchStatus) is a non-event. A
+// transport error is returned so the caller can skip the worker's other
+// jobs; counting it is left to the feed and the probes.
+func (r *Router) fetchCheckpoint(j *job, url, workerJob string) error {
+	req, err := http.NewRequestWithContext(r.ctx, http.MethodGet, url+"/jobs/"+workerJob+"/checkpoint", nil)
+	if err != nil {
+		return err
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(server.KeyHeader) != j.req.IdempotencyKey {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return
+		return nil
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return
+		return err
 	}
 	vt, _ := strconv.ParseUint(resp.Header.Get("X-Atomemu-Virtual-Time"), 10, 64)
 	r.mu.Lock()
@@ -202,12 +170,14 @@ func (r *Router) fetchCheckpoint(j *job, url, workerJob string) {
 	r.mu.Unlock()
 	r.ckptFetches.Add(1)
 	r.ckptFetchBytes.Add(uint64(len(data)))
+	return nil
 }
 
 // failoverLocked re-queues a dispatched job whose worker is gone, arming
 // the cached checkpoint (if any) for a resume-style re-dispatch. r.mu held.
 func (r *Router) failoverLocked(j *job, why string) {
 	j.resumes++
+	delete(r.workers[j.worker].inflight, j.req.IdempotencyKey)
 	j.worker, j.workerJob = "", ""
 	j.rounds = 0
 	j.resumed = false
@@ -227,14 +197,15 @@ func (r *Router) failoverLocked(j *job, why string) {
 // just went down. r.mu held (called from the health machine's down
 // transition).
 func (r *Router) failoverWorkerLocked(url string) {
-	for _, j := range r.jobs {
-		if j.state == jobDispatched && j.worker == url {
-			r.failoverLocked(j, "worker down")
-		}
+	for _, j := range r.workers[url].inflight {
+		r.failoverLocked(j, "worker down")
 	}
 }
 
-// finalize records a worker-terminal status as the job's final state.
+// finalize records a worker-terminal status as the job's final state. It
+// is idempotent — the feed delivers at least once, and a resync or a
+// proxied status read may race it to the same job — so only the first
+// caller moves the counters and journals the finished record.
 func (r *Router) finalize(j *job, url string, st *server.JobStatus) {
 	now := time.Now()
 	r.mu.Lock()
@@ -242,6 +213,7 @@ func (r *Router) finalize(j *job, url string, st *server.JobStatus) {
 		r.mu.Unlock()
 		return
 	}
+	delete(r.workers[url].inflight, j.req.IdempotencyKey)
 	if st.State == server.StateDone {
 		j.state = jobDone
 	} else {
@@ -265,6 +237,10 @@ func (r *Router) finalize(j *job, url string, st *server.JobStatus) {
 		r.completed.Add(1)
 	} else {
 		r.failed.Add(1)
+	}
+	if !st.FinishedAt.IsZero() {
+		// Clamped: across hosts the worker's clock may run ahead of ours.
+		r.finishLag.Observe(max(now.Sub(st.FinishedAt), 0).Seconds())
 	}
 	r.journalFinish(j)
 }
@@ -307,7 +283,9 @@ func (r *Router) viewLocked(j *job) JobView {
 }
 
 // Status returns one job's view. For a dispatched job the worker's live
-// status is proxied in best-effort.
+// status is proxied in best-effort — and acted on: a terminal answer
+// finalizes the job, so the caller gets the final view, not "dispatched"
+// around a finished status.
 func (r *Router) Status(id string) (JobView, bool) {
 	r.mu.Lock()
 	j := r.jobs[id]
@@ -322,7 +300,14 @@ func (r *Router) Status(id string) (JobView, bool) {
 	}
 	r.mu.Unlock()
 	if url != "" {
-		if st, code, err := r.fetchStatus(url, workerJob); err == nil && code == http.StatusOK {
+		st, err := r.reconcile(j, url, workerJob)
+		if err != nil {
+			return v, true
+		}
+		r.mu.Lock()
+		v = r.viewLocked(j)
+		r.mu.Unlock()
+		if v.Status == nil {
 			v.Status = st
 		}
 	}

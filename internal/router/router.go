@@ -10,11 +10,16 @@
 //     three-state machine — healthy, suspect, down — with exponential
 //     probe backoff while down, automatic ring eviction on the down
 //     transition and rejoin on recovery. See health.go.
+//   - Completion: one watch loop per worker long-polls the worker's
+//     completion feed (GET /completions) and finalizes jobs as their
+//     events arrive; per-job status requests happen only when a feed is
+//     (re)established — list + watch, never a periodic sweep. See watch.go.
 //   - Failover: when a worker goes down mid-job, its in-flight jobs are
-//     re-dispatched to surviving workers. The router polls running jobs'
-//     /jobs/{id}/checkpoint and caches the latest ACKP image; failover
-//     ships it via POST /jobs/{id}/resume so the job continues from its
-//     last checkpoint instead of from the entry point.
+//     re-dispatched to surviving workers. For jobs that checkpoint, the
+//     router fetches /jobs/{id}/checkpoint on a timer and caches the
+//     latest ACKP image; failover ships it via POST /jobs/{id}/resume so
+//     the job continues from its last checkpoint instead of from the
+//     entry point.
 //   - Exactly-once results: every job runs under a worker-side idempotency
 //     key (the client's, or a router-generated "fab:<id>"), so a re-shipped
 //     dispatch cannot double-admit, and the router exposes one id and one
@@ -100,12 +105,9 @@ type Options struct {
 	// stays down. Default 5s.
 	ProbeBackoffMax time.Duration
 
-	// PollInterval is the cadence of the status poll over dispatched jobs.
-	// Default 200ms.
-	PollInterval time.Duration
-	// CheckpointFetchInterval throttles how often one job's checkpoint
-	// image is re-fetched and cached (fetching encodes a full snapshot on
-	// the worker, so it is much heavier than a status poll). Default 500ms.
+	// CheckpointFetchInterval is how often the checkpoint image of a
+	// dispatched job that checkpoints is re-fetched and cached (fetching
+	// encodes a full snapshot on the worker). Default 500ms.
 	CheckpointFetchInterval time.Duration
 
 	// VNodes is the virtual-node count per worker on the hash ring.
@@ -118,8 +120,9 @@ type Options struct {
 	// JournalSync is the journal fsync policy. Default SyncBatch.
 	JournalSync durable.SyncPolicy
 
-	// Client performs dispatch, poll and proxy requests. Defaults to a
-	// 30s-timeout client.
+	// Client performs dispatch, status and checkpoint requests; probes and
+	// the completion-feed long-polls reuse its Transport under their own
+	// deadlines. Defaults to a 30s-timeout client.
 	Client *http.Client
 	// Logger receives router diagnostics. Defaults to log.Default().
 	Logger *log.Logger
@@ -158,9 +161,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeBackoffMax <= 0 {
 		o.ProbeBackoffMax = 5 * time.Second
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 200 * time.Millisecond
 	}
 	if o.CheckpointFetchInterval <= 0 {
 		o.CheckpointFetchInterval = 500 * time.Millisecond
@@ -210,10 +210,13 @@ type job struct {
 	resumes   int    // failover re-dispatches so far
 	resumed   bool   // current dispatch adopted a shipped checkpoint
 
-	ckpt          []byte    // latest fetched ACKP image
-	ckptVT        uint64    // its virtual time
-	lastCkptFetch time.Time // throttles re-fetching
-	useCkpt       bool      // next dispatch should ship ckpt via /resume
+	ckpt    []byte // latest fetched ACKP image
+	ckptVT  uint64 // its virtual time
+	useCkpt bool   // next dispatch should ship ckpt via /resume
+
+	// early is a completion event that arrived while the dispatch POST was
+	// still in flight (see worker.pending); tryDispatch claims it.
+	early *server.JobStatus
 
 	errMsg string
 	final  *server.JobStatus
@@ -276,9 +279,9 @@ func (t *tenant) finishRate(now time.Time) float64 {
 	return float64(n) / span.Seconds()
 }
 
-// dispatchWaitBuckets spans in-process test latencies to worst-case
-// redispatch backoff chains.
-var dispatchWaitBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 15}
+// latencyBuckets spans in-process test latencies to worst-case redispatch
+// backoff chains; the dispatch-wait and finish-lag histograms share it.
+var latencyBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 15}
 
 // Router is the front tier. Create with New, mount Handler, stop with
 // Close (or DrainAndClose to wait for in-flight jobs first).
@@ -300,12 +303,16 @@ type Router struct {
 	replay durable.ReplayStats
 
 	draining atomic.Bool
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	// ctx is the router's lifetime: Close cancels it, which stops every
+	// loop and aborts the worker requests made under it (a feed long-poll
+	// would otherwise hold Close for its whole wait).
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	client      *http.Client
 	probeClient *http.Client
+	watchClient *http.Client // no Timeout: each long-poll carries its own deadline
 
 	// Lifetime counters (see metrics.go).
 	dispatches         atomic.Uint64
@@ -318,10 +325,14 @@ type Router struct {
 	completed          atomic.Uint64
 	failed             atomic.Uint64
 	journalErrs        atomic.Uint64
+	watchEvents        atomic.Uint64
+	watchResyncs       [numResyncReasons]atomic.Uint64
+	finishLag          *obs.Histogram // worker FinishedAt → router finalize, seconds
 }
 
 // New builds the router, replays its journal (with a DataDir), and starts
-// the dispatch, probe and poll loops. Workers start healthy and on the
+// the dispatch, probe, watch and checkpoint-fetch loops. Workers start
+// healthy and on the
 // ring — the first probe round corrects that within ProbeInterval.
 func New(opts Options) (*Router, error) {
 	opts = opts.withDefaults()
@@ -335,20 +346,25 @@ func New(opts Options) (*Router, error) {
 		jobs:    make(map[string]*job),
 		byKey:   make(map[string]string),
 		tenants: make(map[string]*tenant),
-		stopCh:  make(chan struct{}),
 		client:  opts.Client,
 		probeClient: &http.Client{
 			Timeout:   opts.ProbeTimeout,
 			Transport: opts.Client.Transport,
 		},
+		watchClient: &http.Client{Transport: opts.Client.Transport},
+		finishLag:   obs.NewHistogram(latencyBuckets),
 	}
+	r.ctx, r.cancel = context.WithCancel(context.Background())
 	r.cond = sync.NewCond(&r.mu)
 	now := time.Now()
 	for _, u := range opts.Workers {
 		if _, dup := r.workers[u]; dup {
 			return nil, fmt.Errorf("router: duplicate worker %s", u)
 		}
-		r.workers[u] = &worker{url: u, state: stateHealthy, nextProbe: now}
+		r.workers[u] = &worker{
+			url: u, state: stateHealthy, nextProbe: now,
+			inflight: make(map[string]*job), pending: make(map[string]*job),
+		}
 		r.ring.add(u)
 	}
 	if opts.DataDir != "" {
@@ -360,9 +376,12 @@ func New(opts Options) (*Router, error) {
 		r.wg.Add(1)
 		go r.dispatchLoop()
 	}
-	r.wg.Add(2)
+	r.wg.Add(2 + len(r.workers))
 	go r.probeLoop()
-	go r.pollLoop()
+	go r.ckptLoop()
+	for u := range r.workers {
+		go r.watchLoop(u)
+	}
 	return r, nil
 }
 
@@ -380,7 +399,7 @@ func (r *Router) tenantLocked(name string) *tenant {
 		}
 		t = &tenant{
 			name: name, weight: w, quota: quota,
-			waitHist: obs.NewHistogram(dispatchWaitBuckets),
+			waitHist: obs.NewHistogram(latencyBuckets),
 		}
 		r.tenants[name] = t
 	}
@@ -654,6 +673,7 @@ func (r *Router) dispatch(j *job) {
 // failover re-dispatch that has one to ship.
 func (r *Router) tryDispatch(j *job, url string) dispOutcome {
 	r.mu.Lock()
+	w := r.workers[url]
 	if j.state != jobQueued {
 		r.mu.Unlock()
 		return dispTerminal
@@ -663,22 +683,25 @@ func (r *Router) tryDispatch(j *job, url string) dispOutcome {
 	resumes := j.resumes
 	raw := j.raw
 	req := j.req
+	// From here until the 202 is recorded the worker may finish the job
+	// before the router knows its worker-side id: the feed leaves such an
+	// event on the pending job, and syncGen tells whether a resync listed
+	// the worker's jobs without this one.
+	key := req.IdempotencyKey
+	w.pending[key] = j
+	gen := w.syncGen
 	r.mu.Unlock()
 
 	resp, err := r.postDispatch(url, j.id, raw, req, useCkpt, ckpt, resumes)
-	if err != nil {
-		r.dispatchErrs.Add(1)
-		r.noteWorkerFailure(url, "dispatch: "+err.Error())
-		return dispFail
-	}
-	switch resp.code {
-	case http.StatusAccepted:
-		now := time.Now()
-		r.mu.Lock()
-		if j.state != jobQueued { // lost a race with shed/stop
-			r.mu.Unlock()
-			return dispTerminal
-		}
+
+	now := time.Now()
+	r.mu.Lock()
+	delete(w.pending, key)
+	early := j.early
+	j.early = nil
+	accepted := err == nil && resp.code == http.StatusAccepted && j.state == jobQueued
+	var resumesNow int
+	if accepted {
 		j.state = jobDispatched
 		j.worker = url
 		j.workerJob = resp.id
@@ -688,11 +711,23 @@ func (r *Router) tryDispatch(j *job, url string) dispOutcome {
 		t := r.tenants[j.tenant]
 		t.inflight++
 		t.waitHist.Observe(now.Sub(j.lastEnqueue).Seconds())
-		if w := r.workers[url]; w != nil {
-			w.dispatched++
+		w.dispatched++
+		w.inflight[key] = j
+		resumesNow = j.resumes
+	}
+	missed := w.syncGen != gen
+	r.mu.Unlock()
+
+	if err != nil {
+		r.dispatchErrs.Add(1)
+		r.noteWorkerFailure(url, "dispatch: "+err.Error())
+		return dispFail
+	}
+	switch resp.code {
+	case http.StatusAccepted:
+		if !accepted { // lost a race with shed/stop
+			return dispTerminal
 		}
-		resumesNow := j.resumes
-		r.mu.Unlock()
 		r.dispatches.Add(1)
 		if useCkpt && resp.resumed {
 			r.failoverResumed.Add(1)
@@ -702,6 +737,17 @@ func (r *Router) tryDispatch(j *job, url string) dispOutcome {
 			Worker: url, WorkerJob: resp.id, Resumes: resumesNow,
 			UnixMS: now.UnixMilli(),
 		})
+		switch {
+		case early != nil:
+			r.finalize(j, url, early)
+		case missed || resp.state.Terminal():
+			// No event will come: a resync listed this worker's jobs while
+			// the 202 was in flight, or the key was already terminal there
+			// (an idempotent hit on an earlier dispatch's result).
+			if _, err := r.reconcile(j, url, resp.id); err != nil {
+				r.noteWorkerFailure(url, "reconcile: "+err.Error())
+			}
+		}
 		return dispOK
 	case http.StatusTooManyRequests:
 		r.bounces.Add(1)
@@ -726,7 +772,7 @@ func (r *Router) sleepStop(d time.Duration) bool {
 		return true
 	}
 	select {
-	case <-r.stopCh:
+	case <-r.ctx.Done():
 		return false
 	case <-time.After(d):
 		return true
@@ -793,16 +839,14 @@ wait:
 	return err
 }
 
-// Close stops the loops and the journal. Idempotent. Live jobs keep
-// running on their workers.
+// Close stops the loops (cancelling any feed long-poll in flight) and the
+// journal. Idempotent. Live jobs keep running on their workers.
 func (r *Router) Close() {
-	r.stopOnce.Do(func() {
-		r.mu.Lock()
-		r.stopped = true
-		r.cond.Broadcast()
-		r.mu.Unlock()
-		close(r.stopCh)
-	})
+	r.mu.Lock()
+	r.stopped = true
+	r.cond.Broadcast()
+	r.mu.Unlock()
+	r.cancel()
 	r.wg.Wait()
 	r.mu.Lock()
 	jour := r.jour

@@ -100,7 +100,7 @@ func startWorker(t *testing.T, opts server.Options) *testWorker {
 }
 
 // fastOptions are router timings tuned for tests: sub-second down
-// detection, tight polling.
+// detection, frequent checkpoint fetches.
 func fastOptions(urls ...string) Options {
 	return Options{
 		Workers:                 urls,
@@ -109,7 +109,6 @@ func fastOptions(urls ...string) Options {
 		ProbeSuspectAfter:       1,
 		ProbeDownAfter:          2,
 		ProbeBackoffMax:         200 * time.Millisecond,
-		PollInterval:            25 * time.Millisecond,
 		CheckpointFetchInterval: 100 * time.Millisecond,
 		BounceBackoff:           5 * time.Millisecond,
 	}
@@ -306,7 +305,8 @@ func TestRouterJournalRecovery(t *testing.T) {
 
 	liveID, err := r1.Submit(server.JobRequest{
 		Scheme: "pico-cas", GAC: milestoneGAC, Arg: 600, IdempotencyKey: "jr-live",
-		Config: server.JobConfig{CheckpointEvery: 5000},
+		DeadlineMS: 120_000, // the default 30s is too tight under -race on two cores
+		Config:     server.JobConfig{CheckpointEvery: 5000},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -379,8 +379,18 @@ func TestDurableJobSpillsCheckpoints(t *testing.T) {
 	if m.CkptSpillErrors != 0 {
 		t.Fatalf("spill errors: %d", m.CkptSpillErrors)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "ckpt", id)); !os.IsNotExist(err) {
-		t.Fatalf("terminal job's spill file still on disk (err=%v)", err)
+	// The status turns terminal before finish journals the result and
+	// deletes the spill, so give that tail a moment.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, err := os.Stat(filepath.Join(dir, "ckpt", id))
+		if os.IsNotExist(err) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("terminal job's spill file still on disk (err=%v)", err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -192,7 +192,8 @@ func TestCheckpointResumeAcrossWorkers(t *testing.T) {
 
 	req := JobRequest{
 		Scheme: "pico-cas", GAC: milestoneSrc, Arg: arg,
-		Config: JobConfig{CheckpointEvery: 5000},
+		DeadlineMS: 120_000, // the default 30s is too tight under -race on two cores
+		Config:     JobConfig{CheckpointEvery: 5000},
 	}
 	id, err := a.Submit(req)
 	if err != nil {

@@ -82,9 +82,7 @@ func (s *Server) SubmitResume(alias string, rr ResumeRequest) (string, bool, err
 // budget in headers. 404 when the job is unknown, not running, or has not
 // checkpointed yet — to a router those all mean "nothing to ship".
 func (s *Server) handleCheckpoint(w http.ResponseWriter, id string) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
+	j := s.lookup(id)
 	if j == nil {
 		s.httpError(w, http.StatusNotFound, "no such job "+id)
 		return
@@ -107,6 +105,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, id string) {
 		s.httpError(w, http.StatusInternalServerError, fmt.Sprintf("encoding checkpoint: %v", err))
 		return
 	}
+	setKeyHeader(w, j)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Atomemu-Virtual-Time", strconv.FormatUint(snap.VirtualTime, 10))
 	w.Header().Set("X-Atomemu-Resumes", strconv.Itoa(resumes))

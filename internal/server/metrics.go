@@ -114,6 +114,12 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	gauge("atomemu_recovering", "1 while journal replay is still running, else 0.")
 	fmt.Fprintf(&b, "atomemu_recovering %d\n", boolGauge(s.recovering.Load()))
 
+	seq, waiters := s.completions.gauges()
+	gauge("atomemu_completions_seq", "Sequence number of the newest event on the completion feed.")
+	fmt.Fprintf(&b, "atomemu_completions_seq %d\n", seq)
+	gauge("atomemu_completions_waiters", "Watchers currently blocked in a completion-feed long-poll.")
+	fmt.Fprintf(&b, "atomemu_completions_waiters %d\n", waiters)
+
 	gauge("atomemu_breaker_state", "Per-scheme breaker state: 0 closed, 1 open, 2 half-open.")
 	for _, bs := range s.Breakers() {
 		fmt.Fprintf(&b, "atomemu_breaker_state{scheme=%q} %d\n", bs.Scheme, breakerStateValue(bs.State))

@@ -135,7 +135,7 @@ func TestReadEndpointsRejectNonGET(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, path := range []string{"/healthz", "/readyz", "/statz", "/metrics", "/jobs/nope"} {
+	for _, path := range []string{"/healthz", "/readyz", "/statz", "/metrics", "/completions", "/jobs/nope"} {
 		for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete} {
 			req, _ := http.NewRequest(method, ts.URL+path, strings.NewReader("{}"))
 			resp, err := http.DefaultClient.Do(req)

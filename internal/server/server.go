@@ -275,6 +275,10 @@ type Server struct {
 	// dur is the durability layer; nil without Options.DataDir.
 	dur *durability
 
+	// completions is the ordered feed of terminal jobs routers watch
+	// (completions.go).
+	completions *completions
+
 	// tbstore is the process-wide content-addressed translation store and
 	// warm the checkpoint-template pool; both nil unless enabled in Options.
 	tbstore *tbstore.Store[*engine.TB]
@@ -315,6 +319,7 @@ func New(opts Options) (*Server, error) {
 		wallHist:     make(map[string]*obs.Histogram),
 		virtHist:     make(map[string]*obs.Histogram),
 		finishRing:   make([]time.Time, 32),
+		completions:  newCompletions(),
 		tbstore:      tbstore.New[*engine.TB](opts.SharedTBCacheBlocks),
 		warm:         newWarmPool(opts.WarmPoolSize),
 	}
@@ -526,11 +531,16 @@ func (s *Server) admit(j *job, req JobRequest) (string, error) {
 	return j.id, nil
 }
 
+// lookup returns the job record for id, nil if unknown.
+func (s *Server) lookup(id string) *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.jobs[id]
+}
+
 // Status returns a job's current status snapshot.
 func (s *Server) Status(id string) (JobStatus, bool) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
+	j := s.lookup(id)
 	if j == nil {
 		return JobStatus{}, false
 	}
@@ -654,6 +664,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.workerWG.Wait()
 	s.closeJournal()
+	// Every completion has been published; release the watchers still
+	// long-polling so the HTTP server can shut down promptly.
+	s.completions.close()
 	return nil
 }
 
@@ -882,8 +895,10 @@ func (s *Server) finish(j *job, class engine.StopClass, err error, m *engine.Mac
 	j.mu.Unlock()
 	s.noteFinish(final.FinishedAt)
 	// Journal the terminal state outside the job lock (an append can rotate
-	// into compaction, which re-reads every job's status).
+	// into compaction, which re-reads every job's status), and announce it
+	// only once that record is durable.
 	s.journalFinish(j, final)
+	s.completions.publish(j.id)
 }
 
 // noteFinish records one terminal transition in the drain-rate ring.
@@ -953,8 +968,14 @@ func (s *Server) retryAfterSecs() int {
 //	GET  /jobs                   list job statuses
 //	GET  /jobs/{id}              one job's status → 200 | 404
 //	GET  /jobs/{id}/checkpoint   latest live checkpoint, ACKP binary → 200 | 404
+//	                             (both name the job's idempotency key in
+//	                             KeyHeader: ids restart with an in-memory
+//	                             process, the key tells whose job answered)
 //	POST /jobs/{id}/resume       submit a job resuming from a shipped
 //	                             ACKP snapshot (router failover hand-off)
+//	GET  /completions            long-poll feed of jobs that turned terminal
+//	                             after a cursor (?epoch=E&after=N&wait=S) →
+//	                             200 {epoch, seq, reset, jobs} | 503 drained
 //	GET  /healthz                liveness + metrics (200 while the process serves)
 //	GET  /readyz                 admission readiness → 200 | 503 draining,
 //	                             journal replay in progress, or recovery failed
@@ -1028,8 +1049,8 @@ func (s *Server) Handler() http.Handler {
 			}
 		}
 		s.getOnly(func(w http.ResponseWriter, r *http.Request) {
-			st, ok := s.Status(id)
-			if !ok {
+			j := s.lookup(id)
+			if j == nil {
 				s.mu.Lock()
 				key, shed := s.shedByID[id]
 				s.mu.Unlock()
@@ -1047,9 +1068,11 @@ func (s *Server) Handler() http.Handler {
 				s.httpError(w, http.StatusNotFound, "no such job "+id)
 				return
 			}
-			s.writeJSON(w, http.StatusOK, st)
+			setKeyHeader(w, j)
+			s.writeJSON(w, http.StatusOK, j.snapshot())
 		})(w, r)
 	})
+	mux.HandleFunc("/completions", s.getOnly(s.handleCompletions))
 	mux.HandleFunc("/healthz", s.getOnly(func(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, map[string]any{
 			"status": "ok", "draining": s.Draining(),
@@ -1087,6 +1110,19 @@ func (s *Server) Handler() http.Handler {
 	}))
 	mux.HandleFunc("/metrics", s.getOnly(s.handleMetrics))
 	return mux
+}
+
+// KeyHeader carries a job's idempotency key on GET /jobs/{id} and
+// GET /jobs/{id}/checkpoint responses. A worker job id is only unique within
+// one in-memory process, so a caller that remembers an id across a worker
+// restart (the router) checks the key before believing the answer is about
+// its job.
+const KeyHeader = "X-Atomemu-Idempotency-Key"
+
+func setKeyHeader(w http.ResponseWriter, j *job) {
+	if j.key != "" {
+		w.Header().Set(KeyHeader, j.key)
+	}
 }
 
 // getOnly rejects every method but GET with 405 (read-only endpoints used

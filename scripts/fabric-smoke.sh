@@ -6,7 +6,9 @@
 # the stranded work over to the survivor, and finish every job with the
 # right output. Also asserts the per-tenant quota path (429 + Retry-After)
 # and the router's Prometheus exposition: per-worker health, failover and
-# per-tenant series.
+# per-tenant series, and the event-driven completion path — each worker's
+# feed established exactly once, and jobs final within 25 ms of their
+# worker finishing them (there is no status sweep to wait for).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -50,7 +52,7 @@ echo "workers up on $w1 and $w2"
 "$tmp/atomemu-router" -addr 127.0.0.1:0 \
     -worker "http://$w1" -worker "http://$w2" \
     -quota-per-weight 4 \
-    -probe-interval 100ms -down-after 2 -poll-interval 50ms \
+    -probe-interval 100ms -down-after 2 \
     >"$tmp/router.log" 2>&1 &
 rpid=$!
 raddr=$(await_addr "$tmp/router.log") || { echo "FAIL: router never came up"; cat "$tmp/router.log"; exit 1; }
@@ -160,6 +162,20 @@ echo "$metrics" | grep -q '^atomemu_router_tenant_shed_total{tenant="flood",reas
     || { echo "FAIL: no per-tenant quota-shed series"; exit 1; }
 echo "$metrics" | grep -q '^atomemu_router_dispatch_wait_seconds_bucket{' \
     || { echo "FAIL: no dispatch-wait histogram"; exit 1; }
+# Completion is event-driven: both feeds were established once (the
+# victim's never came back), and at least 90% of the finalized jobs were
+# final within 25 ms of their worker's own finish time.
+[ "$(m 'atomemu_router_watch_resyncs_total{reason="start"}')" = "2" ] \
+    || { echo "FAIL: watch_resyncs_total{reason=\"start\"} != worker count"; echo "$metrics" | grep watch_; exit 1; }
+[ "$(m "atomemu_router_watch_live{worker=\"http://$survivor\"}")" = "1" ] \
+    || { echo "FAIL: survivor's completion feed not live"; echo "$metrics" | grep watch_; exit 1; }
+[ "$(m atomemu_router_watch_events_total)" -ge 1 ] \
+    || { echo "FAIL: no completion-feed events received"; exit 1; }
+lag_fast=$(m 'atomemu_router_finish_lag_seconds_bucket{le="0.025"}')
+lag_all=$(m atomemu_router_finish_lag_seconds_count)
+[ "$lag_all" -ge 2 ] && [ $((lag_fast * 10)) -ge $((lag_all * 9)) ] \
+    || { echo "FAIL: finish lag: $lag_fast of $lag_all jobs within 25ms, want >= 90%"; echo "$metrics" | grep finish_lag; exit 1; }
+echo "event-driven completion ok ($lag_fast of $lag_all jobs final within 25ms)"
 bad=$(echo "$metrics" | grep -v '^#' | grep -Ev '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? ([-+]?[0-9.eE+-]+|[-+]?Inf|NaN)$' || true)
 if [ -n "$bad" ]; then
     echo "FAIL: malformed exposition lines:"
