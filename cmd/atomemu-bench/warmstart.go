@@ -15,17 +15,21 @@ import (
 // The warmstart experiment quantifies cross-job translation reuse: the same
 // translation-heavy program is submitted repeatedly to in-process daemons
 // and the submit-to-terminal wall latency is compared across three start
-// modes:
+// modes, in the order the second-sight admission rule produces them:
 //
-//	cold  first job for the image — pays decode + translate for every block
-//	hit   repeat job on a shared-translation-store daemon — adopts blocks
-//	fork  repeat job on a warm-pool daemon — resumes a checkpoint template
-//	      AND adopts blocks
+//	cold     first job for the image — compiles, translates every block,
+//	         and leaves only the image's key behind
+//	publish  second job — the same work, plus publishing the compiled image
+//	         and the translated blocks (and, on a warm-pool daemon, its first
+//	         checkpoint as a template)
+//	hit      later jobs on a default daemon — cached image, adopted blocks
+//	fork     later jobs on a warm-pool daemon — resume the template AND
+//	         adopt blocks
 //
-// Two servers keep the modes honest: server A enables only the shared store
-// (cold vs hit), server B adds the warm pool (template vs fork). The run
-// fails if the shared store never hits or the warm pool never forks —
-// latency ratios vary with host load, reuse counters must not.
+// Two servers keep the modes honest: server A is a daemon as shipped (cold,
+// publish, hit), server B adds the warm pool (fork). The run fails if the
+// shared store never hits or the warm pool never forks — latency ratios
+// vary with host load, reuse counters must not.
 
 type warmstartConfig struct {
 	Stmts   int // straight-line statements in the synthetic program
@@ -39,6 +43,7 @@ type warmstartReport struct {
 	Stmts      int     `json:"stmts"`
 	Repeats    int     `json:"repeats"`
 	ColdMS     float64 `json:"cold_ms"`
+	PublishMS  float64 `json:"publish_ms"`
 	HitMS      float64 `json:"hit_ms"`
 	TemplateMS float64 `json:"template_ms"`
 	ForkMS     float64 `json:"fork_ms"`
@@ -49,6 +54,7 @@ type warmstartReport struct {
 	TBStoreMisses    uint64 `json:"tbstore_misses"`
 	TBStorePublishes uint64 `json:"tbstore_publishes"`
 	TBStoreBlocks    int    `json:"tbstore_blocks"`
+	CompileHits      uint64 `json:"compile_cache_hits"`
 	WarmForks        uint64 `json:"warm_forks"`
 	WarmPublishes    uint64 `json:"warm_publishes"`
 
@@ -84,8 +90,8 @@ func runWarmstart(cfg warmstartConfig) error {
 	req := server.JobRequest{Scheme: "pico-cas", GAC: src, Arg: 1}
 	rep := warmstartReport{Stmts: cfg.Stmts, Repeats: cfg.Repeats}
 
-	// Server A: shared translation store only — cold vs hit.
-	sA, err := server.New(server.Options{Workers: 1, SharedTBCacheBlocks: 1 << 16})
+	// Server A: a daemon as shipped — cold, publish, hit.
+	sA, err := server.New(server.Options{Workers: 1})
 	if err != nil {
 		return err
 	}
@@ -96,7 +102,19 @@ func runWarmstart(cfg warmstartConfig) error {
 	}
 	var want []uint32 = st.Output
 	rep.ColdMS = cold
-	progress("cold    %8.2f ms  (%d translations published)", cold, sA.Metrics().TBStorePublishes)
+	if m := sA.Metrics(); m.TBStoreBlocks != 0 || m.CompileCacheEntries != 0 {
+		return fmt.Errorf("the first job for an image left %d blocks and %d compiled images cached, want none",
+			m.TBStoreBlocks, m.CompileCacheEntries)
+	}
+	progress("cold    %8.2f ms  (nothing cached)", cold)
+	rep.PublishMS, st, err = timedJob(sA, req)
+	if err != nil {
+		return fmt.Errorf("publishing job: %w", err)
+	}
+	if !sameOutput(st.Output, want) {
+		return fmt.Errorf("publishing job output %v diverges from cold %v", st.Output, want)
+	}
+	progress("publish %8.2f ms  (%d translations published)", rep.PublishMS, sA.Metrics().TBStorePublishes)
 	rep.HitMS, err = bestOf(cfg.Repeats, func() (float64, error) {
 		d, st, err := timedJob(sA, req)
 		if err != nil {
@@ -116,14 +134,15 @@ func runWarmstart(cfg warmstartConfig) error {
 	rep.TBStoreMisses = mA.TBStoreMisses
 	rep.TBStorePublishes = mA.TBStorePublishes
 	rep.TBStoreBlocks = mA.TBStoreBlocks
+	rep.CompileHits = mA.CompileCacheHits
 	if lookups := mA.TBStoreHits + mA.TBStoreMisses; lookups > 0 {
 		rep.HitRate = float64(mA.TBStoreHits) / float64(lookups)
 	}
 
-	// Server B: shared store + warm pool — template producer vs fork.
+	// Server B: the warm pool on top — the second job is also the template
+	// producer, later ones fork.
 	sB, err := server.New(server.Options{
 		Workers:             1,
-		SharedTBCacheBlocks: 1 << 16,
 		WarmPoolSize:        4,
 		WarmCheckpointEvery: 5_000,
 	})
@@ -131,6 +150,9 @@ func runWarmstart(cfg warmstartConfig) error {
 		return err
 	}
 	defer drainServer(sB)
+	if _, _, err = timedJob(sB, req); err != nil {
+		return fmt.Errorf("cold job (warm-pool daemon): %w", err)
+	}
 	rep.TemplateMS, st, err = timedJob(sB, req)
 	if err != nil {
 		return fmt.Errorf("template job: %w", err)
@@ -170,11 +192,12 @@ func runWarmstart(cfg warmstartConfig) error {
 	fmt.Printf("warm-start latency, %d-statement straight-line image (best of %d repeats)\n", cfg.Stmts, cfg.Repeats)
 	fmt.Printf("  %-10s %10s %10s\n", "mode", "ms", "speedup")
 	fmt.Printf("  %-10s %10.2f %10s\n", "cold", rep.ColdMS, "1.00x")
+	fmt.Printf("  %-10s %10.2f %10s\n", "publish", rep.PublishMS, "-")
 	fmt.Printf("  %-10s %10.2f %9.2fx\n", "hit", rep.HitMS, rep.SpeedupHit)
 	fmt.Printf("  %-10s %10.2f %10s\n", "template", rep.TemplateMS, "-")
 	fmt.Printf("  %-10s %10.2f %9.2fx\n", "fork", rep.ForkMS, rep.SpeedupFrk)
-	fmt.Printf("  tbstore: %d hits / %d misses (%.0f%% hit rate), %d blocks; warm: %d forks / %d templates\n",
-		rep.TBStoreHits, rep.TBStoreMisses, 100*rep.HitRate, rep.TBStoreBlocks, rep.WarmForks, rep.WarmPublishes)
+	fmt.Printf("  tbstore: %d hits / %d misses (%.0f%% hit rate), %d blocks; compile cache: %d hits; warm: %d forks / %d templates\n",
+		rep.TBStoreHits, rep.TBStoreMisses, 100*rep.HitRate, rep.TBStoreBlocks, rep.CompileHits, rep.WarmForks, rep.WarmPublishes)
 
 	if cfg.OutDir != "" {
 		if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
@@ -200,8 +223,14 @@ func runWarmstart(cfg warmstartConfig) error {
 	if !strings.Contains(expo.String(), "atomemu_tbstore_hits_total") {
 		return fmt.Errorf("/metrics exposition is missing atomemu_tbstore_hits_total")
 	}
+	if !strings.Contains(expo.String(), "atomemu_compile_cache_hits_total") {
+		return fmt.Errorf("/metrics exposition is missing atomemu_compile_cache_hits_total")
+	}
 	if rep.TBStoreHits == 0 {
 		return fmt.Errorf("shared translation store never hit (rate %.2f)", rep.HitRate)
+	}
+	if rep.CompileHits == 0 {
+		return fmt.Errorf("compile cache never hit")
 	}
 	if rep.WarmForks == 0 {
 		return fmt.Errorf("warm pool never forked")

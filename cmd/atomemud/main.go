@@ -72,10 +72,13 @@ func run() error {
 	dataDir := flag.String("data-dir", "", "durability directory: job journal + checkpoint spills; accepted jobs survive restarts (empty = in-memory only)")
 	fsync := flag.String("fsync", "batch", "journal sync policy: always (power-loss safe), batch (default), never (crash-safe via page cache only)")
 	maxResumes := flag.Int("max-restart-resumes", 3, "checkpoint-resume attempts per job across restarts before requeueing from scratch (negative = unbounded)")
-	tbstoreBlocks := flag.Int("tbstore-blocks", 0, "cross-job shared translation store capacity in blocks (0 = off)")
+	tbstoreBlocks := flag.Int("tbstore-blocks", server.DefaultSharedTBCacheBlocks, "cross-job shared translation store capacity in blocks (0 = off)")
 	warmPool := flag.Int("warm-pool", 0, "checkpoint-templated warm-start pool size in templates (0 = off)")
 	warmCkptEvery := flag.Uint64("warm-checkpoint-every", 0, "checkpoint cadence (virtual cycles) given to cadence-less jobs so warm templates can be captured (0 = none)")
 	flag.Parse()
+	if *tbstoreBlocks <= 0 {
+		*tbstoreBlocks = -1 // Options reads 0 as "the default"; the flag's 0 means off
+	}
 
 	s, err := server.New(server.Options{
 		Workers:                *workers,

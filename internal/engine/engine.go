@@ -888,6 +888,13 @@ func (m *Machine) tbFor(c *CPU, pc uint32) (*TB, error) {
 // decisions). Under tiering a cold miss lowers the block without the
 // optimizer or fusion and is charged as a decode (Cost.TBDecode per
 // instruction); the full Cost.TBTranslate is paid at promotion.
+//
+// Adopting a block from the cross-job store stands in for translating it,
+// cycle for cycle: the open transaction aborts and the vCPU is charged what
+// the miss would have cost, so a job's virtual time, checkpoint cadence and
+// deadline verdict do not depend on what other jobs ran before it. Only the
+// host work is saved. (Tiered machines share promotion state through the
+// store by design: a block another job already promoted arrives promoted.)
 func (m *Machine) localFor(c *CPU, pc uint32) (*localTB, error) {
 	if lt := c.localTBs[pc]; lt != nil {
 		c.charge(stats.CompTBLookup, m.cfg.Cost.TBLookup)
@@ -895,62 +902,77 @@ func (m *Machine) localFor(c *CPU, pc uint32) (*localTB, error) {
 	}
 	c.st.TBSharedLookups++
 	tb := m.tbs.get(pc)
-	if tb == nil && m.sharedView != nil && m.sharedWatch.Contains(pc, pc+4) {
-		// Cross-job adoption: take the store's canonical block if the pages
-		// it was translated from are still pristine in THIS machine's
-		// memory (a warm fork seeds pre-cut mutations into the watch, so
-		// the check stays sound over snapshot-born memory too).
-		if stb, ok := m.sharedView.Get(pc); ok {
-			if lo, hi := stb.tbSpan(); m.sharedSpanClean(lo, hi) {
-				c.st.TBStoreHits++
-				tb, _ = m.tbs.insert(pc, stb)
-			} else {
-				c.st.TBStoreInvalidations++
-			}
-		} else {
-			c.st.TBStoreMisses++
-		}
-	}
 	if tb == nil {
 		c.abortOpenTxn(pc)
-		// The vCPU does the translation work whether or not its block wins
-		// the publish race, so it pays the translate cost either way.
 		opts, perInstr := m.topts, m.cfg.Cost.TBTranslate
 		if m.tiered {
 			opts.Optimize, opts.FuseAtomics = false, false
 			perInstr = m.cfg.Cost.TBDecode
 		}
-		block, err := translate.Block(m.fetcher(), pc, opts)
-		if err != nil {
-			return nil, err
-		}
-		fresh := newTB(block, m.tiered)
-		c.charge(stats.CompTBTranslate, perInstr*uint64(block.GuestLen))
-		// Offer the block to the cross-job store first — adopt-the-winner
-		// there too, so racing machines converge on one canonical TB — then
-		// publish into the machine cache. The span must be pristine AFTER
-		// translation: the watch bumps before a mutating word is written,
-		// so a translation that read mutated bytes cannot pass this check.
-		if m.sharedView != nil {
-			if lo, hi := fresh.tbSpan(); m.sharedSpanClean(lo, hi) {
-				var pubWon bool
-				fresh, pubWon = m.sharedView.Publish(pc, fresh)
-				if pubWon {
-					c.st.TBStorePublishes++
+		if stb := m.adoptShared(c, pc); stb != nil {
+			first := stb.cold
+			if first == nil {
+				first = stb.ir.Load()
+			}
+			c.charge(stats.CompTBTranslate, perInstr*uint64(first.GuestLen))
+			tb, _ = m.tbs.insert(pc, stb)
+		} else {
+			block, err := translate.Block(m.fetcher(), pc, opts)
+			if err != nil {
+				return nil, err
+			}
+			fresh := newTB(block, m.tiered)
+			// The vCPU does the translation work whether or not its block
+			// wins the publish race, so it pays the translate cost either way.
+			c.charge(stats.CompTBTranslate, perInstr*uint64(block.GuestLen))
+			// Offer the block to the cross-job store first — adopt-the-winner
+			// there too, so racing machines converge on one canonical TB —
+			// then publish into the machine cache. The span must be pristine
+			// AFTER translation: the watch bumps before a mutating word is
+			// written, so a translation that read mutated bytes cannot pass
+			// this check.
+			if m.sharedView != nil {
+				if lo, hi := fresh.tbSpan(); m.sharedSpanClean(lo, hi) {
+					var pubWon bool
+					fresh, pubWon = m.sharedView.Publish(pc, fresh)
+					if pubWon {
+						c.st.TBStorePublishes++
+					}
 				}
 			}
-		}
-		var won bool
-		tb, won = m.tbs.insert(pc, fresh)
-		c.st.TBTranslations++
-		if !won {
-			c.st.TBRaceDiscards++
+			var won bool
+			tb, won = m.tbs.insert(pc, fresh)
+			c.st.TBTranslations++
+			if !won {
+				c.st.TBRaceDiscards++
+			}
 		}
 	}
 	lt := &localTB{tb: tb, start: pc, block: tb.ir.Load()}
 	c.localTBs[pc] = lt
 	c.charge(stats.CompTBLookup, m.cfg.Cost.TBLookup)
 	return lt, nil
+}
+
+// adoptShared returns the cross-job store's canonical block for pc if the
+// pages it was translated from are still pristine in THIS machine's memory
+// (a warm fork seeds pre-cut mutations into the watch, so the check stays
+// sound over snapshot-born memory too), nil otherwise.
+func (m *Machine) adoptShared(c *CPU, pc uint32) *TB {
+	if m.sharedView == nil || !m.sharedWatch.Contains(pc, pc+4) {
+		return nil
+	}
+	stb, ok := m.sharedView.Get(pc)
+	if !ok {
+		c.st.TBStoreMisses++
+		return nil
+	}
+	if lo, hi := stb.tbSpan(); !m.sharedSpanClean(lo, hi) {
+		c.st.TBStoreInvalidations++
+		return nil
+	}
+	c.st.TBStoreHits++
+	return stb
 }
 
 // trampolineWords builds the runtime page: "svc #SysExit" so a thread entry

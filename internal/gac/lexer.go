@@ -45,7 +45,10 @@ var keywords = map[string]bool{
 var multiOps = []string{"<<", ">>", "<=", ">=", "==", "!=", "&&", "||"}
 
 func lex(src string) ([]token, error) {
-	var toks []token
+	// Spaced source runs about two bytes to the token; sizing for that up
+	// front replaces a dozen regrowths of a megabyte-class slice with none
+	// (denser source grows once).
+	toks := make([]token, 0, len(src)/2+1)
 	line := 1
 	i := 0
 	n := len(src)

@@ -146,8 +146,8 @@ func (r *Router) replayFold(recs []durable.Record) {
 			tname = "default"
 		}
 		j := &job{
-			id: id, tenant: tname, key: a.key, req: req, raw: a.raw,
-			resumes: a.resumes,
+			id: id, tenant: tname, key: a.key, wkey: req.IdempotencyKey, raw: a.raw,
+			ckpts: req.Config.CheckpointEvery > 0, resumes: a.resumes,
 		}
 		j.hashKey = ringKey(req, a.key, id)
 		j.enqueuedAt = time.UnixMilli(a.unixMS)

@@ -30,13 +30,19 @@ type dispatchResp struct {
 // image when this is a checkpoint-carrying failover re-dispatch. The
 // router id names the resume so the worker's synthetic idempotency key
 // ("resume:<routerID>") stays stable across re-ships.
-func (r *Router) postDispatch(url, routerID string, raw []byte, req server.JobRequest, useCkpt bool, ckpt []byte, resumes int) (*dispatchResp, error) {
+func (r *Router) postDispatch(url, routerID string, raw []byte, useCkpt bool, ckpt []byte, resumes int) (*dispatchResp, error) {
 	var (
 		target string
 		body   []byte
 		err    error
 	)
 	if useCkpt {
+		// The record keeps the request in wire form only; the rare failover
+		// that ships a checkpoint pays for decoding it.
+		var req server.JobRequest
+		if err := json.Unmarshal(raw, &req); err != nil {
+			return nil, fmt.Errorf("decoding request for resume: %w", err)
+		}
 		target = url + "/jobs/" + routerID + "/resume"
 		body, err = json.Marshal(server.ResumeRequest{
 			Request:     req,
@@ -121,7 +127,7 @@ func (r *Router) fetchStatus(url, workerJob, key string) (*server.JobStatus, int
 // that proxy it; the error is a transport-level one that implicates the
 // worker.
 func (r *Router) reconcile(j *job, url, workerJob string) (*server.JobStatus, error) {
-	st, code, err := r.fetchStatus(url, workerJob, j.req.IdempotencyKey)
+	st, code, err := r.fetchStatus(url, workerJob, j.wkey)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +159,7 @@ func (r *Router) fetchCheckpoint(j *job, url, workerJob string) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(server.KeyHeader) != j.req.IdempotencyKey {
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(server.KeyHeader) != j.wkey {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil
 	}
@@ -177,7 +183,7 @@ func (r *Router) fetchCheckpoint(j *job, url, workerJob string) error {
 // the cached checkpoint (if any) for a resume-style re-dispatch. r.mu held.
 func (r *Router) failoverLocked(j *job, why string) {
 	j.resumes++
-	delete(r.workers[j.worker].inflight, j.req.IdempotencyKey)
+	delete(r.workers[j.worker].inflight, j.wkey)
 	j.worker, j.workerJob = "", ""
 	j.rounds = 0
 	j.resumed = false
@@ -213,7 +219,7 @@ func (r *Router) finalize(j *job, url string, st *server.JobStatus) {
 		r.mu.Unlock()
 		return
 	}
-	delete(r.workers[url].inflight, j.req.IdempotencyKey)
+	delete(r.workers[url].inflight, j.wkey)
 	if st.State == server.StateDone {
 		j.state = jobDone
 	} else {
@@ -222,7 +228,7 @@ func (r *Router) finalize(j *job, url string, st *server.JobStatus) {
 	}
 	j.final = st
 	j.finishedAt = now
-	j.ckpt = nil
+	j.release()
 	t := r.tenants[j.tenant]
 	t.inflight--
 	t.live--

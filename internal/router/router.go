@@ -194,14 +194,17 @@ func (s jobState) terminal() bool { return s == jobDone || s == jobFailed || s =
 
 // job is the router's record of one submission. Guarded by Router.mu;
 // between nextJob and the dispatch outcome the owning dispatcher is the
-// only writer of the routing fields.
+// only writer of the routing fields. The record holds the request once, in
+// wire form, and only while the job is live: a terminal job is read through
+// its view and keys alone, so release drops the program with the rest.
 type job struct {
 	id      string
 	tenant  string
 	key     string // client idempotency key ("" if none)
+	wkey    string // worker-side idempotency key: key, else "fab:<id>"
 	hashKey string // ring key: image content hash, else client key, else router id
-	req     server.JobRequest
-	raw     []byte // marshaled req (worker-side key injected)
+	raw     []byte // the request as dispatched (tenant and wkey injected); nil once terminal
+	ckpts   bool   // the job asked for checkpoints: worth fetching for failover
 
 	state     jobState
 	worker    string // base URL while dispatched
@@ -225,6 +228,13 @@ type job struct {
 	lastEnqueue  time.Time // start of the current dispatch wait
 	dispatchedAt time.Time
 	finishedAt   time.Time
+}
+
+// release drops what only a live job needs — the program (tens of
+// kilobytes, the bulk of the record) and the cached checkpoint image — at
+// the terminal transition. r.mu held.
+func (j *job) release() {
+	j.raw, j.ckpt = nil, nil
 }
 
 // tenant is one admission/scheduling domain. Guarded by Router.mu.
@@ -468,8 +478,9 @@ func (r *Router) Submit(req server.JobRequest) (string, error) {
 		r.mu.Unlock()
 		return "", &server.SubmitError{Status: http.StatusBadRequest, Msg: "encoding request: " + err.Error()}
 	}
-	j.req = wreq
+	j.wkey = wreq.IdempotencyKey
 	j.raw = raw
+	j.ckpts = req.Config.CheckpointEvery > 0
 	j.hashKey = ringKey(req, j.key, id)
 	now := time.Now()
 	j.enqueuedAt, j.lastEnqueue = now, now
@@ -682,17 +693,16 @@ func (r *Router) tryDispatch(j *job, url string) dispOutcome {
 	ckpt := j.ckpt
 	resumes := j.resumes
 	raw := j.raw
-	req := j.req
 	// From here until the 202 is recorded the worker may finish the job
 	// before the router knows its worker-side id: the feed leaves such an
 	// event on the pending job, and syncGen tells whether a resync listed
 	// the worker's jobs without this one.
-	key := req.IdempotencyKey
+	key := j.wkey
 	w.pending[key] = j
 	gen := w.syncGen
 	r.mu.Unlock()
 
-	resp, err := r.postDispatch(url, j.id, raw, req, useCkpt, ckpt, resumes)
+	resp, err := r.postDispatch(url, j.id, raw, useCkpt, ckpt, resumes)
 
 	now := time.Now()
 	r.mu.Lock()
@@ -784,7 +794,7 @@ func (r *Router) shedLocked(j *job, why string) {
 	j.state = jobShed
 	j.errMsg = why
 	j.finishedAt = time.Now()
-	j.ckpt = nil
+	j.release()
 	t := r.tenants[j.tenant]
 	t.live--
 	t.shedDispatch++
@@ -797,7 +807,7 @@ func (r *Router) failLocked(j *job, why string) {
 	j.state = jobFailed
 	j.errMsg = why
 	j.finishedAt = time.Now()
-	j.ckpt = nil
+	j.release()
 	t := r.tenants[j.tenant]
 	t.live--
 	t.failed++

@@ -282,9 +282,20 @@ func TestRouterQuotaShedsWith429(t *testing.T) {
 	}
 }
 
+// heldRequest reports how many bytes of its request the router's record of
+// id still holds, and the record's worker-side key.
+func heldRequest(r *Router, id string) (int, string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	j := r.jobs[id]
+	return len(j.raw) + len(j.ckpt), j.wkey
+}
+
 // TestRouterJournalRecovery: a router restarted on its DataDir keeps its
 // idempotency table and re-adopts a job that was in flight on a worker,
-// finalizing it without re-running anything.
+// finalizing it without re-running anything. Along the way the job record
+// stays lean: the program is held once while the job is live and not at
+// all once it is terminal, whether the record was admitted or replayed.
 func TestRouterJournalRecovery(t *testing.T) {
 	w := startWorker(t, server.Options{})
 	dir := t.TempDir()
@@ -302,6 +313,9 @@ func TestRouterJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitRouterTerminal(t, r1, doneID, 30*time.Second)
+	if n, _ := heldRequest(r1, doneID); n != 0 {
+		t.Fatalf("terminal job still holds %d bytes of its request", n)
+	}
 
 	liveID, err := r1.Submit(server.JobRequest{
 		Scheme: "pico-cas", GAC: milestoneGAC, Arg: 600, IdempotencyKey: "jr-live",
@@ -329,6 +343,13 @@ func TestRouterJournalRecovery(t *testing.T) {
 	r1.Close()
 
 	r2 := newTestRouter(t, opts)
+	if n, _ := heldRequest(r2, doneID); n != 0 {
+		t.Fatalf("replayed terminal job holds %d bytes of its request", n)
+	}
+	if n, wkey := heldRequest(r2, liveID); n == 0 || n > 2*len(milestoneGAC)+512 || wkey != "jr-live" {
+		t.Fatalf("replayed live job holds %d bytes (program is %d) under worker key %q; want the request once, key jr-live",
+			n, len(milestoneGAC), wkey)
+	}
 	// The restarted router re-adopts: same ids for both keys, and the
 	// in-flight job reaches done through reconciliation with the worker.
 	for key, want := range map[string]string{"jr-done": doneID, "jr-live": liveID} {
@@ -348,6 +369,9 @@ func TestRouterJournalRecovery(t *testing.T) {
 	}
 	if !equalOutputs(v.Status.Output, referenceOutput(t, milestoneGAC, 600)) {
 		t.Fatalf("re-adopted job output diverged: %v", v.Status.Output)
+	}
+	if n, _ := heldRequest(r2, liveID); n != 0 {
+		t.Fatalf("re-adopted job still holds %d bytes of its request after finishing", n)
 	}
 	done, _ := r2.Status(doneID)
 	if done.State != jobDone || done.Status == nil {

@@ -230,7 +230,7 @@ func (r *Router) ckptLoop() {
 		r.mu.Lock()
 		for url, w := range r.workers {
 			for _, j := range w.inflight {
-				if j.req.Config.CheckpointEvery > 0 {
+				if j.ckpts {
 					byWorker[url] = append(byWorker[url], jobRef{j, j.workerJob})
 				}
 			}

@@ -11,7 +11,6 @@ import (
 	"atomemu/internal/checkpoint"
 	"atomemu/internal/engine"
 	"atomemu/internal/faultinject"
-	"atomemu/internal/gac"
 	"atomemu/internal/stats"
 )
 
@@ -171,7 +170,7 @@ type JobStatus struct {
 // transition, so a finished record costs its status and key only.
 type job struct {
 	id  string
-	im  *asm.Image
+	im  *asm.Image    // read-only: shared with every job the compile cache serves it to
 	cfg engine.Config // validated at admission; Scheme set per run by the breaker
 
 	threads int
@@ -207,28 +206,33 @@ func (s *Server) decode(req JobRequest) (*job, error) {
 	if (req.GAC == "") == (req.ImageB64 == "") {
 		return nil, fmt.Errorf("exactly one of gac or image_b64 is required")
 	}
-	var im *asm.Image
-	var err error
+	var prog *compiled
 	if req.GAC != "" {
 		if len(req.GAC) > s.opts.MaxSourceBytes {
 			return nil, fmt.Errorf("gac source %d bytes exceeds the %d-byte limit", len(req.GAC), s.opts.MaxSourceBytes)
 		}
-		im, err = gac.Compile(req.GAC)
+		compile := s.compiled.compile
+		if len(req.Fault) > 0 {
+			compile = compileFresh // fault-injected jobs neither read nor feed any cache
+		}
+		var err error
+		prog, err = compile(req.GAC)
 		if err != nil {
 			return nil, fmt.Errorf("gac: %w", err)
 		}
 	} else {
-		raw, derr := base64.StdEncoding.DecodeString(req.ImageB64)
-		if derr != nil {
-			return nil, fmt.Errorf("image_b64: %w", derr)
+		raw, err := base64.StdEncoding.DecodeString(req.ImageB64)
+		if err != nil {
+			return nil, fmt.Errorf("image_b64: %w", err)
 		}
 		if len(raw) > s.opts.MaxSourceBytes {
 			return nil, fmt.Errorf("image %d bytes exceeds the %d-byte limit", len(raw), s.opts.MaxSourceBytes)
 		}
-		im, err = asm.ReadImage(bytes.NewReader(raw))
+		im, err := asm.ReadImage(bytes.NewReader(raw))
 		if err != nil {
 			return nil, fmt.Errorf("image: %w", err)
 		}
+		prog = newCompiled(im)
 	}
 	threads := req.Threads
 	if threads == 0 {
@@ -300,16 +304,15 @@ func (s *Server) decode(req JobRequest) (*job, error) {
 	if wall > s.opts.MaxWallDeadline {
 		wall = s.opts.MaxWallDeadline
 	}
-	base, size := engine.ImageSpan(im)
 	return &job{
-		im:        im,
+		im:        prog.im,
 		cfg:       cfg,
 		threads:   threads,
 		arg:       req.Arg,
 		wallcap:   wall,
-		imageHash: engine.ImageKey(im),
-		imageBase: base,
-		imageSize: size,
+		imageHash: prog.hash,
+		imageBase: prog.base,
+		imageSize: prog.size,
 		status: JobStatus{
 			State:           StateQueued,
 			Tenant:          req.Tenant,

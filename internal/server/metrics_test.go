@@ -81,10 +81,17 @@ func TestMetricsExposition(t *testing.T) {
 		"atomemu_queue_length", "atomemu_queue_capacity", "atomemu_draining",
 		"atomemu_engine_scs_total", "atomemu_engine_sc_fails_total",
 		"atomemu_engine_lls_total", "atomemu_engine_guest_instrs_total",
+		"atomemu_compile_cache_hits_total", "atomemu_compile_cache_bytes",
+		"atomemu_tbstore_hits_total", "atomemu_tbstore_blocks", "atomemu_warm_forks_total",
 	} {
 		if _, ok := samples[name]; !ok {
 			t.Errorf("missing series %s", name)
 		}
+	}
+	// One source under two schemes: compiled for each, kept from the second.
+	if samples["atomemu_compile_cache_misses_total"] != 2 || samples["atomemu_compile_cache_bytes"] == 0 {
+		t.Errorf("compile cache series: misses=%v bytes=%v, want 2 and > 0",
+			samples["atomemu_compile_cache_misses_total"], samples["atomemu_compile_cache_bytes"])
 	}
 	if samples["atomemu_engine_scs_total"] == 0 {
 		t.Error("engine SC counter did not accumulate across jobs")

@@ -28,6 +28,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -93,18 +94,25 @@ type Options struct {
 	// (router failover): past it, the snapshot is dropped and the job runs
 	// from scratch.
 	MaxRestartResumes int
-	// SharedTBCacheBlocks enables the process-wide content-addressed
-	// translation store (internal/tbstore), capped at this many cached
-	// blocks: jobs for the same image under the same configuration share
-	// translations instead of each re-paying decode+translate+optimize.
-	// 0 disables it (every job keeps a private cache, the historical
-	// behavior). Fault-injected jobs never attach.
+	// SharedTBCacheBlocks caps the process-wide content-addressed
+	// translation store (internal/tbstore) at this many cached blocks: jobs
+	// for the same image under the same configuration share translations
+	// instead of each re-paying decode+translate+optimize. On by default: 0
+	// takes DefaultSharedTBCacheBlocks, and a negative value is the one way
+	// to switch the store off (every job then keeps a private cache). A job
+	// attaches only from the second time its image and scheme are seen, so
+	// traffic that never repeats publishes nothing; a hit is charged the
+	// virtual cycles of the translation it skipped, so results do not depend
+	// on it. Fault-injected jobs never attach. The compile cache in front of
+	// it (source hash to image, same admission rule) has no switch.
 	SharedTBCacheBlocks int
 	// WarmPoolSize enables checkpoint-templated warm starts: after a job
 	// completes, its first checkpoint becomes a fork template, and later
 	// jobs for the same image and configuration resume from it instead of
-	// re-running the prologue. Bounds the live template count (LRU);
-	// 0 disables warm starts.
+	// re-running the prologue. With the translation store on, only a job
+	// attached to it (so, from its image's second sight) leaves a template:
+	// a fork shares translations through the producer's store-watch counts.
+	// Bounds the live template count (LRU); 0 disables warm starts.
 	WarmPoolSize int
 	// WarmCheckpointEvery, with warm pools on, is the checkpoint cadence
 	// given to jobs that request none, so a template can be captured for
@@ -133,7 +141,15 @@ type Options struct {
 	testAdmitHold func()
 }
 
+// DefaultSharedTBCacheBlocks is the translation store's default cap: room
+// for some forty images of the largest admissible source, about 80 MB of
+// blocks when full.
+const DefaultSharedTBCacheBlocks = 1 << 16
+
 func (o Options) withDefaults() Options {
+	if o.SharedTBCacheBlocks == 0 {
+		o.SharedTBCacheBlocks = DefaultSharedTBCacheBlocks
+	}
 	if o.Workers <= 0 {
 		o.Workers = 4
 	}
@@ -209,9 +225,14 @@ type Metrics struct {
 	RestartRequeued    uint64 `json:"restart_requeued,omitempty"`
 	RestartTerminal    uint64 `json:"restart_terminal,omitempty"`
 
-	// Warm-start counters, all zero unless SharedTBCacheBlocks /
-	// WarmPoolSize enabled the respective layer. TBStore*: the process-wide
-	// translation store. Warm*: checkpoint-templated forks.
+	// Reuse counters. CompileCache*: the source-hash → image cache at
+	// admission. TBStore*: the process-wide translation store (zero when
+	// SharedTBCacheBlocks disabled it). Warm*: checkpoint-templated forks
+	// (zero unless WarmPoolSize enabled them).
+	CompileCacheHits     uint64 `json:"compile_cache_hits,omitempty"`
+	CompileCacheMisses   uint64 `json:"compile_cache_misses,omitempty"`
+	CompileCacheBytes    int    `json:"compile_cache_bytes,omitempty"`
+	CompileCacheEntries  int    `json:"compile_cache_entries,omitempty"`
 	TBStoreHits          uint64 `json:"tbstore_hits,omitempty"`
 	TBStoreMisses        uint64 `json:"tbstore_misses,omitempty"`
 	TBStorePublishes     uint64 `json:"tbstore_publishes,omitempty"`
@@ -279,10 +300,15 @@ type Server struct {
 	// (completions.go).
 	completions *completions
 
-	// tbstore is the process-wide content-addressed translation store and
-	// warm the checkpoint-template pool; both nil unless enabled in Options.
-	tbstore *tbstore.Store[*engine.TB]
-	warm    *warmPool
+	// compiled is the compile cache decode goes through. tbstore is the
+	// process-wide content-addressed translation store (nil when disabled)
+	// and tbSeen its probation list: run attaches a job to the store only
+	// from the second sight of its image and scheme. warm is the
+	// checkpoint-template pool, nil unless enabled in Options.
+	compiled *compileCache
+	tbstore  *tbstore.Store[*engine.TB]
+	tbSeen   sightings
+	warm     *warmPool
 
 	accepted, shed, completed, failed, canceled atomic.Uint64
 	recovered, demoted, panics                  atomic.Uint64
@@ -320,6 +346,7 @@ func New(opts Options) (*Server, error) {
 		virtHist:     make(map[string]*obs.Histogram),
 		finishRing:   make([]time.Time, 32),
 		completions:  newCompletions(),
+		compiled:     newCompileCache(compileCacheBytes),
 		tbstore:      tbstore.New[*engine.TB](opts.SharedTBCacheBlocks),
 		warm:         newWarmPool(opts.WarmPoolSize),
 	}
@@ -595,6 +622,9 @@ func (s *Server) Metrics() Metrics {
 		m.RestartRequeued = d.restartRequeued.Load()
 		m.RestartTerminal = d.restartTerminal.Load()
 	}
+	m.CompileCacheHits = s.compiled.hits.Load()
+	m.CompileCacheMisses = s.compiled.misses.Load()
+	m.CompileCacheBytes, m.CompileCacheEntries = s.compiled.size()
 	if s.tbstore != nil {
 		ts := s.tbstore.Stats()
 		m.TBStoreHits = ts.Hits
@@ -731,13 +761,18 @@ func (s *Server) run(j *job) {
 	}
 	cfg := j.cfg
 	cfg.Scheme = scheme
-	// Warm-start plumbing. Fault-injected jobs never share: an injected
-	// fault could poison a translation or a template other tenants adopt.
+	// Reuse plumbing. Fault-injected jobs never share: an injected fault
+	// could poison a translation or a template other tenants adopt.
 	warmable := s.warm != nil && cfg.FaultInjector == nil
 	if warmable && cfg.CheckpointEvery == 0 && s.opts.WarmCheckpointEvery > 0 {
 		cfg.CheckpointEvery = s.opts.WarmCheckpointEvery
 	}
-	if s.tbstore != nil && cfg.FaultInjector == nil {
+	// The first sight of an image under a scheme only remembers it: the job
+	// runs with a private cache and no store watch, as if the store were off.
+	// A restart resume always does: the journal records no store-watch state
+	// for the cut, so the machine cannot prove its image span pristine.
+	if s.tbstore != nil && cfg.FaultInjector == nil && j.resumeSnap == nil &&
+		s.tbSeen.seen(sha256.Sum256(append(j.imageHash[:], scheme...))) {
 		cfg.SharedTBStore = s.tbstore
 	}
 	if s.dur != nil && cfg.CheckpointEvery > 0 {
@@ -752,11 +787,8 @@ func (s *Server) run(j *job) {
 	if snap := j.resumeSnap; snap != nil {
 		// Restart recovery: rebuild the machine from the spilled cut instead
 		// of loading the image from scratch. One shot — drop the reference so
-		// the decoded snapshot isn't pinned for the job's lifetime. The
-		// journal records no store-watch state for the cut, so the machine
-		// cannot prove its image span pristine: run with a private cache.
+		// the decoded snapshot isn't pinned for the job's lifetime.
 		j.resumeSnap = nil
-		cfg.SharedTBStore = nil
 		m, err = engine.ResumeFromSnapshot(cfg, snap)
 	} else {
 		if warmable {
@@ -788,9 +820,14 @@ func (s *Server) run(j *job) {
 			}
 		}
 		if m == nil {
-			if warmable && cfg.CheckpointEvery > 0 {
+			if warmable && cfg.CheckpointEvery > 0 && (s.tbstore == nil || cfg.SharedTBStore != nil) {
 				// Cold eligible run: steal its first checkpoint as the fork
-				// template for this key, publishing only if it succeeds.
+				// template for this key, publishing only if it succeeds. With
+				// the translation store on, eligible means attached to it:
+				// only a run under the store watch can record the per-page
+				// store counts a fork needs to share translations, and a
+				// template is first-wins, so one captured on an image's first
+				// sight would keep every later fork off the store.
 				tc = &templateCapture{next: cfg.CheckpointSink}
 				cfg.CheckpointSink = tc.sink
 			}

@@ -24,50 +24,43 @@ func warmOptions(workers int) Options {
 	}
 }
 
-// TestWarmPoolForkReuse is the end-to-end warm-start path: the first job for
-// an image publishes its first checkpoint as a template; a repeat job for
-// the same image forks from it (warm_forked), adopts shared translations,
+// TestWarmPoolForkReuse is the end-to-end warm-start path. The first job for
+// an image only marks it seen; the second attaches to the shared store,
+// publishes its translations and its first checkpoint as a template; the
+// third forks from the template (warm_forked), adopts shared translations,
 // and still produces the identical output and guest instruction count.
 func TestWarmPoolForkReuse(t *testing.T) {
 	s := newTestServer(t, warmOptions(1))
 	req := JobRequest{Scheme: "pico-cas", GAC: counterGAC, Arg: 4000}
+	st1 := runDone(t, s, req) // first sight
+	if m := s.Metrics(); m.WarmPublishes != 0 || m.TBStorePublishes != 0 || m.TBStoreSegments != 0 {
+		t.Fatalf("the first sight of an image must leave nothing behind: %+v", m)
+	}
 
-	id1, err := s.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st1 := awaitTerminal(t, s, id1)
-	if st1.State != StateDone || st1.ExitCode != 0 {
-		t.Fatalf("cold job: state=%s exit=%d err=%q", st1.State, st1.ExitCode, st1.Error)
-	}
-	if st1.WarmForked {
-		t.Fatal("first job for an image cannot be warm-forked")
+	st2 := runDone(t, s, req) // publishing
+	if st2.WarmForked {
+		t.Fatal("no template exists yet: the publishing job cannot be warm-forked")
 	}
 	m := s.Metrics()
 	if m.WarmPublishes != 1 || m.WarmTemplates != 1 {
-		t.Fatalf("cold job should leave one template: publishes=%d templates=%d",
+		t.Fatalf("publishing job should leave one template: publishes=%d templates=%d",
 			m.WarmPublishes, m.WarmTemplates)
 	}
 	if m.TBStorePublishes == 0 {
-		t.Fatalf("cold job published no translations: %+v", m)
+		t.Fatalf("publishing job published no translations: %+v", m)
 	}
 
-	id2, err := s.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2 := awaitTerminal(t, s, id2)
-	if st2.State != StateDone || st2.ExitCode != 0 {
-		t.Fatalf("repeat job: state=%s exit=%d err=%q", st2.State, st2.ExitCode, st2.Error)
-	}
-	if !st2.WarmForked {
+	st3 := runDone(t, s, req) // repeat
+	if !st3.WarmForked {
 		t.Fatal("repeat job for the same image should fork from the warm template")
 	}
-	if !equalU32(st2.Output, st1.Output) {
-		t.Fatalf("warm fork output %v, cold %v — warm starts must not change results", st2.Output, st1.Output)
-	}
-	if st2.GuestInstrs != st1.GuestInstrs {
-		t.Fatalf("warm fork guest instrs %d, cold %d", st2.GuestInstrs, st1.GuestInstrs)
+	for _, st := range []JobStatus{st2, st3} {
+		if !equalU32(st.Output, st1.Output) {
+			t.Fatalf("output %v, first job %v — reuse must not change results", st.Output, st1.Output)
+		}
+		if st.GuestInstrs != st1.GuestInstrs {
+			t.Fatalf("guest instrs %d, first job %d", st.GuestInstrs, st1.GuestInstrs)
+		}
 	}
 	m = s.Metrics()
 	if m.WarmForks != 1 {
@@ -84,7 +77,7 @@ func TestWarmForkDeterminismAcrossSchemes(t *testing.T) {
 	for _, scheme := range []string{"pico-cas", "hst"} {
 		t.Run(scheme, func(t *testing.T) {
 			// Cold reference on a server with no warm-start state at all.
-			ref := newTestServer(t, Options{Workers: 1})
+			ref := newTestServer(t, Options{Workers: 1, SharedTBCacheBlocks: -1})
 			req := JobRequest{Scheme: scheme, GAC: counterGAC, Arg: 3000}
 			rid, err := ref.Submit(req)
 			if err != nil {
@@ -94,15 +87,15 @@ func TestWarmForkDeterminismAcrossSchemes(t *testing.T) {
 
 			s := newTestServer(t, warmOptions(1))
 			var got []JobStatus
-			for i := 0; i < 3; i++ {
+			for i := 0; i < 4; i++ { // first sight, publishing, fork, fork
 				id, err := s.Submit(req)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got = append(got, awaitTerminal(t, s, id))
 			}
-			if !got[2].WarmForked {
-				t.Fatal("third submission should be a warm fork")
+			if !got[2].WarmForked || !got[3].WarmForked {
+				t.Fatal("third and fourth submissions should be warm forks")
 			}
 			for i, st := range got {
 				if st.State != StateDone {
@@ -120,30 +113,51 @@ func TestWarmForkDeterminismAcrossSchemes(t *testing.T) {
 }
 
 // TestFaultInjectedJobsStayCold: fault-injected jobs must neither consume
-// nor feed the warm pool or the shared store.
+// nor feed the compile cache, the shared store or the warm pool — not on
+// their own repeats, and not once clean jobs have made all three hot.
 func TestFaultInjectedJobsStayCold(t *testing.T) {
 	opts := warmOptions(1)
 	opts.AllowFaultInjection = true
 	s := newTestServer(t, opts)
-	req := JobRequest{
+	clean := JobRequest{
 		Scheme: "pico-cas", GAC: counterGAC, Arg: 2000,
 		Config: JobConfig{CheckpointEvery: 1000},
-		Fault:  []FaultRule{{Op: "mem-store", Action: "fault", After: 100000000, Count: 1}},
 	}
-	id, err := s.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := awaitTerminal(t, s, id)
-	if st.State != StateDone {
-		t.Fatalf("state=%s err=%q", st.State, st.Error)
+	faulty := clean
+	faulty.Fault = []FaultRule{{Op: "mem-store", Action: "fault", After: 100000000, Count: 1}}
+	run := func(req JobRequest) JobStatus { return runDone(t, s, req) }
+
+	// Three repeats would publish and then hit, were they clean.
+	for i := 0; i < 3; i++ {
+		run(faulty)
 	}
 	m := s.Metrics()
 	if m.WarmPublishes != 0 || m.WarmTemplates != 0 {
-		t.Fatalf("fault-injected job fed the warm pool: %+v", m)
+		t.Fatalf("fault-injected jobs fed the warm pool: %+v", m)
 	}
-	if m.TBStorePublishes != 0 {
-		t.Fatalf("fault-injected job fed the shared store: %+v", m)
+	if m.TBStorePublishes != 0 || m.TBStoreSegments != 0 {
+		t.Fatalf("fault-injected jobs fed the shared store: %+v", m)
+	}
+	if m.CompileCacheHits != 0 || m.CompileCacheMisses != 0 || m.CompileCacheEntries != 0 {
+		t.Fatalf("fault-injected jobs went through the compile cache: %+v", m)
+	}
+
+	// Nor did they count as sightings: the clean jobs start from nothing.
+	for i := 0; i < 3; i++ {
+		run(clean)
+	}
+	hot := s.Metrics()
+	if hot.CompileCacheHits != 1 || hot.TBStoreHits == 0 || hot.WarmForks != 1 {
+		t.Fatalf("setup: three clean jobs should end hot (one compile hit, store hits, one fork): %+v", hot)
+	}
+	if st := run(faulty); st.WarmForked {
+		t.Fatal("fault-injected job forked from a warm template")
+	}
+	after := s.Metrics()
+	if after.CompileCacheHits != hot.CompileCacheHits || after.CompileCacheMisses != hot.CompileCacheMisses ||
+		after.TBStoreHits != hot.TBStoreHits || after.TBStoreMisses != hot.TBStoreMisses ||
+		after.TBStorePublishes != hot.TBStorePublishes || after.WarmForks != hot.WarmForks {
+		t.Fatalf("fault-injected job touched a hot cache:\n before %+v\n after  %+v", hot, after)
 	}
 }
 
@@ -176,14 +190,22 @@ func TestStatzReportsWarmth(t *testing.T) {
 		t.Fatalf("fresh server should be cold: %v", w)
 	}
 
-	id, err := s.Submit(JobRequest{Scheme: "pico-cas", GAC: counterGAC, Arg: 4000})
-	if err != nil {
-		t.Fatal(err)
+	run := func() { runDone(t, s, JobRequest{Scheme: "pico-cas", GAC: counterGAC, Arg: 4000}) }
+	run() // cold: the first sight of an image leaves the worker as it was
+	if w = readWarmth(); w["tbstore_blocks"] != 0 || w["tbstore_segments"] != 0 || w["warm_templates"] != 0 {
+		t.Fatalf("one job of an image must not warm the worker: %v", w)
 	}
-	awaitTerminal(t, s, id)
-	w = readWarmth()
-	if w["tbstore_blocks"] == 0 || w["warm_templates"] != 1 {
-		t.Fatalf("warmth hint did not move after a completed job: %v", w)
+	run() // publish
+	if w = readWarmth(); w["tbstore_blocks"] == 0 || w["tbstore_segments"] != 1 || w["warm_templates"] != 1 {
+		t.Fatalf("warmth hint did not move after the image's second job: %v", w)
+	}
+	blocks := w["tbstore_blocks"]
+	run() // hit
+	if w = readWarmth(); w["tbstore_blocks"] != blocks || w["warm_templates"] != 1 {
+		t.Fatalf("a hit must not grow the warmth hint: %v (was %d blocks)", w, blocks)
+	}
+	if m := s.Metrics(); m.TBStoreHits == 0 || m.WarmForks != 1 {
+		t.Fatalf("third job neither hit the store nor forked: %+v", m)
 	}
 }
 

@@ -8,21 +8,24 @@
 // canonical descriptor of everything that changes what a translation means
 // (scheme, instrumentation options, tier/chain configuration). Two machines
 // with equal keys are guaranteed to produce interchangeable blocks, so the
-// first job pays decode+translate+optimize and every later job for the same
-// image starts warm.
+// first machine attached pays decode+translate+optimize and every later one
+// for the same image starts warm.
 //
-// Concurrency mirrors the engine cache's copy-on-write discipline: each
-// key's segment holds an atomic pointer to an immutable pc→block map, so
-// hits are one atomic load with no locks, and publication copies the
-// snapshot under the segment's writer mutex with adopt-the-winner
-// semantics — racing publishers for the same pc converge on one canonical
-// block, exactly like tbCache.insert.
+// Each key's segment is a pc→block table behind a read-write lock: a lookup
+// takes the read side, a publication the write side and one map insert, so
+// publishing a job's n blocks costs O(n) in total. Publication has
+// adopt-the-winner semantics — racing publishers for the same pc converge
+// on one canonical block, exactly like the engine's tbCache.insert. A
+// machine consults the store at most once per pc and vCPU, so the read lock
+// is nowhere near a hot path.
 //
-// Memory is bounded by a block cap with 2Q-flavoured eviction at segment
-// granularity: a segment starts in probation and is promoted to the
-// protected set the first time a second machine attaches to it (proven
-// cross-job reuse). When the store exceeds its cap, probation segments are
-// evicted LRU-first, so one-shot images cannot wash out the hot set.
+// Memory is bounded by a block cap with LRU eviction at segment
+// granularity: past the cap the least-recently-attached segments are
+// dropped whole, the publishing one spared. There is no probation queue to
+// keep one-shot images from washing out the hot set, because one-shot
+// images never get here: the server attaches a machine only to a key it has
+// seen before (server.sightings, DESIGN.md §13), so probation is a
+// remembered key, not a segment full of blocks.
 //
 // The store never invalidates entries itself: publication is guarded on the
 // engine side by an MMU store-watch over the image span, so a segment only
@@ -54,10 +57,10 @@ type Stats struct {
 	Hits          uint64 // segment lookups that returned a block
 	Misses        uint64 // segment lookups that found nothing
 	Publishes     uint64 // blocks published (publish races excluded)
-	Evictions     uint64 // segments cleared by the cap
+	Evictions     uint64 // segments dropped by the cap
 	EvictedBlocks uint64 // blocks dropped by those evictions
 	Invalidations uint64 // machines that detached after mutating their code span
-	Segments      int    // distinct keys ever attached (live map size)
+	Segments      int    // keys currently attached (live map size)
 	Blocks        int    // blocks currently cached across all segments
 }
 
@@ -76,22 +79,20 @@ type Store[V any] struct {
 	invalidations atomic.Uint64
 	blocks        atomic.Int64
 
-	// mu guards the key map and the 2Q recency state (lastUse/protected).
-	// Lock order: mu before any segment.mu (eviction); Get/Publish never
-	// hold a segment.mu while taking mu.
+	// mu guards the key map and the segments' recency. Lock order: mu before
+	// any segment.mu (eviction); Get/Publish never hold a segment.mu while
+	// taking mu.
 	mu   sync.Mutex
 	segs map[Key]*segment[V]
 	tick uint64
 }
 
 type segment[V any] struct {
-	snap atomic.Pointer[map[uint32]V] // immutable; replaced wholesale
-	mu   sync.Mutex                   // serializes publishers and eviction
-	n    atomic.Int64                 // blocks in snap; mutated under mu
+	mu      sync.RWMutex
+	blocks  map[uint32]V
+	evicted bool // dropped from the store: holds nothing, accepts nothing
 
-	// 2Q state, guarded by Store.mu.
-	protected bool
-	lastUse   uint64
+	lastUse uint64 // guarded by Store.mu
 }
 
 // New builds a store capped at maxBlocks cached blocks. maxBlocks <= 0
@@ -106,10 +107,8 @@ func New[V any](maxBlocks int) *Store[V] {
 	}
 }
 
-// View attaches to the segment for k, creating it (in probation) on first
-// attach and promoting it to the protected set on re-attach — a second
-// machine wanting the same key is the 2Q "second access" signal. Returns
-// nil on a nil store.
+// View attaches to the segment for k, creating it on first attach, and
+// marks it the most recently used. Returns nil on a nil store.
 func (s *Store[V]) View(k Key) *View[V] {
 	if s == nil {
 		return nil
@@ -119,10 +118,14 @@ func (s *Store[V]) View(k Key) *View[V] {
 	s.tick++
 	seg := s.segs[k]
 	if seg == nil {
-		seg = &segment[V]{}
+		seg = &segment[V]{blocks: make(map[uint32]V)}
 		s.segs[k] = seg
-	} else {
-		seg.protected = true
+		// Segments that never received a block (every page of their image
+		// dirty) are not reached by the block cap; the same number bounds
+		// the key map.
+		if len(s.segs) > s.maxBlocks {
+			s.dropLRU(seg)
+		}
 	}
 	seg.lastUse = s.tick
 	return &View[V]{st: s, seg: seg}
@@ -165,56 +168,54 @@ func (s *Store[V]) Len() int {
 }
 
 // View is one machine's handle on its key's segment. Methods are safe for
-// concurrent use by the machine's vCPUs; a nil *View is inert.
+// concurrent use by the machine's vCPUs; a nil *View is inert. A view
+// outlives its segment's eviction: it then misses every lookup and its
+// publications are declined, until the machine's successor re-attaches.
 type View[V any] struct {
 	st  *Store[V]
 	seg *segment[V]
 }
 
-// Get returns the block published for pc, if any. Lock-free: one atomic
-// load of the segment snapshot.
+// Get returns the block published for pc, if any.
 func (v *View[V]) Get(pc uint32) (V, bool) {
-	var zero V
 	if v == nil {
+		var zero V
 		return zero, false
 	}
-	if m := v.seg.snap.Load(); m != nil {
-		if val, ok := (*m)[pc]; ok {
-			v.st.hits.Add(1)
-			return val, true
-		}
+	v.seg.mu.RLock()
+	val, ok := v.seg.blocks[pc]
+	v.seg.mu.RUnlock()
+	if ok {
+		v.st.hits.Add(1)
+	} else {
+		v.st.misses.Add(1)
 	}
-	v.st.misses.Add(1)
-	return zero, false
+	return val, ok
 }
 
 // Publish offers val for pc and returns the canonical block: val itself if
 // this call won, or the already-published block if another machine raced us
 // here first (won=false) — the same adopt-the-winner contract as the
-// engine's tbCache.insert, lifted across machines.
+// engine's tbCache.insert, lifted across machines. One map insert under the
+// segment's lock; a publication into an evicted segment is declined.
 func (v *View[V]) Publish(pc uint32, val V) (canonical V, won bool) {
 	if v == nil {
 		return val, false
 	}
 	seg := v.seg
 	seg.mu.Lock()
-	old := seg.snap.Load()
-	if old != nil {
-		if existing, ok := (*old)[pc]; ok {
-			seg.mu.Unlock()
-			return existing, false
-		}
+	existing, taken := seg.blocks[pc]
+	declined := taken || seg.evicted
+	if !declined {
+		seg.blocks[pc] = val
 	}
-	next := make(map[uint32]V, segLen(old)+1)
-	if old != nil {
-		for k, blk := range *old {
-			next[k] = blk
-		}
-	}
-	next[pc] = val
-	seg.snap.Store(&next)
-	seg.n.Add(1)
 	seg.mu.Unlock()
+	if taken {
+		return existing, false
+	}
+	if declined {
+		return val, false
+	}
 
 	v.st.publishes.Add(1)
 	if v.st.blocks.Add(1) > int64(v.st.maxBlocks) {
@@ -223,48 +224,36 @@ func (v *View[V]) Publish(pc uint32, val V) (canonical V, won bool) {
 	return val, true
 }
 
-// evict clears least-recently-attached segments — probation first, then
-// protected — until the store is back under its block cap. The segment that
-// triggered the eviction is spared (it is by definition the most recent).
+// evict drops least-recently-attached segments until the store is back
+// under its block cap. The segment that triggered the eviction is spared
+// (it is by definition in use).
 func (s *Store[V]) evict(keep *segment[V]) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.blocks.Load() > int64(s.maxBlocks) {
-		victim := s.victimLocked(keep, false)
-		if victim == nil {
-			victim = s.victimLocked(keep, true)
-		}
-		if victim == nil {
-			return
-		}
-		victim.mu.Lock()
-		victim.snap.Store(nil)
-		n := victim.n.Swap(0)
-		victim.mu.Unlock()
-		victim.protected = false
-		s.blocks.Add(-n)
-		s.evictions.Add(1)
-		s.evictedBlocks.Add(uint64(n))
+	for s.blocks.Load() > int64(s.maxBlocks) && s.dropLRU(keep) {
 	}
 }
 
-// victimLocked picks the LRU non-empty segment in the requested queue.
-func (s *Store[V]) victimLocked(keep *segment[V], protected bool) *segment[V] {
+// dropLRU evicts the least-recently-attached segment other than keep,
+// reporting whether there was one. s.mu held.
+func (s *Store[V]) dropLRU(keep *segment[V]) bool {
+	var victimKey Key
 	var victim *segment[V]
-	for _, seg := range s.segs {
-		if seg == keep || seg.protected != protected || seg.n.Load() == 0 {
-			continue
-		}
-		if victim == nil || seg.lastUse < victim.lastUse {
-			victim = seg
+	for k, seg := range s.segs {
+		if seg != keep && (victim == nil || seg.lastUse < victim.lastUse) {
+			victimKey, victim = k, seg
 		}
 	}
-	return victim
-}
-
-func segLen[V any](m *map[uint32]V) int {
-	if m == nil {
-		return 0
+	if victim == nil {
+		return false
 	}
-	return len(*m)
+	delete(s.segs, victimKey)
+	victim.mu.Lock()
+	n := len(victim.blocks)
+	victim.blocks, victim.evicted = nil, true
+	victim.mu.Unlock()
+	s.blocks.Add(-int64(n))
+	s.evictions.Add(1)
+	s.evictedBlocks.Add(uint64(n))
+	return true
 }

@@ -8,6 +8,7 @@ package translate
 
 import (
 	"fmt"
+	"sync"
 
 	"atomemu/internal/arch"
 	"atomemu/internal/ir"
@@ -47,13 +48,45 @@ const DefaultSuperblockInstrs = 4 * DefaultMaxGuestInstrs
 // wrapped to return error.
 type FetchFunc func(pc uint32) (uint32, error)
 
-// Block translates the guest basic block starting at pc.
+// opsScratch recycles the buffers blocks are built in. A fresh buffer holds
+// a default-capped block (two IR ops per guest instruction at most, plus the
+// cap's trailing exit); one that a superblock outgrew goes back grown.
+var opsScratch = sync.Pool{New: func() any {
+	buf := make([]ir.Inst, 0, 2*DefaultMaxGuestInstrs+1)
+	return &buf
+}}
+
+// Block translates the guest basic block starting at pc. The returned
+// block's Ops are sized exactly: ops are emitted (and optimized) in a
+// recycled scratch buffer and copied out once at their final length, so a
+// block cached for a machine's — or the cross-job store's — lifetime
+// carries no growth slack, and translation does not regrow a slice per
+// block.
 func Block(fetch FetchFunc, pc uint32, opts Options) (*ir.Block, error) {
+	scratch := opsScratch.Get().(*[]ir.Inst)
+	b := ir.NewBlock(pc)
+	b.Ops = (*scratch)[:0]
+	err := lower(fetch, b, pc, opts)
+	if err == nil && opts.Optimize {
+		ir.Optimize(b)
+	}
+	built := b.Ops
+	*scratch = built[:0]
+	if err != nil {
+		opsScratch.Put(scratch)
+		return nil, err
+	}
+	b.Ops = append(make([]ir.Inst, 0, len(built)), built...)
+	opsScratch.Put(scratch)
+	return b, nil
+}
+
+// lower decodes the block at pc and emits its unoptimized IR into b.
+func lower(fetch FetchFunc, b *ir.Block, pc uint32, opts Options) error {
 	maxInstrs := opts.MaxGuestInstrs
 	if maxInstrs <= 0 {
 		maxInstrs = DefaultMaxGuestInstrs
 	}
-	b := ir.NewBlock(pc)
 	b.GuestLo, b.GuestHi = pc, pc
 	// extend widens the translated-from bounds; superblock folding can move
 	// cur backwards (a call to an earlier function), so both ends track.
@@ -78,14 +111,13 @@ func Block(fetch FetchFunc, pc uint32, opts Options) (*ir.Block, error) {
 				// faulting instruction so the fault is taken precisely.
 				b.Emit(ir.Inst{Op: ir.ExitJmp, Addr: cur, GuestPC: cur})
 				b.GuestLen = n
-				finish(b, opts)
-				return b, nil
+				return nil
 			}
-			return nil, fmt.Errorf("translate: fetch at %#08x: %w", cur, err)
+			return fmt.Errorf("translate: fetch at %#08x: %w", cur, err)
 		}
 		in, err := arch.Decode(word)
 		if err != nil {
-			return nil, fmt.Errorf("translate: at %#08x: %w", cur, err)
+			return fmt.Errorf("translate: at %#08x: %w", cur, err)
 		}
 		if opts.FuseAtomics && in.Op == arch.LDREX {
 			if consumed := tryFuse(fetch, b, in, cur, opts); consumed > 0 {
@@ -120,27 +152,19 @@ func Block(fetch FetchFunc, pc uint32, opts Options) (*ir.Block, error) {
 			}
 		}
 		if err := emit(b, in, cur, opts); err != nil {
-			return nil, fmt.Errorf("translate: at %#08x (%s): %w", cur, in, err)
+			return fmt.Errorf("translate: at %#08x (%s): %w", cur, in, err)
 		}
 		n++
 		b.GuestLen = n
 		extend(cur, cur+arch.InstrBytes)
 		if in.Op.EndsBlock() {
-			finish(b, opts)
-			return b, nil
+			return nil
 		}
 		cur += arch.InstrBytes
 	}
 	// Block cap reached: continue at the next instruction.
 	b.Emit(ir.Inst{Op: ir.ExitJmp, Addr: cur, GuestPC: cur - arch.InstrBytes})
-	finish(b, opts)
-	return b, nil
-}
-
-func finish(b *ir.Block, opts Options) {
-	if opts.Optimize {
-		ir.Optimize(b)
-	}
+	return nil
 }
 
 // reg converts a guest register, rejecting PC in data positions: GA32
