@@ -30,10 +30,11 @@
 //	                           lost, 0 duplicated, ≥1 checkpoint-resumed and
 //	                           every output matches an uninterrupted reference
 //	                           (not part of "all")
-//	atomemu-bench warmstart    cross-job reuse latency: cold vs shared-store
-//	                           hit vs warm-pool fork for one image; -out DIR
+//	atomemu-bench warmstart    cross-job reuse latency: cold vs publish vs
+//	                           shared-store hit for one image; -out DIR
 //	                           writes BENCH_warmstart.json; exits nonzero if
-//	                           the shared store never hits or no fork happens
+//	                           the first job caches anything or the compile
+//	                           cache or the shared store never hits
 //	atomemu-bench all          everything above except crashsoak and fabricsoak
 //
 // Text renders to stdout; with -out DIR each experiment also writes a CSV.
@@ -90,7 +91,7 @@ func run(args []string) error {
 	fabricFleet := fs.Int("fabric-workers", 3, "worker daemons for the fabricsoak run")
 	fabricJobs := fs.Int("fabric-jobs", 8, "keyed jobs for the fabricsoak run")
 	warmStmts := fs.Int("warm-stmts", 3000, "straight-line statements for the warmstart image")
-	warmRepeats := fs.Int("warm-repeats", 3, "repeat submissions per warmstart mode (best-of)")
+	warmRepeats := fs.Int("warm-repeats", 3, "repeat submissions in warmstart's hit mode (best-of)")
 	advRuns := fs.Int("runs", 40, "scenario budget for the adversary search")
 	advMaxSteps := fs.Uint64("max-steps", 0, "per-scenario step budget for the adversary search (0 = default)")
 	advTargets := fs.String("targets", "", "comma-separated workload targets for the adversary search (default: all)")

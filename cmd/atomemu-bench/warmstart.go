@@ -14,26 +14,24 @@ import (
 
 // The warmstart experiment quantifies cross-job translation reuse: the same
 // translation-heavy program is submitted repeatedly to in-process daemons
-// and the submit-to-terminal wall latency is compared across three start
-// modes, in the order the second-sight admission rule produces them:
+// translation-heavy program is submitted repeatedly to an in-process daemon
+// as shipped and the submit-to-terminal wall latency is compared across the
+// three start modes, in the order the second-sight admission rule produces
+// them:
 //
 //	cold     first job for the image — compiles, translates every block,
 //	         and leaves only the image's key behind
 //	publish  second job — the same work, plus publishing the compiled image
-//	         and the translated blocks (and, on a warm-pool daemon, its first
-//	         checkpoint as a template)
-//	hit      later jobs on a default daemon — cached image, adopted blocks
-//	fork     later jobs on a warm-pool daemon — resume the template AND
-//	         adopt blocks
+//	         and the translated blocks
+//	hit      later jobs — cached image, adopted blocks
 //
-// Two servers keep the modes honest: server A is a daemon as shipped (cold,
-// publish, hit), server B adds the warm pool (fork). The run fails if the
-// shared store never hits or the warm pool never forks — latency ratios
-// vary with host load, reuse counters must not.
+// The run fails if the first job caches anything, or the compile cache or
+// the shared store never hits — latency ratios vary with host load, reuse
+// counters must not.
 
 type warmstartConfig struct {
 	Stmts   int // straight-line statements in the synthetic program
-	Repeats int // repeat submissions per warm mode (best-of)
+	Repeats int // repeat submissions in hit mode (best-of)
 	OutDir  string
 	Quiet   bool
 }
@@ -45,18 +43,13 @@ type warmstartReport struct {
 	ColdMS     float64 `json:"cold_ms"`
 	PublishMS  float64 `json:"publish_ms"`
 	HitMS      float64 `json:"hit_ms"`
-	TemplateMS float64 `json:"template_ms"`
-	ForkMS     float64 `json:"fork_ms"`
 	SpeedupHit float64 `json:"speedup_hit"`
-	SpeedupFrk float64 `json:"speedup_fork"`
 
 	TBStoreHits      uint64 `json:"tbstore_hits"`
 	TBStoreMisses    uint64 `json:"tbstore_misses"`
 	TBStorePublishes uint64 `json:"tbstore_publishes"`
 	TBStoreBlocks    int    `json:"tbstore_blocks"`
 	CompileHits      uint64 `json:"compile_cache_hits"`
-	WarmForks        uint64 `json:"warm_forks"`
-	WarmPublishes    uint64 `json:"warm_publishes"`
 
 	HitRate float64 `json:"hit_rate"`
 }
@@ -90,33 +83,33 @@ func runWarmstart(cfg warmstartConfig) error {
 	req := server.JobRequest{Scheme: "pico-cas", GAC: src, Arg: 1}
 	rep := warmstartReport{Stmts: cfg.Stmts, Repeats: cfg.Repeats}
 
-	// Server A: a daemon as shipped — cold, publish, hit.
-	sA, err := server.New(server.Options{Workers: 1})
+	// A daemon as shipped: cold, publish, hit.
+	s, err := server.New(server.Options{Workers: 1})
 	if err != nil {
 		return err
 	}
-	defer drainServer(sA)
-	cold, st, err := timedJob(sA, req)
+	defer drainServer(s)
+	cold, st, err := timedJob(s, req)
 	if err != nil {
 		return fmt.Errorf("cold job: %w", err)
 	}
 	var want []uint32 = st.Output
 	rep.ColdMS = cold
-	if m := sA.Metrics(); m.TBStoreBlocks != 0 || m.CompileCacheEntries != 0 {
+	if m := s.Metrics(); m.TBStoreBlocks != 0 || m.CompileCacheEntries != 0 {
 		return fmt.Errorf("the first job for an image left %d blocks and %d compiled images cached, want none",
 			m.TBStoreBlocks, m.CompileCacheEntries)
 	}
 	progress("cold    %8.2f ms  (nothing cached)", cold)
-	rep.PublishMS, st, err = timedJob(sA, req)
+	rep.PublishMS, st, err = timedJob(s, req)
 	if err != nil {
 		return fmt.Errorf("publishing job: %w", err)
 	}
 	if !sameOutput(st.Output, want) {
 		return fmt.Errorf("publishing job output %v diverges from cold %v", st.Output, want)
 	}
-	progress("publish %8.2f ms  (%d translations published)", rep.PublishMS, sA.Metrics().TBStorePublishes)
+	progress("publish %8.2f ms  (%d translations published)", rep.PublishMS, s.Metrics().TBStorePublishes)
 	rep.HitMS, err = bestOf(cfg.Repeats, func() (float64, error) {
-		d, st, err := timedJob(sA, req)
+		d, st, err := timedJob(s, req)
 		if err != nil {
 			return 0, err
 		}
@@ -129,64 +122,18 @@ func runWarmstart(cfg warmstartConfig) error {
 		return fmt.Errorf("hit job: %w", err)
 	}
 	progress("hit     %8.2f ms", rep.HitMS)
-	mA := sA.Metrics()
-	rep.TBStoreHits = mA.TBStoreHits
-	rep.TBStoreMisses = mA.TBStoreMisses
-	rep.TBStorePublishes = mA.TBStorePublishes
-	rep.TBStoreBlocks = mA.TBStoreBlocks
-	rep.CompileHits = mA.CompileCacheHits
-	if lookups := mA.TBStoreHits + mA.TBStoreMisses; lookups > 0 {
-		rep.HitRate = float64(mA.TBStoreHits) / float64(lookups)
+	m := s.Metrics()
+	rep.TBStoreHits = m.TBStoreHits
+	rep.TBStoreMisses = m.TBStoreMisses
+	rep.TBStorePublishes = m.TBStorePublishes
+	rep.TBStoreBlocks = m.TBStoreBlocks
+	rep.CompileHits = m.CompileCacheHits
+	if lookups := m.TBStoreHits + m.TBStoreMisses; lookups > 0 {
+		rep.HitRate = float64(m.TBStoreHits) / float64(lookups)
 	}
-
-	// Server B: the warm pool on top — the second job is also the template
-	// producer, later ones fork.
-	sB, err := server.New(server.Options{
-		Workers:             1,
-		WarmPoolSize:        4,
-		WarmCheckpointEvery: 5_000,
-	})
-	if err != nil {
-		return err
-	}
-	defer drainServer(sB)
-	if _, _, err = timedJob(sB, req); err != nil {
-		return fmt.Errorf("cold job (warm-pool daemon): %w", err)
-	}
-	rep.TemplateMS, st, err = timedJob(sB, req)
-	if err != nil {
-		return fmt.Errorf("template job: %w", err)
-	}
-	if !sameOutput(st.Output, want) {
-		return fmt.Errorf("template output %v diverges from cold %v", st.Output, want)
-	}
-	progress("template%8.2f ms  (%d warm templates)", rep.TemplateMS, sB.Metrics().WarmTemplates)
-	rep.ForkMS, err = bestOf(cfg.Repeats, func() (float64, error) {
-		d, st, err := timedJob(sB, req)
-		if err != nil {
-			return 0, err
-		}
-		if !st.WarmForked {
-			return 0, fmt.Errorf("repeat job did not warm-fork")
-		}
-		if !sameOutput(st.Output, want) {
-			return 0, fmt.Errorf("fork output %v diverges from cold %v", st.Output, want)
-		}
-		return d, nil
-	})
-	if err != nil {
-		return fmt.Errorf("fork job: %w", err)
-	}
-	progress("fork    %8.2f ms", rep.ForkMS)
-	mB := sB.Metrics()
-	rep.WarmForks = mB.WarmForks
-	rep.WarmPublishes = mB.WarmPublishes
 
 	if rep.HitMS > 0 {
 		rep.SpeedupHit = rep.ColdMS / rep.HitMS
-	}
-	if rep.ForkMS > 0 {
-		rep.SpeedupFrk = rep.ColdMS / rep.ForkMS
 	}
 
 	fmt.Printf("warm-start latency, %d-statement straight-line image (best of %d repeats)\n", cfg.Stmts, cfg.Repeats)
@@ -194,10 +141,8 @@ func runWarmstart(cfg warmstartConfig) error {
 	fmt.Printf("  %-10s %10.2f %10s\n", "cold", rep.ColdMS, "1.00x")
 	fmt.Printf("  %-10s %10.2f %10s\n", "publish", rep.PublishMS, "-")
 	fmt.Printf("  %-10s %10.2f %9.2fx\n", "hit", rep.HitMS, rep.SpeedupHit)
-	fmt.Printf("  %-10s %10.2f %10s\n", "template", rep.TemplateMS, "-")
-	fmt.Printf("  %-10s %10.2f %9.2fx\n", "fork", rep.ForkMS, rep.SpeedupFrk)
-	fmt.Printf("  tbstore: %d hits / %d misses (%.0f%% hit rate), %d blocks; compile cache: %d hits; warm: %d forks / %d templates\n",
-		rep.TBStoreHits, rep.TBStoreMisses, 100*rep.HitRate, rep.TBStoreBlocks, rep.CompileHits, rep.WarmForks, rep.WarmPublishes)
+	fmt.Printf("  tbstore: %d hits / %d misses (%.0f%% hit rate), %d blocks; compile cache: %d hits\n",
+		rep.TBStoreHits, rep.TBStoreMisses, 100*rep.HitRate, rep.TBStoreBlocks, rep.CompileHits)
 
 	if cfg.OutDir != "" {
 		if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
@@ -217,7 +162,7 @@ func runWarmstart(cfg warmstartConfig) error {
 	// The exposition must carry the reuse counters the fleet dashboards key
 	// on, and reuse itself is the experiment's pass condition.
 	var expo strings.Builder
-	if err := sA.WritePrometheus(&expo); err != nil {
+	if err := s.WritePrometheus(&expo); err != nil {
 		return err
 	}
 	if !strings.Contains(expo.String(), "atomemu_tbstore_hits_total") {
@@ -231,9 +176,6 @@ func runWarmstart(cfg warmstartConfig) error {
 	}
 	if rep.CompileHits == 0 {
 		return fmt.Errorf("compile cache never hit")
-	}
-	if rep.WarmForks == 0 {
-		return fmt.Errorf("warm pool never forked")
 	}
 	return nil
 }

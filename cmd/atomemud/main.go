@@ -73,8 +73,6 @@ func run() error {
 	fsync := flag.String("fsync", "batch", "journal sync policy: always (power-loss safe), batch (default), never (crash-safe via page cache only)")
 	maxResumes := flag.Int("max-restart-resumes", 3, "checkpoint-resume attempts per job across restarts before requeueing from scratch (negative = unbounded)")
 	tbstoreBlocks := flag.Int("tbstore-blocks", server.DefaultSharedTBCacheBlocks, "cross-job shared translation store capacity in blocks (0 = off)")
-	warmPool := flag.Int("warm-pool", 0, "checkpoint-templated warm-start pool size in templates (0 = off)")
-	warmCkptEvery := flag.Uint64("warm-checkpoint-every", 0, "checkpoint cadence (virtual cycles) given to cadence-less jobs so warm templates can be captured (0 = none)")
 	flag.Parse()
 	if *tbstoreBlocks <= 0 {
 		*tbstoreBlocks = -1 // Options reads 0 as "the default"; the flag's 0 means off
@@ -96,8 +94,6 @@ func run() error {
 		Fsync:                  *fsync,
 		MaxRestartResumes:      *maxResumes,
 		SharedTBCacheBlocks:    *tbstoreBlocks,
-		WarmPoolSize:           *warmPool,
-		WarmCheckpointEvery:    *warmCkptEvery,
 		BackgroundReplay:       true,
 		Logger:                 log.Default(),
 	})

@@ -15,7 +15,7 @@ import (
 
 // This file gives Snapshot a stable, versioned binary encoding so a
 // checkpoint can outlive the process that captured it (atomemud's durable
-// job spills, warm-pool templates, offline repro bundles).
+// job spills, router failover hand-offs, offline repro bundles).
 //
 // Container layout, all integers little-endian:
 //

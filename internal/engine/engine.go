@@ -189,24 +189,12 @@ type Config struct {
 	// content-addressed translation store (internal/tbstore): translation
 	// blocks are adopted from and published to a view keyed by image
 	// content + translation options, so repeat jobs for the same image
-	// skip decode+translate+optimize. The keyed view is derived at
-	// LoadImage from the image itself; machines built over a snapshot
-	// (ResumeFromSnapshot never calls LoadImage) must pin the key and the
-	// guarded span with the three fields below.
+	// skip decode+translate+optimize. LoadImage is the one place a machine
+	// attaches: the key and the guarded span come from the image, and the
+	// memory it just seeded is pristine by construction. A machine built
+	// by ResumeFromSnapshot never calls LoadImage, so it never shares —
+	// a snapshot records no store-watch state to prove its pages pristine.
 	SharedTBStore *tbstore.Store[*TB]
-	// SharedTBImage is the image content hash (engine.ImageKey) when the
-	// caller already knows it; zero means derive at LoadImage.
-	SharedTBImage [32]byte
-	// SharedTBBase/SharedTBSize give the image span the MMU store watch
-	// guards. A non-zero size makes NewMachine attach immediately (the
-	// resume path); otherwise LoadImage attaches.
-	SharedTBBase uint32
-	SharedTBSize uint32
-	// SharedTBSeedStores pre-marks image pages the snapshot's producer had
-	// already stored to (engine.(*Machine).ImageStoreCounts), keeping the
-	// span checks sound when memory comes from a warm-fork template rather
-	// than a pristine image.
-	SharedTBSeedStores []uint64
 }
 
 // SchedHook receives vCPU park/wake notifications for an external
@@ -547,13 +535,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 			return nil, f
 		}
 	}
-
-	// A caller that pins the image key attaches here — the resume path,
-	// where LoadImage never runs (memory arrives via snapshot restore,
-	// which writes frames directly and so never trips the store watch).
-	if cfg.SharedTBStore != nil && cfg.SharedTBSize != 0 {
-		m.attachSharedTB(cfg.SharedTBImage, cfg.SharedTBBase, cfg.SharedTBSize, cfg.SharedTBSeedStores)
-	}
 	return m, nil
 }
 
@@ -581,14 +562,7 @@ func (m *Machine) LoadImage(im *asm.Image) error {
 	}
 	// Attach the shared-translation view now that the image bytes are in
 	// place (the watch must not count host-side seeding as mutation).
-	if m.cfg.SharedTBStore != nil && m.sharedView == nil {
-		key := m.cfg.SharedTBImage
-		if key == ([32]byte{}) {
-			key = ImageKey(im)
-		}
-		spanBase, spanSize := ImageSpan(im)
-		m.attachSharedTB(key, spanBase, spanSize, m.cfg.SharedTBSeedStores)
-	}
+	m.attachSharedTB(im)
 	return nil
 }
 
@@ -955,9 +929,8 @@ func (m *Machine) localFor(c *CPU, pc uint32) (*localTB, error) {
 }
 
 // adoptShared returns the cross-job store's canonical block for pc if the
-// pages it was translated from are still pristine in THIS machine's memory
-// (a warm fork seeds pre-cut mutations into the watch, so the check stays
-// sound over snapshot-born memory too), nil otherwise.
+// pages it was translated from are still pristine in THIS machine's memory,
+// nil otherwise.
 func (m *Machine) adoptShared(c *CPU, pc uint32) *TB {
 	if m.sharedView == nil || !m.sharedWatch.Contains(pc, pc+4) {
 		return nil

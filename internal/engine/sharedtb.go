@@ -34,12 +34,6 @@ func ImageKey(im *asm.Image) [32]byte {
 	return out
 }
 
-// ImageSpan returns the guest address range an image's words occupy —
-// the span the shared-translation store watch guards.
-func ImageSpan(im *asm.Image) (base, size uint32) {
-	return im.Org, im.Size()
-}
-
 // sharedOptsKey canonically describes everything that changes what a
 // translation block means: scheme identity (demotion swaps the scheme, so
 // a demoted machine naturally re-keys), instrumentation flags, block caps,
@@ -53,21 +47,18 @@ func (m *Machine) sharedOptsKey() string {
 }
 
 // attachSharedTB derives the machine's keyed view of the process-wide
-// store and installs the image-span store watch. Must run after host-side
-// image seeding (WriteWordPriv resolves as a store and would count) and
-// before guest execution starts. seedStores, when non-nil, pre-marks pages
-// the producing run had already stored to — required when the machine's
-// memory comes from a snapshot (warm fork) rather than a pristine image,
-// so the span checks below keep rejecting pages mutated before the cut.
-func (m *Machine) attachSharedTB(image [32]byte, base, size uint32, seedStores []uint64) {
+// store from the image LoadImage just seeded and installs the store watch
+// over the image's words. Must run after host-side image seeding
+// (WriteWordPriv resolves as a store and would count) and before guest
+// execution starts; the first image loaded keeps the attachment.
+func (m *Machine) attachSharedTB(im *asm.Image) {
 	st := m.cfg.SharedTBStore
-	if st == nil || size == 0 {
+	if st == nil || m.sharedView != nil || im.Size() == 0 {
 		return
 	}
-	m.sharedImage = image
-	m.sharedView = st.View(tbstore.Key{Image: image, Opts: m.sharedOptsKey()})
-	m.sharedWatch = m.mem.WatchStores(base, base+size)
-	m.sharedWatch.SeedStores(seedStores)
+	m.sharedImage = ImageKey(im)
+	m.sharedView = st.View(tbstore.Key{Image: m.sharedImage, Opts: m.sharedOptsKey()})
+	m.sharedWatch = m.mem.WatchStores(im.Org, im.Org+im.Size())
 }
 
 // rekeySharedTB re-derives the view after demoteScheme changed the
@@ -86,13 +77,6 @@ func (m *Machine) rekeySharedTB() {
 // image span (false when no watch is installed).
 func (m *Machine) ImageMutated() bool {
 	return m.sharedWatch.Count() != 0
-}
-
-// ImageStoreCounts snapshots the per-page store counts of the image-span
-// watch (nil without one). The server's warm pool captures this alongside
-// a template snapshot and seeds it into forks via Config.SharedTBSeedStores.
-func (m *Machine) ImageStoreCounts() []uint64 {
-	return m.sharedWatch.StoreCounts()
 }
 
 // sharedSpanClean reports whether the guest range [lo, hi) lies inside the

@@ -3,10 +3,9 @@ package engine
 import (
 	"io"
 	"reflect"
-	"sync/atomic"
+	"slices"
 	"testing"
 
-	"atomemu/internal/checkpoint"
 	"atomemu/internal/tbstore"
 )
 
@@ -98,112 +97,47 @@ func TestSharedStoreCrossMachineReuse(t *testing.T) {
 	}
 }
 
-// TestSharedStoreDeterminismColdHitFork is the cross-start determinism
-// contract: for each scheme, a cold run, a shared-store-hit run and a
-// warm fork from a mid-run checkpoint must produce byte-identical output
-// and identical guest instruction counts.
-func TestSharedStoreDeterminismColdHitFork(t *testing.T) {
+// TestSharedStoreDeterminismColdHit is the cross-start determinism
+// contract: for each scheme, a cold run and a shared-store-hit run must
+// produce byte-identical output and identical guest instruction counts.
+func TestSharedStoreDeterminismColdHit(t *testing.T) {
 	for _, scheme := range []string{"pico-cas", "hst", "pico-htm"} {
 		t.Run(scheme, func(t *testing.T) {
 			im := buildImage(t, sharedTBDeterminismImage)
-			base := func() Config {
+			// run executes the image once; a nil store is the cold start.
+			run := func(store *tbstore.Store[*TB]) *Machine {
 				cfg := DefaultConfig(scheme)
 				cfg.MaxGuestInstrs = 50_000_000
-				return cfg
-			}
-
-			// Cold: no shared store at all.
-			cold := newTestMachine(t, scheme, im)
-			if _, err := cold.Start(im.Entry, 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := cold.Run(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Producer: publishes into the store and captures a mid-run
-			// checkpoint plus the store counts at the cut, the template a
-			// warm fork is built from.
-			store := tbstore.New[*TB](4096)
-			var snap atomic.Pointer[checkpoint.Snapshot]
-			var seed atomic.Pointer[[]uint64]
-			var prod *Machine
-			pcfg := base()
-			pcfg.SharedTBStore = store
-			pcfg.CheckpointEvery = 2000
-			pcfg.CheckpointSink = func(s *checkpoint.Snapshot) {
-				if snap.CompareAndSwap(nil, s) {
-					counts := prod.ImageStoreCounts()
-					seed.Store(&counts)
+				cfg.SharedTBStore = store
+				m, err := NewMachine(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			var err error
-			prod, err = NewMachine(pcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := prod.LoadImage(im); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := prod.Start(im.Entry, 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := prod.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if snap.Load() == nil {
-				t.Fatal("producer finished without capturing a checkpoint; shorten the cadence")
+				if err := m.LoadImage(im); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Start(im.Entry, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return m
 			}
 
-			// Hit: same config and store, adopts the producer's blocks.
-			hcfg := base()
-			hcfg.SharedTBStore = store
-			hit, err := NewMachine(hcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := hit.LoadImage(im); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := hit.Start(im.Entry, 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := hit.Run(); err != nil {
-				t.Fatal(err)
-			}
+			cold := run(nil)
+			store := tbstore.New[*TB](4096)
+			run(store) // producer: publishes what the hit run adopts
+			hit := run(store)
 			if hit.AggregateStats().TBStoreHits == 0 {
 				t.Error("hit run adopted nothing from the shared store")
 			}
 
-			// Fork: resume the producer's checkpoint in a fresh machine,
-			// shared store attached with the producer's store counts seeded.
-			fcfg := base()
-			fcfg.SharedTBStore = store
-			fcfg.SharedTBImage = ImageKey(im)
-			fcfg.SharedTBBase, fcfg.SharedTBSize = ImageSpan(im)
-			fcfg.SharedTBSeedStores = *seed.Load()
-			fork, err := ResumeFromSnapshot(fcfg, snap.Load())
-			if err != nil {
-				t.Fatal(err)
+			if got, want := hit.Output(), cold.Output(); !slices.Equal(got, want) {
+				t.Fatalf("hit output %v, cold %v", got, want)
 			}
-			if err := fork.Run(); err != nil {
-				t.Fatal(err)
-			}
-
-			want := cold.Output()
-			for name, m := range map[string]*Machine{"hit": hit, "fork": fork} {
-				got := m.Output()
-				if len(got) != len(want) {
-					t.Fatalf("%s output %v, cold %v", name, got, want)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s output %v, cold %v", name, got, want)
-					}
-				}
-				if gi, ci := m.AggregateStats().GuestInstrs, cold.AggregateStats().GuestInstrs; gi != ci {
-					t.Errorf("%s GuestInstrs = %d, cold = %d", name, gi, ci)
-				}
+			if gi, ci := hit.AggregateStats().GuestInstrs, cold.AggregateStats().GuestInstrs; gi != ci {
+				t.Errorf("hit GuestInstrs = %d, cold = %d", gi, ci)
 			}
 		})
 	}
@@ -501,39 +435,35 @@ var sharedKeyShaping = map[string]func(*Config){
 // sharedKeyNeutral names every other Config field and why two machines that
 // differ only there may exchange translation blocks.
 var sharedKeyNeutral = map[string]string{
-	"Cost":               "charged when a block is translated or run; not part of the block",
-	"MemBytes":           "sizes guest memory",
-	"HashBits":           "sizes the scheme's table, reached through the same hooks",
-	"HTMBits":            "sizes the software HTM",
-	"HTMCapacity":        "sizes the software HTM",
-	"StackBytes":         "guest stack size",
-	"MaxThreads":         "spawn limit",
-	"QuantumTBs":         "host yield cadence",
-	"PreemptMemOps":      "host preemption cadence",
-	"HTMInterference":    "abort probability at block boundaries, decided at run time",
-	"MaxGuestInstrs":     "run budget; the clamp's one-off blocks bypass both caches",
-	"TraceEvents":        "event ring, emitted by the executor",
-	"TraceRingBits":      "event ring size",
-	"ProfileCollisions":  "census inside the hst scheme; same name, same hooks",
-	"StrictPaper":        "scheme retry policy at run time",
-	"HTMMaxRetries":      "scheme retry policy at run time",
-	"HTMBackoffBase":     "scheme retry policy at run time",
-	"HTMBackoffMax":      "scheme retry policy at run time",
-	"FallbackCooldown":   "scheme retry policy at run time",
-	"ResilienceSeed":     "scheme retry policy at run time",
-	"WatchdogSCFails":    "dispatch-loop watchdog",
-	"CheckpointEvery":    "checkpoint cadence",
-	"RecoveryAttempts":   "rollback policy; a demotion re-keys through Scheme",
-	"CheckpointSink":     "host plumbing",
-	"VirtualDeadline":    "run budget",
-	"HashSpinBudget":     "hash-lock spin bound at run time",
-	"FaultInjector":      "can fault a fetch mid-translation: callers must not attach an injected machine (server.run does not)",
-	"SchedHook":          "host plumbing",
-	"SharedTBStore":      "the store itself",
-	"SharedTBImage":      "the other half of tbstore.Key",
-	"SharedTBBase":       "span the store watch guards",
-	"SharedTBSize":       "span the store watch guards",
-	"SharedTBSeedStores": "pre-marked pages of the store watch",
+	"Cost":              "charged when a block is translated or run; not part of the block",
+	"MemBytes":          "sizes guest memory",
+	"HashBits":          "sizes the scheme's table, reached through the same hooks",
+	"HTMBits":           "sizes the software HTM",
+	"HTMCapacity":       "sizes the software HTM",
+	"StackBytes":        "guest stack size",
+	"MaxThreads":        "spawn limit",
+	"QuantumTBs":        "host yield cadence",
+	"PreemptMemOps":     "host preemption cadence",
+	"HTMInterference":   "abort probability at block boundaries, decided at run time",
+	"MaxGuestInstrs":    "run budget; the clamp's one-off blocks bypass both caches",
+	"TraceEvents":       "event ring, emitted by the executor",
+	"TraceRingBits":     "event ring size",
+	"ProfileCollisions": "census inside the hst scheme; same name, same hooks",
+	"StrictPaper":       "scheme retry policy at run time",
+	"HTMMaxRetries":     "scheme retry policy at run time",
+	"HTMBackoffBase":    "scheme retry policy at run time",
+	"HTMBackoffMax":     "scheme retry policy at run time",
+	"FallbackCooldown":  "scheme retry policy at run time",
+	"ResilienceSeed":    "scheme retry policy at run time",
+	"WatchdogSCFails":   "dispatch-loop watchdog",
+	"CheckpointEvery":   "checkpoint cadence",
+	"RecoveryAttempts":  "rollback policy; a demotion re-keys through Scheme",
+	"CheckpointSink":    "host plumbing",
+	"VirtualDeadline":   "run budget",
+	"HashSpinBudget":    "hash-lock spin bound at run time",
+	"FaultInjector":     "can fault a fetch mid-translation: callers must not attach an injected machine (server.run does not)",
+	"SchedHook":         "host plumbing",
+	"SharedTBStore":     "the store itself",
 }
 
 // TestSharedOptsKeyCoversConfig is the drift guard for the hand-written

@@ -189,37 +189,6 @@ func (w *StoreWatch) RangeCount(lo, hi uint32) uint64 {
 	return n
 }
 
-// StoreCounts returns a copy of the per-page counts (nil receiver → nil).
-func (w *StoreWatch) StoreCounts() []uint64 {
-	if w == nil {
-		return nil
-	}
-	out := make([]uint64, len(w.pages))
-	for i := range w.pages {
-		out[i] = w.pages[i].Load()
-	}
-	return out
-}
-
-// SeedStores pre-marks pages as already stored to, by per-page count
-// (aligned from the watch base; extra entries are ignored). Used when the
-// watched memory comes from a snapshot whose producer had already mutated
-// parts of the span: the seeded pages stay "dirty" in the new watch.
-func (w *StoreWatch) SeedStores(counts []uint64) {
-	if w == nil {
-		return
-	}
-	var total uint64
-	for i, n := range counts {
-		if i >= len(w.pages) {
-			break
-		}
-		w.pages[i].Add(n)
-		total += n
-	}
-	w.total.Add(total)
-}
-
 // WatchStores installs a store watch over [lo, hi) (rounded out to page
 // boundaries) and returns it, replacing any previous watch. Install after
 // any host-side seeding of the range (WriteWordPriv resolves as a store and

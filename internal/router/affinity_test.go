@@ -2,8 +2,10 @@ package router
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,7 +41,7 @@ func TestRingKeyDerivation(t *testing.T) {
 
 // TestImageAffinityRoutesToOneWorker: across a healthy fleet, every repeat
 // submission of the same program lands on the same worker, so cross-job
-// translation reuse and warm forks actually trigger fleet-wide.
+// translation reuse actually triggers fleet-wide.
 func TestImageAffinityRoutesToOneWorker(t *testing.T) {
 	w1 := startWorker(t, server.Options{})
 	w2 := startWorker(t, server.Options{})
@@ -82,9 +84,10 @@ func TestImageAffinityRoutesToOneWorker(t *testing.T) {
 	}
 }
 
-// TestProbeStatzParsesWarmth: the health probe folds the worker's warmth
-// hint (shared TB blocks + heavily-weighted warm templates) into one
-// placement score, and tolerates workers that predate the hint.
+// TestProbeStatzParsesWarmth: the health probe reads the worker's shared
+// TB block count as its placement score. In a mixed-version fleet it
+// ignores the extra hint key an older worker still sends, and tolerates
+// workers that predate the hint.
 func TestProbeStatzParsesWarmth(t *testing.T) {
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{
@@ -98,8 +101,8 @@ func TestProbeStatzParsesWarmth(t *testing.T) {
 	if sz.accepted != 7 || sz.completed != 5 || sz.shed != 1 {
 		t.Errorf("counters = %+v", sz)
 	}
-	if want := 100 + 512*3; sz.warmth != want {
-		t.Errorf("warmth = %d, want %d", sz.warmth, want)
+	if sz.warmth != 100 {
+		t.Errorf("warmth = %d, want tbstore_blocks (100) alone", sz.warmth)
 	}
 
 	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -111,15 +114,11 @@ func TestProbeStatzParsesWarmth(t *testing.T) {
 	}
 }
 
-// TestProbePublishesWarmthGauge: a worker that finished a warm-enabled job
-// shows up with nonzero warmth in the router's worker view (the gauge the
-// spill-candidate ordering reads).
+// TestProbePublishesWarmthGauge: a worker as shipped that ran one image
+// twice shows up with nonzero warmth in the router's worker view (the gauge
+// the spill-candidate ordering reads).
 func TestProbePublishesWarmthGauge(t *testing.T) {
-	w := startWorker(t, server.Options{
-		SharedTBCacheBlocks: 4096,
-		WarmPoolSize:        2,
-		WarmCheckpointEvery: 2000,
-	})
+	w := startWorker(t, server.Options{})
 	r := newTestRouter(t, fastOptions(w.url()))
 	// The worker caches from an image's second sight: two jobs warm it.
 	for i := 0; i < 2; i++ {
@@ -133,12 +132,20 @@ func TestProbePublishesWarmthGauge(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		views := r.Workers()
-		if len(views) == 1 && views[0].Warmth >= 512 {
+		if len(views) == 1 && views[0].Warmth > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("worker warmth never surfaced: %+v", views)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	cold := fmt.Sprintf("atomemu_router_worker_warmth{worker=%q} 0\n", w.url())
+	if out := b.String(); !strings.Contains(out, "atomemu_router_worker_warmth{worker=") || strings.Contains(out, cold) {
+		t.Fatalf("/metrics does not carry the worker's warmth:\n%s", out)
 	}
 }

@@ -66,9 +66,9 @@ type worker struct {
 	accepted   uint64
 	completed  uint64
 	shed       uint64
-	// warmth scores the worker's reusable warm-start state (shared TB
-	// blocks plus, much more heavily, warm-pool templates) from the /statz
-	// warmth hint; dispatch uses it to order spill candidates.
+	// warmth is the worker's reusable translation state (shared TB store
+	// blocks) from the /statz warmth hint; dispatch uses it to order spill
+	// candidates.
 	warmth int
 
 	// Lifetime transition counters for /metrics.
@@ -198,18 +198,14 @@ func (r *Router) probeStatz(url string) statzSample {
 		} `json:"metrics"`
 		Warmth struct {
 			TBStoreBlocks int `json:"tbstore_blocks"`
-			WarmTemplates int `json:"warm_templates"`
 		} `json:"warmth"`
 	}
 	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&sb)
-	// A template skips a whole prologue; a cached block skips one
-	// translation. Weight accordingly so one warm template beats any
-	// realistic block count from an unrelated image.
 	return statzSample{
 		accepted:  sb.Metrics.Accepted,
 		completed: sb.Metrics.Completed,
 		shed:      sb.Metrics.Shed,
-		warmth:    sb.Warmth.TBStoreBlocks + 512*sb.Warmth.WarmTemplates,
+		warmth:    sb.Warmth.TBStoreBlocks,
 	}
 }
 

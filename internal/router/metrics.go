@@ -71,7 +71,7 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 		}
 		fmt.Fprintf(&b, "atomemu_router_watch_live{worker=%q} %d\n", wv.URL, live)
 	}
-	gauge("atomemu_router_worker_warmth", "Worker warm-start score (shared TB blocks + weighted warm templates) at the last successful probe.")
+	gauge("atomemu_router_worker_warmth", "Worker reuse score (shared TB store blocks) at the last successful probe.")
 	for _, wv := range workers {
 		fmt.Fprintf(&b, "atomemu_router_worker_warmth{worker=%q} %d\n", wv.URL, wv.Warmth)
 	}

@@ -502,11 +502,11 @@ func (r *Router) Submit(req server.JobRequest) (string, error) {
 
 // ringKey derives a job's consistent-hash placement key. Image content
 // wins: repeat submissions of the same guest program land on the worker
-// that already holds its translations in the shared TB store and its fork
-// template in the warm pool, so placement affinity is what turns those
-// caches into fleet-level wins. Same program, same arc — whoever submits
-// it. Jobs without program content (not possible via the HTTP surface)
-// fall back to the client key, then the router id.
+// that already holds its compiled image and its translations in the
+// shared TB store, so placement affinity is what turns those caches into
+// fleet-level wins. Same program, same arc — whoever submits it. Jobs
+// without program content (not possible via the HTTP surface) fall back to
+// the client key, then the router id.
 func ringKey(req server.JobRequest, key, id string) string {
 	switch {
 	case req.GAC != "":
@@ -630,8 +630,8 @@ func (r *Router) dispatch(j *job) {
 			// The arc owner stays first — placement stability is what builds
 			// worker warmth in the first place. But a bounce's spill order is
 			// free choice: prefer spilling to the warmest surviving candidate
-			// (most reusable translations/templates, per its /statz warmth
-			// hint). Stable sort, so equally-cold candidates keep ring order.
+			// (most reusable translations, per its /statz warmth hint). Stable
+			// sort, so equally-cold candidates keep ring order.
 			rest := cands[1:]
 			sort.SliceStable(rest, func(a, b int) bool {
 				wa, wb := r.workers[rest[a]], r.workers[rest[b]]

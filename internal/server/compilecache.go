@@ -59,8 +59,6 @@ const compileCacheBytes = 32 << 20
 type compiled struct {
 	im   *asm.Image
 	hash [32]byte
-	base uint32
-	size uint32
 
 	bytes   int    // what the entry counts against the cap
 	lastUse uint64 // guarded by compileCache.mu
@@ -77,7 +75,6 @@ func compileFresh(src string) (*compiled, error) {
 
 func newCompiled(im *asm.Image) *compiled {
 	c := &compiled{im: im, hash: engine.ImageKey(im), bytes: 4 * len(im.Words)}
-	c.base, c.size = engine.ImageSpan(im)
 	for name := range im.Symbols {
 		c.bytes += len(name) + 48 // map slot, string header, value
 	}

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -253,7 +255,9 @@ func spillMidRunCheckpoint(t *testing.T, dir, id, src string, arg uint32, every 
 // simulated SIGKILL: a started job with a good checkpoint resumes from it;
 // one whose checkpoint is corrupt requeues from scratch; one past the
 // restart-resume budget requeues; and all three finish with the output an
-// uninterrupted run would print.
+// uninterrupted run would print. The two requeued jobs are journaled first
+// and one worker runs the queue in order, so by the time the resumed job
+// starts its image has been seen twice and its blocks are in the store.
 func TestRestartResumesFromDurableCheckpoint(t *testing.T) {
 	const arg = 4000
 	dir := t.TempDir()
@@ -268,12 +272,12 @@ func TestRestartResumesFromDurableCheckpoint(t *testing.T) {
 		return raw
 	}
 	crashedJobJournal(t, dir, []durable.Record{
-		{Type: durable.TypeSubmitted, Job: "job-1", Key: "resume-key", Request: mk("resume-key")},
-		{Type: durable.TypeStarted, Job: "job-1"},
 		{Type: durable.TypeSubmitted, Job: "job-2", Key: "corrupt-key", Request: mk("corrupt-key")},
 		{Type: durable.TypeStarted, Job: "job-2"},
 		{Type: durable.TypeSubmitted, Job: "job-3", Key: "budget-key", Request: mk("budget-key")},
 		{Type: durable.TypeStarted, Job: "job-3", Resumes: 7},
+		{Type: durable.TypeSubmitted, Job: "job-1", Key: "resume-key", Request: mk("resume-key")},
+		{Type: durable.TypeStarted, Job: "job-1"},
 	})
 	spillMidRunCheckpoint(t, dir, "job-1", counterGAC, arg, 2000)
 	ckptDir := filepath.Join(dir, "ckpt")
@@ -281,13 +285,20 @@ func TestRestartResumesFromDurableCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := newTestServer(t, Options{Workers: 2, DataDir: dir, MaxRestartResumes: 3})
+	s := newTestServer(t, Options{Workers: 1, DataDir: dir, MaxRestartResumes: 3})
 	m := s.Metrics()
 	if m.RestartResumed != 1 {
 		t.Fatalf("resumed = %d, want 1 (only job-1 had a usable checkpoint)", m.RestartResumed)
 	}
 	if m.RestartRequeued != 2 {
 		t.Fatalf("requeued = %d, want 2 (corrupt checkpoint + spent budget)", m.RestartRequeued)
+	}
+	// job-3 is the image's second sight: it attached to the store and
+	// published. What the store holds now is all of it.
+	awaitTerminal(t, s, "job-3")
+	published := s.Metrics().TBStorePublishes
+	if published == 0 {
+		t.Fatal("setup: the second from-scratch job of the image published nothing")
 	}
 	for _, id := range []string{"job-1", "job-2", "job-3"} {
 		st := awaitTerminal(t, s, id)
@@ -312,6 +323,13 @@ func TestRestartResumesFromDurableCheckpoint(t *testing.T) {
 		t.Fatalf("resumed guest instrs %d diverge from uninterrupted %d",
 			resumed.GuestInstrs, scratch.GuestInstrs)
 	}
+	// A machine rebuilt from a snapshot never loads the image, so it cannot
+	// attach to the store: a third from-scratch job would have adopted every
+	// block job-3 published, the resumed one neither adopts nor publishes.
+	if m := s.Metrics(); m.TBStoreHits != 0 || m.TBStorePublishes != published {
+		t.Fatalf("resumed job touched the translation store: hits=%d publishes=%d (was %d)",
+			m.TBStoreHits, m.TBStorePublishes, published)
+	}
 	// Keys replayed from the journal answer without re-admission.
 	id, err := s.Submit(JobRequest{Scheme: "pico-cas", GAC: counterGAC, Arg: arg, IdempotencyKey: "resume-key"})
 	if err != nil {
@@ -319,6 +337,60 @@ func TestRestartResumesFromDurableCheckpoint(t *testing.T) {
 	}
 	if id != "job-1" {
 		t.Fatalf("resume-key answered %s, want job-1", id)
+	}
+}
+
+// TestReplayToleratesRetiredStatusField: a journal written by the previous
+// release carries a status field this one no longer has. Replay must hand
+// the terminal status back unchanged otherwise, and must not run the job.
+func TestReplayToleratesRetiredStatusField(t *testing.T) {
+	dir := t.TempDir()
+	want := JobStatus{
+		ID: "job-1", State: StateDone, SchemeRequested: "pico-cas", SchemeEffective: "pico-cas",
+		Class: "ok", Output: []uint32{7}, VirtualTime: 4242, GuestInstrs: 99, SCs: 7, Checkpoints: 2,
+		EnqueuedAt: time.Unix(1_700_000_000, 0).UTC(),
+		StartedAt:  time.Unix(1_700_000_001, 0).UTC(),
+		FinishedAt: time.Unix(1_700_000_002, 0).UTC(),
+	}
+	status, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status = bytes.Replace(status, []byte("{"), []byte(`{"warm_forked":true,`), 1)
+	req, err := json.Marshal(JobRequest{Scheme: "pico-cas", GAC: counterGAC, Arg: 7, IdempotencyKey: "old"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashedJobJournal(t, dir, []durable.Record{
+		{Type: durable.TypeSubmitted, Job: "job-1", Key: "old", Request: req},
+		{Type: durable.TypeStarted, Job: "job-1"},
+		{Type: durable.TypeFinished, Job: "job-1", Key: "old", Status: status},
+	})
+
+	s := newTestServer(t, Options{Workers: 1, DataDir: dir})
+	if m := s.Metrics(); m.RestartTerminal != 1 || m.RestartRequeued != 0 || m.RestartResumed != 0 || m.JournalCorrupt != 0 {
+		t.Fatalf("replay metrics: terminal=%d requeued=%d resumed=%d corrupt=%d, want 1/0/0/0",
+			m.RestartTerminal, m.RestartRequeued, m.RestartResumed, m.JournalCorrupt)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/jobs/job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /jobs/job-1 = %d", resp.StatusCode)
+	}
+	var got JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed status\n got  %+v\n want %+v", got, want)
+	}
+	if m := s.Metrics(); m.Accepted != 0 || m.Completed != 0 {
+		t.Fatalf("a finished job ran again after replay: %+v", m)
 	}
 }
 
@@ -479,5 +551,67 @@ func TestFinishedJobDropsRunState(t *testing.T) {
 	same("after restart", got)
 	if id2, err := s2.Submit(req); err != nil || id2 != id {
 		t.Fatalf("key after restart: id=%q err=%v, want %s", id2, err, id)
+	}
+}
+
+// TestRestartSweepsStaleCheckpointTemps: a crash between CreateTemp and the
+// rename leaves <datadir>/ckpt/<job>.tmp-* orphans; startup must remove
+// them — and only them, never a completed spill.
+func TestRestartSweepsStaleCheckpointTemps(t *testing.T) {
+	dir := t.TempDir()
+	ckptDir := filepath.Join(dir, "ckpt")
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := []string{"job-1.tmp-123456", "job-7.tmp-9"}
+	for _, name := range stale {
+		if err := os.WriteFile(filepath.Join(ckptDir, name), []byte("torn spill"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(ckptDir, "job-2"), []byte("completed spill"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, Options{Workers: 1, DataDir: dir})
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(ckptDir, name)); !os.IsNotExist(err) {
+			t.Errorf("stale temp %s survived the startup sweep (err=%v)", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(ckptDir, "job-2")); err != nil {
+		t.Errorf("completed spill removed by the sweep: %v", err)
+	}
+	if got := s.Metrics().CkptTempsSwept; got != uint64(len(stale)) {
+		t.Errorf("ckpt temps swept = %d, want %d", got, len(stale))
+	}
+
+	// The sweep is startup-only hygiene: a live spiller's temps (written and
+	// renamed while running) must be unaffected — exercise a real durable
+	// checkpointing job on the same server to be sure nothing regressed.
+	id, err := s.Submit(JobRequest{
+		Scheme: "pico-cas", GAC: counterGAC, Arg: 4000,
+		Config: JobConfig{CheckpointEvery: 2000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := awaitTerminal(t, s, id)
+	if st.State != StateDone {
+		t.Fatalf("state=%s err=%q", st.State, st.Error)
+	}
+	if st.Checkpoints == 0 {
+		t.Fatal("job took no checkpoints; the spiller never ran")
+	}
+	// Terminal jobs have their spill removed; what must never accumulate
+	// is half-written temps.
+	ents, err := os.ReadDir(ckptDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.Contains(e.Name(), ".tmp-") {
+			t.Errorf("temp file %s left behind after a clean spill", e.Name())
+		}
 	}
 }

@@ -135,9 +135,6 @@ type JobStatus struct {
 	SchemeRequested string `json:"scheme_requested"`
 	SchemeEffective string `json:"scheme_effective,omitempty"`
 	Demoted         bool   `json:"demoted,omitempty"`
-	// WarmForked marks a job started from a warm-pool template (a prior
-	// run's first checkpoint) instead of a cold image load.
-	WarmForked bool `json:"warm_forked,omitempty"`
 	// Class/ExitCode mirror cmd/atomemu's exit classification
 	// (engine.ClassifyStop); Error is the stop error, if any.
 	Class    string `json:"class,omitempty"`
@@ -177,12 +174,9 @@ type job struct {
 	arg     uint32
 	wallcap time.Duration
 
-	// Warm-start identity, derived at decode: the content hash and guest
-	// span of the job's image, shared by the cross-job translation store
-	// and the warm-template key.
+	// imageHash is the content hash of the job's image, derived at decode:
+	// what the translation store's second-sight admission counts.
 	imageHash [32]byte
-	imageBase uint32
-	imageSize uint32
 
 	// Durability fields. key is the idempotency key (may be set without a
 	// DataDir); rawReq is the original wire JSON, journaled so a restart
@@ -311,8 +305,6 @@ func (s *Server) decode(req JobRequest) (*job, error) {
 		arg:       req.Arg,
 		wallcap:   wall,
 		imageHash: prog.hash,
-		imageBase: prog.base,
-		imageSize: prog.size,
 		status: JobStatus{
 			State:           StateQueued,
 			Tenant:          req.Tenant,

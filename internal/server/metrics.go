@@ -86,10 +86,9 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	gauge("atomemu_journal_segments", "Journal segment files on disk.")
 	fmt.Fprintf(&b, "atomemu_journal_segments %d\n", m.JournalSegments)
 
-	// Reuse exposition: the compile cache, the process-wide translation
-	// store and the checkpoint-template pool. Always present (zero when
-	// disabled) so dashboards and the warmstart smoke check can assert on
-	// the series.
+	// Reuse exposition: the compile cache and the process-wide translation
+	// store. Always present (zero when disabled) so dashboards and the
+	// warmstart smoke check can assert on the series.
 	counter("atomemu_compile_cache_hits_total", "Admissions served a cached compiled image.", m.CompileCacheHits)
 	counter("atomemu_compile_cache_misses_total", "Admissions that compiled their source.", m.CompileCacheMisses)
 	counter("atomemu_tbstore_hits_total", "Cross-job translation store lookups that returned a block.", m.TBStoreHits)
@@ -97,18 +96,12 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	counter("atomemu_tbstore_publishes_total", "Blocks published to the cross-job translation store.", m.TBStorePublishes)
 	counter("atomemu_tbstore_evictions_total", "Translation store segments cleared by the size cap.", m.TBStoreEvictions)
 	counter("atomemu_tbstore_invalidations_total", "Machines that stopped sharing after mutating their code span.", m.TBStoreInvalidations)
-	counter("atomemu_warm_forks_total", "Jobs started from a warm-pool checkpoint template.", m.WarmForks)
-	counter("atomemu_warm_publishes_total", "Checkpoint templates published to the warm pool.", m.WarmPublishes)
-	counter("atomemu_warm_fallbacks_total", "Warm forks that failed and fell back to a cold start.", m.WarmFallbacks)
-	counter("atomemu_warm_evictions_total", "Warm-pool templates dropped by the size cap.", m.WarmEvictions)
 	gauge("atomemu_compile_cache_bytes", "Bytes of compiled images held by the compile cache.")
 	fmt.Fprintf(&b, "atomemu_compile_cache_bytes %d\n", m.CompileCacheBytes)
 	gauge("atomemu_tbstore_blocks", "Blocks cached in the cross-job translation store.")
 	fmt.Fprintf(&b, "atomemu_tbstore_blocks %d\n", m.TBStoreBlocks)
 	gauge("atomemu_tbstore_segments", "Translation universes (image and options) the store holds a segment for.")
 	fmt.Fprintf(&b, "atomemu_tbstore_segments %d\n", m.TBStoreSegments)
-	gauge("atomemu_warm_templates", "Live checkpoint templates in the warm pool.")
-	fmt.Fprintf(&b, "atomemu_warm_templates %d\n", m.WarmTemplates)
 
 	gauge("atomemu_queue_length", "Jobs waiting in the admission queue.")
 	fmt.Fprintf(&b, "atomemu_queue_length %d\n", len(s.jobQueue()))

@@ -81,8 +81,10 @@ func TestMetricsExposition(t *testing.T) {
 		"atomemu_queue_length", "atomemu_queue_capacity", "atomemu_draining",
 		"atomemu_engine_scs_total", "atomemu_engine_sc_fails_total",
 		"atomemu_engine_lls_total", "atomemu_engine_guest_instrs_total",
-		"atomemu_compile_cache_hits_total", "atomemu_compile_cache_bytes",
-		"atomemu_tbstore_hits_total", "atomemu_tbstore_blocks", "atomemu_warm_forks_total",
+		"atomemu_compile_cache_hits_total", "atomemu_compile_cache_misses_total", "atomemu_compile_cache_bytes",
+		"atomemu_tbstore_hits_total", "atomemu_tbstore_misses_total", "atomemu_tbstore_publishes_total",
+		"atomemu_tbstore_evictions_total", "atomemu_tbstore_invalidations_total",
+		"atomemu_tbstore_blocks", "atomemu_tbstore_segments",
 	} {
 		if _, ok := samples[name]; !ok {
 			t.Errorf("missing series %s", name)

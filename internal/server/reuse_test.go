@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -277,5 +278,96 @@ func TestColdPublishHitEquivalence(t *testing.T) {
 				t.Fatal("the tight-deadline job did not hit the store; the comparison proved nothing")
 			}
 		})
+	}
+}
+
+// TestFaultInjectedJobsStayCold: fault-injected jobs must neither consume
+// nor feed the compile cache or the shared store — not on their own
+// repeats, and not once clean jobs have made both hot.
+func TestFaultInjectedJobsStayCold(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, SharedTBCacheBlocks: 4096, AllowFaultInjection: true})
+	clean := JobRequest{
+		Scheme: "pico-cas", GAC: counterGAC, Arg: 2000,
+		Config: JobConfig{CheckpointEvery: 1000},
+	}
+	faulty := clean
+	faulty.Fault = []FaultRule{{Op: "mem-store", Action: "fault", After: 100000000, Count: 1}}
+
+	// Three repeats would publish and then hit, were they clean.
+	for i := 0; i < 3; i++ {
+		runDone(t, s, faulty)
+	}
+	m := s.Metrics()
+	if m.TBStorePublishes != 0 || m.TBStoreSegments != 0 {
+		t.Fatalf("fault-injected jobs fed the shared store: %+v", m)
+	}
+	if m.CompileCacheHits != 0 || m.CompileCacheMisses != 0 || m.CompileCacheEntries != 0 {
+		t.Fatalf("fault-injected jobs went through the compile cache: %+v", m)
+	}
+
+	// Nor did they count as sightings: the clean jobs start from nothing.
+	for i := 0; i < 3; i++ {
+		runDone(t, s, clean)
+	}
+	hot := s.Metrics()
+	if hot.CompileCacheHits != 1 || hot.TBStoreHits == 0 {
+		t.Fatalf("setup: three clean jobs should end hot (one compile hit, store hits): %+v", hot)
+	}
+	runDone(t, s, faulty)
+	after := s.Metrics()
+	if after.CompileCacheHits != hot.CompileCacheHits || after.CompileCacheMisses != hot.CompileCacheMisses ||
+		after.TBStoreHits != hot.TBStoreHits || after.TBStoreMisses != hot.TBStoreMisses ||
+		after.TBStorePublishes != hot.TBStorePublishes {
+		t.Fatalf("fault-injected job touched a hot cache:\n before %+v\n after  %+v", hot, after)
+	}
+}
+
+// TestStatzReportsWarmth: the /statz warmth hint the router's placement
+// probe parses must always be present, and must move once state is warm.
+func TestStatzReportsWarmth(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	readWarmth := func() map[string]int {
+		resp, err := ts.Client().Get(ts.URL + "/statz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Warmth map[string]int `json:"warmth"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"tbstore_blocks", "tbstore_segments"} {
+			if _, ok := body.Warmth[k]; !ok {
+				t.Fatalf("/statz warmth hint lacks %s: %v", k, body.Warmth)
+			}
+		}
+		return body.Warmth
+	}
+	w := readWarmth()
+	if w["tbstore_blocks"] != 0 || w["tbstore_segments"] != 0 {
+		t.Fatalf("fresh server should be cold: %v", w)
+	}
+
+	run := func() { runDone(t, s, JobRequest{Scheme: "pico-cas", GAC: counterGAC, Arg: 4000}) }
+	run() // cold: the first sight of an image leaves the worker as it was
+	if w = readWarmth(); w["tbstore_blocks"] != 0 || w["tbstore_segments"] != 0 {
+		t.Fatalf("one job of an image must not warm the worker: %v", w)
+	}
+	run() // publish
+	if w = readWarmth(); w["tbstore_blocks"] == 0 || w["tbstore_segments"] != 1 {
+		t.Fatalf("warmth hint did not move after the image's second job: %v", w)
+	}
+	blocks := w["tbstore_blocks"]
+	run() // hit
+	if w = readWarmth(); w["tbstore_blocks"] != blocks || w["tbstore_segments"] != 1 {
+		t.Fatalf("a hit must not grow the warmth hint: %v (was %d blocks)", w, blocks)
+	}
+	if m := s.Metrics(); m.TBStoreHits == 0 {
+		t.Fatalf("third job did not hit the store: %+v", m)
 	}
 }

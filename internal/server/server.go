@@ -106,20 +106,6 @@ type Options struct {
 	// on it. Fault-injected jobs never attach. The compile cache in front of
 	// it (source hash to image, same admission rule) has no switch.
 	SharedTBCacheBlocks int
-	// WarmPoolSize enables checkpoint-templated warm starts: after a job
-	// completes, its first checkpoint becomes a fork template, and later
-	// jobs for the same image and configuration resume from it instead of
-	// re-running the prologue. With the translation store on, only a job
-	// attached to it (so, from its image's second sight) leaves a template:
-	// a fork shares translations through the producer's store-watch counts.
-	// Bounds the live template count (LRU); 0 disables warm starts.
-	WarmPoolSize int
-	// WarmCheckpointEvery, with warm pools on, is the checkpoint cadence
-	// given to jobs that request none, so a template can be captured for
-	// them. Capture is uncharged in the virtual-time model, so this never
-	// perturbs a job's cycles or output. 0 leaves cadence-less jobs
-	// templateless.
-	WarmCheckpointEvery uint64
 	// BackgroundReplay makes New return before the journal replay finishes:
 	// the HTTP surface comes up immediately, /readyz answers 503 (with
 	// Retry-After) until recovery completes, and submissions are refused
@@ -227,8 +213,7 @@ type Metrics struct {
 
 	// Reuse counters. CompileCache*: the source-hash → image cache at
 	// admission. TBStore*: the process-wide translation store (zero when
-	// SharedTBCacheBlocks disabled it). Warm*: checkpoint-templated forks
-	// (zero unless WarmPoolSize enabled them).
+	// SharedTBCacheBlocks disabled it).
 	CompileCacheHits     uint64 `json:"compile_cache_hits,omitempty"`
 	CompileCacheMisses   uint64 `json:"compile_cache_misses,omitempty"`
 	CompileCacheBytes    int    `json:"compile_cache_bytes,omitempty"`
@@ -240,11 +225,6 @@ type Metrics struct {
 	TBStoreInvalidations uint64 `json:"tbstore_invalidations,omitempty"`
 	TBStoreBlocks        int    `json:"tbstore_blocks,omitempty"`
 	TBStoreSegments      int    `json:"tbstore_segments,omitempty"`
-	WarmForks            uint64 `json:"warm_forks,omitempty"`
-	WarmPublishes        uint64 `json:"warm_publishes,omitempty"`
-	WarmFallbacks        uint64 `json:"warm_fallbacks,omitempty"`
-	WarmEvictions        uint64 `json:"warm_evictions,omitempty"`
-	WarmTemplates        int    `json:"warm_templates,omitempty"`
 }
 
 // Server is the job service. Create with New, mount Handler, stop with
@@ -303,12 +283,10 @@ type Server struct {
 	// compiled is the compile cache decode goes through. tbstore is the
 	// process-wide content-addressed translation store (nil when disabled)
 	// and tbSeen its probation list: run attaches a job to the store only
-	// from the second sight of its image and scheme. warm is the
-	// checkpoint-template pool, nil unless enabled in Options.
+	// from the second sight of its image and scheme.
 	compiled *compileCache
 	tbstore  *tbstore.Store[*engine.TB]
 	tbSeen   sightings
-	warm     *warmPool
 
 	accepted, shed, completed, failed, canceled atomic.Uint64
 	recovered, demoted, panics                  atomic.Uint64
@@ -348,7 +326,6 @@ func New(opts Options) (*Server, error) {
 		completions:  newCompletions(),
 		compiled:     newCompileCache(compileCacheBytes),
 		tbstore:      tbstore.New[*engine.TB](opts.SharedTBCacheBlocks),
-		warm:         newWarmPool(opts.WarmPoolSize),
 	}
 	if opts.DataDir == "" {
 		s.startPool(nil)
@@ -635,13 +612,6 @@ func (s *Server) Metrics() Metrics {
 		m.TBStoreBlocks = ts.Blocks
 		m.TBStoreSegments = ts.Segments
 	}
-	if s.warm != nil {
-		m.WarmForks = s.warm.forks.Load()
-		m.WarmPublishes = s.warm.publishes.Load()
-		m.WarmFallbacks = s.warm.fallbacks.Load()
-		m.WarmEvictions = s.warm.evictions.Load()
-		m.WarmTemplates = s.warm.size()
-	}
 	return m
 }
 
@@ -761,16 +731,12 @@ func (s *Server) run(j *job) {
 	}
 	cfg := j.cfg
 	cfg.Scheme = scheme
-	// Reuse plumbing. Fault-injected jobs never share: an injected fault
-	// could poison a translation or a template other tenants adopt.
-	warmable := s.warm != nil && cfg.FaultInjector == nil
-	if warmable && cfg.CheckpointEvery == 0 && s.opts.WarmCheckpointEvery > 0 {
-		cfg.CheckpointEvery = s.opts.WarmCheckpointEvery
-	}
 	// The first sight of an image under a scheme only remembers it: the job
 	// runs with a private cache and no store watch, as if the store were off.
-	// A restart resume always does: the journal records no store-watch state
-	// for the cut, so the machine cannot prove its image span pristine.
+	// Fault-injected jobs never share: an injected fault could poison a
+	// translation other tenants adopt. A restart resume is not a sight: a
+	// machine rebuilt from a snapshot never loads the image, so it could not
+	// attach anyway (engine.Config.SharedTBStore).
 	if s.tbstore != nil && cfg.FaultInjector == nil && j.resumeSnap == nil &&
 		s.tbSeen.seen(sha256.Sum256(append(j.imageHash[:], scheme...))) {
 		cfg.SharedTBStore = s.tbstore
@@ -781,9 +747,6 @@ func (s *Server) run(j *job) {
 	}
 	var m *engine.Machine
 	var err error
-	var tc *templateCapture
-	var warmKey string
-	warmForked := false
 	if snap := j.resumeSnap; snap != nil {
 		// Restart recovery: rebuild the machine from the spilled cut instead
 		// of loading the image from scratch. One shot — drop the reference so
@@ -791,56 +754,12 @@ func (s *Server) run(j *job) {
 		j.resumeSnap = nil
 		m, err = engine.ResumeFromSnapshot(cfg, snap)
 	} else {
-		if warmable {
-			warmKey = warmJobKey(j, cfg)
-			if tmpl := s.warm.lookup(warmKey); tmpl != nil {
-				fcfg := cfg
-				if fcfg.SharedTBStore != nil && tmpl.seed != nil {
-					// The fork's memory starts at the template cut, not a
-					// pristine image: seed the store watch with the
-					// producer's per-page counts so pages mutated before
-					// the cut stay unshareable here too.
-					fcfg.SharedTBImage = tmpl.image
-					fcfg.SharedTBBase = tmpl.base
-					fcfg.SharedTBSize = tmpl.size
-					fcfg.SharedTBSeedStores = tmpl.seed
-				} else {
-					fcfg.SharedTBStore = nil
-				}
-				if fm, ferr := engine.ResumeFromSnapshot(fcfg, tmpl.snap); ferr == nil {
-					m = fm
-					warmForked = true
-					s.warm.forks.Add(1)
-				} else {
-					// A bad template must never fail the job: fall back to a
-					// cold start.
-					s.warm.fallbacks.Add(1)
-					s.opts.Logger.Printf("server: warm fork for %s failed, starting cold: %v", j.id, ferr)
-				}
-			}
+		m, err = engine.NewMachine(cfg)
+		if err == nil {
+			err = m.LoadImage(j.im)
 		}
-		if m == nil {
-			if warmable && cfg.CheckpointEvery > 0 && (s.tbstore == nil || cfg.SharedTBStore != nil) {
-				// Cold eligible run: steal its first checkpoint as the fork
-				// template for this key, publishing only if it succeeds. With
-				// the translation store on, eligible means attached to it:
-				// only a run under the store watch can record the per-page
-				// store counts a fork needs to share translations, and a
-				// template is first-wins, so one captured on an image's first
-				// sight would keep every later fork off the store.
-				tc = &templateCapture{next: cfg.CheckpointSink}
-				cfg.CheckpointSink = tc.sink
-			}
-			m, err = engine.NewMachine(cfg)
-			if err == nil && tc != nil {
-				tc.m.Store(m)
-			}
-			if err == nil {
-				err = m.LoadImage(j.im)
-			}
-			for i := 0; i < j.threads && err == nil; i++ {
-				_, err = m.SpawnThread(j.im.Entry, j.arg)
-			}
+		for i := 0; i < j.threads && err == nil; i++ {
+			_, err = m.SpawnThread(j.im.Entry, j.arg)
 		}
 	}
 	if err != nil {
@@ -860,7 +779,6 @@ func (s *Server) run(j *job) {
 	j.status.StartedAt = time.Now()
 	j.status.SchemeEffective = scheme
 	j.status.Demoted = demoted
-	j.status.WarmForked = warmForked
 	j.machine = m
 	j.cancel = cancel
 	j.mu.Unlock()
@@ -876,11 +794,6 @@ func (s *Server) run(j *job) {
 		// spill before finish journals the terminal record and deletes it.
 		sp.stop()
 		sp = nil
-	}
-	if tc != nil && runErr == nil {
-		// Only a successful run publishes its template: a failed or canceled
-		// prologue must never become the fleet's warm start.
-		s.warm.publish(warmKey, tc.template(j))
 	}
 	s.finish(j, engine.ClassifyStop(runErr), runErr, m)
 }
@@ -1133,15 +1046,13 @@ func (s *Server) Handler() http.Handler {
 	}))
 	mux.HandleFunc("/statz", s.getOnly(func(w http.ResponseWriter, r *http.Request) {
 		// warmth is the router's placement hint: how much reusable
-		// translation/template state this worker holds. Always present so
-		// probes can parse it unconditionally; all zero when warm starts
-		// are disabled.
+		// translation state this worker holds. Always present so probes can
+		// parse it unconditionally; all zero when the store is off.
 		s.writeJSON(w, http.StatusOK, map[string]any{
 			"metrics": s.Metrics(), "breakers": s.Breakers(),
 			"warmth": map[string]int{
 				"tbstore_blocks":   s.tbstore.Len(),
 				"tbstore_segments": s.tbstore.Stats().Segments,
-				"warm_templates":   s.warm.size(),
 			},
 		})
 	}))
