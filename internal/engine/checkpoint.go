@@ -199,6 +199,7 @@ func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
 		// re-validate. Resume re-looks-up and re-links from the shared
 		// cache.
 		c.localTBs = make(map[uint32]*localTB)
+		c.jumpCache = [jumpCacheSize]*localTB{}
 		c.done = make(chan struct{})
 		if cs.Halted {
 			close(c.done)

@@ -29,6 +29,19 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("-1 sentinels should validate: %v", err)
 	}
+	// QuantumTBs 1 validates and means what it says: a yield point after
+	// every block or two (it used to be silently turned into the default).
+	cfg.QuantumTBs = 1
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatalf("QuantumTBs 1: %v", err)
+	}
+	c := newCPU(m, 1)
+	for i := 0; i < 100; i++ {
+		if g := c.yieldGap(); g < 1 || g > 2 {
+			t.Fatalf("QuantumTBs 1: yield gap %d blocks, want 1 or 2", g)
+		}
+	}
 }
 
 // TestValidateRejectsNonsense covers the explicit-error cases that used to

@@ -44,6 +44,11 @@ type CPU struct {
 	// (vCPU, pc). Each entry also carries this vCPU's chain links and
 	// cold-execution promotion counter (tier.go).
 	localTBs map[uint32]*localTB
+	// jumpCache is a direct-mapped front of localTBs (index jumpSlot(pc), tag
+	// localTB.start) so the common repeat lookup hashes nothing. It holds
+	// only pointers that are also in localTBs and is dropped wherever that
+	// map is.
+	jumpCache [jumpCacheSize]*localTB
 
 	// yieldRng drives randomized host-yield spacing so deschedule points
 	// sweep across all guest loop phases (a fixed cadence phase-locks with
@@ -99,6 +104,13 @@ func newCPU(m *Machine, tid uint32) *CPU {
 	c.ring = m.newTraceRing(tid, &c.clock)
 	return c
 }
+
+// jumpCacheSize is the number of jump-cache entries per vCPU (32 KB of
+// pointers, touched only as far as the guest's code reaches).
+const jumpCacheSize = 4096
+
+// jumpSlot is pc's index in a jump cache.
+func jumpSlot(pc uint32) uint32 { return (pc >> 2) & (jumpCacheSize - 1) }
 
 // --- core.Context ---
 
@@ -330,7 +342,7 @@ func (c *CPU) run() {
 			// On a single-core host, spinning guests starve lock holders
 			// without this; the randomized gap sweeps the deschedule point
 			// across guest loop phases.
-			runtime.Gosched()
+			c.hostYield()
 			yieldLeft = c.yieldGap()
 		}
 	}
@@ -368,6 +380,21 @@ func (c *CPU) maybePreempt() {
 	c.yieldRng = r
 	c.preemptLeft = 1 + int(r%uint32(2*mean))
 	if !c.m.cfg.StepMode {
+		c.hostYield()
+	}
+}
+
+// sharesHost reports whether another vCPU is live, i.e. whether a host
+// yield has anybody to let run.
+func (c *CPU) sharesHost() bool { return c.m.runningCPUs.Load() > 1 }
+
+// hostYield is the run loop's and maybePreempt's deschedule point. A lone
+// vCPU skips it: every Gosched is a trip through the Go scheduler plus a
+// futex wake of an idle P, some 40 % of a one-vCPU compute run's wall time
+// (DESIGN §4b). The cadences and yieldRng advance either way, so virtual
+// time cannot tell; a guest-requested yield (ir.YieldOp) does not come here.
+func (c *CPU) hostYield() {
+	if c.sharesHost() {
 		runtime.Gosched()
 	}
 }
@@ -393,11 +420,7 @@ func (c *CPU) yieldGap() int {
 	r ^= r >> 17
 	r ^= r << 5
 	c.yieldRng = r
-	q := c.m.cfg.QuantumTBs
-	if q <= 1 {
-		q = 32
-	}
-	return 1 + int(r%uint32(2*q))
+	return 1 + int(r%uint32(2*c.m.cfg.QuantumTBs))
 }
 
 // Step executes one translation block in step mode (one guest instruction,
@@ -541,6 +564,19 @@ func (c *CPU) trace(w io.Writer) {
 // chaining: direct exits (ExitJmp, either ExitCond edge) have statically
 // known targets and may be linked; everything else returns exitNone.
 func (c *CPU) execBlock(b *ir.Block) exitOutcome {
+	outcome, native := c.execOps(b)
+	// Booked after the ops (and after any guestFault/schemeFault they
+	// raised), whole-block even when the block faulted mid-way. A block that
+	// panics books nothing: the machine is stopping with a PanicError.
+	c.st.IROps += uint64(len(b.Ops))
+	c.st.GuestInstrs += uint64(b.GuestLen)
+	c.charge(stats.CompNative, native)
+	return outcome
+}
+
+// execOps is execBlock's op loop; it returns the exit outcome and the
+// native cycles the ops it ran are charged.
+func (c *CPU) execOps(b *ir.Block) (exitOutcome, uint64) {
 	if len(c.slots) < b.NumSlots {
 		grown := make([]uint32, b.NumSlots+16)
 		copy(grown, c.slots)
@@ -552,12 +588,6 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 	cost := &c.m.cfg.Cost
 	tm := c.m.tm
 	var native uint64
-
-	defer func() {
-		c.st.IROps += uint64(len(b.Ops))
-		c.st.GuestInstrs += uint64(b.GuestLen)
-		c.charge(stats.CompNative, native)
-	}()
 
 	for i := range b.Ops {
 		in := &b.Ops[i]
@@ -663,7 +693,7 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 			v, f := mem.LoadWord(s[in.A] + in.Imm)
 			if f != nil {
 				c.guestFault(f, in)
-				return exitNone
+				return exitNone, native
 			}
 			s[in.D] = v
 			c.st.Loads++
@@ -673,7 +703,7 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 			v, f := mem.LoadByte(s[in.A] + in.Imm)
 			if f != nil {
 				c.guestFault(f, in)
-				return exitNone
+				return exitNone, native
 			}
 			s[in.D] = uint32(v)
 			c.st.Loads++
@@ -683,7 +713,7 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 			v, err := scheme.Load(c, s[in.A]+in.Imm)
 			if err != nil {
 				c.schemeFault(err, in)
-				return exitNone
+				return exitNone, native
 			}
 			s[in.D] = v
 			c.st.Loads++
@@ -693,7 +723,7 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 			v, err := scheme.LoadB(c, s[in.A]+in.Imm)
 			if err != nil {
 				c.schemeFault(err, in)
-				return exitNone
+				return exitNone, native
 			}
 			s[in.D] = uint32(v)
 			c.st.Loads++
@@ -704,7 +734,7 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 			addr := s[in.A] + in.Imm
 			if f := mem.StoreWord(addr, s[in.B]); f != nil {
 				c.guestFault(f, in)
-				return exitNone
+				return exitNone, native
 			}
 			if tm != nil {
 				tm.NotifyStore(addr)
@@ -716,7 +746,7 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 			addr := s[in.A] + in.Imm
 			if f := mem.StoreByte(addr, uint8(s[in.B])); f != nil {
 				c.guestFault(f, in)
-				return exitNone
+				return exitNone, native
 			}
 			if tm != nil {
 				tm.NotifyStore(addr &^ 3)
@@ -727,7 +757,7 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 			c.maybePreempt()
 			if err := scheme.Store(c, s[in.A]+in.Imm, s[in.B]); err != nil {
 				c.schemeFault(err, in)
-				return exitNone
+				return exitNone, native
 			}
 			c.st.Stores++
 			native += cost.MemAccess
@@ -735,7 +765,7 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 			c.maybePreempt()
 			if err := scheme.StoreB(c, s[in.A]+in.Imm, uint8(s[in.B])); err != nil {
 				c.schemeFault(err, in)
-				return exitNone
+				return exitNone, native
 			}
 			c.st.Stores++
 			native += cost.MemAccess
@@ -746,7 +776,7 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 			v, err := scheme.LL(c, addr)
 			if err != nil {
 				c.schemeFault(err, in)
-				return exitNone
+				return exitNone, native
 			}
 			s[in.D] = v
 			c.st.LLs++
@@ -758,7 +788,7 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 			status, err := scheme.SC(c, s[in.A], s[in.B])
 			if err != nil {
 				c.schemeFault(err, in)
-				return exitNone
+				return exitNone, native
 			}
 			if status == 0 {
 				// Failures are emitted by the scheme with a reason code.
@@ -784,12 +814,12 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 				old, f := mem.ReadWordPriv(addr)
 				if f != nil {
 					c.guestFault(f, in)
-					return exitNone
+					return exitNone, native
 				}
 				ok, f := mem.CASWordPriv(addr, old, in.RMW.Eval(old, operand))
 				if f != nil {
 					c.guestFault(f, in)
-					return exitNone
+					return exitNone, native
 				}
 				if ok {
 					s[in.D] = old
@@ -814,39 +844,39 @@ func (c *CPU) execBlock(b *ir.Block) exitOutcome {
 
 		case ir.ExitJmp:
 			c.pc = in.Addr
-			return exitTaken
+			return exitTaken, native
 		case ir.ExitCond:
 			native += cost.IROp
 			if c.flags.Test(in.Cond) {
 				c.pc = in.Addr
-				return exitTaken
+				return exitTaken, native
 			}
 			c.pc = in.Addr2
-			return exitFall
+			return exitFall, native
 		case ir.ExitInd:
 			c.pc = s[in.A]
 			native += cost.IROp
-			return exitNone
+			return exitNone, native
 		case ir.Syscall:
 			c.pc = in.Addr
 			c.m.syscall(c, in.Imm)
-			return exitNone
+			return exitNone, native
 		case ir.Halt:
 			c.halted = true
-			return exitNone
+			return exitNone, native
 		case ir.YieldOp:
 			c.pc = in.Addr
 			runtime.Gosched()
-			return exitNone
+			return exitNone, native
 
 		default:
 			c.fail(fmt.Errorf("engine: tid %d: unhandled IR op %s at %#08x", c.tid, in.Op, in.GuestPC))
-			return exitNone
+			return exitNone, native
 		}
 	}
 	// The verifier guarantees a terminator; reaching here is an engine bug.
 	c.fail(fmt.Errorf("engine: block %#08x fell off the end", b.Start))
-	return exitNone
+	return exitNone, native
 }
 
 // guestFault reports an unhandled guest memory fault — the emulated program

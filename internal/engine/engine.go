@@ -71,12 +71,14 @@ type Config struct {
 	StackBytes uint32
 	// MaxThreads bounds guest thread creation.
 	MaxThreads int
-	// QuantumTBs is how many blocks run between host scheduler yields
-	// (0 = default).
+	// QuantumTBs is the mean number of blocks between host scheduler yields
+	// (0 = default, 1 = after every block or two). It applies only while a
+	// second vCPU is live: a lone vCPU never yields the host.
 	QuantumTBs int
 	// PreemptMemOps is the mean number of guest memory operations between
 	// randomized mid-block host yields (instruction-granular preemption).
 	// 0 selects the default; a negative value disables mid-block preemption.
+	// Like QuantumTBs it applies only while a second vCPU is live.
 	PreemptMemOps int
 	// FuseAtomics enables rule-based translation (paper §VI): recognized
 	// LL/SC retry loops run as single fused host atomics.
@@ -870,7 +872,15 @@ func (m *Machine) tbFor(c *CPU, pc uint32) (*TB, error) {
 // host work is saved. (Tiered machines share promotion state through the
 // store by design: a block another job already promoted arrives promoted.)
 func (m *Machine) localFor(c *CPU, pc uint32) (*localTB, error) {
-	if lt := c.localTBs[pc]; lt != nil {
+	slot := &c.jumpCache[jumpSlot(pc)]
+	lt := *slot
+	if lt == nil || lt.start != pc {
+		if lt = c.localTBs[pc]; lt != nil {
+			*slot = lt
+		}
+	}
+	if lt != nil {
+		// A jump-cache hit and a map hit are the same modelled probe.
 		c.charge(stats.CompTBLookup, m.cfg.Cost.TBLookup)
 		return lt, nil
 	}
@@ -922,8 +932,9 @@ func (m *Machine) localFor(c *CPU, pc uint32) (*localTB, error) {
 			}
 		}
 	}
-	lt := &localTB{tb: tb, start: pc, block: tb.ir.Load()}
+	lt = &localTB{tb: tb, start: pc, block: tb.ir.Load()}
 	c.localTBs[pc] = lt
+	*slot = lt
 	c.charge(stats.CompTBLookup, m.cfg.Cost.TBLookup)
 	return lt, nil
 }

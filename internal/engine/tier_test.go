@@ -164,10 +164,25 @@ loop:
 // pc (a mismatch means the vCPU kept a block across a flush — exactly the
 // stale-instrumentation bug demotion used to allow), and every chain link
 // must point at an entry of the same map (a dangling link would chain into
-// a flushed generation).
+// a flushed generation). The jump cache in front of the map may only hold
+// pointers the map holds, in the slot their pc indexes — an entry that
+// outlived the map (a restore that forgot to clear it) fails both this and
+// the canonical-block check.
 func checkLocalTierConsistent(t *testing.T, m *Machine) {
 	t.Helper()
 	for _, c := range m.CPUs() {
+		for i, lt := range c.jumpCache {
+			if lt == nil {
+				continue
+			}
+			if c.localTBs[lt.start] != lt || int(jumpSlot(lt.start)) != i {
+				t.Errorf("tid %d: jump-cache slot %d holds a localTB for pc %#x that localTBs does not",
+					c.TID(), i, lt.start)
+			}
+			if got := m.tbs.get(lt.start); got != lt.tb {
+				t.Errorf("tid %d resolves pc %#x through a stale jump-cache entry", c.TID(), lt.start)
+			}
+		}
 		for pc, lt := range c.localTBs {
 			if got := m.tbs.get(pc); got != lt.tb {
 				t.Errorf("tid %d caches a TB for pc %#x that is not the canonical shared block",
