@@ -98,20 +98,6 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTBSize sweeps the translation-block cap: shorter blocks
-// mean more lookups and exclusive-checkpoint polls.
-func BenchmarkAblationTBSize(b *testing.B) {
-	for _, size := range []int{1, 4, 16, 32} {
-		b.Run(fmt.Sprintf("tb=%d", size), func(b *testing.B) {
-			var vt uint64
-			for i := 0; i < b.N; i++ {
-				vt = runWith(b, "freqmine", 4, func(c *engine.Config) { c.MaxGuestInstrsPerTB = size })
-			}
-			b.ReportMetric(float64(vt), "vcycles")
-		})
-	}
-}
-
 // BenchmarkAblationPSTMPK is the §VI discussion quantified: the MPK variant
 // against classic PST and PST-REMAP on the false-sharing program.
 func BenchmarkAblationPSTMPK(b *testing.B) {

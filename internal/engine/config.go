@@ -15,10 +15,10 @@ import (
 // calls it on every construction; the job server calls it again at admission
 // so a bad job is refused at the API boundary, before a worker is committed.
 //
-// The -1 sentinels stay legal: RecoveryAttempts, WatchdogSCFails and
-// PreemptMemOps document "negative disables", and -1 is the value that
-// means exactly that. Anything below -1 is a sign the caller computed the
-// field wrong, not that they wanted it off.
+// The -1 sentinels stay legal: RecoveryAttempts and WatchdogSCFails
+// document "negative disables", and -1 is the value that means exactly
+// that. Anything below -1 is a sign the caller computed the field wrong,
+// not that they wanted it off.
 func (cfg Config) Validate() error {
 	n := cfg.normalized()
 	known := false
@@ -42,15 +42,6 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("engine: HashBits %d below the 4-bit table minimum for scheme %s", n.HashBits, n.Scheme)
 		}
 	}
-	switch n.Scheme {
-	case "pico-htm", "hst-htm":
-		if n.HTMBits < 4 || n.HTMBits > 24 {
-			return fmt.Errorf("engine: HTMBits %d out of range [4,24] for scheme %s", n.HTMBits, n.Scheme)
-		}
-	}
-	if n.HTMCapacity < 0 {
-		return fmt.Errorf("engine: negative HTMCapacity %d", n.HTMCapacity)
-	}
 	// Two frames is the floor for anything runnable: the runtime trampoline
 	// page plus at least one page of guest image.
 	if n.MemBytes < 2*mmu.PageSize {
@@ -62,18 +53,10 @@ func (cfg Config) Validate() error {
 	// Per-thread stacks are carved upward from StackRegionBase with a guard
 	// page between them; the whole region must fit below the top of the
 	// 32-bit guest address space or later spawns would silently wrap onto
-	// low memory. This is where a huge StackBytes with a defaulted MemBytes
-	// used to go undiagnosed until a mid-run mapping fault.
-	stride := uint64(n.StackBytes) + mmu.PageSize
-	if uint64(StackRegionBase)+uint64(n.MaxThreads)*stride > 1<<32 {
+	// low memory.
+	if uint64(StackRegionBase)+uint64(n.MaxThreads)*uint64(stackStride) > 1<<32 {
 		return fmt.Errorf("engine: %d stacks of %d bytes (+guard page) overflow the 32-bit address space above %#x",
-			n.MaxThreads, n.StackBytes, StackRegionBase)
-	}
-	if n.QuantumTBs < 1 {
-		return fmt.Errorf("engine: QuantumTBs %d must be at least 1", n.QuantumTBs)
-	}
-	if n.MaxGuestInstrsPerTB < 0 {
-		return fmt.Errorf("engine: negative MaxGuestInstrsPerTB %d", n.MaxGuestInstrsPerTB)
+			n.MaxThreads, stackBytes, StackRegionBase)
 	}
 	if n.RecoveryAttempts < -1 {
 		return fmt.Errorf("engine: RecoveryAttempts %d is nonsense (-1 disables recovery)", n.RecoveryAttempts)
@@ -81,18 +64,17 @@ func (cfg Config) Validate() error {
 	if n.WatchdogSCFails < -1 {
 		return fmt.Errorf("engine: WatchdogSCFails %d is nonsense (-1 disables the watchdog)", n.WatchdogSCFails)
 	}
-	if n.PreemptMemOps < -1 {
-		return fmt.Errorf("engine: PreemptMemOps %d is nonsense (-1 disables mid-block preemption)", n.PreemptMemOps)
-	}
-	if n.HTMMaxRetries < 0 || n.FallbackCooldown < 0 {
-		return fmt.Errorf("engine: negative HTM retry policy (HTMMaxRetries %d, FallbackCooldown %d)",
-			n.HTMMaxRetries, n.FallbackCooldown)
-	}
 	if n.HashSpinBudget < 0 {
 		return fmt.Errorf("engine: negative HashSpinBudget %d", n.HashSpinBudget)
 	}
 	if n.ChainBudget < 0 {
 		return fmt.Errorf("engine: negative ChainBudget %d (0 disables chaining)", n.ChainBudget)
+	}
+	if n.HTMInterference < 1 {
+		return fmt.Errorf("engine: HTMInterference %d must be at least 1 (0 selects the default)", n.HTMInterference)
+	}
+	if n.TraceRingBits < 4 || n.TraceRingBits > 24 {
+		return fmt.Errorf("engine: TraceRingBits %d out of range [4,24]", n.TraceRingBits)
 	}
 	if n.HotThreshold < 1 {
 		return fmt.Errorf("engine: HotThreshold %d must be at least 1", n.HotThreshold)

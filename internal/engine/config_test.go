@@ -47,8 +47,8 @@ func TestNewMachineKeepsPartialConfig(t *testing.T) {
 	if m.cfg.MemBytes != def.MemBytes {
 		t.Errorf("MemBytes = %d, want default %d", m.cfg.MemBytes, def.MemBytes)
 	}
-	if m.cfg.MaxThreads != def.MaxThreads || m.cfg.StackBytes != def.StackBytes {
-		t.Error("MaxThreads/StackBytes not defaulted")
+	if m.cfg.MaxThreads != def.MaxThreads {
+		t.Error("MaxThreads not defaulted")
 	}
 	if m.cfg.Cost != def.Cost {
 		t.Error("Cost model not defaulted")
@@ -68,12 +68,12 @@ func TestNewMachineExplicitFieldsUntouched(t *testing.T) {
 	cfg := DefaultConfig("pico-cas")
 	cfg.MemBytes = 8 << 20
 	cfg.MaxThreads = 3
-	cfg.QuantumTBs = 7
+	cfg.HashBits = 7
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.cfg.MemBytes != 8<<20 || m.cfg.MaxThreads != 3 || m.cfg.QuantumTBs != 7 {
+	if m.cfg.MemBytes != 8<<20 || m.cfg.MaxThreads != 3 || m.cfg.HashBits != 7 {
 		t.Errorf("explicit fields rewritten: %+v", m.cfg)
 	}
 }
@@ -147,7 +147,6 @@ func TestSpawnFailureReleasesReservation(t *testing.T) {
 	// A machine so small that mapping any 64 KiB stack fails.
 	cfg := DefaultConfig("pico-cas")
 	cfg.MemBytes = 1 << 16
-	cfg.StackBytes = 1 << 20
 	cfg.StepMode = true
 	m, err := NewMachine(cfg)
 	if err != nil {

@@ -25,21 +25,32 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	cfg := DefaultConfig("hst")
 	cfg.RecoveryAttempts = -1
 	cfg.WatchdogSCFails = -1
-	cfg.PreemptMemOps = -1
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("-1 sentinels should validate: %v", err)
 	}
-	// QuantumTBs 1 validates and means what it says: a yield point after
-	// every block or two (it used to be silently turned into the default).
-	cfg.QuantumTBs = 1
-	m, err := NewMachine(cfg)
+}
+
+// TestHostYieldCadences: both randomized yield distances are uniform on
+// [1, 2*mean] around their fixed means, block quantum and memory-op
+// preemption alike.
+func TestHostYieldCadences(t *testing.T) {
+	m, err := NewMachine(Config{Scheme: "hst", StepMode: true})
 	if err != nil {
-		t.Fatalf("QuantumTBs 1: %v", err)
+		t.Fatal(err)
 	}
 	c := newCPU(m, 1)
-	for i := 0; i < 100; i++ {
-		if g := c.yieldGap(); g < 1 || g > 2 {
-			t.Fatalf("QuantumTBs 1: yield gap %d blocks, want 1 or 2", g)
+	for _, mean := range []uint32{quantumTBs, preemptMemOps} {
+		const n = 20000
+		sum := 0
+		for i := 0; i < n; i++ {
+			g := c.nextGap(mean)
+			if g < 1 || g > int(2*mean) {
+				t.Fatalf("mean %d: gap %d outside [1, %d]", mean, g, 2*mean)
+			}
+			sum += g
+		}
+		if avg := float64(sum) / n; avg < 0.95*float64(mean) || avg > 1.05*float64(mean) {
+			t.Errorf("mean %d: sample mean %.1f", mean, avg)
 		}
 	}
 }
@@ -57,11 +68,13 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"hash bits under table minimum", func(c *Config) { c.HashBits = 2 }, "4-bit table minimum"},
 		{"mem below two pages", func(c *Config) { c.MemBytes = 4096 }, "two-page minimum"},
 		{"zero threads", func(c *Config) { c.MaxThreads = -3 }, "MaxThreads"},
-		{"stack region overflow", func(c *Config) { c.MemBytes = 0; c.StackBytes = 1 << 31 }, "overflow the 32-bit address space"},
-		{"negative quantum", func(c *Config) { c.QuantumTBs = -1 }, "QuantumTBs"},
+		{"stack region overflow", func(c *Config) { c.MaxThreads = 1 << 20 }, "overflow the 32-bit address space"},
 		{"recovery below sentinel", func(c *Config) { c.RecoveryAttempts = -2 }, "-1 disables recovery"},
 		{"watchdog below sentinel", func(c *Config) { c.WatchdogSCFails = -2 }, "-1 disables the watchdog"},
 		{"negative spin budget", func(c *Config) { c.HashSpinBudget = -1 }, "HashSpinBudget"},
+		{"negative interference", func(c *Config) { c.HTMInterference = -4 }, "HTMInterference"},
+		{"trace ring over cap", func(c *Config) { c.TraceRingBits = 30 }, "TraceRingBits"},
+		{"trace ring under floor", func(c *Config) { c.TraceRingBits = 2 }, "TraceRingBits"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig("hst")
@@ -73,17 +86,6 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		if _, err := NewMachine(cfg); err == nil {
 			t.Errorf("%s: NewMachine accepted an invalid config", tc.name)
 		}
-	}
-	// HTM sizing is only meaningful for the HTM-backed schemes.
-	htm := DefaultConfig("pico-htm")
-	htm.HTMBits = 26
-	if err := htm.Validate(); err == nil || !strings.Contains(err.Error(), "HTMBits") {
-		t.Errorf("pico-htm HTMBits=26: Validate() = %v, want HTMBits error", err)
-	}
-	soft := DefaultConfig("pico-cas")
-	soft.HTMBits = 26
-	if err := soft.Validate(); err != nil {
-		t.Errorf("pico-cas ignores HTMBits, Validate() = %v", err)
 	}
 }
 

@@ -368,17 +368,7 @@ func (c *CPU) maybePreempt() {
 	if c.preemptLeft > 0 {
 		return
 	}
-	mean := c.m.cfg.PreemptMemOps
-	if mean <= 0 {
-		c.preemptLeft = 1 << 30
-		return
-	}
-	r := c.yieldRng
-	r ^= r << 13
-	r ^= r >> 17
-	r ^= r << 5
-	c.yieldRng = r
-	c.preemptLeft = 1 + int(r%uint32(2*mean))
+	c.preemptLeft = c.nextGap(preemptMemOps)
 	if !c.m.cfg.StepMode {
 		c.hostYield()
 	}
@@ -412,15 +402,20 @@ func (c *CPU) witnessStalls() {
 	c.charge(stats.CompExclusive, delta*c.m.cfg.Cost.ExclusiveStall)
 }
 
-// yieldGap returns the next randomized host-yield distance in blocks,
-// centred on the configured quantum.
-func (c *CPU) yieldGap() int {
+// yieldGap returns the next randomized host-yield distance in blocks.
+func (c *CPU) yieldGap() int { return c.nextGap(quantumTBs) }
+
+// nextGap returns a randomized distance in [1, 2*mean].
+func (c *CPU) nextGap(mean uint32) int { return 1 + int(c.nextRand()%(2*mean)) }
+
+// nextRand advances the vCPU's xorshift32 stream, yieldRng.
+func (c *CPU) nextRand() uint32 {
 	r := c.yieldRng
 	r ^= r << 13
 	r ^= r >> 17
 	r ^= r << 5
 	c.yieldRng = r
-	return 1 + int(r%uint32(2*c.m.cfg.QuantumTBs))
+	return r
 }
 
 // Step executes one translation block in step mode (one guest instruction,
@@ -482,23 +477,14 @@ func (c *CPU) stepOnce() int {
 			// min(0.95, ((threads-1)/HTMInterference)²). SC-only transactions
 			// (HST-HTM) never reach here and are immune, the paper's point.
 			if txn := c.mon.Txn; txn != nil && !txn.Done() {
-				denom := c.m.cfg.HTMInterference
-				if denom <= 0 {
-					denom = 16
-				}
 				n := uint64(c.m.runningCPUs.Load())
 				if n > 1 {
-					ratio := (n - 1) * 65536 / uint64(denom)
+					ratio := (n - 1) * 65536 / uint64(c.m.cfg.HTMInterference)
 					p := ratio * ratio / 65536
 					if p > 62259 { // 0.95 in 16-bit fixed point
 						p = 62259
 					}
-					r := c.yieldRng
-					r ^= r << 13
-					r ^= r >> 17
-					r ^= r << 5
-					c.yieldRng = r
-					if uint64(r>>16) < p {
+					if uint64(c.nextRand()>>16) < p {
 						txn.AbortNow(htm.ReasonEmulation)
 						c.st.HTMAborts++
 						c.ring.Emit(obs.EvHTMAbort, c.pc, uint64(htm.ReasonEmulation))

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -183,7 +184,9 @@ func TestDifferentialOptimizerPreservesSemantics(t *testing.T) {
 }
 
 // TestDifferentialBlockSizeInvariant: translation-block length must not
-// change semantics (single-step blocks vs full blocks).
+// change semantics (single-step blocks vs full blocks). A TraceWriter forces
+// one-instruction blocks, as StepMode does, without giving up the vCPU
+// goroutines.
 func TestDifferentialBlockSizeInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	im, err := genProgram(r, 120)
@@ -193,11 +196,14 @@ func TestDifferentialBlockSizeInvariant(t *testing.T) {
 	full := runDifferential(t, im, "hst", false)
 
 	cfg := DefaultConfig("hst")
-	cfg.MaxGuestInstrsPerTB = 1
+	cfg.TraceWriter = io.Discard
 	cfg.MaxGuestInstrs = 10_000_000
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m.topts.MaxGuestInstrs != 1 {
+		t.Fatalf("TraceWriter left the block cap at %d, want 1", m.topts.MaxGuestInstrs)
 	}
 	if err := m.LoadImage(im); err != nil {
 		t.Fatal(err)

@@ -50,6 +50,23 @@ const (
 	StackRegionBase uint32 = 0x4000_0000
 )
 
+// Fixed machine parameters, not Config fields: no caller needs another value.
+const (
+	// stackBytes is each guest thread's stack size; stacks sit stackStride
+	// apart so an unmapped guard page follows each one.
+	stackBytes  uint32 = 64 << 10
+	stackStride        = stackBytes + mmu.PageSize
+	// htmBits sizes the software HTM's lock table at 2^bits slots; its
+	// transactions hold htm.DefaultCapacity words of read+write set.
+	htmBits = 16
+	// quantumTBs is the mean number of blocks between host scheduler yields
+	// and preemptMemOps the mean number of guest memory operations between
+	// randomized mid-block ones (instruction-granular preemption). Both
+	// apply only while a second vCPU is live: a lone vCPU never yields.
+	quantumTBs    = 32
+	preemptMemOps = 600
+)
+
 // Config configures a Machine.
 type Config struct {
 	// Scheme selects the atomic emulation scheme by name (core.SchemeNames).
@@ -60,26 +77,10 @@ type Config struct {
 	MemBytes uint32
 	// HashBits sizes the HST store-test table (2^bits entries).
 	HashBits uint
-	// HTMBits and HTMCapacity size the software HTM.
-	HTMBits     uint
-	HTMCapacity int
-	// MaxGuestInstrsPerTB caps translation-block length (0 = default).
-	MaxGuestInstrsPerTB int
 	// NoOptimize disables the IR optimizer (for differential testing).
 	NoOptimize bool
-	// StackBytes is the per-thread stack size.
-	StackBytes uint32
 	// MaxThreads bounds guest thread creation.
 	MaxThreads int
-	// QuantumTBs is the mean number of blocks between host scheduler yields
-	// (0 = default, 1 = after every block or two). It applies only while a
-	// second vCPU is live: a lone vCPU never yields the host.
-	QuantumTBs int
-	// PreemptMemOps is the mean number of guest memory operations between
-	// randomized mid-block host yields (instruction-granular preemption).
-	// 0 selects the default; a negative value disables mid-block preemption.
-	// Like QuantumTBs it applies only while a second vCPU is live.
-	PreemptMemOps int
 	// FuseAtomics enables rule-based translation (paper §VI): recognized
 	// LL/SC retry loops run as single fused host atomics.
 	FuseAtomics bool
@@ -108,7 +109,7 @@ type Config struct {
 	// aborts it with probability min(0.95, ((threads-1)/HTMInterference)²),
 	// modelling conflicts on QEMU's shared emulator state [paper §III-B,
 	// ref 18]. SC-only transactions (HST-HTM) never cross a boundary and
-	// are unaffected. 0 means the default (16).
+	// are unaffected. 0 means the default (16); negative is rejected.
 	HTMInterference int
 	// MaxGuestInstrs aborts a runaway vCPU after this many guest
 	// instructions (0 = unlimited).
@@ -125,8 +126,9 @@ type Config struct {
 	// would-be event.
 	TraceEvents bool
 	// TraceRingBits sizes each vCPU's event ring at 2^bits events
-	// (32 bytes each). 0 selects the default (12: 4096 events, 128 KiB
-	// per vCPU). Older events are overwritten once a ring wraps.
+	// (32 bytes each), 4 ≤ bits ≤ 24. 0 selects the default (12: 4096
+	// events, 128 KiB per vCPU). Older events are overwritten once a ring
+	// wraps.
 	TraceRingBits uint
 	// ProfileCollisions enables the HST collision census (Table I support).
 	ProfileCollisions bool
@@ -134,18 +136,9 @@ type Config struct {
 	// StrictPaper restores the paper's crash-on-livelock behavior: the HTM
 	// schemes return EmulationError after an abort storm instead of
 	// demoting to their portable fallback path. The figure/correctness
-	// harness sets it for reproduction fidelity; the default is resilient.
+	// harness sets it for reproduction fidelity; the default is resilient,
+	// with core.DefaultResilience's retry budget, backoff and cooldown.
 	StrictPaper bool
-	// HTMMaxRetries bounds consecutive retryable aborts per LL/SC window
-	// before a monitor demotes (0 = default).
-	HTMMaxRetries int
-	// HTMBackoffBase and HTMBackoffMax shape the virtual-cycle exponential
-	// backoff between retries (0 = defaults).
-	HTMBackoffBase uint64
-	HTMBackoffMax  uint64
-	// FallbackCooldown is how many LL windows run on the fallback path
-	// after a demotion (0 = default).
-	FallbackCooldown int
 	// ResilienceSeed seeds the deterministic per-tid backoff jitter
 	// (0 = default).
 	ResilienceSeed uint64
@@ -225,13 +218,9 @@ func DefaultConfig(scheme string) Config {
 		Cost:             core.DefaultCostModel(),
 		MemBytes:         64 << 20,
 		HashBits:         14,
-		HTMBits:          16,
-		HTMCapacity:      0,
-		StackBytes:       64 << 10,
 		MaxThreads:       256,
-		QuantumTBs:       32,
-		PreemptMemOps:    600,
 		HTMInterference:  16,
+		TraceRingBits:    12,
 		WatchdogSCFails:  1 << 17,
 		RecoveryAttempts: 3,
 		HotThreshold:     64,
@@ -268,7 +257,6 @@ type Machine struct {
 	chainBudget  int
 	tiered       bool
 	hotThreshold uint32
-	superMax     int // superblock instruction cap used at promotion
 
 	cpuMu sync.Mutex
 	cpus  []*CPU
@@ -384,9 +372,8 @@ func newTB(block *ir.Block, cold bool) *TB {
 // keeping every caller-set field. (A partially-specified Config used to be
 // replaced wholesale whenever MemBytes was 0, silently discarding options
 // like Scheme, HashBits, FuseAtomics, NoOptimize or TraceWriter.) Flags and
-// debug fields pass through untouched; fields where zero is meaningful
-// (MaxGuestInstrsPerTB, MaxGuestInstrs, HTMCapacity) are likewise kept, and
-// PreemptMemOps uses a negative value, not 0, to disable preemption.
+// debug fields pass through untouched, as does MaxGuestInstrs, where zero
+// means unlimited.
 func (cfg Config) normalized() Config {
 	def := DefaultConfig(cfg.Scheme)
 	if cfg.Cost == (core.CostModel{}) {
@@ -398,26 +385,16 @@ func (cfg Config) normalized() Config {
 	if cfg.HashBits == 0 {
 		cfg.HashBits = def.HashBits
 	}
-	if cfg.HTMBits == 0 {
-		cfg.HTMBits = def.HTMBits
-	}
-	if cfg.StackBytes == 0 {
-		cfg.StackBytes = def.StackBytes
-	}
 	if cfg.MaxThreads == 0 {
 		cfg.MaxThreads = def.MaxThreads
-	}
-	if cfg.QuantumTBs == 0 {
-		cfg.QuantumTBs = def.QuantumTBs
-	}
-	if cfg.PreemptMemOps == 0 {
-		cfg.PreemptMemOps = def.PreemptMemOps
 	}
 	if cfg.HTMInterference == 0 {
 		cfg.HTMInterference = def.HTMInterference
 	}
-	// WatchdogSCFails mirrors PreemptMemOps: 0 means default, negative
-	// disables.
+	if cfg.TraceRingBits == 0 {
+		cfg.TraceRingBits = def.TraceRingBits
+	}
+	// WatchdogSCFails: 0 means default, negative disables.
 	if cfg.WatchdogSCFails == 0 {
 		cfg.WatchdogSCFails = def.WatchdogSCFails
 	}
@@ -431,16 +408,11 @@ func (cfg Config) normalized() Config {
 	return cfg
 }
 
-// resilience derives the scheme-facing resilience policy from the config.
+// resilience derives the scheme-facing resilience policy from the config;
+// the schemes fill the retry budget, backoff and cooldown from
+// core.DefaultResilience.
 func (cfg *Config) resilience() core.Resilience {
-	return core.Resilience{
-		StrictPaper: cfg.StrictPaper,
-		MaxRetries:  cfg.HTMMaxRetries,
-		BackoffBase: cfg.HTMBackoffBase,
-		BackoffMax:  cfg.HTMBackoffMax,
-		Cooldown:    cfg.FallbackCooldown,
-		Seed:        cfg.ResilienceSeed,
-	}
+	return core.Resilience{StrictPaper: cfg.StrictPaper, Seed: cfg.ResilienceSeed}
 }
 
 // NewMachine builds a machine with the configured scheme. Zero-valued
@@ -465,14 +437,14 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.mem.SetInjector(cfg.FaultInjector)
 	m.nextCkptVT.Store(cfg.CheckpointEvery)
 	if cfg.TraceEvents {
-		m.hostRing = obs.NewRing(0, m.traceRingBits(), nil)
+		m.hostRing = obs.NewRing(0, m.cfg.TraceRingBits, nil)
 	}
 
 	res := m.cfg.resilience()
 	deps := core.Deps{Cost: &m.cfg.Cost, Res: &res}
 	needsHTM := cfg.Scheme == "pico-htm" || cfg.Scheme == "hst-htm"
 	if needsHTM {
-		tm, err := htm.New(cfg.HTMBits, cfg.HTMCapacity)
+		tm, err := htm.New(htmBits, htm.DefaultCapacity)
 		if err != nil {
 			return nil, err
 		}
@@ -500,14 +472,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 		}
 	}
 
-	maxTB := cfg.MaxGuestInstrsPerTB
-	if cfg.StepMode || cfg.TraceWriter != nil {
-		maxTB = 1
-	}
 	m.topts = translate.Options{
 		InstrumentStores: m.scheme.InstrumentsStores(),
 		InstrumentLoads:  m.scheme.InstrumentsLoads(),
-		MaxGuestInstrs:   maxTB,
 		Optimize:         !cfg.NoOptimize,
 		FuseAtomics:      cfg.FuseAtomics,
 	}
@@ -518,13 +485,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.hotThreshold = uint32(cfg.HotThreshold)
 	if cfg.StepMode || cfg.TraceWriter != nil {
 		// Single-stepping and per-instruction tracing rely on returning to
-		// the dispatch loop after every (one-instruction) block.
+		// the dispatch loop after every one-instruction block.
+		m.topts.MaxGuestInstrs = 1
 		m.chainBudget = 0
 		m.tiered = false
-	}
-	m.superMax = translate.DefaultSuperblockInstrs
-	if maxTB > 0 {
-		m.superMax = 4 * maxTB
 	}
 
 	// The runtime page: the thread-exit trampoline (svc exit).
@@ -688,16 +652,11 @@ func (m *Machine) newCPU(entry uint32, startClock uint64, args []uint32) (*CPU, 
 }
 
 func (m *Machine) mapStack(tid uint32) (uint32, error) {
-	sz := m.cfg.StackBytes
-	if sz == 0 {
-		sz = 64 << 10
-	}
-	stride := sz + mmu.PageSize // guard page between stacks
-	base := StackRegionBase + (tid-1)*stride
-	if err := m.mem.Map(base, sz, mmu.PermRW); err != nil {
+	base := StackRegionBase + (tid-1)*stackStride
+	if err := m.mem.Map(base, stackBytes, mmu.PermRW); err != nil {
 		return 0, fmt.Errorf("engine: mapping stack for tid %d: %w", tid, err)
 	}
-	return base + sz, nil
+	return base + stackBytes, nil
 }
 
 // CPUs returns the machine's vCPUs (stable after threads stop spawning).
@@ -756,14 +715,6 @@ func (m *Machine) AggregateStats() stats.CPU {
 	return agg
 }
 
-// traceRingBits returns the configured per-ring size exponent.
-func (m *Machine) traceRingBits() uint {
-	if m.cfg.TraceRingBits != 0 {
-		return m.cfg.TraceRingBits
-	}
-	return 12
-}
-
 // newTraceRing creates and registers a vCPU's event ring (nil when tracing
 // is off). Rings are registered machine-wide rather than discovered via
 // m.cpus because restore() drops rolled-back vCPUs from cpus — the trace
@@ -772,7 +723,7 @@ func (m *Machine) newTraceRing(tid uint32, clock *atomic.Uint64) *obs.Ring {
 	if !m.cfg.TraceEvents {
 		return nil
 	}
-	r := obs.NewRing(tid, m.traceRingBits(), clock)
+	r := obs.NewRing(tid, m.cfg.TraceRingBits, clock)
 	m.ringMu.Lock()
 	m.rings = append(m.rings, r)
 	m.ringMu.Unlock()

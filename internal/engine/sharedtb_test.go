@@ -421,15 +421,14 @@ yvar: .word 2
 // sharedKeyShaping perturbs, one field at a time, every Config field that
 // changes what a translation block means; sharedOptsKey must render each.
 var sharedKeyShaping = map[string]func(*Config){
-	"Scheme":              func(c *Config) { c.Scheme = "pico-st" },
-	"MaxGuestInstrsPerTB": func(c *Config) { c.MaxGuestInstrsPerTB = 8 },
-	"NoOptimize":          func(c *Config) { c.NoOptimize = true },
-	"FuseAtomics":         func(c *Config) { c.FuseAtomics = true },
-	"ChainBudget":         func(c *Config) { c.ChainBudget = 16 },
-	"Tiered":              func(c *Config) { c.Tiered = true },
-	"HotThreshold":        func(c *Config) { c.HotThreshold = 7 },
-	"StepMode":            func(c *Config) { c.StepMode = true },          // one-instruction blocks
-	"TraceWriter":         func(c *Config) { c.TraceWriter = io.Discard }, // likewise
+	"Scheme":       func(c *Config) { c.Scheme = "pico-st" },
+	"NoOptimize":   func(c *Config) { c.NoOptimize = true },
+	"FuseAtomics":  func(c *Config) { c.FuseAtomics = true },
+	"ChainBudget":  func(c *Config) { c.ChainBudget = 16 },
+	"Tiered":       func(c *Config) { c.Tiered = true },
+	"HotThreshold": func(c *Config) { c.HotThreshold = 7 },
+	"StepMode":     func(c *Config) { c.StepMode = true },          // one-instruction blocks
+	"TraceWriter":  func(c *Config) { c.TraceWriter = io.Discard }, // likewise
 }
 
 // sharedKeyNeutral names every other Config field and why two machines that
@@ -438,22 +437,13 @@ var sharedKeyNeutral = map[string]string{
 	"Cost":              "charged when a block is translated or run; not part of the block",
 	"MemBytes":          "sizes guest memory",
 	"HashBits":          "sizes the scheme's table, reached through the same hooks",
-	"HTMBits":           "sizes the software HTM",
-	"HTMCapacity":       "sizes the software HTM",
-	"StackBytes":        "guest stack size",
 	"MaxThreads":        "spawn limit",
-	"QuantumTBs":        "host yield cadence",
-	"PreemptMemOps":     "host preemption cadence",
 	"HTMInterference":   "abort probability at block boundaries, decided at run time",
 	"MaxGuestInstrs":    "run budget; the clamp's one-off blocks bypass both caches",
 	"TraceEvents":       "event ring, emitted by the executor",
 	"TraceRingBits":     "event ring size",
 	"ProfileCollisions": "census inside the hst scheme; same name, same hooks",
 	"StrictPaper":       "scheme retry policy at run time",
-	"HTMMaxRetries":     "scheme retry policy at run time",
-	"HTMBackoffBase":    "scheme retry policy at run time",
-	"HTMBackoffMax":     "scheme retry policy at run time",
-	"FallbackCooldown":  "scheme retry policy at run time",
 	"ResilienceSeed":    "scheme retry policy at run time",
 	"WatchdogSCFails":   "dispatch-loop watchdog",
 	"CheckpointEvery":   "checkpoint cadence",

@@ -99,7 +99,7 @@ func (m *Machine) fetcher() translate.FetchFunc {
 func (m *Machine) promote(c *CPU, lt *localTB) error {
 	opts := m.topts
 	opts.FollowUncond = true
-	opts.MaxGuestInstrs = m.superMax
+	opts.MaxGuestInstrs = translate.DefaultSuperblockInstrs
 	block, err := translate.Block(m.fetcher(), lt.start, opts)
 	if err != nil {
 		return err
