@@ -3,7 +3,8 @@ package arch
 import "testing"
 
 // FuzzDecode throws arbitrary 32-bit words at the decoder. Any word that
-// decodes must be a valid instruction (Encode must not panic), and the
+// decodes must be a valid instruction — Decode does not call Validate, so
+// this is what holds its field masking to the rules — and the
 // decode→encode→decode round trip must be a fixed point: unused bit fields
 // are the only information Encode may drop.
 func FuzzDecode(f *testing.F) {
@@ -27,7 +28,10 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		w2 := i.Encode() // must not panic: Decode validated
+		if err := i.Validate(); err != nil {
+			t.Fatalf("%#08x decoded to invalid %+v: %v", w, i, err)
+		}
+		w2 := i.Encode()
 		j, err := Decode(w2)
 		if err != nil {
 			t.Fatalf("re-decode of %#08x (from %#08x) failed: %v", w2, w, err)

@@ -161,14 +161,12 @@ func runColdForm(t *testing.T, cfg Config, src string) coldFormRun {
 	}
 	r.output, r.st, r.vt = m.Output(), m.AggregateStats(), m.VirtualTime()
 	for i := range m.tbs.shards {
-		if snap := m.tbs.shards[i].snap.Load(); snap != nil {
-			for _, tb := range *snap {
-				b := tb.cold
-				if b == nil {
-					b = tb.ir.Load()
-				}
-				r.transLen += uint64(b.GuestLen)
+		for _, tb := range m.tbs.shards[i].tbs {
+			b := tb.cold
+			if b == nil {
+				b = tb.ir.Load()
 			}
+			r.transLen += uint64(b.GuestLen)
 		}
 	}
 	return r

@@ -521,10 +521,8 @@ func (m *Machine) LoadImage(im *asm.Image) error {
 	if err := m.mem.Map(base, size, mmu.PermRWX); err != nil {
 		return fmt.Errorf("engine: mapping image: %w", err)
 	}
-	for i, w := range im.Words {
-		if f := m.mem.WriteWordPriv(im.Org+uint32(i)*4, w); f != nil {
-			return f
-		}
+	if f := m.mem.WriteWordsPriv(im.Org, im.Words); f != nil {
+		return f
 	}
 	// Attach the shared-translation view now that the image bytes are in
 	// place (the watch must not count host-side seeding as mutation).

@@ -1,45 +1,41 @@
 package engine
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // tbCache is the machine-wide shared translation-block cache.
 //
 // It is the engine's answer to the contention the paper measures on QEMU's
 // shared emulator state (§III): with a single mutex around the TB map,
-// every shared-cache miss serializes all vCPUs behind the translator, and
-// even hits pay a lock handoff. Here the cache is split into power-of-two
-// shards, each holding an atomic pointer to an immutable map snapshot:
+// every shared-cache miss would serialize all vCPUs behind the translator.
+// Here the cache is split into power-of-two shards, each a plain map behind
+// its own mutex:
 //
-//   - Hits are one atomic load plus one read of an immutable map — no
-//     locks, no stores, so concurrent lookups never contend.
 //   - Misses translate OUTSIDE any critical section; only publishing the
-//     finished block takes the shard's writer mutex, which copies the
-//     snapshot, adds the entry, and swaps the pointer (copy-on-write).
-//     Misses on different PCs therefore translate in parallel.
+//     finished block takes the shard's mutex, for one map write. Misses on
+//     different PCs therefore translate in parallel, and publishing a
+//     machine's n blocks costs O(n) in total.
 //   - Racing misses on the SAME pc both translate, but the first publisher
 //     wins: insert re-checks under the shard lock and the loser adopts the
 //     winner's *TB, so a given pc always resolves to one canonical block.
 //
-// Copy-on-write is the right trade here because the working set is
-// append-only and small (TBs are never invalidated — see the package
-// comment on self-modifying code) while lookups run once per executed
-// block on every vCPU.
+// A lookup takes the shard mutex too. That is cheap because get is never on
+// the dispatch hot path: each vCPU's jump cache and private localTBs map
+// absorb every repeat lookup, so a vCPU reaches this cache at most once per
+// pc (and again only after scheme demotion clears its local caches).
+// Lock-free reads through copy-on-write snapshots would buy nothing at one
+// lookup per pc and vCPU, and cloning a shard's table on every insert makes
+// cold translation quadratic in the block count.
 const (
 	tbShardBits = 6
 	tbShardNum  = 1 << tbShardBits
 )
 
-type tbMap = map[uint32]*TB
-
 type tbShard struct {
-	snap atomic.Pointer[tbMap] // immutable; replaced wholesale on insert
-	mu   sync.Mutex            // serializes writers only; readers never take it
-	// pad spaces shards a cache line apart so snapshot swaps on one shard
-	// don't false-share with hot lookups on a neighbour.
-	_ [40]byte
+	mu  sync.Mutex
+	tbs map[uint32]*TB
+	// pad spaces shards a cache line apart so lock traffic on one shard
+	// doesn't false-share with a neighbour.
+	_ [48]byte
 }
 
 type tbCache struct {
@@ -52,12 +48,13 @@ func (c *tbCache) shard(pc uint32) *tbShard {
 	return &c.shards[(pc>>2)*2654435761>>(32-tbShardBits)]
 }
 
-// get returns the block cached for pc, or nil. Lock-free: one atomic load.
+// get returns the block cached for pc, or nil.
 func (c *tbCache) get(pc uint32) *TB {
-	if m := c.shard(pc).snap.Load(); m != nil {
-		return (*m)[pc]
-	}
-	return nil
+	s := c.shard(pc)
+	s.mu.Lock()
+	tb := s.tbs[pc]
+	s.mu.Unlock()
+	return tb
 }
 
 // insert publishes tb for pc and returns the canonical block: tb itself if
@@ -67,20 +64,13 @@ func (c *tbCache) insert(pc uint32, tb *TB) (canonical *TB, won bool) {
 	s := c.shard(pc)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := s.snap.Load()
-	if old != nil {
-		if existing := (*old)[pc]; existing != nil {
-			return existing, false
-		}
+	if existing := s.tbs[pc]; existing != nil {
+		return existing, false
 	}
-	next := make(tbMap, lenOrZero(old)+1)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
+	if s.tbs == nil {
+		s.tbs = make(map[uint32]*TB)
 	}
-	next[pc] = tb
-	s.snap.Store(&next)
+	s.tbs[pc] = tb
 	return tb, true
 }
 
@@ -94,17 +84,9 @@ func (c *tbCache) retain(keep func(*TB) bool) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		if old := s.snap.Load(); old != nil {
-			next := make(tbMap, len(*old))
-			for pc, tb := range *old {
-				if keep(tb) {
-					next[pc] = tb
-				}
-			}
-			if len(next) == 0 {
-				s.snap.Store(nil)
-			} else {
-				s.snap.Store(&next)
+		for pc, tb := range s.tbs {
+			if !keep(tb) {
+				delete(s.tbs, pc)
 			}
 		}
 		s.mu.Unlock()
@@ -115,16 +97,10 @@ func (c *tbCache) retain(keep func(*TB) bool) {
 func (c *tbCache) len() int {
 	n := 0
 	for i := range c.shards {
-		if m := c.shards[i].snap.Load(); m != nil {
-			n += len(*m)
-		}
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += len(s.tbs)
+		s.mu.Unlock()
 	}
 	return n
-}
-
-func lenOrZero(m *tbMap) int {
-	if m == nil {
-		return 0
-	}
-	return len(*m)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 // TestTBCacheRacingMissesYieldOneTB races get-or-insert on overlapping PCs
 // from many goroutines: every racer must end up with the identical *TB per
 // pc (the first published block is canonical), and the cache must hold
-// exactly one entry per pc. Run under -race this also proves the
-// copy-on-write publication is data-race free.
+// exactly one entry per pc. Run under -race this also proves publication
+// is data-race free.
 func TestTBCacheRacingMissesYieldOneTB(t *testing.T) {
 	const goroutines = 8
 	const npcs = 64
@@ -57,6 +58,36 @@ func TestTBCacheRacingMissesYieldOneTB(t *testing.T) {
 	}
 	if n := cache.len(); n != npcs {
 		t.Fatalf("cache holds %d blocks, want %d", n, npcs)
+	}
+}
+
+// TestTBCacheInsertCostIsLinear: inserting n blocks allocates O(n) bytes
+// in total. Each insert used to clone its shard's whole table, which made
+// a cold job's translation quadratic in its block count.
+func TestTBCacheInsertCostIsLinear(t *testing.T) {
+	tb := &TB{}
+	bytesFor := func(n int) uint64 {
+		var c tbCache
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for pc := 0; pc < n; pc++ {
+			c.insert(uint32(pc)*4, tb)
+		}
+		runtime.ReadMemStats(&after)
+		if c.len() != n {
+			t.Fatalf("cache holds %d blocks, want %d", c.len(), n)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := bytesFor(1<<10), bytesFor(1<<14)
+	// 16x the blocks may cost 16x the bytes, with slack for map growth
+	// steps; the per-insert table copy cost 256x.
+	if large > 48*small {
+		t.Fatalf("inserting 16384 blocks allocated %d bytes, 1024 blocks %d: not linear", large, small)
+	}
+	if perBlock := large >> 14; perBlock > 256 {
+		t.Fatalf("%d bytes allocated per inserted block", perBlock)
 	}
 }
 

@@ -484,6 +484,13 @@ type TableII struct {
 	Rows    []TableIIRow
 }
 
+// tableIIRunError names the scheme and thread count of a failed Table II
+// run: a workload's own error (a lost critical section, say) names only
+// the workload.
+func tableIIRunError(scheme string, threads int, err error) error {
+	return fmt.Errorf("table II: %s, %d threads: %w", scheme, threads, err)
+}
+
 // RunTableII measures every scheme: relative time on the scalability suite
 // at the given thread count, plus the litmus atomicity classification.
 func RunTableII(scale float64, threads int, progress Progress) (*TableII, error) {
@@ -496,7 +503,7 @@ func RunTableII(scale float64, threads int, progress Progress) (*TableII, error)
 	for _, spec := range workload.ScalabilitySpecs() {
 		res, err := RunWorkload(RunConfig{Program: spec.Name, Scheme: "pico-cas", Threads: threads, Scale: scale})
 		if err != nil {
-			return nil, err
+			return nil, tableIIRunError("pico-cas", threads, err)
 		}
 		base[spec.Name] = res.VirtualTime
 	}
@@ -519,7 +526,7 @@ func RunTableII(scale float64, threads int, progress Progress) (*TableII, error)
 		for _, spec := range workload.ScalabilitySpecs() {
 			res, err := RunWorkload(RunConfig{Program: spec.Name, Scheme: scheme, Threads: threads, Scale: scale})
 			if err != nil {
-				return nil, err
+				return nil, tableIIRunError(scheme, threads, err)
 			}
 			if res.Crashed {
 				row.Crashed = true

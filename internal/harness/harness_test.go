@@ -174,6 +174,18 @@ func TestCorrectnessExperimentSmall(t *testing.T) {
 	}
 }
 
+// TestTableIIErrorNamesScheme: a failed run's error names the scheme and
+// thread count it ran under, not only the workload.
+func TestTableIIErrorNamesScheme(t *testing.T) {
+	_, err := RunTableII(0.01, 0, nil)
+	if err == nil {
+		t.Fatal("RunTableII at 0 threads succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "pico-cas, 0 threads") {
+		t.Fatalf("error %q does not name its scheme and thread count", msg)
+	}
+}
+
 func TestTableIISummary(t *testing.T) {
 	tab, err := RunTableII(0.01, 8, nil)
 	if err != nil {

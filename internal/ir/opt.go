@@ -13,12 +13,22 @@ func Optimize(b *Block) {
 	compact(b)
 }
 
+// stackSlots is the register-space size up to which the passes keep their
+// per-slot tables in fixed arrays on the stack. Plain blocks stay well
+// under it; a block with more slots (a large superblock) takes one heap
+// table per pass.
+const stackSlots = 64
+
 // ConstFold tracks constants through the block, folds ALU ops whose inputs
 // are all known, and narrows register-register ops to their immediate forms
 // when one input is constant.
 func ConstFold(b *Block) {
-	known := make([]bool, b.NumSlots)
-	val := make([]uint32, b.NumSlots)
+	var knownBuf [stackSlots]bool
+	var valBuf [stackSlots]uint32
+	known, val := knownBuf[:], valBuf[:]
+	if b.NumSlots > stackSlots {
+		known, val = make([]bool, b.NumSlots), make([]uint32, b.NumSlots)
+	}
 	kill := func(r RegID) {
 		if r >= 0 {
 			known[r] = false
@@ -221,8 +231,18 @@ func foldIdentity(in *Inst) bool {
 
 // CopyProp forwards Mov sources into later uses.
 func CopyProp(b *Block) {
-	// copyOf[r] = s means r currently holds the same value as s.
-	copyOf := make([]RegID, b.NumSlots)
+	// copyOf[r] = s means r currently holds the same value as s; s is
+	// always a root (copyOf[s] == s), because sources are resolved before a
+	// Mov records them. aliases[s] counts the slots r != s with
+	// copyOf[r] == s, so redefining a slot scans the table only when some
+	// live copy still points at it.
+	var copyBuf [stackSlots]RegID
+	var aliasBuf [stackSlots]RegID
+	copyOf, aliases := copyBuf[:], aliasBuf[:]
+	if b.NumSlots > stackSlots {
+		copyOf, aliases = make([]RegID, b.NumSlots), make([]RegID, b.NumSlots)
+	}
+	copyOf = copyOf[:b.NumSlots]
 	for i := range copyOf {
 		copyOf[i] = RegID(i)
 	}
@@ -231,10 +251,17 @@ func CopyProp(b *Block) {
 		if r < 0 {
 			return
 		}
-		copyOf[r] = r
+		if s := copyOf[r]; s != r {
+			aliases[s]--
+			copyOf[r] = r
+		}
 		for i := range copyOf {
+			if aliases[r] == 0 {
+				break
+			}
 			if copyOf[i] == r && RegID(i) != r {
 				copyOf[i] = RegID(i)
+				aliases[r]--
 			}
 		}
 	}
@@ -261,6 +288,7 @@ func CopyProp(b *Block) {
 		invalidate(d)
 		if in.Op == Mov && in.D != in.A {
 			copyOf[in.D] = in.A
+			aliases[in.A]++
 		}
 	}
 }
@@ -268,7 +296,11 @@ func CopyProp(b *Block) {
 // DeadCode removes ops whose results are unused, walking backward with
 // guest registers live-out. Flag writers and side-effecting ops survive.
 func DeadCode(b *Block) {
-	live := make([]bool, b.NumSlots)
+	var liveBuf [stackSlots]bool
+	live := liveBuf[:]
+	if b.NumSlots > stackSlots {
+		live = make([]bool, b.NumSlots)
+	}
 	for r := 0; r < NumGuestRegs; r++ {
 		live[r] = true
 	}

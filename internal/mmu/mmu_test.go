@@ -30,6 +30,62 @@ func TestMapLoadStore(t *testing.T) {
 	}
 }
 
+// TestWriteWordsPrivMatchesWordWrites: the bulk write leaves the same
+// words, dirty state and store-watch counts as one WriteWordPriv per word,
+// across page boundaries and from a misaligned start within a page, and
+// faults at the first unmapped page with the pages before it written.
+func TestWriteWordsPrivMatchesWordWrites(t *testing.T) {
+	const base = 0x10000
+	words := make([]uint32, 2*PageWords+37)
+	for i := range words {
+		words[i] = uint32(i)*2654435761 + 1
+	}
+	start := uint32(base + 3*4)
+	bulk, single := newMem(t), newMem(t)
+	var watches [2]*StoreWatch
+	var clean [2]*Snapshot
+	for i, m := range []*Memory{bulk, single} {
+		if err := m.Map(base, 4*PageSize, PermRead); err != nil {
+			t.Fatal(err)
+		}
+		watches[i] = m.WatchStores(base+PageSize, base+2*PageSize)
+		clean[i] = m.SnapshotPages(nil)
+	}
+	if f := bulk.WriteWordsPriv(start, words); f != nil {
+		t.Fatal(f)
+	}
+	for i, w := range words {
+		if f := single.WriteWordPriv(start+uint32(i)*4, w); f != nil {
+			t.Fatal(f)
+		}
+	}
+	for a := uint32(base); a < base+4*PageSize; a += 4 {
+		got, _ := bulk.ReadWordPriv(a)
+		want, _ := single.ReadWordPriv(a)
+		if got != want {
+			t.Fatalf("word at %#x = %#x, want %#x", a, got, want)
+		}
+	}
+	if got, want := watches[0].Count(), watches[1].Count(); got != want || got != PageWords {
+		t.Fatalf("watch counted %d stores, word-by-word %d, want %d", got, want, PageWords)
+	}
+	if got, want := bulk.SnapshotPages(clean[0]).Copied, single.SnapshotPages(clean[1]).Copied; got != want || got != 3 {
+		t.Fatalf("bulk write dirtied %d pages, word-by-word %d, want 3", got, want)
+	}
+
+	m := newMem(t)
+	if err := m.Map(base, PageSize, PermRead); err != nil {
+		t.Fatal(err)
+	}
+	f := m.WriteWordsPriv(base+PageSize-8, []uint32{1, 2, 3})
+	if f == nil || f.Kind != FaultUnmapped || f.Addr != base+PageSize {
+		t.Fatalf("write into an unmapped page: fault %v, want unmapped at %#x", f, base+PageSize)
+	}
+	if v, _ := m.ReadWordPriv(base + PageSize - 4); v != 2 {
+		t.Fatalf("word before the fault = %d, want 2", v)
+	}
+}
+
 func TestUnmappedFault(t *testing.T) {
 	m := newMem(t)
 	_, f := m.LoadWord(0x5000)

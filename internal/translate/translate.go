@@ -176,14 +176,16 @@ func reg(r arch.Reg) (ir.RegID, error) {
 	return ir.RegID(r), nil
 }
 
-var alu3Map = map[arch.Opcode]ir.Op{
+// alu3Map and alu2iMap give the IR op of each three-register and
+// register-immediate ALU opcode; an array indexed by opcode is one load.
+var alu3Map = [arch.NumOpcodes]ir.Op{
 	arch.ADD: ir.Add, arch.SUB: ir.Sub, arch.AND: ir.And, arch.ORR: ir.Or,
 	arch.EOR: ir.Xor, arch.MUL: ir.Mul, arch.UDIV: ir.UDiv, arch.SDIV: ir.SDiv,
 	arch.LSL: ir.Shl, arch.LSR: ir.Shr, arch.ASR: ir.Sar,
 	arch.ADDS: ir.FlagsAdd, arch.SUBS: ir.FlagsSub,
 }
 
-var alu2iMap = map[arch.Opcode]ir.Op{
+var alu2iMap = [arch.NumOpcodes]ir.Op{
 	arch.ADDI: ir.AddI, arch.SUBI: ir.SubI, arch.RSBI: ir.RsbI,
 	arch.ANDI: ir.AndI, arch.ORRI: ir.OrI, arch.EORI: ir.XorI,
 	arch.LSLI: ir.ShlI, arch.LSRI: ir.ShrI, arch.ASRI: ir.SarI,
