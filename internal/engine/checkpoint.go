@@ -20,7 +20,7 @@ import (
 // Caller has already checked CheckpointEvery > 0.
 func (m *Machine) maybeCheckpoint(c *CPU) {
 	next := m.nextCkptVT.Load()
-	clk := c.clock.Load()
+	clk := c.clock
 	if clk < next || m.stopped.Load() {
 		return
 	}
@@ -76,7 +76,7 @@ func (m *Machine) capture(c *CPU) *checkpoint.Snapshot {
 			PC:       cc.pc,
 			Slots:    append([]uint32(nil), cc.slots...),
 			Flags:    cc.flags,
-			Clock:    cc.clock.Load(),
+			Clock:    cc.clock,
 			Stats:    cc.st,
 			Halted:   cc.haltedFlag.Load(),
 			ExitCode: cc.exitCode,
@@ -106,7 +106,7 @@ func (m *Machine) capture(c *CPU) *checkpoint.Snapshot {
 	m.cpuMu.Lock()
 	snap.NextTID = m.nextTID
 	m.cpuMu.Unlock()
-	snap.VirtualTime = m.VirtualTime()
+	snap.VirtualTime = m.virtualTimeQuiesced()
 
 	m.lastCkpt = snap
 	m.checkpoints.Add(1)
@@ -173,7 +173,7 @@ func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
 		c.slots = append(c.slots[:0], cs.Slots...)
 		c.flags = cs.Flags
 		c.pc = cs.PC
-		c.clock.Store(cs.Clock)
+		c.clock = cs.Clock
 		c.st = cs.Stats
 		c.halted = cs.Halted
 		c.haltedFlag.Store(cs.Halted)

@@ -34,9 +34,11 @@ type CPU struct {
 	// emit site) unless Config.TraceEvents.
 	ring *obs.Ring
 
-	// clock is this vCPU's virtual time; read by other vCPUs during
-	// exclusive sections and sync reconciliation.
-	clock atomic.Uint64
+	// clock is this vCPU's virtual time. Like st, it is a plain word only
+	// this vCPU's goroutine writes; anyone else reads it only while the
+	// vCPU is quiescent: parked by a stop-the-world (VirtualTime, capture,
+	// restore) or finished (sysJoin, after done is closed).
+	clock uint64
 
 	// localTBs is the vCPU-private level of the two-level TB cache: plain
 	// map, no synchronization, absorbs every repeat lookup so the shared
@@ -145,7 +147,7 @@ func (c *CPU) Stats() *stats.CPU { return &c.st }
 // Charge adds virtual cycles to a component and advances the clock.
 func (c *CPU) charge(comp stats.Component, cycles uint64) {
 	c.st.Charge(comp, cycles)
-	c.clock.Add(cycles)
+	c.clock += cycles
 }
 
 // Charge implements core.Context.
@@ -157,14 +159,13 @@ func (c *CPU) TM() *htm.TM { return c.m.tm }
 // liftClockTo raises the clock to at least t; when chargeExcl is set the
 // jump is accounted as exclusive (stop-the-world suspension) time.
 func (c *CPU) liftClockTo(t uint64, chargeExcl bool) {
-	cur := c.clock.Load()
-	if t <= cur {
+	if t <= c.clock {
 		return
 	}
 	if chargeExcl {
-		c.st.Charge(stats.CompExclusive, t-cur)
+		c.st.Charge(stats.CompExclusive, t-c.clock)
 	}
-	lift(&c.clock, t)
+	c.clock = t
 }
 
 // --- execution ---
@@ -189,9 +190,6 @@ func (c *CPU) ExitCode() uint32 { return c.exitCode }
 
 // Err returns the vCPU's fatal error, if any.
 func (c *CPU) Err() error { return c.err }
-
-// Clock returns the vCPU's virtual time.
-func (c *CPU) Clock() uint64 { return c.clock.Load() }
 
 // VStats returns a copy of the vCPU's counters.
 func (c *CPU) VStats() stats.CPU { return c.st }
@@ -327,8 +325,8 @@ func (c *CPU) run() {
 		e.checkpoint(c)
 		c.witnessStalls()
 		blocks := c.stepOnce()
-		if deadline > 0 && c.clock.Load() > deadline {
-			c.m.stop(&DeadlineError{TID: c.tid, Deadline: deadline, Clock: c.clock.Load()})
+		if deadline > 0 && c.clock > deadline {
+			c.m.stop(&DeadlineError{TID: c.tid, Deadline: deadline, Clock: c.clock})
 			break
 		}
 		if ckptEvery > 0 {
@@ -363,11 +361,16 @@ func (c *CPU) resumeBlocked() {
 
 // maybePreempt yields the host thread at randomized guest memory-op
 // intervals, modelling instruction-granular preemption of translated code.
+// It is small enough to inline into execOps' memory cases, leaving one
+// decrement and branch per op; preempt is the out-of-line rest.
 func (c *CPU) maybePreempt() {
-	c.preemptLeft--
-	if c.preemptLeft > 0 {
-		return
+	if c.preemptLeft--; c.preemptLeft <= 0 {
+		c.preempt()
 	}
+}
+
+// preempt reseeds the preemption countdown and yields the host thread.
+func (c *CPU) preempt() {
 	c.preemptLeft = c.nextGap(preemptMemOps)
 	if !c.m.cfg.StepMode {
 		c.hostYield()
@@ -436,8 +439,8 @@ func (c *CPU) Step() (bool, error) {
 	c.stepOnce()
 	e.execEnd(c)
 	if !c.halted {
-		if dl := c.m.cfg.VirtualDeadline; dl > 0 && c.clock.Load() > dl {
-			c.m.stop(&DeadlineError{TID: c.tid, Deadline: dl, Clock: c.clock.Load()})
+		if dl := c.m.cfg.VirtualDeadline; dl > 0 && c.clock > dl {
+			c.m.stop(&DeadlineError{TID: c.tid, Deadline: dl, Clock: c.clock})
 		}
 		if c.stepWd++; c.stepWd >= watchdogEvery {
 			c.stepWd = 0

@@ -622,7 +622,7 @@ func (m *Machine) newCPU(entry uint32, startClock uint64, args []uint32) (*CPU, 
 	}
 	c := newCPU(m, tid)
 	c.pc = entry
-	c.clock.Store(startClock)
+	c.clock = startClock
 	for i, a := range args {
 		if i >= 13 {
 			break
@@ -677,12 +677,25 @@ func (m *Machine) Output() []uint32 {
 
 // VirtualTime returns the machine's execution time in virtual cycles: the
 // maximum over all vCPU clocks.
+//
+// Like AggregateStats it is safe while the machine runs: each clock is a
+// plain word its vCPU goroutine owns, so the read stops the world
+// (uncharged) first. In StepMode the caller drives all execution and the
+// read is direct.
 func (m *Machine) VirtualTime() uint64 {
+	if !m.cfg.StepMode {
+		m.excl.hostStop()
+		defer m.excl.hostResume()
+	}
+	return m.virtualTimeQuiesced()
+}
+
+// virtualTimeQuiesced is VirtualTime for a caller that already holds the
+// world stopped.
+func (m *Machine) virtualTimeQuiesced() uint64 {
 	var maxClk uint64
 	for _, c := range m.CPUs() {
-		if t := c.clock.Load(); t > maxClk {
-			maxClk = t
-		}
+		maxClk = max(maxClk, c.clock)
 	}
 	return maxClk
 }
@@ -717,7 +730,7 @@ func (m *Machine) AggregateStats() stats.CPU {
 // is off). Rings are registered machine-wide rather than discovered via
 // m.cpus because restore() drops rolled-back vCPUs from cpus — the trace
 // must still describe what those vCPUs actually did.
-func (m *Machine) newTraceRing(tid uint32, clock *atomic.Uint64) *obs.Ring {
+func (m *Machine) newTraceRing(tid uint32, clock *uint64) *obs.Ring {
 	if !m.cfg.TraceEvents {
 		return nil
 	}

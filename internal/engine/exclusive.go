@@ -105,15 +105,21 @@ func (e *exclusive) checkpoint(c *CPU) {
 // execution region; on return it is the only vCPU making progress.
 func (e *exclusive) startExclusive(c *CPU) {
 	e.startExclusiveQuiet(c)
-	// The world is stopped: advance our clock past every vCPU (their
-	// clocks are stable while parked) and charge the suspension cost.
+	// The world is stopped: charge the suspension cost.
 	c.m.chargeExclusiveEntry(c)
 }
 
-// endExclusive resumes the world and re-enters the execution region.
+// endExclusive resumes the world and re-enters the execution region. It
+// re-enters before it releases the section, so the caller never parks
+// here: a section ends mid-block (an SC's store has landed, the block has
+// not exited), and a vCPU parked there would be part of the next section's
+// world. A checkpoint capture would then record the SC's store in memory
+// but the block's start pc, and the restored vCPU would run the SC twice.
+// The next requester instead waits for this vCPU at its next block
+// boundary, like any running vCPU.
 func (e *exclusive) endExclusive(c *CPU) {
+	e.running.Add(1)
 	e.hostResume()
-	e.execStart(c)
 }
 
 // startExclusiveQuiet stops the world without charging anyone: no entry
@@ -150,14 +156,4 @@ func (e *exclusive) hostResume() {
 	e.pending.Add(-1)
 	wakeSleepers(e)
 	e.exclHolder.Unlock()
-}
-
-// lift raises an atomic clock to at least v.
-func lift(a *atomic.Uint64, v uint64) {
-	for {
-		old := a.Load()
-		if v <= old || a.CompareAndSwap(old, v) {
-			return
-		}
-	}
 }

@@ -67,7 +67,7 @@ func (m *Machine) syscall(c *CPU, num uint32) {
 		c.halted = true
 		m.stop(nil)
 	case SysSpawn:
-		child, err := m.newCPU(r[0], c.clock.Load()+m.cfg.Cost.SyscallBase, []uint32{r[1]})
+		child, err := m.newCPU(r[0], c.clock+m.cfg.Cost.SyscallBase, []uint32{r[1]})
 		if err != nil {
 			r[0] = ^uint32(0)
 			return
@@ -92,7 +92,7 @@ func (m *Machine) syscall(c *CPU, num uint32) {
 	case SysMmap:
 		r[0] = m.sysMmap(r[0])
 	case SysClock:
-		r[0] = uint32(c.clock.Load())
+		r[0] = uint32(c.clock)
 	default:
 		c.fail(fmt.Errorf("engine: tid %d: unknown syscall %d at pc %#08x", c.tid, num, c.pc))
 	}
@@ -146,8 +146,15 @@ func (m *Machine) sysJoin(c *CPU, tid uint32) uint32 {
 	}
 	m.excl.execStart(c)
 	m.noteResume(c)
-	// The joiner resumes no earlier than the joinee finished.
-	c.liftClockTo(target.clock.Load(), false)
+	// The joiner resumes no earlier than the joinee finished. The joinee
+	// owns its clock until done is closed, so a joiner woken by the stop
+	// alone leaves it unread; the stopping machine's virtual time is the
+	// maximum over all clocks, which already counts the joinee's.
+	select {
+	case <-target.done:
+		c.liftClockTo(target.clock, false)
+	default:
+	}
 	return 0
 }
 
@@ -220,7 +227,7 @@ func (m *Machine) sysFutexWake(c *CPU, addr, maxWake uint32) uint32 {
 	if n > len(q.waiters) {
 		n = len(q.waiters)
 	}
-	clk := c.clock.Load()
+	clk := c.clock
 	// Waker-side unpark accounting, BEFORE delivering the wakes: a waiter
 	// with a wake in flight must never count as parked, or the deadlock
 	// detector could fire while the machine can still make progress.
@@ -274,7 +281,7 @@ func (m *Machine) sysBarrierWait(c *CPU, addr uint32) uint32 {
 		return 0
 	}
 	b.arrived++
-	if clk := c.clock.Load(); clk > b.maxClk {
+	if clk := c.clock; clk > b.maxClk {
 		b.maxClk = clk
 	}
 	if b.arrived == b.total {

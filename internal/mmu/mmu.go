@@ -10,6 +10,18 @@
 // Callers that need mprotect to be safe against in-flight accesses must
 // provide their own stop-the-world, exactly as the paper's PST does via
 // QEMU's start_exclusive.
+//
+// Guest stores have a page-level shortcut, this package's stand-in for a
+// softmmu TLB hit: a pte whose page is present, writable, already dirty and
+// outside the store watch, in a memory without a fault injector, carries
+// pteStore, and StoreWord/StoreByte on such a page go straight to the frame
+// without the permission, watch, dirty and injector checks. The bit lives
+// in the pte itself, so every pte write (Map, Unmap, Protect, Alias,
+// Remap, Restore) drops it in the same atomic store that changes the page,
+// and a store that loads the pte after that write takes the full path. The
+// slow path sets it by compare-and-swap against the pte it checked, so it
+// is never set on a pte that changed in between. SnapshotPages clears it
+// with the dirty bit, WatchStores over its span, SetInjector everywhere.
 package mmu
 
 import (
@@ -112,14 +124,17 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mmu: %s fault on %s at %#08x", f.Kind, f.Access, f.Addr)
 }
 
-// pte layout: bit 0 present, bits 1..3 perm, bit 4 dirty, bits 8.. frame
-// index. The dirty bit is set on every store resolution and consumed (and
-// cleared) by Snapshot, so incremental snapshots copy only frames written
-// since the previous one.
+// pte layout: bit 0 present, bits 1..3 perm, bit 4 dirty, bit 5 store
+// shortcut, bits 8.. frame index. The dirty bit is set on every store
+// resolution and consumed (and cleared) by Snapshot, so incremental
+// snapshots copy only frames written since the previous one. pteStore is
+// the store shortcut (package comment); it implies present, PermWrite and
+// dirty.
 const (
 	ptePresent    = 1
 	ptePermShift  = 1
 	pteDirty      = 1 << 4
+	pteStore      = 1 << 5
 	pteFrameShift = 8
 )
 
@@ -192,7 +207,9 @@ func (w *StoreWatch) RangeCount(lo, hi uint32) uint64 {
 // WatchStores installs a store watch over [lo, hi) (rounded out to page
 // boundaries) and returns it, replacing any previous watch. Install after
 // any host-side seeding of the range (WriteWordPriv resolves as a store and
-// would count).
+// would count) and before guest stores run: it withdraws the store
+// shortcut from the watched pages, and a store racing the install could
+// set it again.
 func (m *Memory) WatchStores(lo, hi uint32) *StoreWatch {
 	lo &^= uint32(PageMask)
 	hi = (hi + PageSize - 1) &^ uint32(PageMask)
@@ -200,15 +217,34 @@ func (m *Memory) WatchStores(lo, hi uint32) *StoreWatch {
 		hi = lo + PageSize
 	}
 	w := &StoreWatch{lo: lo, hi: hi, pages: make([]atomic.Uint64, (hi-lo)>>PageShift)}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.watch.Store(w)
+	for a := uint64(lo); a < uint64(hi); a += PageSize {
+		if l := m.dir[a>>22].Load(); l != nil {
+			l.ptes[a>>PageShift&0x3ff].And(^uint64(pteStore))
+		}
+	}
 	return w
 }
 
 // SetInjector installs a fault injector (nil to disable). Call before the
 // memory is shared; the field is read without synchronization afterwards.
 // The MMU has no vCPU identity, so injection rules for its sites must use
-// TID 0 (any vCPU) and select by address instead.
-func (m *Memory) SetInjector(inj *faultinject.Injector) { m.inj = inj }
+// TID 0 (any vCPU) and select by address instead. Every store shortcut is
+// withdrawn, so the next store on each page consults the injector.
+func (m *Memory) SetInjector(inj *faultinject.Injector) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.inj = inj
+	for di := range m.dir {
+		if l := m.dir[di].Load(); l != nil {
+			for pi := range l.ptes {
+				l.ptes[pi].And(^uint64(pteStore))
+			}
+		}
+	}
+}
 
 // New creates an address space backed by at most maxBytes of physical
 // memory (rounded up to whole pages).
@@ -425,28 +461,54 @@ func (m *Memory) resolve(addr uint32, need Perm, access AccessKind) (*[PageWords
 	if addr&3 != 0 {
 		return nil, 0, &Fault{Addr: addr, Kind: FaultAlign, Access: access}
 	}
-	p := m.pte(addr)
+	l := m.dir[addr>>22].Load()
+	var p uint64
+	if l != nil {
+		p = l.ptes[addr>>PageShift&0x3ff].Load()
+	}
 	if p&ptePresent == 0 {
 		return nil, 0, &Fault{Addr: addr, Kind: FaultUnmapped, Access: access}
 	}
 	if ptePerm(p)&need != need {
 		return nil, 0, &Fault{Addr: addr, Kind: FaultProtected, Access: access}
 	}
-	if access == AccessStore {
+	if access == AccessStore && p&pteStore == 0 {
+		watched := false
 		if w := m.watch.Load(); w != nil && addr >= w.lo && addr < w.hi {
+			watched = true
 			w.total.Add(1)
 			w.pages[(addr-w.lo)>>PageShift].Add(1)
 		}
-		if p&pteDirty == 0 {
+		pte := &l.ptes[addr>>PageShift&0x3ff]
+		switch {
+		case !watched && m.inj == nil && ptePerm(p)&PermWrite != 0:
+			// Publish the shortcut, and mark dirty, against the pte just
+			// checked. A failed swap means the pte changed: a structural
+			// change (which sets dirty itself) or a racing swap (which set
+			// dirty too), and the shortcut stays off a pte nobody checked.
+			pte.CompareAndSwap(p, p|pteDirty|pteStore)
+		case p&pteDirty == 0:
 			// Lock-free dirty marking: the Or races only with identical Ors
 			// and with structural changes, which rewrite the pte wholesale
 			// (and themselves set dirty), so no update is lost.
-			if l := m.dir[addr>>22].Load(); l != nil {
-				l.ptes[addr>>PageShift&0x3ff].Or(pteDirty)
-			}
+			pte.Or(pteDirty)
 		}
 	}
 	return m.frames[pteFrame(p)], addr & PageMask / 4, nil
+}
+
+// storeShortcut returns the frame of the page containing addr when its pte
+// carries the store shortcut, nil otherwise.
+func (m *Memory) storeShortcut(addr uint32) *[PageWords]uint32 {
+	l := m.dir[addr>>22].Load()
+	if l == nil {
+		return nil
+	}
+	p := l.ptes[addr>>PageShift&0x3ff].Load()
+	if p&pteStore == 0 {
+		return nil
+	}
+	return m.frames[pteFrame(p)]
 }
 
 // LoadWord performs a guest word load with permission checking. All word
@@ -464,6 +526,12 @@ func (m *Memory) LoadWord(addr uint32) (uint32, *Fault) {
 
 // StoreWord performs a guest word store with permission checking.
 func (m *Memory) StoreWord(addr, val uint32) *Fault {
+	if addr&3 == 0 {
+		if fr := m.storeShortcut(addr); fr != nil {
+			atomic.StoreUint32(&fr[addr&PageMask/4], val)
+			return nil
+		}
+	}
 	if m.inj.Check(faultinject.OpMemStore, 0, addr) == faultinject.ActFault {
 		return &Fault{Addr: addr, Kind: FaultProtected, Access: AccessStore}
 	}
@@ -500,10 +568,13 @@ func (m *Memory) LoadByte(addr uint32) (uint8, *Fault) {
 // a CAS loop so concurrent byte stores to different lanes do not lose
 // updates, but no cross-word atomicity is implied (a regular store, not SC).
 func (m *Memory) StoreByte(addr uint32, val uint8) *Fault {
-	fr, wi, f := m.resolve(addr&^3, PermWrite, AccessStore)
-	if f != nil {
-		f.Addr = addr
-		return f
+	fr, wi := m.storeShortcut(addr), addr&PageMask/4
+	if fr == nil {
+		var f *Fault
+		if fr, wi, f = m.resolve(addr&^3, PermWrite, AccessStore); f != nil {
+			f.Addr = addr
+			return f
+		}
 	}
 	shift := 8 * (addr & 3)
 	for {
@@ -629,7 +700,10 @@ func (m *Memory) SnapshotPages(prev *Snapshot) *Snapshot {
 			s.Pages = append(s.Pages, PageSnap{Base: base, Perm: ptePerm(p), Frame: f})
 			if p&pteDirty != 0 {
 				dirtyFrames[f] = true
-				l.ptes[pi].And(^uint64(pteDirty))
+				// The shortcut goes with the dirty bit: a store through it
+				// would not set dirty again, and the next incremental
+				// snapshot would share a stale copy of this frame.
+				l.ptes[pi].And(^uint64(pteDirty | pteStore))
 			} else if _, seen := dirtyFrames[f]; !seen {
 				dirtyFrames[f] = false
 			}

@@ -114,14 +114,15 @@ type Ring struct {
 	buf   []Event
 	mask  uint64
 	tid   uint32
-	clock *atomic.Uint64 // the owning vCPU's virtual clock; nil for host rings
-	head  atomic.Uint64  // total events ever emitted
+	clock *uint64       // the owning vCPU's virtual clock; nil for host rings
+	head  atomic.Uint64 // total events ever emitted
 }
 
 // NewRing makes a ring of 2^bits events owned by vCPU tid. clock, when
 // non-nil, supplies virtual timestamps for Emit; host-side rings pass
-// nil and use EmitAt instead.
-func NewRing(tid uint32, bits uint, clock *atomic.Uint64) *Ring {
+// nil and use EmitAt instead. The clock is a plain word its vCPU alone
+// writes, and Emit runs on that vCPU, so the read needs no synchronization.
+func NewRing(tid uint32, bits uint, clock *uint64) *Ring {
 	if bits < 4 {
 		bits = 4
 	}
@@ -140,7 +141,7 @@ func (r *Ring) Emit(k Kind, addr uint32, arg uint64) {
 	}
 	var vt uint64
 	if r.clock != nil {
-		vt = r.clock.Load()
+		vt = *r.clock
 	}
 	r.emit(Event{VT: vt, Arg: arg, Addr: addr, TID: r.tid, Kind: k})
 }

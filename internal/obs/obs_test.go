@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
 func TestRingOrderAndWrap(t *testing.T) {
-	var clock atomic.Uint64
+	var clock uint64
 	r := NewRing(3, 4, &clock) // 16 slots
 	for i := 0; i < 40; i++ {
-		clock.Store(uint64(100 + i))
+		clock = uint64(100 + i)
 		r.Emit(EvLL, uint32(i), 0)
 	}
 	if got := r.Len(); got != 16 {
