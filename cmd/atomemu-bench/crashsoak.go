@@ -16,7 +16,6 @@ package main
 //     skipped no corrupt records.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -33,6 +32,7 @@ import (
 
 	"atomemu/internal/engine"
 	"atomemu/internal/gac"
+	"atomemu/internal/obs"
 	"atomemu/internal/server"
 )
 
@@ -380,31 +380,18 @@ func countDone(client *http.Client, base string, idByKey map[string]string) int 
 	return done
 }
 
-// scrapeMetrics parses the Prometheus exposition into name→value, ignoring
-// labeled series (crashsoak only reads the unlabeled durability counters).
+// scrapeMetrics reads a daemon's /metrics as series → value.
 func scrapeMetrics(client *http.Client, base string) (map[string]float64, error) {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	out := map[string]float64{}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			continue
-		}
-		if v, err := strconv.ParseFloat(line[sp+1:], 64); err == nil {
-			out[line[:sp]] = v
-		}
+	exp, err := obs.ParseExposition(resp.Body)
+	if err != nil {
+		return nil, err
 	}
-	return out, sc.Err()
+	return exp.Values(), nil
 }
 
 func equalOutputs(a, b []uint32) bool {
@@ -447,17 +434,22 @@ func runCrashsoakServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	return serveOnAddrFile(s.Handler(), *addrFile)
+}
+
+// serveOnAddrFile serves h on an ephemeral loopback port whose address it
+// publishes to path, the file awaitAddrFile reads.
+func serveOnAddrFile(h http.Handler, path string) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
 	// Publish atomically so the parent never reads a half-written address.
-	tmp := *addrFile + ".tmp"
-	if err := os.WriteFile(tmp, []byte(ln.Addr().String()), 0o644); err != nil {
+	if err := os.WriteFile(path+".tmp", []byte(ln.Addr().String()), 0o644); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, *addrFile); err != nil {
+	if err := os.Rename(path+".tmp", path); err != nil {
 		return err
 	}
-	return http.Serve(ln, s.Handler())
+	return http.Serve(ln, h)
 }

@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -30,6 +29,7 @@ import (
 	"strconv"
 	"time"
 
+	"atomemu/internal/obs"
 	"atomemu/internal/router"
 	"atomemu/internal/server"
 )
@@ -284,34 +284,13 @@ func awaitFabricTerminal(r *router.Router, id string, timeout time.Duration) (ro
 	return v, fmt.Errorf("not terminal after %s (state=%s worker=%s)", timeout, v.State, v.Worker)
 }
 
-// routerMetrics scrapes the in-process router's Prometheus exposition the
-// same way crashsoak scrapes a daemon's, reusing its unlabeled parser.
+// routerMetrics reads the in-process router's exposition as series →
+// value. An unreadable one reads as empty, which the audit then reports.
 func routerMetrics(r *router.Router) map[string]float64 {
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		return map[string]float64{}
-	}
-	out := map[string]float64{}
-	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-		s := string(line)
-		if s == "" || s[0] == '#' || bytes.ContainsRune(line, '{') {
-			continue
-		}
-		sp := -1
-		for i := len(s) - 1; i >= 0; i-- {
-			if s[i] == ' ' {
-				sp = i
-				break
-			}
-		}
-		if sp <= 0 {
-			continue
-		}
-		if v, err := strconv.ParseFloat(s[sp+1:], 64); err == nil {
-			out[s[:sp]] = v
-		}
-	}
-	return out
+	r.WritePrometheus(&buf) // a buffer write cannot fail
+	exp, _ := obs.ParseExposition(&buf)
+	return exp.Values()
 }
 
 // --- child mode ---
@@ -339,17 +318,5 @@ func runFabricServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	// Publish atomically so the parent never reads a half-written address.
-	tmp := *addrFile + ".tmp"
-	if err := os.WriteFile(tmp, []byte(ln.Addr().String()), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, *addrFile); err != nil {
-		return err
-	}
-	return http.Serve(ln, s.Handler())
+	return serveOnAddrFile(s.Handler(), *addrFile)
 }

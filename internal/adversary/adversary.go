@@ -46,41 +46,6 @@ const (
 	ModeFree Mode = "free"
 )
 
-// FaultRule is the JSON-encodable mirror of faultinject.Rule, keyed by
-// the op/action names faultinject.ParseOp and ParseAction accept.
-type FaultRule struct {
-	Op     string `json:"op"`
-	Action string `json:"action"`
-	TID    uint32 `json:"tid,omitempty"`
-	Addr   uint32 `json:"addr,omitempty"`
-	After  uint64 `json:"after,omitempty"`
-	Count  uint64 `json:"count,omitempty"`
-}
-
-// Rule resolves and validates the underlying faultinject rule.
-func (r FaultRule) Rule() (faultinject.Rule, error) {
-	op, err := faultinject.ParseOp(r.Op)
-	if err != nil {
-		return faultinject.Rule{}, err
-	}
-	act, err := faultinject.ParseAction(r.Action)
-	if err != nil {
-		return faultinject.Rule{}, err
-	}
-	rule := faultinject.Rule{Op: op, Action: act, TID: r.TID, Addr: r.Addr, After: r.After, Count: r.Count}
-	if err := rule.Validate(); err != nil {
-		return faultinject.Rule{}, err
-	}
-	return rule, nil
-}
-
-func (r FaultRule) String() string {
-	if rule, err := r.Rule(); err == nil {
-		return rule.String()
-	}
-	return r.Op + ":" + r.Action + "(invalid)"
-}
-
 // Scenario fully describes one adversary run. Two runs of the same
 // step-mode scenario produce identical traces.
 type Scenario struct {
@@ -110,14 +75,14 @@ type Scenario struct {
 	Tiered      bool `json:"tiered,omitempty"`
 
 	// Faults is the injected fault schedule.
-	Faults []FaultRule `json:"faults,omitempty"`
+	Faults []faultinject.Spec `json:"faults,omitempty"`
 }
 
 // Scenario defaults. maxWorkloadThreads mirrors workload.MaxThreads: the
 // targets carry per-thread result slots for at most that many vCPUs.
 const (
-	defaultQuantumMax = 8
-	defaultMaxSteps   = 400_000
+	defaultQuantumMax  = 8
+	defaultMaxSteps    = 400_000
 	maxWorkloadThreads = workload.MaxThreads
 )
 
@@ -256,13 +221,9 @@ func RunScenario(s Scenario) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adversary: building %s: %w", s.Target, err)
 	}
-	rules := make([]faultinject.Rule, 0, len(s.Faults))
-	for i, f := range s.Faults {
-		r, err := f.Rule()
-		if err != nil {
-			return nil, fmt.Errorf("adversary: fault[%d]: %w", i, err)
-		}
-		rules = append(rules, r)
+	inj, err := faultinject.FromSpecs(s.Faults)
+	if err != nil {
+		return nil, fmt.Errorf("adversary: %w", err)
 	}
 
 	cfg := engine.DefaultConfig(s.Scheme)
@@ -281,9 +242,7 @@ func RunScenario(s Scenario) (*Outcome, error) {
 	if s.HashSpinBudget > 0 {
 		cfg.HashSpinBudget = s.HashSpinBudget
 	}
-	if len(rules) > 0 {
-		cfg.FaultInjector = faultinject.New(rules...)
-	}
+	cfg.FaultInjector = inj
 	var st *stepper
 	switch s.Mode {
 	case ModeStep:

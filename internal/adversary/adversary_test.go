@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"atomemu/internal/faultinject"
 )
 
 // livelockScenario is the known strict-paper HTM pathology (fig. 11):
@@ -138,7 +140,7 @@ func TestFaultInjectionOutcomes(t *testing.T) {
 		t.Parallel()
 		s := Scenario{
 			Target: "stack", Scheme: "hst", Threads: 4, Ops: 64, Seed: 9, MaxSteps: 2_000_000,
-			Faults: []FaultRule{{Op: "mem-load", Action: "fault", After: 500, Count: 1}},
+			Faults: []faultinject.Spec{{Op: "mem-load", Action: "fault", After: 500, Count: 1}},
 		}
 		o, err := RunScenario(s)
 		if err != nil {
@@ -163,7 +165,7 @@ func TestFaultInjectionOutcomes(t *testing.T) {
 		s := Scenario{
 			Target: "seqlock", Scheme: "hst-weak", Threads: 4, Ops: 200, Seed: 4,
 			MaxSteps: 4_000_000, WatchdogSCFails: 2048, HashSpinBudget: 2048,
-			Faults: []FaultRule{{Op: "hash-unlock", Action: "stick-lock", After: 30, Count: 1}},
+			Faults: []faultinject.Spec{{Op: "hash-unlock", Action: "stick-lock", After: 30, Count: 1}},
 		}
 		o, err := RunScenario(s)
 		if err != nil {
@@ -181,8 +183,8 @@ func TestFaultInjectionOutcomes(t *testing.T) {
 func TestRunScenarioRejectsBadInput(t *testing.T) {
 	cases := []Scenario{
 		{Target: "nope", Scheme: "hst"},
-		{Target: "stack", Scheme: "hst", Faults: []FaultRule{{Op: "txn-begin", Action: "fault"}}},
-		{Target: "stack", Scheme: "hst", Faults: []FaultRule{{Op: "mem-load", Action: "fault", TID: 2}}},
+		{Target: "stack", Scheme: "hst", Faults: []faultinject.Spec{{Op: "txn-begin", Action: "fault"}}},
+		{Target: "stack", Scheme: "hst", Faults: []faultinject.Spec{{Op: "mem-load", Action: "fault", TID: 2}}},
 		{Target: "stack", Scheme: "hst", Mode: "warp"},
 	}
 	for _, s := range cases {
@@ -217,7 +219,7 @@ func TestMinimizeShrinksLivelock(t *testing.T) {
 	noisy.Ops = 512
 	noisy.HashBits = 10
 	noisy.WatchdogSCFails = 8192
-	noisy.Faults = []FaultRule{{Op: "mem-store", Action: "fault", After: 1 << 40}} // never fires
+	noisy.Faults = []faultinject.Spec{{Op: "mem-store", Action: "fault", After: 1 << 40}} // never fires
 	want, err := RunScenario(noisy)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"atomemu/internal/faultinject"
 	"atomemu/internal/workload"
 )
 
@@ -52,7 +53,7 @@ func Minimize(s Scenario, want *Outcome, budget int) (Scenario, *Outcome) {
 		// injection is irrelevant to the failure, goes away).
 		for i := 0; i < len(best.Faults); {
 			c := best
-			c.Faults = append(append([]FaultRule(nil), best.Faults[:i]...), best.Faults[i+1:]...)
+			c.Faults = append(append([]faultinject.Spec(nil), best.Faults[:i]...), best.Faults[i+1:]...)
 			if try(c) {
 				changed = true
 			} else {
@@ -104,7 +105,7 @@ func Minimize(s Scenario, want *Outcome, budget int) (Scenario, *Outcome) {
 				continue
 			}
 			c := best
-			c.Faults = append([]FaultRule(nil), best.Faults...)
+			c.Faults = append([]faultinject.Spec(nil), best.Faults...)
 			k.apply(&c)
 			if try(c) {
 				changed = true

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"atomemu/internal/faultinject"
 )
 
 // ReproVersion is bumped whenever the repro format or the trace-hash
@@ -104,10 +106,8 @@ func LoadRepro(path string) (*Repro, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("adversary: %s: %w", path, err)
 	}
-	for i, f := range r.Scenario.Faults {
-		if _, err := f.Rule(); err != nil {
-			return nil, fmt.Errorf("adversary: %s: fault[%d]: %w", path, i, err)
-		}
+	if _, err := faultinject.FromSpecs(r.Scenario.Faults); err != nil {
+		return nil, fmt.Errorf("adversary: %s: %w", path, err)
 	}
 	if _, err := ParseClass(r.Expect.Class); err != nil {
 		return nil, fmt.Errorf("adversary: %s: %w", path, err)

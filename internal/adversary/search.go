@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"atomemu/internal/core"
+	"atomemu/internal/faultinject"
 	"atomemu/internal/workload"
 )
 
@@ -201,7 +202,7 @@ func seedCorpus(opts Options) []Scenario {
 			scheme  string
 			threads int
 			strict  bool
-			faults  []FaultRule
+			faults  []faultinject.Spec
 			wd      int64
 		}{
 			{strong, 4, false, nil, 0},
@@ -209,9 +210,9 @@ func seedCorpus(opts Options) []Scenario {
 			{pickScheme("hst-weak", strong), 6, false, nil, 0},
 			// Only hst-weak locks hash entries around SC, so the stuck-lock
 			// site lives there.
-			{pickScheme("hst-weak", strong), 4, false, []FaultRule{{Op: "hash-unlock", Action: "stick-lock", After: 40, Count: 1}}, 4096},
-			{pickScheme("hst-htm", "pico-htm", strong), 4, false, []FaultRule{{Op: "txn-commit", Action: "abort", Count: 50}}, 0},
-			{strong, 4, false, []FaultRule{{Op: "mem-load", Action: "fault", After: 5000, Count: 1}}, 0},
+			{pickScheme("hst-weak", strong), 4, false, []faultinject.Spec{{Op: "hash-unlock", Action: "stick-lock", After: 40, Count: 1}}, 4096},
+			{pickScheme("hst-htm", "pico-htm", strong), 4, false, []faultinject.Spec{{Op: "txn-commit", Action: "abort", Count: 50}}, 0},
+			{strong, 4, false, []faultinject.Spec{{Op: "mem-load", Action: "fault", After: 5000, Count: 1}}, 0},
 		} {
 			s := base
 			s.Target, s.Scheme, s.Threads, s.StrictPaper = tgt, v.scheme, v.threads, v.strict
@@ -227,21 +228,11 @@ func seedCorpus(opts Options) []Scenario {
 }
 
 var threadChoices = []int{1, 2, 3, 4, 6, 8, 12, 16}
-var faultOps = []string{"txn-begin", "txn-commit", "hash-unlock", "mem-load", "mem-store"}
-
-// faultActions mirrors faultinject's op/action compatibility matrix.
-var faultActions = map[string][]string{
-	"txn-begin":   {"abort"},
-	"txn-commit":  {"abort", "poison"},
-	"hash-unlock": {"stick-lock"},
-	"mem-load":    {"fault"},
-	"mem-store":   {"fault"},
-}
 
 // mutate derives a new scenario from a base with 1–2 random edits.
 func mutate(rng *rand.Rand, s Scenario, opts Options) Scenario {
 	s = s.withDefaults()
-	s.Faults = append([]FaultRule(nil), s.Faults...)
+	s.Faults = append([]faultinject.Spec(nil), s.Faults...)
 	edits := 1 + rng.Intn(2)
 	for e := 0; e < edits; e++ {
 		switch rng.Intn(12) {
@@ -278,15 +269,15 @@ func mutate(rng *rand.Rand, s Scenario, opts Options) Scenario {
 			s.QuantumMax = []int{1, 2, 4, 8, 16}[rng.Intn(5)]
 		case 9: // add a fault rule
 			if len(s.Faults) < 3 {
-				op := faultOps[rng.Intn(len(faultOps))]
-				acts := faultActions[op]
-				f := FaultRule{
-					Op:     op,
-					Action: acts[rng.Intn(len(acts))],
+				op := faultinject.Ops[rng.Intn(len(faultinject.Ops))]
+				acts := faultinject.ActionsFor(op)
+				f := faultinject.Spec{
+					Op:     op.String(),
+					Action: acts[rng.Intn(len(acts))].String(),
 					After:  uint64(rng.Intn(2000)),
 					Count:  uint64(1 + rng.Intn(100)),
 				}
-				if !strings.HasPrefix(op, "mem-") && rng.Intn(2) == 0 {
+				if op != faultinject.OpMemLoad && op != faultinject.OpMemStore && rng.Intn(2) == 0 {
 					f.TID = uint32(1 + rng.Intn(s.Threads))
 				}
 				s.Faults = append(s.Faults, f)

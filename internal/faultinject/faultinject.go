@@ -59,11 +59,14 @@ func (o Op) String() string {
 	return "unknown"
 }
 
+// Ops lists every operation site, in Op order.
+var Ops = []Op{OpTxnBegin, OpTxnCommit, OpHashUnlock, OpMemLoad, OpMemStore}
+
 // ParseOp resolves an operation-site name (the Op.String form) back to
 // its Op. It is the single source of truth for external rule encodings
 // (the job service's JSON fault rules, the adversary's repro files).
 func ParseOp(s string) (Op, error) {
-	for _, o := range []Op{OpTxnBegin, OpTxnCommit, OpHashUnlock, OpMemLoad, OpMemStore} {
+	for _, o := range Ops {
 		if o.String() == s {
 			return o, nil
 		}
@@ -134,11 +137,11 @@ type Rule struct {
 	Count uint64
 }
 
-// actionsFor is the op/action compatibility matrix: which injections an
+// ActionsFor is the op/action compatibility matrix: which injections an
 // instrumented site actually honours. An incompatible pair parses but
 // can never fire usefully — Validate turns that silent no-op into an
 // upfront error.
-func actionsFor(op Op) []Action {
+func ActionsFor(op Op) []Action {
 	switch op {
 	case OpTxnBegin:
 		return []Action{ActAbort}
@@ -157,7 +160,7 @@ func actionsFor(op Op) []Action {
 // such a rule would never match).
 func (r Rule) Validate() error {
 	ok := false
-	for _, a := range actionsFor(r.Op) {
+	for _, a := range ActionsFor(r.Op) {
 		if a == r.Action {
 			ok = true
 			break
@@ -188,6 +191,69 @@ func (r Rule) String() string {
 		s += fmt.Sprintf(":x%d", r.Count)
 	}
 	return s
+}
+
+// Spec is the JSON wire form of a Rule, keyed by the Op and Action names:
+// a job request's "fault" list and an adversary scenario's "faults",
+// including the committed repro files.
+type Spec struct {
+	Op     string `json:"op"`     // txn-begin txn-commit hash-unlock mem-load mem-store
+	Action string `json:"action"` // abort poison stick-lock fault
+	TID    uint32 `json:"tid,omitempty"`
+	Addr   uint32 `json:"addr,omitempty"`
+	After  uint64 `json:"after,omitempty"`
+	Count  uint64 `json:"count,omitempty"`
+}
+
+// Rule resolves the spec through ParseOp, ParseAction and Validate, so a
+// spec is refused exactly when the injector would ignore it. field names
+// the offending JSON field ("op", "action", "tid"), or is empty when the
+// error is about the rule as a whole.
+func (s Spec) Rule() (r Rule, field string, err error) {
+	op, err := ParseOp(s.Op)
+	if err != nil {
+		return Rule{}, "op", err
+	}
+	act, err := ParseAction(s.Action)
+	if err != nil {
+		return Rule{}, "action", err
+	}
+	r = Rule{Op: op, Action: act, TID: s.TID, Addr: s.Addr, After: s.After, Count: s.Count}
+	if err := r.Validate(); err != nil {
+		if (op == OpMemLoad || op == OpMemStore) && s.TID != 0 {
+			field = "tid"
+		}
+		return Rule{}, field, err
+	}
+	return r, "", nil
+}
+
+// String renders the resolved rule, or op:action(invalid).
+func (s Spec) String() string {
+	if r, _, err := s.Rule(); err == nil {
+		return r.String()
+	}
+	return s.Op + ":" + s.Action + "(invalid)"
+}
+
+// FromSpecs builds an injector from wire specs, nil when there are none.
+// An error names the spec and field at fault: fault[2].action: ….
+func FromSpecs(specs []Spec) (*Injector, error) {
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	rules := make([]Rule, len(specs))
+	for i, s := range specs {
+		r, field, err := s.Rule()
+		switch {
+		case err != nil && field != "":
+			return nil, fmt.Errorf("fault[%d].%s: %w", i, field, err)
+		case err != nil:
+			return nil, fmt.Errorf("fault[%d]: %w", i, err)
+		}
+		rules[i] = r
+	}
+	return New(rules...), nil
 }
 
 type ruleState struct {

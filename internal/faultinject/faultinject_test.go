@@ -1,6 +1,8 @@
 package faultinject
 
 import (
+	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -117,6 +119,44 @@ func TestOpString(t *testing.T) {
 	} {
 		if got := op.String(); got != want {
 			t.Errorf("Op(%d).String() = %q, want %q", op, got, want)
+		}
+	}
+}
+
+// TestSpecWireForm: the JSON form job requests and adversary repros share
+// decodes by its tags, resolves to the Rule it names, and reports the
+// offending spec and field.
+func TestSpecWireForm(t *testing.T) {
+	var specs []Spec
+	if err := json.Unmarshal([]byte(`[{"op":"txn-commit","action":"poison","tid":2,"addr":64,"after":3,"count":1}]`), &specs); err != nil {
+		t.Fatal(err)
+	}
+	r, field, err := specs[0].Rule()
+	want := Rule{Op: OpTxnCommit, Action: ActPoison, TID: 2, Addr: 64, After: 3, Count: 1}
+	if err != nil || field != "" || r != want {
+		t.Fatalf("Rule() = %+v, %q, %v; want %+v", r, field, err, want)
+	}
+	if got := specs[0].String(); got != want.String() {
+		t.Errorf("String() = %q, want %q", got, want.String())
+	}
+	if in, err := FromSpecs(nil); in != nil || err != nil {
+		t.Errorf("FromSpecs(nil) = %v, %v; want no injector", in, err)
+	}
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Op: "txn-retire", Action: "abort"}, "fault[1].op: "},
+		{Spec{Op: "txn-commit", Action: "none"}, "fault[1].action: "},
+		{Spec{Op: "mem-load", Action: "fault", TID: 3}, "fault[1].tid: "},
+		{Spec{Op: "hash-unlock", Action: "abort"}, "fault[1]: "},
+	} {
+		_, err := FromSpecs([]Spec{{Op: "txn-begin", Action: "abort"}, tc.spec})
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want prefix %q", tc.spec, err, tc.want)
+		}
+		if got := tc.spec.String(); got != tc.spec.Op+":"+tc.spec.Action+"(invalid)" {
+			t.Errorf("%+v: String() = %q", tc.spec, got)
 		}
 	}
 }

@@ -79,10 +79,8 @@ func RunWorkload(cfg RunConfig) (*RunResult, error) {
 		m.InitBarrier(prog.BarrierCell, cfg.Threads)
 	}
 	start := time.Now()
-	for i := 0; i < cfg.Threads; i++ {
-		if _, err := m.SpawnThread(prog.Worker, uint32(items)); err != nil {
-			return nil, err
-		}
+	if err := spawnWorkers(m, cfg.Threads, prog.Worker, uint32(items)); err != nil {
+		return nil, err
 	}
 	runErr := m.Run()
 	res := &RunResult{
@@ -106,6 +104,21 @@ func RunWorkload(cfg RunConfig) (*RunResult, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// spawnWorkers starts n vCPUs at entry with arg. The first ones already
+// run, so a scheme failure (Fig. 11's livelock) can stop the machine
+// before the last spawn: that is the run's result, which Run reports.
+func spawnWorkers(m *engine.Machine, n int, entry, arg uint32) error {
+	for i := 0; i < n; i++ {
+		if _, err := m.SpawnThread(entry, arg); err != nil {
+			if isSchemeCrash(err) {
+				return nil
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // isSchemeCrash reports whether err is a scheme-level failure (livelock
@@ -172,10 +185,8 @@ func runStack(cfg engine.Config, threads int, totalOps uint64, nodes uint32) (*S
 	if per == 0 {
 		per = 1
 	}
-	for i := 0; i < threads; i++ {
-		if _, err := m.SpawnThread(sb.Worker, uint32(per)); err != nil {
-			return nil, err
-		}
+	if err := spawnWorkers(m, threads, sb.Worker, uint32(per)); err != nil {
+		return nil, err
 	}
 	runErr := m.Run()
 	out := &StackRun{

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"atomemu/internal/faultinject"
 	"atomemu/internal/server"
 )
 
@@ -257,7 +258,7 @@ func soakJob(rng *rand.Rand) server.JobRequest {
 			Threads: 2,
 			Arg:     uint32(1500 + rng.Intn(1000)),
 			Config:  server.JobConfig{CheckpointEvery: 20_000, RecoveryAttempts: 4},
-			Fault: []server.FaultRule{{
+			Fault: []faultinject.Spec{{
 				Op: "mem-store", Action: "fault",
 				After: uint64(3000 + rng.Intn(4000)), Count: 1,
 			}},

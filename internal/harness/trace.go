@@ -54,10 +54,8 @@ func RunTrace(threads int, totalOps uint64, nodes uint32, progress Progress) (*T
 	if per == 0 {
 		per = 1
 	}
-	for i := 0; i < threads; i++ {
-		if _, err := m.SpawnThread(sb.Worker, uint32(per)); err != nil {
-			return nil, err
-		}
+	if err := spawnWorkers(m, threads, sb.Worker, uint32(per)); err != nil {
+		return nil, err
 	}
 	if err := m.Run(); err != nil {
 		return nil, fmt.Errorf("harness: traced stack run under %s: %w", scheme, err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -98,19 +97,19 @@ func TestProbeStatzParsesWarmth(t *testing.T) {
 	defer stub.Close()
 	r := newTestRouter(t, fastOptions(stub.URL))
 	sz := r.probeStatz(stub.URL)
-	if sz.accepted != 7 || sz.completed != 5 || sz.shed != 1 {
-		t.Errorf("counters = %+v", sz)
+	if m := sz.Metrics; m.Accepted != 7 || m.Completed != 5 || m.Shed != 1 {
+		t.Errorf("counters = %+v", m)
 	}
-	if sz.warmth != 100 {
-		t.Errorf("warmth = %d, want tbstore_blocks (100) alone", sz.warmth)
+	if sz.Warmth.TBStoreBlocks != 100 {
+		t.Errorf("warmth = %d, want tbstore_blocks (100) alone", sz.Warmth.TBStoreBlocks)
 	}
 
 	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{"metrics": map[string]uint64{"accepted": 1}})
 	}))
 	defer old.Close()
-	if sz := r.probeStatz(old.URL); sz.warmth != 0 {
-		t.Errorf("hint-less worker should score 0 warmth, got %d", sz.warmth)
+	if sz := r.probeStatz(old.URL); sz.Warmth.TBStoreBlocks != 0 {
+		t.Errorf("hint-less worker should score 0 warmth, got %d", sz.Warmth.TBStoreBlocks)
 	}
 }
 
@@ -140,12 +139,8 @@ func TestProbePublishesWarmthGauge(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	cold := fmt.Sprintf("atomemu_router_worker_warmth{worker=%q} 0\n", w.url())
-	if out := b.String(); !strings.Contains(out, "atomemu_router_worker_warmth{worker=") || strings.Contains(out, cold) {
-		t.Fatalf("/metrics does not carry the worker's warmth:\n%s", out)
+	series := fmt.Sprintf("atomemu_router_worker_warmth{worker=%q}", w.url())
+	if v := scrape(t, r.WritePrometheus).Values()[series]; v == 0 {
+		t.Fatalf("/metrics does not carry the worker's warmth: %s = %v", series, v)
 	}
 }

@@ -1,13 +1,12 @@
 package router
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
+	"atomemu/internal/obs"
 	"atomemu/internal/server"
 )
 
@@ -63,6 +62,7 @@ type TenantView struct {
 	ShedRoute uint64 `json:"shed_route"`
 	Completed uint64 `json:"completed"`
 	Failed    uint64 `json:"failed"`
+	waitHist  obs.HistSnapshot
 }
 
 // Tenants returns every tenant's view, sorted by name.
@@ -75,7 +75,7 @@ func (r *Router) Tenants() []TenantView {
 			Name: t.name, Weight: t.weight, Quota: t.quota,
 			Live: t.live, Queued: len(t.queue), Inflight: t.inflight,
 			Admitted: t.admitted, ShedQuota: t.shedQuota, ShedRoute: t.shedDispatch,
-			Completed: t.completed, Failed: t.failed,
+			Completed: t.completed, Failed: t.failed, waitHist: t.waitHist.Snapshot(),
 		})
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Name < out[k].Name })
@@ -84,18 +84,6 @@ func (r *Router) Tenants() []TenantView {
 
 // ringSize reports live ring membership.
 func (r *Router) ringSize() int { return r.ring.size() }
-
-func (r *Router) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		r.opts.Logger.Printf("router: encoding response: %v", err)
-	}
-}
-
-func (r *Router) httpError(w http.ResponseWriter, code int, msg string) {
-	r.writeJSON(w, code, map[string]string{"error": msg})
-}
 
 // Handler returns the router's HTTP API:
 //
@@ -110,84 +98,50 @@ func (r *Router) httpError(w http.ResponseWriter, code int, msg string) {
 //	GET  /readyz        routability → 200 | 503 draining or no live workers
 //	GET  /statz         tenants + workers + journal stats
 //	GET  /metrics       Prometheus text exposition
+//
+// Read-only endpoints return 405 with Allow: GET for any method but GET.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/jobs", func(w http.ResponseWriter, req *http.Request) {
-		switch req.Method {
-		case http.MethodPost:
-			var jr server.JobRequest
-			if err := json.NewDecoder(req.Body).Decode(&jr); err != nil {
-				r.httpError(w, http.StatusBadRequest, "bad json: "+err.Error())
-				return
-			}
-			id, err := r.Submit(jr)
-			if err != nil {
-				se, ok := err.(*server.SubmitError)
-				if !ok {
-					se = &server.SubmitError{Status: http.StatusInternalServerError, Msg: err.Error()}
-				}
-				if se.RetryAfter > 0 {
-					w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfter))
-				}
-				r.httpError(w, se.Status, se.Msg)
-				return
-			}
-			state := string(jobQueued)
-			if v, ok := r.Status(id); ok {
-				state = string(v.State)
-			}
-			r.writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "state": state})
-		case http.MethodGet:
-			r.writeJSON(w, http.StatusOK, r.Jobs())
-		default:
-			r.httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
+	mux.HandleFunc("/jobs", r.reply.Jobs(r.Submit, func(id string) string {
+		if v, ok := r.Status(id); ok {
+			return string(v.State)
 		}
-	})
-	mux.HandleFunc("/jobs/", r.getOnly(func(w http.ResponseWriter, req *http.Request) {
+		return string(jobQueued)
+	}, func() any { return r.Jobs() }))
+	mux.HandleFunc("/jobs/", r.reply.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
 		id := strings.TrimPrefix(req.URL.Path, "/jobs/")
 		v, ok := r.Status(id)
 		if !ok {
-			r.httpError(w, http.StatusNotFound, "no such job "+id)
+			r.reply.Error(w, http.StatusNotFound, "no such job "+id)
 			return
 		}
-		r.writeJSON(w, http.StatusOK, v)
+		r.reply.JSON(w, http.StatusOK, v)
 	}))
-	mux.HandleFunc("/workers", r.getOnly(func(w http.ResponseWriter, req *http.Request) {
-		r.writeJSON(w, http.StatusOK, r.Workers())
+	mux.HandleFunc("/workers", r.reply.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
+		r.reply.JSON(w, http.StatusOK, r.Workers())
 	}))
-	mux.HandleFunc("/healthz", r.getOnly(func(w http.ResponseWriter, req *http.Request) {
-		r.writeJSON(w, http.StatusOK, map[string]any{
+	mux.HandleFunc("/healthz", r.reply.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
+		r.reply.JSON(w, http.StatusOK, map[string]any{
 			"status": "ok", "draining": r.Draining(), "ring_workers": r.ringSize(),
 		})
 	}))
-	mux.HandleFunc("/readyz", r.getOnly(func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("/readyz", r.reply.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
 		if r.Draining() {
-			r.httpError(w, http.StatusServiceUnavailable, "draining")
+			r.reply.Error(w, http.StatusServiceUnavailable, "draining")
 			return
 		}
 		n := r.ringSize()
 		if n == 0 {
-			w.Header().Set("Retry-After", "1")
-			r.httpError(w, http.StatusServiceUnavailable, "no live workers on the ring")
+			r.reply.Fail(w, &server.SubmitError{Status: http.StatusServiceUnavailable, Msg: "no live workers on the ring", RetryAfter: 1})
 			return
 		}
-		r.writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "ring_workers": n})
+		r.reply.JSON(w, http.StatusOK, map[string]any{"status": "ready", "ring_workers": n})
 	}))
-	mux.HandleFunc("/statz", r.getOnly(func(w http.ResponseWriter, req *http.Request) {
-		r.writeJSON(w, http.StatusOK, map[string]any{
+	mux.HandleFunc("/statz", r.reply.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
+		r.reply.JSON(w, http.StatusOK, map[string]any{
 			"tenants": r.Tenants(), "workers": r.Workers(), "journal": r.JournalStats(),
 		})
 	}))
-	mux.HandleFunc("/metrics", r.getOnly(r.handleMetrics))
+	mux.HandleFunc("/metrics", r.reply.Metrics(r.WritePrometheus))
 	return mux
-}
-
-func (r *Router) getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			r.httpError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		h(w, req)
-	}
 }

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"time"
+
+	"atomemu/internal/server"
 )
 
 // Worker health is a three-state machine driven by active probes of the
@@ -139,8 +141,8 @@ func (r *Router) probe(url string) {
 	w := r.workers[url]
 	if w != nil {
 		w.queued, w.queueDepth = q, depth
-		w.accepted, w.completed, w.shed = sz.accepted, sz.completed, sz.shed
-		w.warmth = sz.warmth
+		w.accepted, w.completed, w.shed = sz.Metrics.Accepted, sz.Metrics.Completed, sz.Metrics.Shed
+		w.warmth = sz.Warmth.TBStoreBlocks
 	}
 	r.mu.Unlock()
 	r.noteWorkerSuccess(url)
@@ -171,42 +173,20 @@ func (r *Router) probeReadyz(url string) (queued, depth int, err error) {
 	return rb.Queued, rb.QueueDepth, nil
 }
 
-// statzSample is what one /statz probe yields for the worker gauges.
-type statzSample struct {
-	accepted  uint64
-	completed uint64
-	shed      uint64
-	warmth    int
-}
-
 // probeStatz samples the worker's job counters and warmth hint for
-// per-worker load gauges. Best-effort: health never depends on it.
-func (r *Router) probeStatz(url string) statzSample {
+// per-worker load gauges. Best-effort: health never depends on it, and a
+// failed probe reads as all zero.
+func (r *Router) probeStatz(url string) server.Statz {
+	var sz server.Statz
 	resp, err := r.probeClient.Get(url + "/statz")
 	if err != nil {
-		return statzSample{}
+		return sz
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statzSample{}
+	if resp.StatusCode == http.StatusOK {
+		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&sz)
 	}
-	var sb struct {
-		Metrics struct {
-			Accepted  uint64 `json:"accepted"`
-			Completed uint64 `json:"completed"`
-			Shed      uint64 `json:"shed"`
-		} `json:"metrics"`
-		Warmth struct {
-			TBStoreBlocks int `json:"tbstore_blocks"`
-		} `json:"warmth"`
-	}
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&sb)
-	return statzSample{
-		accepted:  sb.Metrics.Accepted,
-		completed: sb.Metrics.Completed,
-		shed:      sb.Metrics.Shed,
-		warmth:    sb.Warmth.TBStoreBlocks,
-	}
+	return sz
 }
 
 // noteWorkerSuccess records a successful interaction: reset the failure

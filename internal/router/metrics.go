@@ -1,12 +1,7 @@
 package router
 
 import (
-	"fmt"
 	"io"
-	"net/http"
-	"sort"
-	"strconv"
-	"strings"
 
 	"atomemu/internal/obs"
 )
@@ -16,145 +11,102 @@ import (
 // per-tenant admission/fairness series. Series are prefixed
 // atomemu_router_ so a scrape of router + workers never collides.
 func (r *Router) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
+	var p obs.PromWriter
 
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
-
-	counter("atomemu_router_dispatch_total", "Jobs handed to a worker.", r.dispatches.Load())
-	counter("atomemu_router_dispatch_bounce_total", "Dispatches bounced by a full worker queue (429).", r.bounces.Load())
-	counter("atomemu_router_dispatch_error_total", "Dispatch attempts that failed at transport or 5xx level.", r.dispatchErrs.Load())
-	counter("atomemu_router_failover_redispatch_total", "In-flight jobs re-dispatched after their worker died.", r.failoverRedispatch.Load())
-	counter("atomemu_router_failover_resumed_total", "Failover re-dispatches that resumed from a shipped checkpoint.", r.failoverResumed.Load())
-	counter("atomemu_router_ckpt_fetch_total", "Checkpoint images fetched from workers.", r.ckptFetches.Load())
-	counter("atomemu_router_ckpt_fetch_bytes_total", "Bytes of checkpoint images fetched from workers.", r.ckptFetchBytes.Load())
-	counter("atomemu_router_jobs_completed_total", "Router jobs that finished done.", r.completed.Load())
-	counter("atomemu_router_jobs_failed_total", "Router jobs that finished failed.", r.failed.Load())
-	counter("atomemu_router_journal_errors_total", "Router journal append failures.", r.journalErrs.Load())
-	counter("atomemu_router_watch_events_total", "Completion-feed events received from workers.", r.watchEvents.Load())
-	fmt.Fprintf(&b, "# HELP atomemu_router_watch_resyncs_total Per-job reconciliations of a worker's in-flight jobs, by what (re)established its feed.\n# TYPE atomemu_router_watch_resyncs_total counter\n")
+	p.Counter("atomemu_router_dispatch_total", "Jobs handed to a worker.", r.dispatches.Load())
+	p.Counter("atomemu_router_dispatch_bounce_total", "Dispatches bounced by a full worker queue (429).", r.bounces.Load())
+	p.Counter("atomemu_router_dispatch_error_total", "Dispatch attempts that failed at transport or 5xx level.", r.dispatchErrs.Load())
+	p.Counter("atomemu_router_failover_redispatch_total", "In-flight jobs re-dispatched after their worker died.", r.failoverRedispatch.Load())
+	p.Counter("atomemu_router_failover_resumed_total", "Failover re-dispatches that resumed from a shipped checkpoint.", r.failoverResumed.Load())
+	p.Counter("atomemu_router_ckpt_fetch_total", "Checkpoint images fetched from workers.", r.ckptFetches.Load())
+	p.Counter("atomemu_router_ckpt_fetch_bytes_total", "Bytes of checkpoint images fetched from workers.", r.ckptFetchBytes.Load())
+	p.Counter("atomemu_router_jobs_completed_total", "Router jobs that finished done.", r.completed.Load())
+	p.Counter("atomemu_router_jobs_failed_total", "Router jobs that finished failed.", r.failed.Load())
+	p.Counter("atomemu_router_journal_errors_total", "Router journal append failures.", r.journalErrs.Load())
+	p.Counter("atomemu_router_watch_events_total", "Completion-feed events received from workers.", r.watchEvents.Load())
+	p.Family("atomemu_router_watch_resyncs_total", "counter", "Per-job reconciliations of a worker's in-flight jobs, by what (re)established its feed.")
 	for i, reason := range resyncReasonNames {
-		fmt.Fprintf(&b, "atomemu_router_watch_resyncs_total{reason=%q} %d\n", reason, r.watchResyncs[i].Load())
+		p.Sample("atomemu_router_watch_resyncs_total", r.watchResyncs[i].Load(), "reason", reason)
 	}
 
-	gauge("atomemu_router_ring_workers", "Workers currently on the hash ring.")
-	fmt.Fprintf(&b, "atomemu_router_ring_workers %d\n", r.ringSize())
-	gauge("atomemu_router_draining", "1 while the router is draining, else 0.")
-	d := 0
-	if r.Draining() {
-		d = 1
-	}
-	fmt.Fprintf(&b, "atomemu_router_draining %d\n", d)
+	p.Gauge("atomemu_router_ring_workers", "Workers currently on the hash ring.", uint64(r.ringSize()))
+	p.Gauge("atomemu_router_draining", "1 while the router is draining, else 0.", obs.Flag(r.Draining()))
 
 	workers := r.Workers()
-	gauge("atomemu_router_worker_health", "Worker health state: 0 healthy, 1 suspect, 2 down.")
-	for _, wv := range workers {
-		fmt.Fprintf(&b, "atomemu_router_worker_health{worker=%q} %d\n", wv.URL, healthValue(wv.State))
-	}
-	gauge("atomemu_router_worker_consec_failures", "Consecutive probe/dispatch/poll failures counted toward the down threshold.")
-	for _, wv := range workers {
-		fmt.Fprintf(&b, "atomemu_router_worker_consec_failures{worker=%q} %d\n", wv.URL, wv.ConsecFails)
-	}
-	gauge("atomemu_router_worker_queued", "Worker-reported queue length at the last successful probe.")
-	for _, wv := range workers {
-		fmt.Fprintf(&b, "atomemu_router_worker_queued{worker=%q} %d\n", wv.URL, wv.Queued)
-	}
-	gauge("atomemu_router_watch_live", "1 while the worker's completion feed answered its last request, else 0.")
-	for _, wv := range workers {
-		live := 0
-		if wv.WatchLive {
-			live = 1
+	for _, f := range workerFamilies {
+		p.Family(f.name, f.typ, f.help)
+		for _, wv := range workers {
+			p.Sample(f.name, f.value(wv), "worker", wv.URL)
 		}
-		fmt.Fprintf(&b, "atomemu_router_watch_live{worker=%q} %d\n", wv.URL, live)
-	}
-	gauge("atomemu_router_worker_warmth", "Worker reuse score (shared TB store blocks) at the last successful probe.")
-	for _, wv := range workers {
-		fmt.Fprintf(&b, "atomemu_router_worker_warmth{worker=%q} %d\n", wv.URL, wv.Warmth)
-	}
-	fmt.Fprintf(&b, "# HELP atomemu_router_worker_dispatched_total Jobs this router dispatched to the worker.\n# TYPE atomemu_router_worker_dispatched_total counter\n")
-	for _, wv := range workers {
-		fmt.Fprintf(&b, "atomemu_router_worker_dispatched_total{worker=%q} %d\n", wv.URL, wv.Dispatched)
-	}
-	fmt.Fprintf(&b, "# HELP atomemu_router_worker_downs_total Down transitions (ring evictions) of the worker.\n# TYPE atomemu_router_worker_downs_total counter\n")
-	for _, wv := range workers {
-		fmt.Fprintf(&b, "atomemu_router_worker_downs_total{worker=%q} %d\n", wv.URL, wv.Downs)
-	}
-	fmt.Fprintf(&b, "# HELP atomemu_router_worker_rejoins_total Ring rejoins of the worker after recovery.\n# TYPE atomemu_router_worker_rejoins_total counter\n")
-	for _, wv := range workers {
-		fmt.Fprintf(&b, "atomemu_router_worker_rejoins_total{worker=%q} %d\n", wv.URL, wv.Rejoins)
 	}
 
 	tenants := r.Tenants()
-	fmt.Fprintf(&b, "# HELP atomemu_router_tenant_admitted_total Jobs admitted per tenant.\n# TYPE atomemu_router_tenant_admitted_total counter\n")
+	p.Family("atomemu_router_tenant_admitted_total", "counter", "Jobs admitted per tenant.")
 	for _, tv := range tenants {
-		fmt.Fprintf(&b, "atomemu_router_tenant_admitted_total{tenant=%q} %d\n", tv.Name, tv.Admitted)
+		p.Sample("atomemu_router_tenant_admitted_total", tv.Admitted, "tenant", tv.Name)
 	}
-	fmt.Fprintf(&b, "# HELP atomemu_router_tenant_shed_total Submissions shed per tenant, by reason.\n# TYPE atomemu_router_tenant_shed_total counter\n")
+	p.Family("atomemu_router_tenant_shed_total", "counter", "Submissions shed per tenant, by reason.")
 	for _, tv := range tenants {
-		fmt.Fprintf(&b, "atomemu_router_tenant_shed_total{tenant=%q,reason=\"quota\"} %d\n", tv.Name, tv.ShedQuota)
-		fmt.Fprintf(&b, "atomemu_router_tenant_shed_total{tenant=%q,reason=\"route\"} %d\n", tv.Name, tv.ShedRoute)
+		p.Sample("atomemu_router_tenant_shed_total", tv.ShedQuota, "tenant", tv.Name, "reason", "quota")
+		p.Sample("atomemu_router_tenant_shed_total", tv.ShedRoute, "tenant", tv.Name, "reason", "route")
 	}
-	fmt.Fprintf(&b, "# HELP atomemu_router_tenant_completed_total Jobs finished done per tenant.\n# TYPE atomemu_router_tenant_completed_total counter\n")
+	p.Family("atomemu_router_tenant_completed_total", "counter", "Jobs finished done per tenant.")
 	for _, tv := range tenants {
-		fmt.Fprintf(&b, "atomemu_router_tenant_completed_total{tenant=%q} %d\n", tv.Name, tv.Completed)
+		p.Sample("atomemu_router_tenant_completed_total", tv.Completed, "tenant", tv.Name)
 	}
-	gauge("atomemu_router_tenant_live", "Live (admitted, non-terminal) jobs per tenant.")
+	p.Family("atomemu_router_tenant_live", "gauge", "Live (admitted, non-terminal) jobs per tenant.")
 	for _, tv := range tenants {
-		fmt.Fprintf(&b, "atomemu_router_tenant_live{tenant=%q} %d\n", tv.Name, tv.Live)
+		p.Sample("atomemu_router_tenant_live", uint64(tv.Live), "tenant", tv.Name)
 	}
-	gauge("atomemu_router_tenant_queued", "Jobs waiting for dispatch per tenant.")
+	p.Family("atomemu_router_tenant_queued", "gauge", "Jobs waiting for dispatch per tenant.")
 	for _, tv := range tenants {
-		fmt.Fprintf(&b, "atomemu_router_tenant_queued{tenant=%q} %d\n", tv.Name, tv.Queued)
+		p.Sample("atomemu_router_tenant_queued", uint64(tv.Queued), "tenant", tv.Name)
 	}
 
 	// Per-tenant dispatch-wait histograms (admission→hand-off latency): the
 	// series the tenant-fairness test bounds.
-	r.mu.Lock()
-	type th struct {
-		name string
-		h    obs.HistSnapshot
-	}
-	hists := make([]th, 0, len(r.tenants))
-	for name, t := range r.tenants {
-		hists = append(hists, th{name, t.waitHist.Snapshot()})
-	}
-	r.mu.Unlock()
-	sort.Slice(hists, func(i, k int) bool { return hists[i].name < hists[k].name })
-	// labels is "" or `key="value",` — the le label follows it.
-	hist := func(name, labels string, h obs.HistSnapshot) {
-		for i, bound := range h.Bounds {
-			fmt.Fprintf(&b, "%s_bucket{%sle=%q} %d\n", name, labels, strconv.FormatFloat(bound, 'g', -1, 64), h.Buckets[i])
-		}
-		fmt.Fprintf(&b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, h.Buckets[len(h.Buckets)-1])
-		series := ""
-		if labels != "" {
-			series = "{" + strings.TrimSuffix(labels, ",") + "}"
-		}
-		fmt.Fprintf(&b, "%s_sum%s %s\n", name, series, strconv.FormatFloat(h.Sum, 'g', -1, 64))
-		fmt.Fprintf(&b, "%s_count%s %d\n", name, series, h.Count)
-	}
-	fmt.Fprintf(&b, "# HELP atomemu_router_dispatch_wait_seconds Enqueue-to-dispatch wait per tenant.\n# TYPE atomemu_router_dispatch_wait_seconds histogram\n")
-	for _, t := range hists {
-		hist("atomemu_router_dispatch_wait_seconds", fmt.Sprintf("tenant=%q,", t.name), t.h)
+	p.Family("atomemu_router_dispatch_wait_seconds", "histogram", "Enqueue-to-dispatch wait per tenant.")
+	for _, tv := range tenants {
+		p.Histogram("atomemu_router_dispatch_wait_seconds", tv.waitHist, "tenant", tv.Name)
 	}
 	// The production twin of the bench ledger's router.finish_lag_ms.
-	fmt.Fprintf(&b, "# HELP atomemu_router_finish_lag_seconds Worker-side finish to router finalize, per job.\n# TYPE atomemu_router_finish_lag_seconds histogram\n")
-	hist("atomemu_router_finish_lag_seconds", "", r.finishLag.Snapshot())
+	p.Family("atomemu_router_finish_lag_seconds", "histogram", "Worker-side finish to router finalize, per job.")
+	p.Histogram("atomemu_router_finish_lag_seconds", r.finishLag.Snapshot())
 
 	js := r.JournalStats()
-	counter("atomemu_router_journal_records_total", "Records appended to the router journal by this process.", js.Appends)
-	counter("atomemu_router_journal_compactions_total", "Router journal compactions.", js.Compactions)
-	counter("atomemu_router_journal_replayed_records_total", "Records recovered from the router journal at the last startup.", uint64(r.replay.Records))
+	p.Counter("atomemu_router_journal_records_total", "Records appended to the router journal by this process.", js.Appends)
+	p.Counter("atomemu_router_journal_compactions_total", "Router journal compactions.", js.Compactions)
+	p.Counter("atomemu_router_journal_replayed_records_total", "Records recovered from the router journal at the last startup.", uint64(r.replay.Records))
 
-	_, err := io.WriteString(w, b.String())
+	_, err := p.WriteTo(w)
 	return err
 }
 
-func healthValue(state string) int {
+// workerFamilies are the per-worker series, one family each, every worker
+// a sample of every family.
+var workerFamilies = []struct {
+	name, typ, help string
+	value           func(WorkerView) uint64
+}{
+	{"atomemu_router_worker_health", "gauge", "Worker health state: 0 healthy, 1 suspect, 2 down.",
+		func(wv WorkerView) uint64 { return healthValue(wv.State) }},
+	{"atomemu_router_worker_consec_failures", "gauge", "Consecutive probe/dispatch/poll failures counted toward the down threshold.",
+		func(wv WorkerView) uint64 { return uint64(wv.ConsecFails) }},
+	{"atomemu_router_worker_queued", "gauge", "Worker-reported queue length at the last successful probe.",
+		func(wv WorkerView) uint64 { return uint64(wv.Queued) }},
+	{"atomemu_router_watch_live", "gauge", "1 while the worker's completion feed answered its last request, else 0.",
+		func(wv WorkerView) uint64 { return obs.Flag(wv.WatchLive) }},
+	{"atomemu_router_worker_warmth", "gauge", "Worker reuse score (shared TB store blocks) at the last successful probe.",
+		func(wv WorkerView) uint64 { return uint64(wv.Warmth) }},
+	{"atomemu_router_worker_dispatched_total", "counter", "Jobs this router dispatched to the worker.",
+		func(wv WorkerView) uint64 { return wv.Dispatched }},
+	{"atomemu_router_worker_downs_total", "counter", "Down transitions (ring evictions) of the worker.",
+		func(wv WorkerView) uint64 { return wv.Downs }},
+	{"atomemu_router_worker_rejoins_total", "counter", "Ring rejoins of the worker after recovery.",
+		func(wv WorkerView) uint64 { return wv.Rejoins }},
+}
+
+func healthValue(state string) uint64 {
 	switch state {
 	case "suspect":
 		return 1
@@ -162,13 +114,5 @@ func healthValue(state string) int {
 		return 2
 	default:
 		return 0
-	}
-}
-
-// handleMetrics serves GET /metrics.
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := r.WritePrometheus(w); err != nil {
-		r.opts.Logger.Printf("router: writing /metrics: %v", err)
 	}
 }

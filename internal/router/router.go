@@ -296,7 +296,8 @@ var latencyBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 
 // Router is the front tier. Create with New, mount Handler, stop with
 // Close (or DrainAndClose to wait for in-flight jobs first).
 type Router struct {
-	opts Options
+	opts  Options
+	reply server.Reply
 
 	mu      sync.Mutex
 	cond    *sync.Cond // signaled when a tenant queue gains work
@@ -351,6 +352,7 @@ func New(opts Options) (*Router, error) {
 	}
 	r := &Router{
 		opts:    opts,
+		reply:   server.Reply{Name: "router", Log: opts.Logger},
 		workers: make(map[string]*worker, len(opts.Workers)),
 		ring:    newRing(opts.VNodes),
 		jobs:    make(map[string]*job),

@@ -100,11 +100,7 @@ func TestFeedFinalizesPromptlyWithoutStatusRequests(t *testing.T) {
 	// A healthy feed: first contact made, its (empty) resync done, the
 	// watcher parked in the long-poll.
 	awaitCond(t, 10*time.Second, "the watcher to settle into its long-poll", func() bool {
-		var b strings.Builder
-		if err := w.srv.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		return strings.Contains(b.String(), "\natomemu_completions_waiters 1\n")
+		return scrape(t, w.srv.WritePrometheus).Values()["atomemu_completions_waiters"] == 1
 	})
 
 	const n = 8

@@ -144,7 +144,7 @@ func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("after"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			s.httpError(w, http.StatusBadRequest, "after: "+err.Error())
+			s.reply.Error(w, http.StatusBadRequest, "after: "+err.Error())
 			return
 		}
 		after = n
@@ -153,7 +153,7 @@ func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("wait"); v != "" {
 		secs, err := strconv.ParseFloat(v, 64)
 		if err != nil || !(secs >= 0) { // NaN fails the comparison too
-			s.httpError(w, http.StatusBadRequest, "wait: want a non-negative number of seconds")
+			s.reply.Error(w, http.StatusBadRequest, "wait: want a non-negative number of seconds")
 			return
 		}
 		wait = time.Duration(min(secs, maxCompletionsWait.Seconds()) * float64(time.Second))
@@ -164,7 +164,7 @@ func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	for {
 		v := c.since(q.Get("epoch"), after)
 		if v.closed && len(v.ids) == 0 {
-			s.httpError(w, http.StatusServiceUnavailable, "drained")
+			s.reply.Error(w, http.StatusServiceUnavailable, "drained")
 			return
 		}
 		resp := CompletionsResponse{Epoch: c.epoch, Seq: v.seq, Reset: v.reset}
@@ -174,7 +174,7 @@ func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 					resp.Jobs = append(resp.Jobs, Completion{Key: j.key, JobStatus: j.snapshot()})
 				}
 			}
-			s.writeJSON(w, http.StatusOK, resp)
+			s.reply.JSON(w, http.StatusOK, resp)
 			return
 		}
 		c.waiters.Add(1)

@@ -17,6 +17,7 @@ import (
 	"atomemu/internal/checkpoint"
 	"atomemu/internal/durable"
 	"atomemu/internal/engine"
+	"atomemu/internal/faultinject"
 	"atomemu/internal/gac"
 )
 
@@ -487,7 +488,7 @@ func TestFinishedJobDropsRunState(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newTestServer(t, Options{Workers: 2, DataDir: dir, Fsync: "always", AllowFaultInjection: true})
 	req := JobRequest{Scheme: "pico-cas", GAC: counterGAC, Threads: 2, Arg: 200, IdempotencyKey: "drop-key",
-		Fault: []FaultRule{{Op: "mem-load", Action: "fault", After: 1 << 40}}}
+		Fault: []faultinject.Spec{{Op: "mem-load", Action: "fault", After: 1 << 40}}}
 	id, err := s1.Submit(req)
 	if err != nil {
 		t.Fatal(err)

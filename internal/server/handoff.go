@@ -84,7 +84,7 @@ func (s *Server) SubmitResume(alias string, rr ResumeRequest) (string, bool, err
 func (s *Server) handleCheckpoint(w http.ResponseWriter, id string) {
 	j := s.lookup(id)
 	if j == nil {
-		s.httpError(w, http.StatusNotFound, "no such job "+id)
+		s.reply.Error(w, http.StatusNotFound, "no such job "+id)
 		return
 	}
 	j.mu.Lock()
@@ -92,17 +92,17 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, id string) {
 	resumes := j.resumes
 	j.mu.Unlock()
 	if m == nil {
-		s.httpError(w, http.StatusNotFound, "job "+id+" is not running")
+		s.reply.Error(w, http.StatusNotFound, "job "+id+" is not running")
 		return
 	}
 	snap := m.LatestCheckpoint()
 	if snap == nil {
-		s.httpError(w, http.StatusNotFound, "job "+id+" has no checkpoint yet")
+		s.reply.Error(w, http.StatusNotFound, "job "+id+" has no checkpoint yet")
 		return
 	}
 	data, err := checkpoint.EncodeBytes(snap)
 	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, fmt.Sprintf("encoding checkpoint: %v", err))
+		s.reply.Error(w, http.StatusInternalServerError, fmt.Sprintf("encoding checkpoint: %v", err))
 		return
 	}
 	setKeyHeader(w, j)
@@ -119,26 +119,15 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, id string) {
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, id string) {
 	var rr ResumeRequest
 	if err := json.NewDecoder(r.Body).Decode(&rr); err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad json: "+err.Error())
+		s.reply.Error(w, http.StatusBadRequest, "bad json: "+err.Error())
 		return
 	}
 	jid, resumed, err := s.SubmitResume(id, rr)
 	if err != nil {
-		se, ok := err.(*SubmitError)
-		if !ok {
-			se = &SubmitError{Status: http.StatusInternalServerError, Msg: err.Error()}
-		}
-		if se.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfter))
-		}
-		s.httpError(w, se.Status, se.Msg)
+		s.reply.Fail(w, err)
 		return
 	}
-	state := string(StateQueued)
-	if st, ok := s.Status(jid); ok {
-		state = string(st.State)
-	}
-	s.writeJSON(w, http.StatusAccepted, map[string]any{
-		"id": jid, "state": state, "resumed": resumed,
+	s.reply.JSON(w, http.StatusAccepted, map[string]any{
+		"id": jid, "state": s.state(jid), "resumed": resumed,
 	})
 }

@@ -36,7 +36,7 @@ type JobRequest struct {
 	Config JobConfig `json:"config,omitempty"`
 	// Fault holds fault-injection rules, accepted only when the server
 	// was started with fault injection allowed (soak and CI harnesses).
-	Fault []FaultRule `json:"fault,omitempty"`
+	Fault []faultinject.Spec `json:"fault,omitempty"`
 	// IdempotencyKey, when set, makes the submission exactly-once: a retry
 	// carrying the same key (same client after a lost 202, or any client
 	// after a daemon restart) returns the originally admitted job's id
@@ -68,41 +68,6 @@ type JobConfig struct {
 	ChainBudget  int  `json:"chain_budget,omitempty"`
 	Tiered       bool `json:"tiered,omitempty"`
 	HotThreshold int  `json:"hot_threshold,omitempty"`
-}
-
-// FaultRule is the wire form of a faultinject.Rule.
-type FaultRule struct {
-	Op     string `json:"op"`     // txn-begin txn-commit hash-unlock mem-load mem-store
-	Action string `json:"action"` // abort poison stick-lock fault
-	TID    uint32 `json:"tid,omitempty"`
-	Addr   uint32 `json:"addr,omitempty"`
-	After  uint64 `json:"after,omitempty"`
-	Count  uint64 `json:"count,omitempty"`
-}
-
-// rule resolves the wire form through faultinject's canonical parsers and
-// the op/action compatibility matrix, so the server rejects exactly what
-// the injector would ignore. field names the offending JSON field ("op",
-// "action", "tid") when the error is attributable to one; it is empty for
-// whole-rule errors.
-func (r FaultRule) rule() (faultinject.Rule, string, error) {
-	op, err := faultinject.ParseOp(r.Op)
-	if err != nil {
-		return faultinject.Rule{}, "op", err
-	}
-	act, err := faultinject.ParseAction(r.Action)
-	if err != nil {
-		return faultinject.Rule{}, "action", err
-	}
-	out := faultinject.Rule{Op: op, Action: act, TID: r.TID, Addr: r.Addr, After: r.After, Count: r.Count}
-	if err := out.Validate(); err != nil {
-		field := ""
-		if (op == faultinject.OpMemLoad || op == faultinject.OpMemStore) && r.TID != 0 {
-			field = "tid"
-		}
-		return out, field, err
-	}
-	return out, "", nil
 }
 
 // JobState is a job's lifecycle position. Terminal states: done, failed,
@@ -241,23 +206,11 @@ func (s *Server) decode(req JobRequest) (*job, error) {
 	if len(req.Fault) > 0 && !s.opts.AllowFaultInjection {
 		return nil, fmt.Errorf("fault injection is not enabled on this server")
 	}
-	var inj *faultinject.Injector
-	if len(req.Fault) > 0 {
-		rules := make([]faultinject.Rule, 0, len(req.Fault))
-		for i, fr := range req.Fault {
-			r, field, rerr := fr.rule()
-			if rerr != nil {
-				// Name the offending field so a client can fix its request
-				// without grepping server source: fault[2].action, not just
-				// "unknown action".
-				if field != "" {
-					return nil, fmt.Errorf("fault[%d].%s: %w", i, field, rerr)
-				}
-				return nil, fmt.Errorf("fault[%d]: %w", i, rerr)
-			}
-			rules = append(rules, r)
-		}
-		inj = faultinject.New(rules...)
+	// Errors name the offending field, fault[2].action, so a client can fix
+	// its request without grepping server source.
+	inj, err := faultinject.FromSpecs(req.Fault)
+	if err != nil {
+		return nil, err
 	}
 
 	cfg := engine.DefaultConfig(req.Scheme)

@@ -8,18 +8,13 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-)
 
-// metricLine matches one sample of the text exposition format: a metric
-// name, optional {labels}, and a number (int, float, or ±Inf/NaN).
-var metricLine = regexp.MustCompile(
-	`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? ([-+]?[0-9]*\.?[0-9]+([eE][-+]?[0-9]+)?|[-+]?Inf|NaN)$`)
+	"atomemu/internal/obs"
+)
 
 func scrape(t *testing.T, s *Server) string {
 	t.Helper()
@@ -30,34 +25,13 @@ func scrape(t *testing.T, s *Server) string {
 	return b.String()
 }
 
-// parseExposition validates every non-comment line against the text
-// format and returns sample values keyed by the full series name.
-func parseExposition(text string) (map[string]float64, error) {
-	samples := map[string]float64{}
-	for i, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !metricLine.MatchString(line) {
-			return nil, fmt.Errorf("line %d is not valid exposition syntax: %q", i+1, line)
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			return nil, fmt.Errorf("line %d value: %v", i+1, err)
-		}
-		samples[line[:sp]] = v
-	}
-	return samples, nil
-}
-
 func checkExposition(t *testing.T, text string) map[string]float64 {
 	t.Helper()
-	samples, err := parseExposition(text)
+	exp, err := obs.ParseExposition(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return samples
+	return exp.Values()
 }
 
 func TestMetricsExposition(t *testing.T) {
@@ -194,7 +168,7 @@ func TestWriteJSONLogsEncodeError(t *testing.T) {
 	var buf bytes.Buffer
 	s := newTestServer(t, Options{Workers: 1, Logger: log.New(&buf, "", 0)})
 	rec := httptest.NewRecorder()
-	s.writeJSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
+	s.reply.JSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
 	if !strings.Contains(buf.String(), "encoding 200 response") {
 		t.Fatalf("encode failure not logged; log output: %q", buf.String())
 	}
@@ -263,11 +237,12 @@ func TestMetricsChurnRace(t *testing.T) {
 				if path != "/metrics" {
 					continue
 				}
-				samples, err := parseExposition(string(body))
+				exp, err := obs.ParseExposition(bytes.NewReader(body))
 				if err != nil {
 					scrapeErrs <- err
 					return
 				}
+				samples := exp.Values()
 				if v := samples["atomemu_jobs_completed_total"]; v < lastCompleted {
 					scrapeErrs <- fmt.Errorf("jobs_completed_total went backwards: %v after %v", v, lastCompleted)
 					return

@@ -11,6 +11,7 @@ import (
 
 	"atomemu/internal/core"
 	"atomemu/internal/durable"
+	"atomemu/internal/faultinject"
 	"atomemu/internal/stats"
 )
 
@@ -291,7 +292,7 @@ func TestFaultInjectedJobsStayCold(t *testing.T) {
 		Config: JobConfig{CheckpointEvery: 1000},
 	}
 	faulty := clean
-	faulty.Fault = []FaultRule{{Op: "mem-store", Action: "fault", After: 100000000, Count: 1}}
+	faulty.Fault = []faultinject.Spec{{Op: "mem-store", Action: "fault", After: 100000000, Count: 1}}
 
 	// Three repeats would publish and then hit, were they clean.
 	for i := 0; i < 3; i++ {

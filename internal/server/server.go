@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -178,6 +177,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Statz is the GET /statz body, which the router's health probe reads.
+type Statz struct {
+	Breakers []BreakerStatus `json:"breakers"`
+	Metrics  Metrics         `json:"metrics"`
+	// Warmth is always present, so probes can read it unconditionally.
+	Warmth Warmth `json:"warmth"`
+}
+
+// Warmth is the router's placement hint: how much reusable translation
+// state this worker holds. All zero when the store is off.
+type Warmth struct {
+	TBStoreBlocks   int `json:"tbstore_blocks"`
+	TBStoreSegments int `json:"tbstore_segments"`
+}
+
 // Metrics are the service counters, exposed on /healthz and /statz.
 type Metrics struct {
 	Accepted  uint64 `json:"accepted"`
@@ -231,6 +245,7 @@ type Metrics struct {
 // Drain.
 type Server struct {
 	opts     Options
+	reply    Reply
 	queue    chan *job
 	breakers *breakerSet
 
@@ -313,6 +328,7 @@ func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:         opts,
+		reply:        Reply{Name: "server", Log: opts.Logger},
 		breakers:     newBreakerSet(opts.BreakerThreshold, opts.BreakerCooldown),
 		drainCh:      make(chan struct{}),
 		recoveryDone: make(chan struct{}),
@@ -430,22 +446,6 @@ func (s *Server) notReady() (string, int) {
 	return "", 0
 }
 
-// SubmitError is a submission failure with its HTTP status: 400 for bad
-// requests, 429 for shed load, 503 while draining or recovering. ID is set
-// on a keyed shed: the id under which GET /jobs/{id} will answer "shed".
-// RetryAfter, when nonzero, is the Retry-After hint in seconds — for 429s
-// it is derived from the current queue depth and the worker pool's
-// measured drain rate, so clients back off proportionally to the actual
-// backlog instead of hammering a full queue.
-type SubmitError struct {
-	Status     int
-	Msg        string
-	ID         string
-	RetryAfter int
-}
-
-func (e *SubmitError) Error() string { return e.Msg }
-
 // Submit admits a job: decode and validate (the expensive part, outside any
 // lock), then atomically check-drain-and-enqueue. The returned job is
 // already visible to Status. A request whose idempotency key was already
@@ -549,6 +549,14 @@ func (s *Server) Status(id string) (JobStatus, bool) {
 		return JobStatus{}, false
 	}
 	return j.snapshot(), true
+}
+
+// state is the job's current state; queued for an id not yet visible.
+func (s *Server) state(id string) string {
+	if st, ok := s.Status(id); ok {
+		return string(st.State)
+	}
+	return string(StateQueued)
 }
 
 // Jobs returns a snapshot of every known job.
@@ -937,68 +945,27 @@ func (s *Server) retryAfterSecs() int {
 // Read-only endpoints return 405 for any method but GET.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/jobs", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			var req JobRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				s.httpError(w, http.StatusBadRequest, "bad json: "+err.Error())
-				return
-			}
-			id, err := s.Submit(req)
-			if err != nil {
-				se, ok := err.(*SubmitError)
-				if !ok {
-					se = &SubmitError{Status: http.StatusInternalServerError, Msg: err.Error()}
-				}
-				if se.RetryAfter > 0 {
-					w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfter))
-				}
-				if se.ID != "" {
-					// Keyed shed: hand back the id so the client can GET the
-					// distinct "shed" answer (and retry the key later).
-					s.writeJSON(w, se.Status, map[string]string{"error": se.Msg, "id": se.ID, "reason": "shed"})
-					return
-				}
-				s.httpError(w, se.Status, se.Msg)
-				return
-			}
-			// An idempotent re-submit returns the original job, which may
-			// already have progressed past queued; report its actual state.
-			state := string(StateQueued)
-			if st, ok := s.Status(id); ok {
-				state = string(st.State)
-			}
-			s.writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "state": state})
-		case http.MethodGet:
-			s.writeJSON(w, http.StatusOK, s.Jobs())
-		default:
-			s.httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
-		}
-	})
+	mux.HandleFunc("/jobs", s.reply.Jobs(s.Submit, s.state, func() any { return s.Jobs() }))
 	mux.HandleFunc("/jobs/", func(w http.ResponseWriter, r *http.Request) {
 		id, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/jobs/"), "/")
 		switch sub {
 		case "checkpoint":
-			s.getOnly(func(w http.ResponseWriter, r *http.Request) {
+			s.reply.Only(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 				s.handleCheckpoint(w, id)
 			})(w, r)
 			return
 		case "resume":
-			if r.Method != http.MethodPost {
-				w.Header().Set("Allow", http.MethodPost)
-				s.httpError(w, http.StatusMethodNotAllowed, "use POST")
-				return
-			}
-			s.handleResume(w, r, id)
+			s.reply.Only(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
+				s.handleResume(w, r, id)
+			})(w, r)
 			return
 		default:
 			if sub != "" {
-				s.httpError(w, http.StatusNotFound, "no such endpoint /jobs/{id}/"+sub)
+				s.reply.Error(w, http.StatusNotFound, "no such endpoint /jobs/{id}/"+sub)
 				return
 			}
 		}
-		s.getOnly(func(w http.ResponseWriter, r *http.Request) {
+		s.reply.Only(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 			j := s.lookup(id)
 			if j == nil {
 				s.mu.Lock()
@@ -1008,55 +975,44 @@ func (s *Server) Handler() http.Handler {
 					// Distinct from "never seen": this id was allocated to a keyed
 					// submission and shed at admission. Re-submitting the key is a
 					// fresh attempt.
-					s.writeJSON(w, http.StatusNotFound, map[string]string{
+					s.reply.JSON(w, http.StatusNotFound, map[string]string{
 						"error":           "job " + id + " was shed at admission",
 						"reason":          "shed",
 						"idempotency_key": key,
 					})
 					return
 				}
-				s.httpError(w, http.StatusNotFound, "no such job "+id)
+				s.reply.Error(w, http.StatusNotFound, "no such job "+id)
 				return
 			}
 			setKeyHeader(w, j)
-			s.writeJSON(w, http.StatusOK, j.snapshot())
+			s.reply.JSON(w, http.StatusOK, j.snapshot())
 		})(w, r)
 	})
-	mux.HandleFunc("/completions", s.getOnly(s.handleCompletions))
-	mux.HandleFunc("/healthz", s.getOnly(func(w http.ResponseWriter, r *http.Request) {
-		s.writeJSON(w, http.StatusOK, map[string]any{
+	mux.HandleFunc("/completions", s.reply.Only(http.MethodGet, s.handleCompletions))
+	mux.HandleFunc("/healthz", s.reply.Only(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+		s.reply.JSON(w, http.StatusOK, map[string]any{
 			"status": "ok", "draining": s.Draining(),
 			"recovering": s.recovering.Load(), "metrics": s.Metrics(),
 		})
 	}))
-	mux.HandleFunc("/readyz", s.getOnly(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/readyz", s.reply.Only(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		// Not ready means "stop routing here": draining, journal replay
 		// still running, or recovery dead — a router or LB probing this
 		// endpoint must take the worker out of rotation in all three.
 		if reason, retry := s.notReady(); reason != "" {
-			if retry > 0 {
-				w.Header().Set("Retry-After", strconv.Itoa(retry))
-			}
-			s.httpError(w, http.StatusServiceUnavailable, reason)
+			s.reply.Fail(w, &SubmitError{Status: http.StatusServiceUnavailable, Msg: reason, RetryAfter: retry})
 			return
 		}
-		s.writeJSON(w, http.StatusOK, map[string]any{
+		s.reply.JSON(w, http.StatusOK, map[string]any{
 			"status": "ready", "queued": len(s.jobQueue()), "queue_depth": s.opts.QueueDepth,
 		})
 	}))
-	mux.HandleFunc("/statz", s.getOnly(func(w http.ResponseWriter, r *http.Request) {
-		// warmth is the router's placement hint: how much reusable
-		// translation state this worker holds. Always present so probes can
-		// parse it unconditionally; all zero when the store is off.
-		s.writeJSON(w, http.StatusOK, map[string]any{
-			"metrics": s.Metrics(), "breakers": s.Breakers(),
-			"warmth": map[string]int{
-				"tbstore_blocks":   s.tbstore.Len(),
-				"tbstore_segments": s.tbstore.Stats().Segments,
-			},
-		})
+	mux.HandleFunc("/statz", s.reply.Only(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+		s.reply.JSON(w, http.StatusOK, Statz{Breakers: s.Breakers(), Metrics: s.Metrics(),
+			Warmth: Warmth{TBStoreBlocks: s.tbstore.Len(), TBStoreSegments: s.tbstore.Stats().Segments}})
 	}))
-	mux.HandleFunc("/metrics", s.getOnly(s.handleMetrics))
+	mux.HandleFunc("/metrics", s.reply.Metrics(s.WritePrometheus))
 	return mux
 }
 
@@ -1071,32 +1027,4 @@ func setKeyHeader(w http.ResponseWriter, j *job) {
 	if j.key != "" {
 		w.Header().Set(KeyHeader, j.key)
 	}
-}
-
-// getOnly rejects every method but GET with 405 (read-only endpoints used
-// to accept POST/PUT/DELETE silently).
-func (s *Server) getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			s.httpError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		h(w, r)
-	}
-}
-
-// writeJSON encodes v to the response. Encode errors (a closed connection,
-// or an unencodable value — a server bug) used to be swallowed; they are
-// logged so neither failure mode is silent.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.opts.Logger.Printf("server: encoding %d response: %v", code, err)
-	}
-}
-
-func (s *Server) httpError(w http.ResponseWriter, code int, msg string) {
-	s.writeJSON(w, code, map[string]string{"error": msg})
 }

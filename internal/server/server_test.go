@@ -13,6 +13,7 @@ import (
 
 	"atomemu/internal/asm"
 	"atomemu/internal/engine"
+	"atomemu/internal/faultinject"
 )
 
 // counterGAC is the quick healthy job: n atomic increments, print, exit.
@@ -151,7 +152,7 @@ func TestAdmissionRejectsBadRequests(t *testing.T) {
 		{"too many threads", JobRequest{Scheme: "hst", GAC: counterGAC, Threads: 10_000}, "threads"},
 		{"bad config", JobRequest{Scheme: "hst", GAC: counterGAC, Config: JobConfig{HashBits: 31}}, "HashBits"},
 		{"fault rules not allowed", JobRequest{Scheme: "hst", GAC: counterGAC,
-			Fault: []FaultRule{{Op: "mem-store", Action: "fault"}}}, "fault injection"},
+			Fault: []faultinject.Spec{{Op: "mem-store", Action: "fault"}}}, "fault injection"},
 	}
 	for _, tc := range cases {
 		_, err := s.Submit(tc.req)
@@ -168,18 +169,18 @@ func TestAdmissionRejectsBadFaultRules(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, AllowFaultInjection: true})
 	cases := []struct {
 		name string
-		rule FaultRule
+		rule faultinject.Spec
 		want string
 	}{
-		{"unknown op", FaultRule{Op: "txn-retire", Action: "abort"}, "fault[0].op"},
-		{"unknown action", FaultRule{Op: "txn-commit", Action: "explode"}, "fault[0].action"},
-		{"empty op", FaultRule{Action: "abort"}, "fault[0].op"},
-		{"action none spelled out", FaultRule{Op: "txn-commit", Action: "none"}, "fault[0].action"},
-		{"incompatible pair", FaultRule{Op: "hash-unlock", Action: "abort"}, "fault[0]"},
-		{"mmu site with tid", FaultRule{Op: "mem-load", Action: "fault", TID: 3}, "fault[0].tid"},
+		{"unknown op", faultinject.Spec{Op: "txn-retire", Action: "abort"}, "fault[0].op"},
+		{"unknown action", faultinject.Spec{Op: "txn-commit", Action: "explode"}, "fault[0].action"},
+		{"empty op", faultinject.Spec{Action: "abort"}, "fault[0].op"},
+		{"action none spelled out", faultinject.Spec{Op: "txn-commit", Action: "none"}, "fault[0].action"},
+		{"incompatible pair", faultinject.Spec{Op: "hash-unlock", Action: "abort"}, "fault[0]"},
+		{"mmu site with tid", faultinject.Spec{Op: "mem-load", Action: "fault", TID: 3}, "fault[0].tid"},
 	}
 	for _, tc := range cases {
-		_, err := s.Submit(JobRequest{Scheme: "hst", GAC: counterGAC, Fault: []FaultRule{tc.rule}})
+		_, err := s.Submit(JobRequest{Scheme: "hst", GAC: counterGAC, Fault: []faultinject.Spec{tc.rule}})
 		se, ok := err.(*SubmitError)
 		if !ok || se.Status != http.StatusBadRequest || !strings.Contains(se.Msg, tc.want) {
 			t.Errorf("%s: err = %v, want 400 naming %q", tc.name, err, tc.want)
@@ -187,7 +188,7 @@ func TestAdmissionRejectsBadFaultRules(t *testing.T) {
 	}
 
 	// The index in the error tracks the offending rule, not just rule 0.
-	_, err := s.Submit(JobRequest{Scheme: "hst", GAC: counterGAC, Fault: []FaultRule{
+	_, err := s.Submit(JobRequest{Scheme: "hst", GAC: counterGAC, Fault: []faultinject.Spec{
 		{Op: "txn-commit", Action: "abort"},
 		{Op: "bogus", Action: "abort"},
 	}})
@@ -197,7 +198,7 @@ func TestAdmissionRejectsBadFaultRules(t *testing.T) {
 	}
 
 	// A well-formed rule still passes admission.
-	if _, err := s.Submit(JobRequest{Scheme: "hst", GAC: counterGAC, Fault: []FaultRule{
+	if _, err := s.Submit(JobRequest{Scheme: "hst", GAC: counterGAC, Fault: []faultinject.Spec{
 		{Op: "txn-commit", Action: "poison", After: 10, Count: 2},
 	}}); err != nil {
 		t.Errorf("valid fault rule rejected: %v", err)

@@ -94,7 +94,10 @@ func (e *exitError) Error() string {
 func TestLockfreeTargetsRunAndVerify(t *testing.T) {
 	// Every adversary target under the reference strong scheme: the oracle
 	// must hold, so any failure here is a workload bug, not a finding.
-	cases := []struct{ name string; threads, ops int }{
+	cases := []struct {
+		name         string
+		threads, ops int
+	}{
 		{"stack", 4, 200},
 		{"msqueue", 4, 200},
 		{"wsdeque", 4, 256},
