@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"atomemu/internal/hashtab"
+	"atomemu/internal/mmu"
 )
 
 // HashTable is the HST store-test table type (re-exported so engine and
@@ -16,13 +17,14 @@ func NewHashTable(bits uint) (*HashTable, error) { return hashtab.New(bits) }
 type brokenFlag = atomic.Bool
 
 // noInstrumentation provides the default hooks for schemes that do not
-// instrument regular loads/stores: the engine never calls these (it uses
-// its uninstrumented fast path), but the methods exist so such schemes
-// satisfy Scheme, and they behave sensibly if invoked directly.
-type noInstrumentation struct{}
+// instrument regular loads/stores: the engine never calls the load and
+// store hooks (it uses its uninstrumented fast path), but the methods exist
+// so such schemes satisfy Scheme, and they behave sensibly if invoked
+// directly. RMW is a plain host atomic: with no store test there is nothing
+// else to do (pico-cas).
+type noInstrumentation struct{ plainLoads }
 
 func (noInstrumentation) InstrumentsStores() bool { return false }
-func (noInstrumentation) InstrumentsLoads() bool  { return false }
 
 func (noInstrumentation) Store(ctx Context, addr, val uint32) error {
 	if f := ctx.Mem().StoreWord(addr, val); f != nil {
@@ -31,27 +33,12 @@ func (noInstrumentation) Store(ctx Context, addr, val uint32) error {
 	return nil
 }
 
-func (noInstrumentation) StoreB(ctx Context, addr uint32, val uint8) error {
-	if f := ctx.Mem().StoreByte(addr, val); f != nil {
-		return f
-	}
-	return nil
-}
-
-func (noInstrumentation) Load(ctx Context, addr uint32) (uint32, error) {
-	v, f := ctx.Mem().LoadWord(addr)
+func (noInstrumentation) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
+	old, f := ctx.Mem().Update(addr, u)
 	if f != nil {
 		return 0, f
 	}
-	return v, nil
-}
-
-func (noInstrumentation) LoadB(ctx Context, addr uint32) (uint8, error) {
-	v, f := ctx.Mem().LoadByte(addr)
-	if f != nil {
-		return 0, f
-	}
-	return v, nil
+	return old, nil
 }
 
 // plainLoads provides uninstrumented load hooks for schemes that only

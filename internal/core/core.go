@@ -3,7 +3,8 @@
 // instructions onto a host that only offers CAS, while avoiding the ABA
 // problem.
 //
-// Eight schemes are provided, matching the paper's Table II:
+// Nine schemes are provided: the eight of the paper's Table II and the MPK
+// variant its §VI discussion proposes:
 //
 //	pico-cas   QEMU-4.1's shipping scheme: SC = host CAS on the LL value.
 //	           Fast, portable — and incorrect (ABA).
@@ -25,6 +26,8 @@
 //	           the monitor. Strong atomicity, heavy mprotect cost.
 //	pst-remap  PST with the SC-side stop-the-world replaced by remapping the
 //	           page to a private alias (§III-E).
+//	pst-mpk    PST with the LL's mprotect replaced by tagging the page with
+//	           a memory-protection key (§VI discussion, not evaluated there).
 //
 // Schemes plug into the execution engine (internal/engine) through the
 // Scheme interface; the engine supplies per-vCPU state and machine services
@@ -181,8 +184,8 @@ type Scheme interface {
 	// Portable reports whether the scheme runs without HTM hardware.
 	Portable() bool
 	// InstrumentsStores reports whether guest stores must be routed through
-	// Store/StoreB. When false the engine uses its uninstrumented fast
-	// path, like QEMU's.
+	// Store/RMW. When false the engine uses its uninstrumented fast path,
+	// like QEMU's; fused atomics go through RMW either way.
 	InstrumentsStores() bool
 	// InstrumentsLoads reports whether guest loads must be routed through
 	// Load/LoadB (PICO-HTM reads inside transactions, PST-REMAP fault
@@ -199,8 +202,12 @@ type Scheme interface {
 
 	// Store emulates an instrumented guest word store.
 	Store(ctx Context, addr, val uint32) error
-	// StoreB emulates an instrumented guest byte store.
-	StoreB(ctx Context, addr uint32, val uint8) error
+	// RMW applies u at addr as one atomic guest write and returns the
+	// word's previous value. It is the scheme's only write path besides
+	// Store: instrumented byte stores and fused atomics (§VI) both come
+	// here, so it must break other threads' monitors on the word exactly as
+	// Store does.
+	RMW(ctx Context, addr uint32, u mmu.Update) (old uint32, err error)
 	// Load emulates an instrumented guest word load.
 	Load(ctx Context, addr uint32) (uint32, error)
 	// LoadB emulates an instrumented guest byte load.
@@ -221,15 +228,6 @@ type Scheme interface {
 	// entry locked, no transaction live, and no page protected on behalf of
 	// a disarmed monitor (the PST family un-protects via mem).
 	Restore(mem *mmu.Memory, snap any)
-}
-
-// StoreNotifier is implemented by schemes that need to observe stores the
-// engine performs outside the scheme — fused atomic RMWs from rule-based
-// translation (§VI). NoteStore must break any other thread's monitor on the
-// word, exactly as the scheme's instrumented store path would, without
-// performing the store itself.
-type StoreNotifier interface {
-	NoteStore(ctx Context, addr uint32)
 }
 
 // EmulationError reports a scheme-level failure that aborts the guest run —

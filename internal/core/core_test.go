@@ -220,8 +220,9 @@ func TestInterveningSCAllSchemes(t *testing.T) {
 
 // interveningStore checks Seq1: a plain store of the same value between LL
 // and SC. Strong-atomicity schemes must fail the SC; weak/incorrect ones
-// succeed.
-func interveningStore(t *testing.T, name string) {
+// succeed. With byteStore the stores are byte stores to the word's low
+// lane, which instrumented schemes take through RMW.
+func interveningStore(t *testing.T, name string, byteStore bool) {
 	t.Helper()
 	f := newFixture(t)
 	s := f.scheme(t, name)
@@ -234,14 +235,23 @@ func interveningStore(t *testing.T, name string) {
 	// Thread b stores 6 then 5 (restoring the value) via the scheme's
 	// instrumented store path (or plain stores when not instrumented).
 	storeVia := func(val uint32) {
-		if s.InstrumentsStores() {
-			if err := s.Store(b, varAddr, val); err != nil {
-				t.Fatal(err)
+		var err error
+		switch {
+		case byteStore && s.InstrumentsStores():
+			_, err = s.RMW(b, varAddr, mmu.Update{Kind: mmu.UpdateByte, Operand: val})
+		case byteStore:
+			if f := f.mem.StoreByte(varAddr, uint8(val)); f != nil {
+				err = f
 			}
-		} else {
+		case s.InstrumentsStores():
+			err = s.Store(b, varAddr, val)
+		default:
 			if f := f.mem.StoreWord(varAddr, val); f != nil {
-				t.Fatal(f)
+				err = f
 			}
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 	storeVia(6)
@@ -261,7 +271,47 @@ func interveningStore(t *testing.T, name string) {
 
 func TestInterveningStoreAllSchemes(t *testing.T) {
 	for _, name := range SchemeNames() {
-		t.Run(name, func(t *testing.T) { interveningStore(t, name) })
+		t.Run(name, func(t *testing.T) {
+			t.Run("word", func(t *testing.T) { interveningStore(t, name, false) })
+			t.Run("byte", func(t *testing.T) { interveningStore(t, name, true) })
+		})
+	}
+}
+
+// interveningRMW checks that an atomic RMW by another thread between a
+// thread's LL and SC fails the SC even when it leaves the value unchanged:
+// an RMW is an atomic operation, so weak atomicity must see it too. Only
+// pico-cas, which compares values, succeeds (ABA).
+func interveningRMW(t *testing.T, name string) {
+	t.Helper()
+	f := newFixture(t)
+	s := f.scheme(t, name)
+	a, b := f.ctx(1), f.ctx(2)
+	f.mem.StoreWord(varAddr, 5)
+
+	if _, err := s.LL(a, varAddr); err != nil {
+		t.Fatal(err)
+	}
+	old, err := s.RMW(b, varAddr, mmu.Update{Kind: mmu.UpdateXchg, Operand: 5})
+	if err != nil || old != 5 {
+		t.Fatalf("%s: RMW = %d, %v", name, old, err)
+	}
+	st, err := s.SC(a, varAddr, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFail := s.Atomicity() >= AtomicityWeak
+	if wantFail && st != 1 {
+		t.Errorf("%s (%v): SC succeeded across an intervening RMW", name, s.Atomicity())
+	}
+	if !wantFail && st != 0 {
+		t.Errorf("%s: expected the ABA success (that is its bug), got failure", name)
+	}
+}
+
+func TestInterveningRMWAllSchemes(t *testing.T) {
+	for _, name := range SchemeNames() {
+		t.Run(name, func(t *testing.T) { interveningRMW(t, name) })
 	}
 }
 
@@ -444,6 +494,33 @@ func TestPicoHTMDoomedWindowFailsSC(t *testing.T) {
 	}
 	if v, _ := f.mem.LoadWord(varAddr); v != 3 {
 		t.Errorf("doomed SC wrote memory: %d", v)
+	}
+}
+
+// TestPicoHTMRMWInsideWindowIsTransactional: an RMW inside the vCPU's own
+// open window is buffered in its transaction, invisible until the SC
+// commits it together with the window's other writes.
+func TestPicoHTMRMWInsideWindowIsTransactional(t *testing.T) {
+	f := newFixture(t)
+	s := f.scheme(t, "pico-htm")
+	a := f.ctx(1)
+	f.mem.StoreWord(varAddr, 3)
+	f.mem.StoreWord(varAddr+8, 0x11223344)
+	if _, err := s.LL(a, varAddr); err != nil {
+		t.Fatal(err)
+	}
+	old, err := s.RMW(a, varAddr+9, mmu.Update{Kind: mmu.UpdateByte, Operand: 0xab})
+	if err != nil || old != 0x11223344 {
+		t.Fatalf("RMW in window = %#x, %v", old, err)
+	}
+	if v, _ := f.mem.LoadWord(varAddr + 8); v != 0x11223344 {
+		t.Fatalf("RMW in window reached memory before the SC: %#x", v)
+	}
+	if st, err := s.SC(a, varAddr, 4); err != nil || st != 0 {
+		t.Fatalf("SC = %d, %v", st, err)
+	}
+	if v, _ := f.mem.LoadWord(varAddr + 8); v != 0x1122ab44 {
+		t.Errorf("word after commit = %#x, want 0x1122ab44", v)
 	}
 }
 

@@ -108,13 +108,21 @@ func (s *hst) Store(ctx Context, addr, val uint32) error {
 	return nil
 }
 
-func (s *hst) StoreB(ctx Context, addr uint32, val uint8) error {
+// RMW writes the word first and claims its entry after. An SC runs in an
+// exclusive section, which waits for this vCPU to leave its region, so the
+// claim has landed by the time any SC checks the entry: a monitor armed
+// before the write fails. An LL that slips between the write and the claim
+// loads the new value and then loses the entry, a spurious failure the
+// guest retries. Claiming first would let such an LL arm on the old value
+// and succeed, losing the update.
+func (s *hst) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
-	s.set(ctx, addr&^3, ctx.TID())
-	if f := ctx.Mem().StoreByte(addr, val); f != nil {
-		return f
+	old, f := ctx.Mem().Update(addr, u)
+	if f != nil {
+		return 0, f
 	}
-	return nil
+	s.set(ctx, addr&^3, ctx.TID())
+	return old, nil
 }
 
 // hstWeak is HST-WEAK (§III-C, Fig. 7): the store instrumentation is
@@ -141,26 +149,8 @@ func (s *hstWeak) Portable() bool       { return true }
 
 func (s *hstWeak) LL(ctx Context, addr uint32) (uint32, error) {
 	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
-	// SetWait respects a concurrent SC's entry lock; overwriting it would
-	// let two SCs into their critical sections at once. The spin is
-	// bounded: a holder that never releases (a wedged or faulted vCPU)
-	// raises a watchdog diagnostic instead of hanging this vCPU forever.
-	if !s.tab.SetWait(addr, ctx.TID()) {
-		budget := s.tab.SpinBudget
-		if budget <= 0 {
-			budget = hashtab.DefaultSpinBudget
-		}
-		ctx.Stats().WatchdogTrips++
-		ctx.Tracer().Emit(obs.EvWatchdogTrip, addr, uint64(budget))
-		return 0, &WatchdogError{
-			Scheme:    s.Name(),
-			TID:       ctx.TID(),
-			Addr:      addr,
-			Kind:      "hash-entry lock spin",
-			Fails:     uint64(budget),
-			HashOwner: s.tab.Get(addr),
-			HasOwner:  true,
-		}
+	if err := s.claim(ctx, addr); err != nil {
+		return 0, err
 	}
 	v, f := ctx.Mem().LoadWord(addr)
 	if f != nil {
@@ -171,6 +161,32 @@ func (s *hstWeak) LL(ctx Context, addr uint32) (uint32, error) {
 	m.Addr = addr
 	m.Val = v
 	return v, nil
+}
+
+// claim writes tid into addr's entry. SetWait respects a concurrent SC's
+// entry lock; overwriting it would let two SCs into their critical
+// sections at once. The spin is bounded: a holder that never releases (a
+// wedged or faulted vCPU) raises a watchdog diagnostic instead of hanging
+// this vCPU forever.
+func (s *hstWeak) claim(ctx Context, addr uint32) error {
+	if s.tab.SetWait(addr, ctx.TID()) {
+		return nil
+	}
+	budget := s.tab.SpinBudget
+	if budget <= 0 {
+		budget = hashtab.DefaultSpinBudget
+	}
+	ctx.Stats().WatchdogTrips++
+	ctx.Tracer().Emit(obs.EvWatchdogTrip, addr, uint64(budget))
+	return &WatchdogError{
+		Scheme:    s.Name(),
+		TID:       ctx.TID(),
+		Addr:      addr,
+		Kind:      "hash-entry lock spin",
+		Fails:     uint64(budget),
+		HashOwner: s.tab.Get(addr),
+		HasOwner:  true,
+	}
 }
 
 func (s *hstWeak) SC(ctx Context, addr, val uint32) (uint32, error) {
@@ -197,11 +213,28 @@ func (s *hstWeak) SC(ctx Context, addr, val uint32) (uint32, error) {
 
 func (s *hstWeak) Clrex(ctx Context) { ctx.Monitor().Reset() }
 
-// NoteStore implements StoreNotifier: a fused RMW claims the word's hash
-// entry just like an instrumented store, breaking foreign monitors.
-func (s *hst) NoteStore(ctx Context, addr uint32) {
-	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
-	s.set(ctx, addr, ctx.TID())
+// RMW takes the entry lock the way SC does. The claim breaks every monitor
+// armed before it (their SC's Lock no longer finds their tid), the lock
+// keeps SCs out while the word changes, and an LL meanwhile waits in
+// SetWait and then loads the new value. Plain stores stay uninstrumented:
+// fused atomics are atomic operations, which weak atomicity must order.
+func (s *hstWeak) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
+	tid := ctx.TID()
+	ctx.Charge(stats.CompInstrument, s.cost.HashInline+s.cost.HostAtomic)
+	for {
+		if err := s.claim(ctx, addr); err != nil {
+			return 0, err
+		}
+		if s.tab.Lock(addr, tid) {
+			break
+		}
+	}
+	old, f := ctx.Mem().Update(addr, u)
+	s.tab.Unlock(addr, tid)
+	if f != nil {
+		return 0, f
+	}
+	return old, nil
 }
 
 // HashOwner implements HashOwnerReporter for watchdog diagnostics.

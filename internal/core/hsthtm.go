@@ -216,21 +216,21 @@ func (s *hstHTM) Store(ctx Context, addr, val uint32) error {
 	return nil
 }
 
-func (s *hstHTM) StoreB(ctx Context, addr uint32, val uint8) error {
+// RMW writes the word and then claims and publishes its entry, as hst does:
+// there is no open transaction to write into (only the SC is
+// transactional), and the claim after the write fails every monitor armed
+// before it. An SC transaction that read the entry first is aborted by the
+// entry's version bump; the window between its validation and its publish
+// is in the TM's commit, and plain stores share it.
+func (s *hstHTM) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
-	s.setAndNotify(addr&^3, ctx.TID())
-	if f := ctx.Mem().StoreByte(addr, val); f != nil {
-		return f
+	old, f := ctx.Mem().Update(addr, u)
+	if f != nil {
+		return 0, f
 	}
+	s.setAndNotify(addr&^3, ctx.TID())
 	s.tm.NotifyStore(addr &^ 3)
-	return nil
-}
-
-// NoteStore implements StoreNotifier for fused RMWs.
-func (s *hstHTM) NoteStore(ctx Context, addr uint32) {
-	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
-	s.setAndNotify(addr, ctx.TID())
-	s.tm.NotifyStore(addr)
+	return old, nil
 }
 
 // HashOwner implements HashOwnerReporter for watchdog diagnostics.

@@ -395,16 +395,18 @@ func (s *picoHTM) notifyOwnStore(ctx Context, addr uint32) {
 	s.tm.NotifyStore(addr)
 }
 
-func (s *picoHTM) StoreB(ctx Context, addr uint32, val uint8) error {
+// RMW inside an open window reads and writes the word transactionally, so
+// it commits or aborts with the window like every other access in it.
+// Otherwise (no window, or a doomed one) it is a host atomic followed by
+// the same store notification a direct store makes, which aborts every
+// transaction that read the word and moves a degraded window's slot word.
+func (s *picoHTM) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	m := ctx.Monitor()
 	if m.Txn != nil && !m.Txn.Done() {
-		w, err := m.Txn.Read(addr &^ 3)
+		old, err := m.Txn.Read(addr &^ 3)
 		if err == nil {
-			shift := 8 * (addr & 3)
-			nw := w&^(0xff<<shift) | uint32(val)<<shift
-			err = m.Txn.Write(addr&^3, nw)
-			if err == nil {
-				return nil
+			if err = m.Txn.Write(addr&^3, u.Apply(addr, old)); err == nil {
+				return old, nil
 			}
 		}
 		reason := htm.ReasonConflict
@@ -416,17 +418,12 @@ func (s *picoHTM) StoreB(ctx Context, addr uint32, val uint8) error {
 		ctx.Tracer().Emit(obs.EvHTMAbort, addr, uint64(reason))
 		ctx.Charge(stats.CompHTM, s.cost.HTMAbort)
 	}
-	if f := ctx.Mem().StoreByte(addr, val); f != nil {
-		return f
+	old, f := ctx.Mem().Update(addr, u)
+	if f != nil {
+		return 0, f
 	}
 	s.notifyOwnStore(ctx, addr&^3)
-	return nil
-}
-
-// NoteStore implements StoreNotifier: fused RMWs conflict with open
-// transactions reading the word.
-func (s *picoHTM) NoteStore(ctx Context, addr uint32) {
-	s.tm.NotifyStore(addr)
+	return old, nil
 }
 
 // Snapshot captures the TM slot words (locked words are recorded unlocked:

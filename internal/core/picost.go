@@ -141,30 +141,25 @@ func (s *picoST) Clrex(ctx Context) {
 }
 
 func (s *picoST) Store(ctx Context, addr, val uint32) error {
-	ctx.Charge(stats.CompInstrument, s.cost.HelperCall)
-	ctx.Charge(stats.CompExclusive, s.cost.HostAtomic)
-	s.mu.Lock()
-	s.breakConflictsLocked(addr, ctx.TID())
-	f := ctx.Mem().StoreWord(addr, val)
-	s.mu.Unlock()
-	if f != nil {
-		return f
-	}
-	return nil
+	_, err := s.RMW(ctx, addr, mmu.Update{Kind: mmu.UpdateXchg, Operand: val})
+	return err
 }
 
-func (s *picoST) StoreB(ctx Context, addr uint32, val uint8) error {
+// RMW is the store test: under the global lock it clears every other
+// thread's monitor on the word, then writes. SC holds the same lock from
+// its check to its store, so no write lands between them, and an LL after
+// the unlock loads the new value.
+func (s *picoST) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	ctx.Charge(stats.CompInstrument, s.cost.HelperCall)
 	ctx.Charge(stats.CompExclusive, s.cost.HostAtomic)
 	s.mu.Lock()
-	// A byte store conflicts with a monitor on its containing word.
 	s.breakConflictsLocked(addr&^3, ctx.TID())
-	f := ctx.Mem().StoreByte(addr, val)
+	old, f := ctx.Mem().Update(addr, u)
 	s.mu.Unlock()
 	if f != nil {
-		return f
+		return 0, f
 	}
-	return nil
+	return old, nil
 }
 
 // Snapshot: the registry only holds armed monitors, which are disarmed
@@ -177,13 +172,5 @@ func (s *picoST) Restore(mem *mmu.Memory, snap any) {
 	s.mu.Lock()
 	s.byAddr = make(map[uint32][]*stMonitor)
 	s.byTID = make(map[uint32]*stMonitor)
-	s.mu.Unlock()
-}
-
-// NoteStore implements StoreNotifier: fused RMWs still clear conflicting
-// monitors under the global lock.
-func (s *picoST) NoteStore(ctx Context, addr uint32) {
-	s.mu.Lock()
-	s.breakConflictsLocked(addr, ctx.TID())
 	s.mu.Unlock()
 }

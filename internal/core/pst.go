@@ -28,10 +28,19 @@ import (
 // mprotect costs are charged through Context.ChargeExclusive and the cost
 // model so the timing behaviour matches the measured system.
 type pst struct {
+	plainLoads
 	cost *CostModel
 
 	mu    sync.Mutex // guards pages map
 	pages map[uint32]*pstPage
+
+	// The two variants' only additions to the write path (RMW):
+	// trapped reports a page whose stores trap before the mmu sees them
+	// (pst-mpk's key check), and waitRemap waits out an SC's remap window
+	// on an unmapped page, reporting whether the page was one of ours
+	// (pst-remap). Both are nil for pst.
+	trapped   func(addr uint32) bool
+	waitRemap func(ctx Context, base uint32) bool
 }
 
 type pstPage struct {
@@ -58,7 +67,6 @@ func (s *pst) Name() string            { return "pst" }
 func (s *pst) Atomicity() Atomicity    { return AtomicityStrong }
 func (s *pst) Portable() bool          { return true }
 func (s *pst) InstrumentsStores() bool { return true }
-func (s *pst) InstrumentsLoads() bool  { return false }
 
 func (s *pst) page(base uint32) *pstPage {
 	s.mu.Lock()
@@ -182,10 +190,12 @@ func (s *pst) SC(ctx Context, addr, val uint32) (uint32, error) {
 	ok := m.Addr == addr && !m.Broken()
 	var fault *mmu.Fault
 	if ok {
-		// The SC's own update is a store to the variable: it breaks every
-		// other thread's monitor on the same word.
-		s.breakOthersLocked(p, addr, ctx.TID())
-		fault = ctx.Mem().WriteWordPriv(addr, val)
+		if fault = p.denied(addr); fault == nil {
+			// The SC's own update is a store to the variable: it breaks
+			// every other thread's monitor on the same word.
+			s.breakOthersLocked(p, addr, ctx.TID())
+			fault = ctx.Mem().WriteWordPriv(addr, val)
+		}
 	}
 	s.releaseLocked(ctx, base, p, ctx.TID())
 	if fault != nil {
@@ -200,24 +210,68 @@ func (s *pst) SC(ctx Context, addr, val uint32) (uint32, error) {
 
 func (s *pst) Clrex(ctx Context) { s.release(ctx) }
 
-// handleStoreFault is the SIGSEGV-handler analogue: break conflicting
-// monitors on the page and perform the store with privileges. wordBase is
-// the 4-aligned address the monitors are compared against.
-func (s *pst) handleStoreFault(ctx Context, base, wordBase uint32, commit func() *mmu.Fault) error {
+// denied returns the fault a guest store to addr takes when the page was
+// not writable before the scheme protected it, nil otherwise: the family's
+// privileged commits (SC, fault handler) must not grant a write the guest
+// never had. Caller holds p.pmu.
+func (p *pstPage) denied(addr uint32) *mmu.Fault {
+	if p.origPerm&mmu.PermWrite != 0 {
+		return nil
+	}
+	return &mmu.Fault{Addr: addr, Kind: mmu.FaultProtected, Access: mmu.AccessStore}
+}
+
+func (s *pst) Store(ctx Context, addr, val uint32) error {
+	_, err := s.RMW(ctx, addr, mmu.Update{Kind: mmu.UpdateXchg, Operand: val})
+	return err
+}
+
+// RMW is the family's one guest-write path (Store is an exchange). A write to an unprotected page lands through the mmu. A protection
+// fault runs the SIGSEGV-handler analogue: under the page lock, which every
+// LL and SC on the page also holds, it breaks the other threads' monitors
+// on the word and commits with privileges. A monitor armed before the
+// handler is broken before its SC can check it; one armed after loads the
+// new value. The unprotected path is not ordered with the page lock: an LL
+// that protects the page between the mmu's permission check and its write
+// loads the old value, and its SC can succeed.
+func (s *pst) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
+	for {
+		if s.trapped != nil && s.trapped(addr) {
+			return s.handleStoreFault(ctx, addr, u)
+		}
+		old, f := ctx.Mem().Update(addr, u)
+		switch {
+		case f == nil:
+			return old, nil
+		case f.Kind == mmu.FaultProtected:
+			return s.handleStoreFault(ctx, addr, u)
+		case f.Kind == mmu.FaultUnmapped && s.waitRemap != nil && s.waitRemap(ctx, mmu.PageBase(addr)):
+			continue
+		}
+		return 0, f
+	}
+}
+
+// handleStoreFault is the fault handler of RMW. A page the scheme does
+// not track, or one that was read-only before it was protected, faults for
+// real.
+func (s *pst) handleStoreFault(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	st := ctx.Stats()
 	st.PageFaults++
 	ctx.Charge(stats.CompMProtect, s.cost.PageFault)
-	p := s.lookup(base)
+	p := s.lookup(mmu.PageBase(addr))
 	if p == nil {
-		// Genuinely protected page, not one of ours.
-		return &mmu.Fault{Addr: wordBase, Kind: mmu.FaultProtected, Access: mmu.AccessStore}
+		return 0, &mmu.Fault{Addr: addr, Kind: mmu.FaultProtected, Access: mmu.AccessStore}
 	}
 	p.pmu.Lock()
 	defer p.pmu.Unlock()
+	if f := p.denied(addr); f != nil {
+		return 0, f
+	}
 	tid := ctx.TID()
 	matched := false
 	for monTID, pm := range p.monitors {
-		if pm.addr&^3 == wordBase {
+		if pm.addr&^3 == addr&^3 {
 			matched = true
 			if monTID != tid {
 				pm.mon.Break()
@@ -227,58 +281,11 @@ func (s *pst) handleStoreFault(ctx Context, base, wordBase uint32, commit func()
 	if !matched {
 		st.FalseSharing++
 	}
-	if f := commit(); f != nil {
-		return f
-	}
-	return nil
-}
-
-func (s *pst) Store(ctx Context, addr, val uint32) error {
-	f := ctx.Mem().StoreWord(addr, val)
-	if f == nil {
-		return nil
-	}
-	if f.Kind != mmu.FaultProtected {
-		return f
-	}
-	return s.handleStoreFault(ctx, mmu.PageBase(addr), addr, func() *mmu.Fault {
-		return ctx.Mem().WriteWordPriv(addr, val)
-	})
-}
-
-func (s *pst) StoreB(ctx Context, addr uint32, val uint8) error {
-	f := ctx.Mem().StoreByte(addr, val)
-	if f == nil {
-		return nil
-	}
-	if f.Kind != mmu.FaultProtected {
-		return f
-	}
-	return s.handleStoreFault(ctx, mmu.PageBase(addr), addr&^3, func() *mmu.Fault {
-		// Privileged read-modify-write of the containing word.
-		w, rf := ctx.Mem().ReadWordPriv(addr &^ 3)
-		if rf != nil {
-			return rf
-		}
-		shift := 8 * (addr & 3)
-		return ctx.Mem().WriteWordPriv(addr&^3, w&^(0xff<<shift)|uint32(val)<<shift)
-	})
-}
-
-func (s *pst) Load(ctx Context, addr uint32) (uint32, error) {
-	v, f := ctx.Mem().LoadWord(addr)
+	old, f := ctx.Mem().UpdatePriv(addr, u)
 	if f != nil {
 		return 0, f
 	}
-	return v, nil
-}
-
-func (s *pst) LoadB(ctx Context, addr uint32) (uint8, error) {
-	v, f := ctx.Mem().LoadByte(addr)
-	if f != nil {
-		return 0, f
-	}
-	return v, nil
+	return old, nil
 }
 
 // pstProtPage records one page the scheme held write-protected at
@@ -319,17 +326,4 @@ func (s *pst) Restore(mem *mmu.Memory, snap any) {
 		// re-mapped it, so this cannot fail.
 		_ = mem.Protect(pp.base, mmu.PageSize, pp.perm)
 	}
-}
-
-// NoteStore implements StoreNotifier: a fused RMW on a monitored page breaks
-// the other threads' monitors on that word (the page-fault handler's job for
-// regular stores).
-func (s *pst) NoteStore(ctx Context, addr uint32) {
-	p := s.lookup(mmu.PageBase(addr))
-	if p == nil {
-		return
-	}
-	p.pmu.Lock()
-	s.breakOthersLocked(p, addr, ctx.TID())
-	p.pmu.Unlock()
 }

@@ -32,20 +32,20 @@ type pstMPK struct {
 
 // NewPSTMPK constructs the MPK-based PST variant.
 func NewPSTMPK(cost *CostModel) Scheme {
-	return &pstMPK{
+	s := &pstMPK{
 		pst:  pst{cost: cost, pages: make(map[uint32]*pstPage)},
 		unit: mpk.New(),
 	}
+	// A store to a tagged page traps on the hardware's key check: a real
+	// SIGSEGV, full fault cost, before any mmu permission is consulted.
+	s.trapped = func(addr uint32) bool { return s.unit.KeyOf(addr) != 0 }
+	return s
 }
 
 func (s *pstMPK) Name() string { return "pst-mpk" }
 
-// pageKey tracks the key assigned to a page while monitored; stored in the
-// pstPage via the spare remapping field? No — keep a side map keyed by the
-// same page struct. Simplest: key per page in a parallel map guarded by the
-// page mutex.
-
-// mpkState hangs per-page MPK bookkeeping off the shared pstPage.
+// mpkState is a page's key bookkeeping, kept on the shared pstPage and
+// guarded by its mutex.
 type mpkState struct {
 	key      uint8
 	fallback bool // no key available: classic PST mprotect used
@@ -73,7 +73,8 @@ func (s *pstMPK) LL(ctx Context, addr uint32) (uint32, error) {
 	p.refcnt++
 	st := s.keyed(p)
 	if p.refcnt == 1 {
-		if ctx.Mem().PermAt(base) == 0 {
+		p.origPerm = ctx.Mem().PermAt(base)
+		if p.origPerm == 0 {
 			s.releaseMPKLocked(ctx, base, p, ctx.TID())
 			p.pmu.Unlock()
 			m.Reset()
@@ -89,7 +90,6 @@ func (s *pstMPK) LL(ctx Context, addr uint32) (uint32, error) {
 		} else {
 			// Key exhaustion: classic PST for this page.
 			st.fallback = true
-			p.origPerm = ctx.Mem().PermAt(base)
 			if err := ctx.Mem().Protect(base, mmu.PageSize, p.origPerm&^mmu.PermWrite); err != nil {
 				s.releaseMPKLocked(ctx, base, p, ctx.TID())
 				p.pmu.Unlock()
@@ -184,8 +184,10 @@ func (s *pstMPK) SC(ctx Context, addr, val uint32) (uint32, error) {
 	ok := m.Addr == addr && !m.Broken()
 	var fault *mmu.Fault
 	if ok {
-		s.breakOthersLocked(p, addr, ctx.TID())
-		fault = ctx.Mem().WriteWordPriv(addr, val)
+		if fault = p.denied(addr); fault == nil {
+			s.breakOthersLocked(p, addr, ctx.TID())
+			fault = ctx.Mem().WriteWordPriv(addr, val)
+		}
 	}
 	s.releaseMPKLocked(ctx, base, p, ctx.TID())
 	if fault != nil {
@@ -200,49 +202,6 @@ func (s *pstMPK) SC(ctx Context, addr, val uint32) (uint32, error) {
 
 func (s *pstMPK) Clrex(ctx Context) { s.release2(ctx) }
 
-// Store: the fast path is the hardware's free key check; a tagged page
-// diverts to the PST-style handler (a real SIGSEGV, full fault cost).
-func (s *pstMPK) Store(ctx Context, addr, val uint32) error {
-	if s.unit.KeyOf(addr) == 0 {
-		// Untagged page, but it may still be mprotect-protected (fallback).
-		f := ctx.Mem().StoreWord(addr, val)
-		if f == nil {
-			return nil
-		}
-		if f.Kind != mmu.FaultProtected {
-			return f
-		}
-		return s.handleStoreFault(ctx, mmu.PageBase(addr), addr, func() *mmu.Fault {
-			return ctx.Mem().WriteWordPriv(addr, val)
-		})
-	}
-	return s.handleStoreFault(ctx, mmu.PageBase(addr), addr, func() *mmu.Fault {
-		return ctx.Mem().WriteWordPriv(addr, val)
-	})
-}
-
-func (s *pstMPK) StoreB(ctx Context, addr uint32, val uint8) error {
-	commit := func() *mmu.Fault {
-		w, rf := ctx.Mem().ReadWordPriv(addr &^ 3)
-		if rf != nil {
-			return rf
-		}
-		shift := 8 * (addr & 3)
-		return ctx.Mem().WriteWordPriv(addr&^3, w&^(0xff<<shift)|uint32(val)<<shift)
-	}
-	if s.unit.KeyOf(addr) == 0 {
-		f := ctx.Mem().StoreByte(addr, val)
-		if f == nil {
-			return nil
-		}
-		if f.Kind != mmu.FaultProtected {
-			return f
-		}
-		return s.handleStoreFault(ctx, mmu.PageBase(addr), addr&^3, commit)
-	}
-	return s.handleStoreFault(ctx, mmu.PageBase(addr), addr&^3, commit)
-}
-
 // Restore additionally clears every page tag and returns all keys to the
 // pool: tagged pages belong to monitors the restore disarms. The embedded
 // pst.Snapshot already covers the key-exhaustion fallback pages (the only
@@ -250,15 +209,4 @@ func (s *pstMPK) StoreB(ctx Context, addr uint32, val uint8) error {
 func (s *pstMPK) Restore(mem *mmu.Memory, snap any) {
 	s.unit.Reset()
 	s.pst.Restore(mem, snap)
-}
-
-// NoteStore implements StoreNotifier for fused RMWs.
-func (s *pstMPK) NoteStore(ctx Context, addr uint32) {
-	p := s.lookup(mmu.PageBase(addr))
-	if p == nil {
-		return
-	}
-	p.pmu.Lock()
-	s.breakOthersLocked(p, addr, ctx.TID())
-	p.pmu.Unlock()
 }

@@ -25,7 +25,9 @@ type pstRemap struct {
 
 // NewPSTRemap constructs the PST-REMAP scheme.
 func NewPSTRemap(cost *CostModel) Scheme {
-	return &pstRemap{pst: pst{cost: cost, pages: make(map[uint32]*pstPage)}}
+	s := &pstRemap{pst: pst{cost: cost, pages: make(map[uint32]*pstPage)}}
+	s.waitRemap = s.wait
+	return s
 }
 
 func (s *pstRemap) Name() string           { return "pst-remap" }
@@ -54,6 +56,10 @@ func (s *pstRemap) SC(ctx Context, addr, val uint32) (uint32, error) {
 
 	ok := m.Addr == addr && !m.Broken()
 	var fault *mmu.Fault
+	if ok {
+		fault = p.denied(addr)
+		ok = fault == nil
+	}
 	if ok {
 		// The SC's own update breaks other monitors on the same word.
 		s.breakOthersLocked(p, addr, ctx.TID())
@@ -104,9 +110,9 @@ func (s *pstRemap) SC(ctx Context, addr, val uint32) (uint32, error) {
 	return 1, nil
 }
 
-// waitRemap blocks until a remap window on the page closes. Reports whether
-// the address belonged to a remapping page (retry) or not (genuine fault).
-func (s *pstRemap) waitRemap(ctx Context, base uint32) bool {
+// wait blocks until a remap window on the page closes. Reports whether the
+// address belonged to a remapping page (retry) or not (genuine fault).
+func (s *pstRemap) wait(ctx Context, base uint32) bool {
 	p := s.lookup(base)
 	if p == nil {
 		return false
@@ -121,62 +127,13 @@ func (s *pstRemap) waitRemap(ctx Context, base uint32) bool {
 	return true
 }
 
-func (s *pstRemap) Store(ctx Context, addr, val uint32) error {
-	for {
-		f := ctx.Mem().StoreWord(addr, val)
-		if f == nil {
-			return nil
-		}
-		switch f.Kind {
-		case mmu.FaultProtected:
-			return s.handleStoreFault(ctx, mmu.PageBase(addr), addr, func() *mmu.Fault {
-				return ctx.Mem().WriteWordPriv(addr, val)
-			})
-		case mmu.FaultUnmapped:
-			if s.waitRemap(ctx, mmu.PageBase(addr)) {
-				continue
-			}
-			return f
-		default:
-			return f
-		}
-	}
-}
-
-func (s *pstRemap) StoreB(ctx Context, addr uint32, val uint8) error {
-	for {
-		f := ctx.Mem().StoreByte(addr, val)
-		if f == nil {
-			return nil
-		}
-		switch f.Kind {
-		case mmu.FaultProtected:
-			return s.handleStoreFault(ctx, mmu.PageBase(addr), addr&^3, func() *mmu.Fault {
-				w, rf := ctx.Mem().ReadWordPriv(addr &^ 3)
-				if rf != nil {
-					return rf
-				}
-				shift := 8 * (addr & 3)
-				return ctx.Mem().WriteWordPriv(addr&^3, w&^(0xff<<shift)|uint32(val)<<shift)
-			})
-		case mmu.FaultUnmapped:
-			if s.waitRemap(ctx, mmu.PageBase(addr)) {
-				continue
-			}
-			return f
-		default:
-			return f
-		}
-	}
-}
-
 func (s *pstRemap) Load(ctx Context, addr uint32) (uint32, error) {
 	for {
 		v, f := ctx.Mem().LoadWord(addr)
 		if f == nil {
 			return v, nil
 		}
-		if f.Kind == mmu.FaultUnmapped && s.waitRemap(ctx, mmu.PageBase(addr)) {
+		if f.Kind == mmu.FaultUnmapped && s.wait(ctx, mmu.PageBase(addr)) {
 			continue
 		}
 		return 0, f
@@ -189,7 +146,7 @@ func (s *pstRemap) LoadB(ctx Context, addr uint32) (uint8, error) {
 		if f == nil {
 			return v, nil
 		}
-		if f.Kind == mmu.FaultUnmapped && s.waitRemap(ctx, mmu.PageBase(addr)) {
+		if f.Kind == mmu.FaultUnmapped && s.wait(ctx, mmu.PageBase(addr)) {
 			continue
 		}
 		return 0, f

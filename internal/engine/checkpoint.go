@@ -279,7 +279,6 @@ func (m *Machine) demoteScheme() error {
 		return err
 	}
 	m.scheme = sch
-	m.storeNotifier, _ = sch.(core.StoreNotifier)
 	old := m.topts
 	m.topts.InstrumentStores = sch.InstrumentsStores()
 	m.topts.InstrumentLoads = sch.InstrumentsLoads()

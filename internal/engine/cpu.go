@@ -575,7 +575,6 @@ func (c *CPU) execOps(b *ir.Block) (exitOutcome, uint64) {
 	mem := c.m.mem
 	scheme := c.m.scheme
 	cost := &c.m.cfg.Cost
-	tm := c.m.tm
 	var native uint64
 
 	for i := range b.Ops {
@@ -720,25 +719,17 @@ func (c *CPU) execOps(b *ir.Block) (exitOutcome, uint64) {
 
 		case ir.Store:
 			c.maybePreempt()
-			addr := s[in.A] + in.Imm
-			if f := mem.StoreWord(addr, s[in.B]); f != nil {
+			if f := mem.StoreWord(s[in.A]+in.Imm, s[in.B]); f != nil {
 				c.guestFault(f, in)
 				return exitNone, native
-			}
-			if tm != nil {
-				tm.NotifyStore(addr)
 			}
 			c.st.Stores++
 			native += cost.MemAccess
 		case ir.StoreB:
 			c.maybePreempt()
-			addr := s[in.A] + in.Imm
-			if f := mem.StoreByte(addr, uint8(s[in.B])); f != nil {
+			if f := mem.StoreByte(s[in.A]+in.Imm, uint8(s[in.B])); f != nil {
 				c.guestFault(f, in)
 				return exitNone, native
-			}
-			if tm != nil {
-				tm.NotifyStore(addr &^ 3)
 			}
 			c.st.Stores++
 			native += cost.MemAccess
@@ -752,7 +743,8 @@ func (c *CPU) execOps(b *ir.Block) (exitOutcome, uint64) {
 			native += cost.MemAccess
 		case ir.InstrStoreB:
 			c.maybePreempt()
-			if err := scheme.StoreB(c, s[in.A]+in.Imm, uint8(s[in.B])); err != nil {
+			u := mmu.Update{Kind: mmu.UpdateByte, Operand: s[in.B]}
+			if _, err := scheme.RMW(c, s[in.A]+in.Imm, u); err != nil {
 				c.schemeFault(err, in)
 				return exitNone, native
 			}
@@ -794,30 +786,14 @@ func (c *CPU) execOps(b *ir.Block) (exitOutcome, uint64) {
 			if !in.RMWImm {
 				operand = s[in.B]
 			}
-			// Rule-based fused atomic (paper §VI): one host atomic builtin,
-			// outside the scheme, but still breaking monitors via NoteStore.
-			if sn := c.m.storeNotifier; sn != nil {
-				sn.NoteStore(c, addr)
+			// Rule-based fused atomic (paper §VI): one host atomic builtin
+			// through the scheme's store test.
+			old, err := scheme.RMW(c, addr, mmu.Update{Kind: in.RMW, Operand: operand})
+			if err != nil {
+				c.schemeFault(err, in)
+				return exitNone, native
 			}
-			for {
-				old, f := mem.ReadWordPriv(addr)
-				if f != nil {
-					c.guestFault(f, in)
-					return exitNone, native
-				}
-				ok, f := mem.CASWordPriv(addr, old, in.RMW.Eval(old, operand))
-				if f != nil {
-					c.guestFault(f, in)
-					return exitNone, native
-				}
-				if ok {
-					s[in.D] = old
-					break
-				}
-			}
-			if tm != nil {
-				tm.NotifyStore(addr)
-			}
+			s[in.D] = old
 			c.st.LLs++
 			c.st.SCs++
 			c.ring.Emit(obs.EvLL, addr, 0)

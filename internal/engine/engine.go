@@ -236,10 +236,6 @@ type Machine struct {
 	excl   *exclusive
 	topts  translate.Options
 
-	// storeNotifier is the scheme's NoteStore hook, when it has one (fused
-	// atomics bypass the scheme but must still break monitors).
-	storeNotifier core.StoreNotifier
-
 	// tbs is the shared translation-block cache: lock-free sharded
 	// copy-on-write lookups, see tbcache.go.
 	tbs tbCache
@@ -478,7 +474,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		Optimize:         !cfg.NoOptimize,
 		FuseAtomics:      cfg.FuseAtomics,
 	}
-	m.storeNotifier, _ = m.scheme.(core.StoreNotifier)
 
 	m.chainBudget = cfg.ChainBudget
 	m.tiered = cfg.Tiered

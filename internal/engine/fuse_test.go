@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"atomemu/internal/core"
 	"atomemu/internal/mmu"
 )
 
@@ -28,10 +31,10 @@ counter: .word 0
 
 // TestFusedCounterAllSchemes: with rule-based fusion on, the canonical
 // atomic-increment loop must stay correct under concurrency for every
-// scheme (fused RMWs bypass the scheme but notify it).
+// scheme (fused RMWs run through Scheme.RMW).
 func TestFusedCounterAllSchemes(t *testing.T) {
 	const threads, iters = 6, 2000
-	for _, scheme := range []string{"pico-cas", "pico-st", "pico-htm", "hst", "hst-weak", "hst-htm", "pst", "pst-remap", "pst-mpk"} {
+	for _, scheme := range core.SchemeNames() {
 		t.Run(scheme, func(t *testing.T) {
 			im := buildImage(t, fusedCounterSrc)
 			cfg := DefaultConfig(scheme)
@@ -68,7 +71,7 @@ func TestFusedCounterAllSchemes(t *testing.T) {
 
 // TestFusedAndRawMixOnSameVariable: thread A uses the fused increment while
 // thread B hammers the same word with a raw (unfusable) LL/SC increment.
-// NoteStore must keep B's monitors honest: the total must be exact.
+// The scheme's RMW must keep B's monitors honest: the total must be exact.
 func TestFusedAndRawMixOnSameVariable(t *testing.T) {
 	// The raw loop inserts a nop between ldrex and the add so the fusion
 	// pattern does not match, keeping it on the scheme path.
@@ -104,7 +107,7 @@ rloop:
 counter: .word 0
 `
 	const iters = 3000
-	for _, scheme := range []string{"hst", "pico-st", "pst", "hst-htm", "pst-mpk"} {
+	for _, scheme := range core.SchemeNames() {
 		t.Run(scheme, func(t *testing.T) {
 			im := buildImage(t, src)
 			cfg := DefaultConfig(scheme)
@@ -133,6 +136,64 @@ counter: .word 0
 				t.Fatalf("mixed counter = %d, want %d — fused RMW broke scheme monitors", v, 4*iters)
 			}
 		})
+	}
+}
+
+// TestAtomicIncrementOnReadOnlyPageFaults: an atomic increment on a
+// read-only page must stop with the protection fault a store takes, at the
+// instruction that writes (the STREX, or the LDREX a fused loop starts at),
+// and leave the word unchanged — under every scheme, fused or not. A scheme
+// that commits with privileges (the PST family's SC and fault handler) must
+// not grant the guest a write its page never allowed.
+func TestAtomicIncrementOnReadOnlyPageFaults(t *testing.T) {
+	src := `
+.org 0x10000
+.entry worker
+worker:                 ; r0 = address of the word
+    ldrex r1, [r0]
+    addi r1, r1, #1
+    strex r2, r1, [r0]
+    cmpi r2, #0
+    bne worker
+    movi r0, #0
+    svc #1
+`
+	const word = 41
+	for _, scheme := range core.SchemeNames() {
+		for _, fuse := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/fuse=%v", scheme, fuse), func(t *testing.T) {
+				im := buildImage(t, src)
+				cfg := DefaultConfig(scheme)
+				cfg.FuseAtomics = fuse
+				m, err := NewMachine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.LoadImage(im); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.MapRegion(scratchBase, mmu.PageSize, mmu.PermRead); err != nil {
+					t.Fatal(err)
+				}
+				if f := m.Mem().WriteWordPriv(scratchBase, word); f != nil {
+					t.Fatal(f)
+				}
+				if _, err := m.SpawnThread(im.Entry, scratchBase); err != nil {
+					t.Fatal(err)
+				}
+				pc := im.Entry + 8 // the strex
+				if fuse {
+					pc = im.Entry
+				}
+				want := fmt.Sprintf("at pc %#08x: mmu: protection fault on store at %#08x", pc, scratchBase)
+				if err := m.Run(); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Run = %v, want an error containing %q", err, want)
+				}
+				if v, _ := m.Mem().ReadWordPriv(scratchBase); v != word {
+					t.Fatalf("read-only word = %d, want %d", v, word)
+				}
+			})
+		}
 	}
 }
 

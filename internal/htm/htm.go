@@ -5,9 +5,9 @@
 // The design is a TL2-style word-based STM with eager write locking and
 // commit-time read validation, plus one extension real HTM gets for free
 // from cache coherence and that the schemes depend on: *strong atomicity*
-// against non-transactional stores. The execution engine funnels plain guest
-// stores through TM.NotifyStore, which either bumps the version of the
-// word's lock slot (aborting any reader that saw the old version) or
+// against non-transactional stores. The HTM schemes instrument every guest
+// write and pass it through TM.NotifyStore, which either bumps the version
+// of the word's lock slot (aborting any reader that saw the old version) or
 // poisons a slot locked by an in-flight transaction (aborting its commit).
 // NotifyStore costs a single atomic load when no transaction is active.
 //
@@ -115,8 +115,7 @@ func (tm *TM) slot(addr uint32) uint32 {
 func (tm *TM) SetInjector(inj *faultinject.Injector) { tm.inj = inj }
 
 // Active reports whether any transaction is in flight or any store watcher
-// is registered; the engine's plain store path uses it to skip NotifyStore
-// bookkeeping when HTM is unused.
+// is registered, the condition under which NotifyStore does any work.
 func (tm *TM) Active() bool { return tm.active.Load() > 0 }
 
 // AddStoreWatcher keeps NotifyStore live while no transaction is open, so

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"atomemu/internal/arch"
+	"atomemu/internal/mmu"
 )
 
 // RegID indexes the block's register space: 0..15 guest registers, 16..
@@ -87,7 +88,7 @@ const (
 	// Instrumented stores route through the active emulation scheme's
 	// store hook (the paper's "store test").
 	InstrStore  // scheme.Store(a + imm, b)
-	InstrStoreB // scheme.StoreB(a + imm, b)
+	InstrStoreB // scheme.RMW(a + imm, byte update b)
 	// Instrumented loads, for schemes that must observe reads (PICO-HTM
 	// transactional reads, PST-REMAP fault waiting).
 	InstrLoad  // d = scheme.Load(a + imm)
@@ -100,9 +101,9 @@ const (
 	Fence // full barrier
 	// AtomicRMW is the fused form of a compiler-generated LL/SC retry loop
 	// (the paper's §VI rule-based translation): d = old value of mem[a],
-	// atomically replaced by old <RMWKind> operand. The operand is register
-	// b, or Imm when RMWImm is set. Executed as one host atomic — no
-	// emulation scheme involvement, ABA-free by construction.
+	// atomically replaced by old <RMW> operand. The operand is register b,
+	// or Imm when RMWImm is set. Executed as one scheme.RMW — one host
+	// atomic plus the scheme's store test, ABA-free by construction.
 	AtomicRMW
 
 	// Terminators. Exactly one per block, as the final op.
@@ -183,58 +184,8 @@ type Inst struct {
 	GuestPC uint32
 	// RMW and RMWImm qualify AtomicRMW: the operation kind and whether the
 	// operand is Imm rather than register b.
-	RMW    RMWKind
+	RMW    mmu.UpdateKind
 	RMWImm bool
-}
-
-// RMWKind is the operation of a fused AtomicRMW.
-type RMWKind uint8
-
-// Fused read-modify-write kinds.
-const (
-	RMWAdd RMWKind = iota
-	RMWSub
-	RMWAnd
-	RMWOr
-	RMWXor
-	RMWXchg // unconditional exchange: new value = operand
-)
-
-func (k RMWKind) String() string {
-	switch k {
-	case RMWAdd:
-		return "add"
-	case RMWSub:
-		return "sub"
-	case RMWAnd:
-		return "and"
-	case RMWOr:
-		return "or"
-	case RMWXor:
-		return "xor"
-	case RMWXchg:
-		return "xchg"
-	}
-	return "rmw?"
-}
-
-// Eval applies the kind to an old value and operand.
-func (k RMWKind) Eval(old, operand uint32) uint32 {
-	switch k {
-	case RMWAdd:
-		return old + operand
-	case RMWSub:
-		return old - operand
-	case RMWAnd:
-		return old & operand
-	case RMWOr:
-		return old | operand
-	case RMWXor:
-		return old ^ operand
-	case RMWXchg:
-		return operand
-	}
-	return old
 }
 
 // uses returns the source registers read by the instruction.

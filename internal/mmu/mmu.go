@@ -14,7 +14,7 @@
 // Guest stores have a page-level shortcut, this package's stand-in for a
 // softmmu TLB hit: a pte whose page is present, writable, already dirty and
 // outside the store watch, in a memory without a fault injector, carries
-// pteStore, and StoreWord/StoreByte on such a page go straight to the frame
+// pteStore, and StoreWord/Update on such a page go straight to the frame
 // without the permission, watch, dirty and injector checks. The bit lives
 // in the pte itself, so every pte write (Map, Unmap, Protect, Alias,
 // Remap, Restore) drops it in the same atomic store that changes the page,
@@ -564,24 +564,112 @@ func (m *Memory) LoadByte(addr uint32) (uint8, *Fault) {
 	return uint8(w >> (8 * (addr & 3))), nil
 }
 
-// StoreByte performs a guest byte store. The containing word is updated with
-// a CAS loop so concurrent byte stores to different lanes do not lose
-// updates, but no cross-word atomicity is implied (a regular store, not SC).
+// StoreByte performs a guest byte store: an UpdateByte, so concurrent byte
+// stores to different lanes of one word do not lose updates, but no
+// cross-word atomicity is implied (a regular store, not SC).
 func (m *Memory) StoreByte(addr uint32, val uint8) *Fault {
-	fr, wi := m.storeShortcut(addr), addr&PageMask/4
+	_, f := m.Update(addr, Update{Kind: UpdateByte, Operand: uint32(val)})
+	return f
+}
+
+// UpdateKind is the operation of an Update.
+type UpdateKind uint8
+
+// Update kinds. The first six are the fused read-modify-writes of the
+// paper's §VI rule-based translation.
+const (
+	UpdateAdd UpdateKind = iota
+	UpdateSub
+	UpdateAnd
+	UpdateOr
+	UpdateXor
+	UpdateXchg // unconditional exchange: new value = operand
+	UpdateByte // byte store: the operand's low byte replaces the addressed lane
+)
+
+var updateNames = [...]string{"add", "sub", "and", "or", "xor", "xchg", "byte"}
+
+func (k UpdateKind) String() string {
+	if int(k) < len(updateNames) {
+		return updateNames[k]
+	}
+	return "update?"
+}
+
+// Update describes one atomic read-modify-write of a guest word: every
+// write a scheme performs that is not a plain word store (fused atomics,
+// byte stores) is one.
+type Update struct {
+	Kind    UpdateKind
+	Operand uint32
+}
+
+// Apply returns the word that replaces old when u is applied at addr. Only
+// UpdateByte reads addr: its low two bits pick the lane.
+func (u Update) Apply(addr, old uint32) uint32 {
+	switch u.Kind {
+	case UpdateAdd:
+		return old + u.Operand
+	case UpdateSub:
+		return old - u.Operand
+	case UpdateAnd:
+		return old & u.Operand
+	case UpdateOr:
+		return old | u.Operand
+	case UpdateXor:
+		return old ^ u.Operand
+	case UpdateXchg:
+		return u.Operand
+	case UpdateByte:
+		shift := 8 * (addr & 3)
+		return old&^(0xff<<shift) | (u.Operand&0xff)<<shift
+	}
+	return old
+}
+
+// Update atomically applies u at addr, checking write permission, and
+// returns the previous value of the word. A word update needs an aligned
+// addr; a byte update applies to the word containing addr. Faults report
+// addr. A word update is a guest word store, so mem-store injection rules
+// apply to it as to StoreWord; byte updates stay outside injection.
+func (m *Memory) Update(addr uint32, u Update) (uint32, *Fault) {
+	return m.update(addr, u, PermWrite)
+}
+
+// UpdatePriv is Update without the permission check, for schemes that
+// commit a store while the page is deliberately protected.
+func (m *Memory) UpdatePriv(addr uint32, u Update) (uint32, *Fault) {
+	return m.update(addr, u, 0)
+}
+
+func (m *Memory) update(addr uint32, u Update, need Perm) (uint32, *Fault) {
+	wa := addr
+	if u.Kind == UpdateByte {
+		wa &^= 3
+	}
+	var fr *[PageWords]uint32
+	if wa&3 == 0 {
+		fr = m.storeShortcut(wa)
+	}
+	wi := wa & PageMask / 4
 	if fr == nil {
+		if need != 0 && u.Kind != UpdateByte && m.inj.Check(faultinject.OpMemStore, 0, addr) == faultinject.ActFault {
+			return 0, &Fault{Addr: addr, Kind: FaultProtected, Access: AccessStore}
+		}
 		var f *Fault
-		if fr, wi, f = m.resolve(addr&^3, PermWrite, AccessStore); f != nil {
+		if fr, wi, f = m.resolve(wa, need, AccessStore); f != nil {
 			f.Addr = addr
-			return f
+			return 0, f
 		}
 	}
-	shift := 8 * (addr & 3)
+	w := &fr[wi]
+	if u.Kind == UpdateXchg {
+		return atomic.SwapUint32(w, u.Operand), nil
+	}
 	for {
-		old := atomic.LoadUint32(&fr[wi])
-		new := old&^(0xff<<shift) | uint32(val)<<shift
-		if atomic.CompareAndSwapUint32(&fr[wi], old, new) {
-			return nil
+		old := atomic.LoadUint32(w)
+		if atomic.CompareAndSwapUint32(w, old, u.Apply(addr, old)) {
+			return old, nil
 		}
 	}
 }
@@ -639,16 +727,6 @@ func (m *Memory) WriteWordsPriv(addr uint32, words []uint32) *Fault {
 		words = words[n:]
 	}
 	return nil
-}
-
-// CASWordPriv is CASWord without the permission check, for schemes that
-// commit an SC while the page is deliberately protected.
-func (m *Memory) CASWordPriv(addr, old, new uint32) (bool, *Fault) {
-	fr, wi, f := m.resolve(addr, 0, AccessStore)
-	if f != nil {
-		return false, f
-	}
-	return atomic.CompareAndSwapUint32(&fr[wi], old, new), nil
 }
 
 // PageBase returns the base address of the page containing addr.

@@ -347,6 +347,58 @@ func TestConcurrentByteStoresNoLostUpdate(t *testing.T) {
 	}
 }
 
+// TestUpdateKinds: every kind returns the previous word and leaves
+// Apply's result; a byte update replaces only its lane.
+func TestUpdateKinds(t *testing.T) {
+	m := newMem(t)
+	if err := m.Map(0, PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		u         Update
+		addr      uint32
+		old, want uint32
+	}{
+		{Update{UpdateAdd, 3}, 0x10, 0xf0, 0xf3},
+		{Update{UpdateSub, 1}, 0x10, 0, 0xffffffff},
+		{Update{UpdateAnd, 0x0f}, 0x10, 0xff, 0x0f},
+		{Update{UpdateOr, 0x0f}, 0x10, 0xf0, 0xff},
+		{Update{UpdateXor, 0xff}, 0x10, 0x0f, 0xf0},
+		{Update{UpdateXchg, 7}, 0x10, 9, 7},
+		{Update{UpdateByte, 0x1ab}, 0x12, 0x11223344, 0x11ab3344},
+	} {
+		if f := m.StoreWord(0x10, c.old); f != nil {
+			t.Fatal(f)
+		}
+		old, f := m.Update(c.addr, c.u)
+		got, _ := m.LoadWord(0x10)
+		if f != nil || old != c.old || got != c.want {
+			t.Errorf("%v at %#x on %#x: old %#x, word %#x, %v; want %#x, %#x", c.u.Kind, c.addr, c.old, old, got, f, c.old, c.want)
+		}
+	}
+}
+
+// TestUpdateFaults: a word update needs alignment, Update needs write
+// permission, UpdatePriv does not, and faults carry the access's address.
+func TestUpdateFaults(t *testing.T) {
+	m := newMem(t)
+	if err := m.Map(0, PageSize, PermRead); err != nil {
+		t.Fatal(err)
+	}
+	if _, f := m.Update(0x11, Update{UpdateAdd, 1}); f == nil || f.Kind != FaultAlign {
+		t.Errorf("misaligned word update: %v", f)
+	}
+	if _, f := m.Update(0x13, Update{UpdateByte, 1}); f == nil || f.Kind != FaultProtected || f.Access != AccessStore || f.Addr != 0x13 {
+		t.Errorf("byte update on a read-only page: %v", f)
+	}
+	if old, f := m.UpdatePriv(0x10, Update{UpdateAdd, 5}); f != nil || old != 0 {
+		t.Errorf("UpdatePriv = %d, %v", old, f)
+	}
+	if v, _ := m.LoadWord(0x10); v != 5 {
+		t.Errorf("word after UpdatePriv = %d, want 5", v)
+	}
+}
+
 func TestPermAt(t *testing.T) {
 	m := newMem(t)
 	if m.PermAt(0x1000) != 0 {

@@ -3,6 +3,7 @@ package translate
 import (
 	"atomemu/internal/arch"
 	"atomemu/internal/ir"
+	"atomemu/internal/mmu"
 )
 
 // Rule-based code translation (paper §VI): compilers emit LL/SC in a fixed
@@ -15,23 +16,23 @@ import (
 //	   bne    L
 //
 // (or the exchange shape without the ALU op). When recognized, the whole
-// loop is replaced by one fused AtomicRMW executed as a host atomic builtin:
-// no per-iteration emulation, no store-test participation, and ABA-free by
-// construction — a read-modify-write never mistakes "same value" for
-// "nothing happened".
+// loop is replaced by one fused AtomicRMW executed as one scheme.RMW: a host
+// atomic builtin plus the scheme's store test, no per-iteration emulation,
+// and ABA-free by construction — a read-modify-write never mistakes "same
+// value" for "nothing happened".
 //
 // The fused lowering reproduces the architectural state the loop leaves
 // behind: rT = the old value of the final (successful) attempt, rN = the
 // stored value, rS = 0, and NZCV as set by "cmpi rS, #0".
 
-var rmwRegOps = map[arch.Opcode]ir.RMWKind{
-	arch.ADD: ir.RMWAdd, arch.SUB: ir.RMWSub, arch.AND: ir.RMWAnd,
-	arch.ORR: ir.RMWOr, arch.EOR: ir.RMWXor,
+var rmwRegOps = map[arch.Opcode]mmu.UpdateKind{
+	arch.ADD: mmu.UpdateAdd, arch.SUB: mmu.UpdateSub, arch.AND: mmu.UpdateAnd,
+	arch.ORR: mmu.UpdateOr, arch.EOR: mmu.UpdateXor,
 }
 
-var rmwImmOps = map[arch.Opcode]ir.RMWKind{
-	arch.ADDI: ir.RMWAdd, arch.SUBI: ir.RMWSub, arch.ANDI: ir.RMWAnd,
-	arch.ORRI: ir.RMWOr, arch.EORI: ir.RMWXor,
+var rmwImmOps = map[arch.Opcode]mmu.UpdateKind{
+	arch.ADDI: mmu.UpdateAdd, arch.SUBI: mmu.UpdateSub, arch.ANDI: mmu.UpdateAnd,
+	arch.ORRI: mmu.UpdateOr, arch.EORI: mmu.UpdateXor,
 }
 
 // tryFuse attempts to recognize an atomic retry loop whose LDREX sits at pc.
@@ -68,7 +69,7 @@ func tryFuse(fetch FetchFunc, b *ir.Block, ll arch.Instruction, pc uint32, opts 
 			isLoopBack(br, pc+3*arch.InstrBytes, pc) {
 			emitFused(b, pc, ir.Inst{
 				Op: ir.AtomicRMW, D: ir.RegID(rT), A: ir.RegID(rA),
-				B: ir.RegID(rB), RMW: ir.RMWXchg,
+				B: ir.RegID(rB), RMW: mmu.UpdateXchg,
 			}, nil, rS)
 			return 4
 		}

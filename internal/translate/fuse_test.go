@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"atomemu/internal/ir"
+	"atomemu/internal/mmu"
 )
 
 func fuseOpts() Options { return Options{FuseAtomics: true, InstrumentStores: true} }
@@ -40,7 +41,7 @@ retry:
 			rmw = &b.Ops[i]
 		}
 	}
-	if rmw.RMW != ir.RMWAdd || !rmw.RMWImm || rmw.Imm != 1 {
+	if rmw.RMW != mmu.UpdateAdd || !rmw.RMWImm || rmw.Imm != 1 {
 		t.Fatalf("rmw = %s", rmw)
 	}
 	// The whole loop (5 instrs) plus hlt were consumed into one block.
@@ -80,7 +81,7 @@ retry:
 		t.Fatalf("xchg not fused:\n%s", b)
 	}
 	for _, in := range b.Ops {
-		if in.Op == ir.AtomicRMW && in.RMW != ir.RMWXchg {
+		if in.Op == ir.AtomicRMW && in.RMW != mmu.UpdateXchg {
 			t.Fatalf("kind = %v", in.RMW)
 		}
 	}
