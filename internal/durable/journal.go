@@ -26,11 +26,22 @@
 // Neither mode is an error: a journal replay never refuses to start the
 // daemon. Real I/O failures (unreadable directory) still surface.
 //
-// Compaction: segments rotate at a size threshold, and rotation (or an
-// explicit CompactNow) asks the owner for the live record set via the
-// compact source callback, writes it as the head of a fresh segment, and
-// deletes every older segment — so terminal jobs' history is dropped and
-// the journal's size tracks the live set, not daemon lifetime.
+// Every frame, appended or compacted, is written by one encoder: it
+// marshals a Record's small fixed fields and splices Request and Status in
+// verbatim, so a record costs its own bytes, never a re-scan of a large
+// request or status.
+//
+// Compaction: a segment rotates once the bytes appended since the last
+// compaction reach max(SegmentBytes, head), where head is what that
+// compaction wrote. Rotation (or an explicit CompactNow) asks the owner for
+// the live record set via the compact source callback, writes it as the
+// head of a fresh segment, and deletes every older segment — so terminal
+// jobs' history is dropped and the journal's size tracks the live set, not
+// daemon lifetime. The rule has two bounds: a compaction never writes more
+// than the appends that paid for it (so at most one head beyond twice the
+// appended bytes in total, and at most one compaction per SegmentBytes
+// appended), and a segment holds at most twice the larger of SegmentBytes
+// and the live set.
 package durable
 
 import (
@@ -40,6 +51,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -54,6 +66,11 @@ import (
 //	shed         Key (a keyed submission was shed at admission)
 //	dispatched   Job, Worker, WorkerJob, Resumes (a router handed the job
 //	             to a worker; the router journal's analogue of "started")
+//
+// Request and Status are written into the frame verbatim, never re-encoded:
+// each must be valid JSON, such as json.Marshal output or the bytes of a
+// replayed record. Invalid bytes are not caught on append; replay skips the
+// record they land in as corrupt.
 type Record struct {
 	Type        string          `json:"type"`
 	Job         string          `json:"job,omitempty"`
@@ -120,6 +137,7 @@ const (
 	frameHeader = 8        // len + crc
 	maxFrame    = 16 << 20 // sanity bound on one record
 	batchEvery  = 16
+	flushBytes  = 64 << 10 // compaction writes the live set in chunks of this size
 	segPrefix   = "journal-"
 	segSuffix   = ".waj"
 )
@@ -132,7 +150,9 @@ type Options struct {
 	Dir string
 	// Sync selects the fsync policy.
 	Sync SyncPolicy
-	// SegmentBytes is the rotation threshold (default 4 MiB).
+	// SegmentBytes is the rotation threshold (default 4 MiB): a segment
+	// rotates once the bytes appended to it reach the larger of this and
+	// the compacted head it started with.
 	SegmentBytes int64
 	// CompactSource, when set, returns the records that must survive a
 	// compaction: rotation writes them as the head of the fresh segment and
@@ -167,8 +187,9 @@ type Journal struct {
 
 	mu       sync.Mutex
 	f        *os.File
-	seq      int // active segment sequence number
-	size     int64
+	seq      int   // active segment sequence number
+	head     int64 // bytes the compaction that opened the segment wrote
+	appended int64 // bytes Append has written to the segment after them
 	unsynced int
 	closed   bool
 
@@ -212,33 +233,65 @@ func (j *Journal) openSegment(seq int) error {
 	if err != nil {
 		return err
 	}
-	j.f, j.seq, j.size = f, seq, 0
+	j.f, j.seq, j.head, j.appended = f, seq, 0, 0
+	return nil
+}
+
+// appendFrame appends rec's frame to dst. Only the fixed fields go through
+// json.Marshal; Request and Status are spliced in verbatim (see Record), so
+// the cost of a frame is a copy and a checksum of its bytes.
+func appendFrame(dst []byte, rec Record) ([]byte, error) {
+	req, status := rec.Request, rec.Status
+	rec.Request, rec.Status = nil, nil
+	fixed, err := json.Marshal(rec) // `{"type":...}`: Type is never omitted
+	if err != nil {
+		return dst, err
+	}
+	const reqKey, statusKey = `,"request":`, `,"status":`
+	start := len(dst)
+	dst = slices.Grow(dst, frameHeader+len(fixed)+len(reqKey)+len(req)+len(statusKey)+len(status))
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, fixed[:len(fixed)-1]...)
+	if len(req) > 0 {
+		dst = append(append(dst, reqKey...), req...)
+	}
+	if len(status) > 0 {
+		dst = append(append(dst, statusKey...), status...)
+	}
+	dst = append(dst, '}')
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
+	return dst, nil
+}
+
+// writeLocked writes frames to the active segment and counts them.
+func (j *Journal) writeLocked(frames []byte) error {
+	if _, err := j.f.Write(frames); err != nil {
+		return err
+	}
+	j.bytes += uint64(len(frames))
+	j.unsynced++
 	return nil
 }
 
 // Append journals one record under the configured sync policy.
 func (j *Journal) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
+	frame, err := appendFrame(nil, rec)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	copy(frame[frameHeader:], payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return fmt.Errorf("durable: journal closed")
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	if err := j.writeLocked(frame); err != nil {
 		return err
 	}
 	j.appends++
-	j.bytes += uint64(len(frame))
-	j.size += int64(len(frame))
-	j.unsynced++
+	j.appended += int64(len(frame))
 	switch j.opts.Sync {
 	case SyncAlways:
 		if err := j.fsyncLocked(); err != nil {
@@ -251,7 +304,8 @@ func (j *Journal) Append(rec Record) error {
 			}
 		}
 	}
-	if j.size >= j.opts.SegmentBytes {
+	// The appends pay for the compaction they trigger; see the package comment.
+	if j.appended >= max(j.opts.SegmentBytes, j.head) {
 		return j.rotateLocked()
 	}
 	return nil
@@ -309,21 +363,20 @@ func (j *Journal) rotateLocked() error {
 	if j.opts.CompactSource == nil {
 		return nil
 	}
-	for _, rec := range j.opts.CompactSource() {
-		payload, err := json.Marshal(rec)
-		if err != nil {
+	live := j.opts.CompactSource()
+	var buf []byte
+	for i, rec := range live {
+		var err error
+		if buf, err = appendFrame(buf, rec); err != nil {
 			return err
 		}
-		frame := make([]byte, frameHeader+len(payload))
-		binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-		copy(frame[frameHeader:], payload)
-		if _, err := j.f.Write(frame); err != nil {
-			return err
+		if len(buf) >= flushBytes || i == len(live)-1 {
+			if err := j.writeLocked(buf); err != nil {
+				return err
+			}
+			j.head += int64(len(buf))
+			buf = buf[:0]
 		}
-		j.bytes += uint64(len(frame))
-		j.size += int64(len(frame))
-		j.unsynced++
 	}
 	if err := j.fsyncLocked(); err != nil {
 		return err

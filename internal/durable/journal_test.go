@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -208,6 +210,165 @@ func TestJournalRotationCompactsHistory(t *testing.T) {
 	}
 	if len(recs) == 65 {
 		t.Fatalf("compaction kept full history (%d records)", len(recs))
+	}
+}
+
+// TestCompactionCostIsBoundedByAppends is the compaction-cliff regression:
+// with a live set larger than SegmentBytes, a threshold on segment size
+// alone compacts on every append once the compacted head fills the
+// segment. Rotation must wait until the appends since the last compaction
+// pay for the head it rewrites.
+func TestCompactionCostIsBoundedByAppends(t *testing.T) {
+	const segBytes = 4 << 10
+	var live []Record
+	for i := 0; i < 64; i++ {
+		live = append(live, Record{Type: TypeFinished, Job: fmt.Sprintf("job-%d", i),
+			Status: json.RawMessage(fmt.Sprintf(`{"state":"done","output":%q}`, strings.Repeat("x", 200)))})
+	}
+	var liveBytes int
+	for _, rec := range live {
+		liveBytes += len(marshalFrame(t, rec))
+	}
+	if liveBytes <= 2*segBytes {
+		t.Fatalf("live set is %d bytes; the test needs it well past SegmentBytes (%d)", liveBytes, segBytes)
+	}
+	j, err := Open(Options{Dir: t.TempDir(), Sync: SyncNever, SegmentBytes: segBytes, CompactSource: func() []Record { return live }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var appended uint64
+	for i := 0; i < 400; i++ {
+		rec := Record{Type: TypeStarted, Job: fmt.Sprintf("job-%d", i), Resumes: i}
+		appended += uint64(len(marshalFrame(t, rec)))
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := j.Stats()
+	if st.Compactions == 0 {
+		t.Fatalf("no compaction after %d appended bytes over a %d-byte threshold: %+v", appended, segBytes, st)
+	}
+	if maxComp := (appended + segBytes - 1) / segBytes; st.Compactions > maxComp {
+		t.Fatalf("%d compactions for %d appended bytes; want at most %d (one per SegmentBytes appended)", st.Compactions, appended, maxComp)
+	}
+	if maxWritten := 2*appended + uint64(liveBytes); st.BytesWritten > maxWritten {
+		t.Fatalf("wrote %d bytes for %d appended; want at most %d (twice the appends plus one head)", st.BytesWritten, appended, maxWritten)
+	}
+}
+
+// jobRequest has the shape of server.JobRequest, which this package cannot
+// import: a submitted record's Request is the json.Marshal of one.
+type jobRequest struct {
+	Scheme         string `json:"scheme"`
+	GAC            string `json:"gac,omitempty"`
+	Threads        int    `json:"threads,omitempty"`
+	Arg            uint32 `json:"arg,omitempty"`
+	DeadlineMS     int64  `json:"deadline_ms,omitempty"`
+	IdempotencyKey string `json:"idempotency_key,omitempty"`
+	Tenant         string `json:"tenant,omitempty"`
+}
+
+// marshalFrame is the reference encoder: the layout the journal wrote
+// before frames were spliced, one json.Marshal of the whole record.
+func marshalFrame(t testing.TB, rec Record) []byte {
+	t.Helper()
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatalf("marshal %+v: %v", rec, err)
+	}
+	frame := make([]byte, frameHeader, frameHeader+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
+	return append(frame, payload...)
+}
+
+// TestFrameMatchesMarshal pins the spliced encoder to json.Marshal: every
+// record type, with and without Request and Status, decodes to the same
+// Record either way, and a segment in the reference layout replays
+// unchanged, alone and ahead of spliced appends and a compaction.
+func TestFrameMatchesMarshal(t *testing.T) {
+	gac := strings.Repeat("// \"quoted\" <tag> & ünïcødé ✓\nfunc main() {\n\tif 1 < 2 && 3 > 2 { out(\"\\t\") }\n}\n", 200)
+	req, err := json.Marshal(jobRequest{Scheme: "hst", GAC: gac, Threads: 4, Arg: 600, DeadlineMS: 30_000, IdempotencyKey: "fab:fab-7", Tenant: "tënant"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := json.Marshal(map[string]any{"id": "job-1", "state": "failed", "error": "line 1\n<b>\"bad\" & wrong</b> é"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []Record{
+		{Type: TypeSubmitted, Job: "job-1", Key: "key \"1\" <é>\n", UnixMS: 1700000000000, Request: req},
+		{Type: TypeStarted, Job: "job-1", Resumes: 2},
+		{Type: TypeCheckpointed, Job: "job-1", VirtualTime: 1 << 40},
+		{Type: TypeFinished, Job: "job-1", Key: "k", UnixMS: 5, Status: status},
+		{Type: TypeShed, Job: "job-2", Key: "k&2"},
+		{Type: TypeDispatched, Job: "fab-1", Worker: "http://127.0.0.1:9", WorkerJob: "job-9", Resumes: 1},
+		{Type: TypeSubmitted, Job: "job-3", Request: req, Status: status},
+		{Type: TypeStarted},
+	}
+	var spliced, reference []byte
+	for _, rec := range recs {
+		frame, err := appendFrame(nil, rec)
+		if err != nil {
+			t.Fatalf("appendFrame %+v: %v", rec, err)
+		}
+		payload := frame[frameHeader:]
+		if n := binary.LittleEndian.Uint32(frame); int(n) != len(payload) {
+			t.Fatalf("%s frame: length %d, payload %d bytes", rec.Type, n, len(payload))
+		}
+		if crc := binary.LittleEndian.Uint32(frame[4:]); crc != crc32.Checksum(payload, crcTable) {
+			t.Fatalf("%s frame: checksum does not cover the payload", rec.Type)
+		}
+		ref := marshalFrame(t, rec)
+		var got, want Record
+		if err := json.Unmarshal(payload, &got); err != nil {
+			t.Fatalf("spliced %s payload is not JSON: %v\n%s", rec.Type, err, payload)
+		}
+		if err := json.Unmarshal(ref[frameHeader:], &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("%s: spliced payload decodes to %+v; json.Marshal's to %+v", rec.Type, got, want)
+		}
+		spliced = append(spliced, frame...)
+		reference = append(reference, ref...)
+	}
+	for name, seg := range map[string][]byte{"spliced": spliced, "reference": reference} {
+		got, st := ReplayBytes(seg)
+		if st.CorruptRecords != 0 || st.Truncated != 0 || !reflect.DeepEqual(got, recs) {
+			t.Fatalf("%s segment replayed %d of %d records (%+v)", name, len(got), len(recs), st)
+		}
+	}
+
+	// A journal left in the reference layout, then reopened: new appends
+	// and a compaction of everything replayed keep every record intact.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), reference, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, _, err := Replay(dir)
+	if err != nil || !reflect.DeepEqual(old, recs) {
+		t.Fatalf("reference journal replayed %d of %d records (err %v)", len(old), len(recs), err)
+	}
+	j, err := Open(Options{Dir: dir, Sync: SyncNever, CompactSource: func() []Record { return old }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := Replay(dir)
+	if err != nil || st.Segments != 1 || !reflect.DeepEqual(got, append(append([]Record(nil), recs...), recs...)) {
+		t.Fatalf("compacted reference journal replayed %d records over %d segments (err %v); want %d over 1", len(got), st.Segments, err, 2*len(recs))
 	}
 }
 

@@ -21,16 +21,22 @@ import (
 // translation blocks.
 func ImageKey(im *asm.Image) [32]byte {
 	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[0:], im.Org)
-	binary.LittleEndian.PutUint32(buf[4:], im.Entry)
-	h.Write(buf[:])
+	// The words stream little-endian through a buffer, so sha256 sees a
+	// few large writes, not one per word (TestImageKeyGolden pins the
+	// digests).
+	buf := make([]byte, 0, 4096)
+	buf = binary.LittleEndian.AppendUint32(buf, im.Org)
+	buf = binary.LittleEndian.AppendUint32(buf, im.Entry)
 	for _, w := range im.Words {
-		binary.LittleEndian.PutUint32(buf[:4], w)
-		h.Write(buf[:4])
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, w)
 	}
+	h.Write(buf)
 	var out [32]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 

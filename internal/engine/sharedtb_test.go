@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"encoding/hex"
 	"io"
 	"reflect"
 	"slices"
 	"testing"
 
+	"atomemu/internal/asm"
 	"atomemu/internal/tbstore"
 )
 
@@ -496,6 +498,29 @@ func TestSharedOptsKeyCoversConfig(t *testing.T) {
 	for name := range sharedKeyNeutral {
 		if !fields[name] {
 			t.Errorf("sharedKeyNeutral names %s, which is not a Config field", name)
+		}
+	}
+}
+
+// TestImageKeyGolden pins ImageKey's digests: shared TB store keys are
+// derived from them, so a change in how the image is fed to sha256 must
+// not change a single digest. The long image crosses the hash buffer's
+// size; the empty one hashes origin and entry alone.
+func TestImageKeyGolden(t *testing.T) {
+	words := make([]uint32, 3001)
+	for i := range words {
+		words[i] = uint32(i) * 2654435761
+	}
+	for _, c := range []struct {
+		im   *asm.Image
+		want string
+	}{
+		{&asm.Image{Org: 0x1000, Entry: 0x1008, Words: words}, "c148964c7b37b54db9aa8cb57be30bfcd6875a7b09dfde0fbe07e53da9bb46b4"},
+		{&asm.Image{Org: 0x40, Entry: 0x40}, "d8a162db4b52873aa8bee8c7bda17ad1e10b8233d0640427722f394ec172caf3"},
+	} {
+		key := ImageKey(c.im)
+		if got := hex.EncodeToString(key[:]); got != c.want {
+			t.Errorf("ImageKey(org %#x, %d words) = %s, want %s", c.im.Org, len(c.im.Words), got, c.want)
 		}
 	}
 }

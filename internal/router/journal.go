@@ -170,8 +170,8 @@ func (r *Router) replayFold(recs []durable.Record) {
 			r.enqueueLocked(t, j)
 		}
 	}
-	if maxID > r.nextID {
-		r.nextID = maxID
+	if maxID > r.nextID.Load() {
+		r.nextID.Store(maxID)
 	}
 }
 

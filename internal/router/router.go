@@ -44,6 +44,7 @@
 package router
 
 import (
+	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -306,8 +307,8 @@ type Router struct {
 	jobs    map[string]*job
 	byKey   map[string]string // client idempotency key → router job id
 	tenants map[string]*tenant
-	active  []*tenant // DRR rotation of tenants with queued work
-	nextID  uint64
+	active  []*tenant     // DRR rotation of tenants with queued work
+	nextID  atomic.Uint64 // last router job id issued (fab-N)
 	stopped bool
 
 	jour   *durable.Journal
@@ -437,15 +438,31 @@ func (r *Router) Submit(req server.JobRequest) (string, error) {
 		tname = "default"
 	}
 
+	// Encoding and hashing the request cost in proportion to its program
+	// text, so both run before r.mu, which dispatch, status and the watch
+	// loop share. The worker-side idempotency key makes re-dispatch of the
+	// same router job collapse on the worker: the client's key when it gave
+	// one, a router-scoped synthetic key otherwise. That key needs the job
+	// id up front, so a submission turned away below burns its id; ids stay
+	// unique and increasing, and replay tolerates the gaps.
+	id := fmt.Sprintf("fab-%d", r.nextID.Add(1))
+	wreq := req
+	wreq.Tenant = tname
+	if wreq.IdempotencyKey == "" {
+		wreq.IdempotencyKey = "fab:" + id
+	}
+	raw, merr := json.Marshal(wreq)
+	hashKey := ringKey(req, req.IdempotencyKey, id)
+
 	r.mu.Lock()
 	if r.stopped {
 		r.mu.Unlock()
 		return "", &server.SubmitError{Status: http.StatusServiceUnavailable, Msg: "router is stopped"}
 	}
 	if req.IdempotencyKey != "" {
-		if id, ok := r.byKey[req.IdempotencyKey]; ok {
+		if prev, ok := r.byKey[req.IdempotencyKey]; ok {
 			r.mu.Unlock()
-			return id, nil
+			return prev, nil
 		}
 	}
 	t := r.tenantLocked(tname)
@@ -459,31 +476,20 @@ func (r *Router) Submit(req server.JobRequest) (string, error) {
 			RetryAfter: retry,
 		}
 	}
-	r.nextID++
-	id := fmt.Sprintf("fab-%d", r.nextID)
-	j := &job{
-		id:     id,
-		tenant: tname,
-		key:    req.IdempotencyKey,
-		state:  jobQueued,
-	}
-	// The worker-side idempotency key makes re-dispatch of the same router
-	// job collapse on the worker: the client's key when it gave one, a
-	// router-scoped synthetic key otherwise.
-	wreq := req
-	wreq.Tenant = tname
-	if wreq.IdempotencyKey == "" {
-		wreq.IdempotencyKey = "fab:" + id
-	}
-	raw, err := json.Marshal(wreq)
-	if err != nil {
+	if merr != nil {
 		r.mu.Unlock()
-		return "", &server.SubmitError{Status: http.StatusBadRequest, Msg: "encoding request: " + err.Error()}
+		return "", &server.SubmitError{Status: http.StatusBadRequest, Msg: "encoding request: " + merr.Error()}
 	}
-	j.wkey = wreq.IdempotencyKey
-	j.raw = raw
-	j.ckpts = req.Config.CheckpointEvery > 0
-	j.hashKey = ringKey(req, j.key, id)
+	j := &job{
+		id:      id,
+		tenant:  tname,
+		key:     req.IdempotencyKey,
+		state:   jobQueued,
+		wkey:    wreq.IdempotencyKey,
+		raw:     raw,
+		ckpts:   req.Config.CheckpointEvery > 0,
+		hashKey: hashKey,
+	}
 	now := time.Now()
 	j.enqueuedAt, j.lastEnqueue = now, now
 	r.jobs[id] = j
@@ -512,16 +518,26 @@ func (r *Router) Submit(req server.JobRequest) (string, error) {
 func ringKey(req server.JobRequest, key, id string) string {
 	switch {
 	case req.GAC != "":
-		sum := sha256.Sum256([]byte("gac\x00" + req.GAC))
-		return "img:" + hex.EncodeToString(sum[:])
+		return contentKey("gac\x00", req.GAC)
 	case req.ImageB64 != "":
-		sum := sha256.Sum256([]byte("img\x00" + req.ImageB64))
-		return "img:" + hex.EncodeToString(sum[:])
+		return contentKey("img\x00", req.ImageB64)
 	case key != "":
 		return key
 	default:
 		return id
 	}
+}
+
+// contentKey is "img:" and the hex sha256 of tag followed by content. The
+// content, tens of KB of program text per request, streams through a small
+// buffer into one hash and is never copied whole.
+func contentKey(tag, content string) string {
+	h := sha256.New()
+	w := bufio.NewWriterSize(h, 4096)
+	w.WriteString(tag)
+	w.WriteString(content)
+	w.Flush() // writes to a hash never fail
+	return "img:" + hex.EncodeToString(h.Sum(nil))
 }
 
 // tenantRetryAfterLocked derives a quota-shed Retry-After from the
