@@ -14,7 +14,7 @@ import (
 // the last instrumented access to every (aliased) word:
 //
 //	LL    x: Htable_set(x, tid); load x
-//	store x: Htable_set(x, tid); store x        (one inline atomic store)
+//	store x: store x; if Htable_get(x) != tid: Htable_set(x, tid)
 //	SC    x: start_exclusive
 //	         if monitor armed and Htable_check(x) == tid: store x; success
 //	         end_exclusive
@@ -24,8 +24,20 @@ import (
 // addresses sharing an entry) only cause spurious SC failures, which the
 // guest retries; the paper measures them at 2.4% on PARSEC.
 //
+// The paper's store claims the entry and then writes. Here the store writes
+// first and claims after, and only when the entry names another thread. The
+// word's write is a sequentially consistent atomic store (an XCHG on amd64),
+// the StoreLoad fence that orders it before the entry's load: an LL that
+// set the entry before that load is seen, and the entry is claimed from it;
+// an LL that set it after loads the new word. An SC waits for the store's
+// vCPU to leave its region, so the claim has landed when it checks the
+// entry. Claiming first opened a window an LL could arm in on the old value
+// and then succeed, losing the store (TestHSTCheckFindsOldOrderLostStore).
+// A thread that already owns the entry pays one load, not a second
+// exchange; TestHSTExhaustiveInterleavings admits the order.
+//
 // Faithfulness note: like the paper's design, a thread's *own* store to an
-// address that collides with its active monitor rewrites the entry with its
+// address that collides with its active monitor leaves the entry with its
 // own tid and therefore does not break the monitor; the window this opens
 // requires self-collision within one LL/SC region and is accepted by the
 // paper.
@@ -36,6 +48,11 @@ type hst struct {
 	// shadow, when non-nil, records the last address stored into each
 	// entry so genuine collisions can be counted (profiling only).
 	shadow []atomic.Uint32
+	// step, when non-nil, runs before each shared-memory step of LL, Store
+	// and RMW, naming the step about to run. Only in-package tests set it,
+	// to drive every interleaving of those steps; unset it costs one nil
+	// check per site (TestHSTStepHookOverheadGuard).
+	step func(ctx Context, site string)
 }
 
 // NewHST constructs the HST scheme.
@@ -53,19 +70,46 @@ func (s *hst) Atomicity() Atomicity    { return AtomicityStrong }
 func (s *hst) Portable() bool          { return true }
 func (s *hst) InstrumentsStores() bool { return true }
 
-func (s *hst) set(ctx Context, addr, tid uint32) {
+// census records a store or LL of addr in the collision shadow.
+func (s *hst) census(ctx Context, addr uint32) {
+	if prev := s.shadow[s.tab.Index(addr)].Swap(addr); prev != 0 && prev != addr {
+		ctx.Stats().HashConflicts++
+		ctx.Tracer().Emit(obs.EvHashConflict, addr, uint64(prev))
+	}
+}
+
+// claim makes the caller the owner of addr's entry after its write: one
+// load, and the exchange only when the owner changes. Store writes the same
+// steps out in place.
+func (s *hst) claim(ctx Context, addr uint32) {
 	if s.shadow != nil {
-		if prev := s.shadow[s.tab.Index(addr)].Swap(addr); prev != 0 && prev != addr {
-			ctx.Stats().HashConflicts++
-			ctx.Tracer().Emit(obs.EvHashConflict, addr, uint64(prev))
-		}
+		s.census(ctx, addr)
+	}
+	tid := ctx.TID()
+	if s.step != nil {
+		s.step(ctx, "claim.load")
+	}
+	if s.tab.Get(addr) == tid {
+		return
+	}
+	if s.step != nil {
+		s.step(ctx, "claim.set")
 	}
 	s.tab.Set(addr, tid)
 }
 
 func (s *hst) LL(ctx Context, addr uint32) (uint32, error) {
 	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
-	s.set(ctx, addr, ctx.TID())
+	if s.shadow != nil {
+		s.census(ctx, addr)
+	}
+	if s.step != nil {
+		s.step(ctx, "ll.set")
+	}
+	s.tab.Set(addr, ctx.TID())
+	if s.step != nil {
+		s.step(ctx, "ll.load")
+	}
 	v, f := ctx.Mem().LoadWord(addr)
 	if f != nil {
 		return 0, f
@@ -99,29 +143,46 @@ func (s *hst) SC(ctx Context, addr, val uint32) (uint32, error) {
 
 func (s *hst) Clrex(ctx Context) { ctx.Monitor().Reset() }
 
+// Store writes the word, then claims its entry (see the type comment for
+// why in this order). The claim is claim's body written out: on
+// compute_1t the call alone cost about a seventh of guest_mips, and Store
+// is the word-store hot path.
 func (s *hst) Store(ctx Context, addr, val uint32) error {
 	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
-	s.set(ctx, addr, ctx.TID())
+	if s.step != nil {
+		s.step(ctx, "store.word")
+	}
 	if f := ctx.Mem().StoreWord(addr, val); f != nil {
 		return f
 	}
+	if s.shadow != nil {
+		s.census(ctx, addr)
+	}
+	tid := ctx.TID()
+	if s.step != nil {
+		s.step(ctx, "claim.load")
+	}
+	if s.tab.Get(addr) == tid {
+		return nil
+	}
+	if s.step != nil {
+		s.step(ctx, "claim.set")
+	}
+	s.tab.Set(addr, tid)
 	return nil
 }
 
-// RMW writes the word first and claims its entry after. An SC runs in an
-// exclusive section, which waits for this vCPU to leave its region, so the
-// claim has landed by the time any SC checks the entry: a monitor armed
-// before the write fails. An LL that slips between the write and the claim
-// loads the new value and then loses the entry, a spurious failure the
-// guest retries. Claiming first would let such an LL arm on the old value
-// and succeed, losing the update.
+// RMW writes the word and then claims its entry, as Store does.
 func (s *hst) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
+	if s.step != nil {
+		s.step(ctx, "rmw.word")
+	}
 	old, f := ctx.Mem().Update(addr, u)
 	if f != nil {
 		return 0, f
 	}
-	s.set(ctx, addr&^3, ctx.TID())
+	s.claim(ctx, addr&^3)
 	return old, nil
 }
 

@@ -236,8 +236,8 @@ type Machine struct {
 	excl   *exclusive
 	topts  translate.Options
 
-	// tbs is the shared translation-block cache: lock-free sharded
-	// copy-on-write lookups, see tbcache.go.
+	// tbs is the machine's translation-block cache, shared by its vCPUs:
+	// mutex-sharded maps, see tbcache.go.
 	tbs tbCache
 
 	// Cross-job shared-translation state (sharedtb.go): the keyed view of
@@ -508,8 +508,23 @@ func (m *Machine) Mem() *mmu.Memory { return m.mem }
 
 // LoadImage maps and copies an assembled image into guest memory. Image
 // pages are mapped read-write-execute (code and data share pages, as in a
-// flat firmware-style binary).
-func (m *Machine) LoadImage(im *asm.Image) error {
+// flat firmware-style binary). An image loads before the first SpawnThread:
+// the copy is a plain one (mmu.WriteWordsPriv), so LoadImage refuses a
+// machine that already has a vCPU.
+func (m *Machine) LoadImage(im *asm.Image) error { return m.loadImage(im, nil) }
+
+// LoadKeyedImage is LoadImage for a caller that already holds the image's
+// ImageKey, which it must equal: the shared translation store is keyed
+// with it instead of hashing the image a second time.
+func (m *Machine) LoadKeyedImage(im *asm.Image, key [32]byte) error { return m.loadImage(im, &key) }
+
+func (m *Machine) loadImage(im *asm.Image, key *[32]byte) error {
+	m.cpuMu.Lock()
+	spawned := m.nextTID
+	m.cpuMu.Unlock()
+	if spawned != 0 {
+		return fmt.Errorf("engine: LoadImage after SpawnThread: an image loads before any vCPU exists")
+	}
 	base := mmu.PageBase(im.Org)
 	end := im.End()
 	size := (end - base + mmu.PageSize - 1) &^ uint32(mmu.PageMask)
@@ -521,7 +536,7 @@ func (m *Machine) LoadImage(im *asm.Image) error {
 	}
 	// Attach the shared-translation view now that the image bytes are in
 	// place (the watch must not count host-side seeding as mutation).
-	m.attachSharedTB(im)
+	m.attachSharedTB(im, key)
 	return nil
 }
 

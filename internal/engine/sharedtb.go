@@ -55,15 +55,20 @@ func (m *Machine) sharedOptsKey() string {
 
 // attachSharedTB derives the machine's keyed view of the process-wide
 // store from the image LoadImage just seeded and installs the store watch
-// over the image's words. Must run after host-side image seeding
+// over the image's words. key is the image's ImageKey when the caller
+// holds it, nil to derive it here. Must run after host-side image seeding
 // (WriteWordPriv resolves as a store and would count) and before guest
 // execution starts; the first image loaded keeps the attachment.
-func (m *Machine) attachSharedTB(im *asm.Image) {
+func (m *Machine) attachSharedTB(im *asm.Image, key *[32]byte) {
 	st := m.cfg.SharedTBStore
 	if st == nil || m.sharedView != nil || im.Size() == 0 {
 		return
 	}
-	m.sharedImage = ImageKey(im)
+	if key != nil {
+		m.sharedImage = *key
+	} else {
+		m.sharedImage = ImageKey(im)
+	}
 	m.sharedView = st.View(tbstore.Key{Image: m.sharedImage, Opts: m.sharedOptsKey()})
 	m.sharedWatch = m.mem.WatchStores(im.Org, im.Org+im.Size())
 }

@@ -524,3 +524,49 @@ func TestImageKeyGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadKeyedImageAttachesTheGivenKey: a caller's ImageKey keys the
+// machine's view exactly as LoadImage's own derivation does, and an image
+// cannot load once a vCPU exists (the copy into guest memory is a plain
+// one).
+func TestLoadKeyedImageAttachesTheGivenKey(t *testing.T) {
+	im := buildImage(t, sharedTBDeterminismImage)
+	store := tbstore.New[*TB](64)
+	newMachine := func() *Machine {
+		cfg := DefaultConfig("hst")
+		cfg.SharedTBStore = store
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	plain, keyed := newMachine(), newMachine()
+	if err := plain.LoadImage(im); err != nil {
+		t.Fatal(err)
+	}
+	if err := keyed.LoadKeyedImage(im, ImageKey(im)); err != nil {
+		t.Fatal(err)
+	}
+	if plain.sharedImage != keyed.sharedImage || plain.sharedImage != ImageKey(im) {
+		t.Fatalf("keyed load attached %x, LoadImage %x", keyed.sharedImage, plain.sharedImage)
+	}
+	for a := im.Org; a < im.End(); a += 4 {
+		want, _ := plain.Mem().ReadWordPriv(a)
+		if got, _ := keyed.Mem().ReadWordPriv(a); got != want {
+			t.Fatalf("word at %#x = %#x, want %#x", a, got, want)
+		}
+	}
+	if keyed.ImageMutated() {
+		t.Fatal("loading the image counted as a guest store")
+	}
+
+	late := newMachine()
+	if _, err := late.SpawnThread(im.Entry); err != nil {
+		t.Fatal(err)
+	}
+	if err := late.LoadImage(im); err == nil {
+		t.Fatal("LoadImage after SpawnThread succeeded")
+	}
+	late.Run() // the vCPU faults on the unmapped entry; reap it
+}

@@ -704,24 +704,24 @@ func (m *Memory) WriteWordPriv(addr, val uint32) *Fault {
 }
 
 // WriteWordsPriv writes words to consecutive addresses from addr, ignoring
-// permissions: the image loader's bulk form of WriteWordPriv. It resolves
-// each page once and stores each word atomically; a store watch over the
-// range counts every word, as word-by-word writes would. It stops at the
-// first fault, with the pages before it written.
+// permissions: the image loader's bulk form of WriteWordPriv. The caller
+// must guarantee that nothing else accesses the range meanwhile (the
+// engine loads images before any vCPU exists), so each page's words are
+// one copy into its frame, not one atomic store per word. It resolves each
+// page once; a store watch over the range counts every word, as word-by-word
+// writes would. It stops at the first fault, with the pages before it
+// written.
 func (m *Memory) WriteWordsPriv(addr uint32, words []uint32) *Fault {
 	for len(words) > 0 {
 		fr, wi, f := m.resolve(addr, 0, AccessStore)
 		if f != nil {
 			return f
 		}
-		n := min(len(words), PageWords-int(wi))
+		n := copy(fr[wi:], words)
 		if w := m.watch.Load(); w != nil && addr >= w.lo && addr < w.hi {
 			// resolve counted the first word; the page's others land too.
 			w.total.Add(uint64(n - 1))
 			w.pages[(addr-w.lo)>>PageShift].Add(uint64(n - 1))
-		}
-		for k, v := range words[:n] {
-			atomic.StoreUint32(&fr[int(wi)+k], v)
 		}
 		addr += uint32(n) * 4
 		words = words[n:]

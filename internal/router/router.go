@@ -118,7 +118,10 @@ type Options struct {
 	// DataDir, when set, enables the router journal (submitted /
 	// dispatched / finished records) so a restart recovers the job table.
 	DataDir string
-	// JournalSync is the journal fsync policy. Default SyncBatch.
+	// JournalSync is the journal fsync policy. The zero value is
+	// durable.SyncAlways; atomemu-router's -fsync flag passes its own
+	// default, batch. Terminal records get no fsync of their own here (see
+	// DESIGN §11).
 	JournalSync durable.SyncPolicy
 
 	// Client performs dispatch, status and checkpoint requests; probes and

@@ -54,8 +54,9 @@ func (s *sightings) seen(k [32]byte) bool {
 const compileCacheBytes = 32 << 20
 
 // compiled is one compiled program: the image, shared read-only by every
-// job admitted with the same source, and the identity decode derives from
-// it (engine.ImageKey is a sha256 over the whole image, worth keeping).
+// job admitted with the same source, and its engine.ImageKey, a sha256 over
+// the whole image taken once here: job admission counts sightings by it and
+// the machine's translation store view is keyed with it (LoadKeyedImage).
 type compiled struct {
 	im   *asm.Image
 	hash [32]byte

@@ -139,8 +139,9 @@ type job struct {
 	arg     uint32
 	wallcap time.Duration
 
-	// imageHash is the content hash of the job's image, derived at decode:
-	// what the translation store's second-sight admission counts.
+	// imageHash is the job's engine.ImageKey, derived at decode: what the
+	// translation store's second-sight admission counts, and the key the
+	// machine attaches its store view with.
 	imageHash [32]byte
 
 	// Durability fields. key is the idempotency key (may be set without a

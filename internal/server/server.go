@@ -764,7 +764,7 @@ func (s *Server) run(j *job) {
 	} else {
 		m, err = engine.NewMachine(cfg)
 		if err == nil {
-			err = m.LoadImage(j.im)
+			err = m.LoadKeyedImage(j.im, j.imageHash)
 		}
 		for i := 0; i < j.threads && err == nil; i++ {
 			_, err = m.SpawnThread(j.im.Entry, j.arg)
