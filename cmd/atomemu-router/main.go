@@ -97,18 +97,22 @@ func main() {
 func run() error {
 	var workers stringList
 	weights := weightMap{}
+	def := router.DefaultOptions()
 	addr := flag.String("addr", ":8348", "listen address")
 	flag.Var(&workers, "worker", "worker base URL, e.g. http://host:8347 (repeatable)")
 	flag.Var(weights, "tenant-weight", "tenant scheduling weight as name=N (repeatable)")
-	defaultWeight := flag.Int("default-weight", 1, "weight for tenants without an explicit -tenant-weight")
-	quotaPerWeight := flag.Int("quota-per-weight", 32, "live-job admission quota per unit of tenant weight (negative = unbounded)")
-	dispatchers := flag.Int("dispatchers", 4, "concurrent dispatch workers")
-	redispatchRounds := flag.Int("redispatch-rounds", 3, "dispatch rounds over the ring before a job is shed")
-	probeInterval := flag.Duration("probe-interval", 250*time.Millisecond, "worker health probe cadence")
-	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
-	downAfter := flag.Int("down-after", 3, "consecutive failures before a worker is evicted and its jobs failed over")
-	probeBackoffMax := flag.Duration("probe-backoff-max", 5*time.Second, "cap on the probe backoff while a worker stays down")
+	defaultWeight := flag.Int("default-weight", def.DefaultWeight, "weight for tenants without an explicit -tenant-weight")
+	quotaPerWeight := flag.Int("quota-per-weight", def.QuotaPerWeight, "live-job admission quota per unit of tenant weight (negative = unbounded)")
+	dispatchers := flag.Int("dispatchers", def.Dispatchers, "concurrent dispatch workers")
+	redispatchRounds := flag.Int("redispatch-rounds", def.RedispatchRounds, "dispatch rounds over the ring before a job is shed")
+	probeInterval := flag.Duration("probe-interval", def.ProbeInterval, "worker health probe cadence")
+	probeTimeout := flag.Duration("probe-timeout", def.ProbeTimeout, "per-probe timeout")
+	downAfter := flag.Int("down-after", def.ProbeDownAfter, "consecutive failures before a worker is evicted and its jobs failed over")
+	probeBackoffMax := flag.Duration("probe-backoff-max", def.ProbeBackoffMax, "cap on the probe backoff while a worker stays down")
 	dataDir := flag.String("data-dir", "", "router journal directory; in-flight jobs survive router restarts (empty = in-memory only)")
+	// Deliberately not def.JournalSync (the zero policy, always): the daemon
+	// defaults to batch like atomemud, trading a batch window of durability
+	// for append throughput.
 	fsync := flag.String("fsync", "batch", "journal sync policy: always, batch, never")
 	drainWait := flag.Duration("drain-wait", 2*time.Minute, "how long to wait for live jobs on SIGTERM before exiting anyway")
 	flag.Parse()

@@ -21,8 +21,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"atomemu/internal/asm"
+	"atomemu/internal/core"
 	"atomemu/internal/engine"
 	"atomemu/internal/gac"
 	"atomemu/internal/harness"
@@ -51,7 +53,7 @@ func exitCode(err error) int {
 }
 
 func run() error {
-	scheme := flag.String("scheme", "hst", "emulation scheme (pico-cas pico-st pico-htm hst hst-weak hst-htm pst pst-remap pst-mpk)")
+	scheme := flag.String("scheme", "hst", "emulation scheme ("+strings.Join(core.SchemeNames(), " ")+")")
 	image := flag.String("image", "", "assembled GA32 image to run")
 	gacFile := flag.String("gac", "", "GAC source file to compile and run")
 	program := flag.String("program", "", "miniparsec workload name")

@@ -56,26 +56,32 @@ func main() {
 }
 
 func run() error {
+	def := server.DefaultOptions()
 	addr := flag.String("addr", ":8347", "listen address")
-	workers := flag.Int("workers", 4, "concurrent emulation workers")
-	queue := flag.Int("queue", 16, "job queue depth (full queue sheds with 429)")
-	wallDeadline := flag.Duration("wall-deadline", 30*time.Second, "default per-job wall-clock budget")
-	maxWallDeadline := flag.Duration("max-wall-deadline", 2*time.Minute, "cap on tenant-requested wall budgets")
-	virtDeadline := flag.Uint64("virtual-deadline", 2_000_000_000, "default per-job virtual-cycle budget")
-	maxInstrs := flag.Uint64("max-instrs", 4_000_000_000, "cap on guest instructions per job")
-	maxThreads := flag.Int("max-threads", 64, "cap on threads per job")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "scheme failures before the breaker opens (0 disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "open-breaker cooldown before a half-open probe")
-	drainGrace := flag.Duration("drain-grace", 10*time.Second, "time to let jobs finish on SIGTERM before cancelling them")
+	workers := flag.Int("workers", def.Workers, "concurrent emulation workers")
+	queue := flag.Int("queue", def.QueueDepth, "job queue depth (full queue sheds with 429)")
+	wallDeadline := flag.Duration("wall-deadline", def.DefaultWallDeadline, "default per-job wall-clock budget")
+	maxWallDeadline := flag.Duration("max-wall-deadline", def.MaxWallDeadline, "cap on tenant-requested wall budgets")
+	virtDeadline := flag.Uint64("virtual-deadline", def.DefaultVirtualDeadline, "default per-job virtual-cycle budget")
+	maxInstrs := flag.Uint64("max-instrs", def.MaxGuestInstrs, "cap on guest instructions per job")
+	maxThreads := flag.Int("max-threads", def.MaxThreadsPerJob, "cap on threads per job")
+	breakerThreshold := flag.Int("breaker-threshold", def.BreakerThreshold, "scheme failures before the breaker opens (0 disables)")
+	breakerCooldown := flag.Duration("breaker-cooldown", def.BreakerCooldown, "open-breaker cooldown before a half-open probe")
+	drainGrace := flag.Duration("drain-grace", def.DrainGrace, "time to let jobs finish on SIGTERM before cancelling them")
 	allowFault := flag.Bool("allow-fault-inject", false, "accept fault-injection rules in job requests (soak/CI only)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off; use a loopback port, not -addr)")
 	dataDir := flag.String("data-dir", "", "durability directory: job journal + checkpoint spills; accepted jobs survive restarts (empty = in-memory only)")
-	fsync := flag.String("fsync", "batch", "journal sync policy: always (power-loss safe), batch (default), never (crash-safe via page cache only)")
-	maxResumes := flag.Int("max-restart-resumes", 3, "checkpoint-resume attempts per job across restarts before requeueing from scratch (negative = unbounded)")
-	tbstoreBlocks := flag.Int("tbstore-blocks", server.DefaultSharedTBCacheBlocks, "cross-job shared translation store capacity in blocks (0 = off)")
+	fsync := flag.String("fsync", def.Fsync, "journal sync policy: always (power-loss safe), batch, never (crash-safe via page cache only)")
+	maxResumes := flag.Int("max-restart-resumes", def.MaxRestartResumes, "checkpoint-resume attempts per job across restarts before requeueing from scratch (negative = unbounded)")
+	tbstoreBlocks := flag.Int("tbstore-blocks", def.SharedTBCacheBlocks, "cross-job shared translation store capacity in blocks (0 = off)")
 	flag.Parse()
+	// Options reads 0 as "the default" and only a negative value as off; the
+	// flags' 0 means off.
+	if *breakerThreshold <= 0 {
+		*breakerThreshold = -1
+	}
 	if *tbstoreBlocks <= 0 {
-		*tbstoreBlocks = -1 // Options reads 0 as "the default"; the flag's 0 means off
+		*tbstoreBlocks = -1
 	}
 
 	s, err := server.New(server.Options{

@@ -64,11 +64,10 @@ type Scenario struct {
 	MaxSteps uint64 `json:"max_steps,omitempty"`
 
 	// Engine knob perturbation.
-	StrictPaper     bool  `json:"strict_paper,omitempty"`
-	HashBits        uint  `json:"hash_bits,omitempty"`
-	HTMInterference int   `json:"htm_interference,omitempty"`
-	WatchdogSCFails int64 `json:"watchdog_sc_fails,omitempty"`
-	HashSpinBudget  int   `json:"hash_spin_budget,omitempty"`
+	StrictPaper     bool   `json:"strict_paper,omitempty"`
+	HashBits        uint   `json:"hash_bits,omitempty"`
+	HTMInterference uint64 `json:"htm_interference,omitempty"`
+	WatchdogSCFails int64  `json:"watchdog_sc_fails,omitempty"`
 	// ChainBudget and Tiered only matter in ModeFree (step mode forces
 	// the IR-bypass paths off).
 	ChainBudget int  `json:"chain_budget,omitempty"`
@@ -230,18 +229,10 @@ func RunScenario(s Scenario) (*Outcome, error) {
 	cfg.TraceEvents = true
 	cfg.TraceRingBits = 13
 	cfg.StrictPaper = s.StrictPaper
-	if s.HashBits > 0 {
-		cfg.HashBits = s.HashBits
-	}
-	if s.HTMInterference > 0 {
-		cfg.HTMInterference = s.HTMInterference
-	}
-	if s.WatchdogSCFails != 0 {
-		cfg.WatchdogSCFails = s.WatchdogSCFails
-	}
-	if s.HashSpinBudget > 0 {
-		cfg.HashSpinBudget = s.HashSpinBudget
-	}
+	// Zero knobs take the engine defaults (Config.normalized).
+	cfg.HashBits = s.HashBits
+	cfg.Cost.HTMInterference = s.HTMInterference
+	cfg.WatchdogSCFails = s.WatchdogSCFails
 	cfg.FaultInjector = inj
 	var st *stepper
 	switch s.Mode {

@@ -164,7 +164,7 @@ func TestFaultInjectionOutcomes(t *testing.T) {
 		// starvation into a watchdog diagnostic, not an infinite wedge.
 		s := Scenario{
 			Target: "seqlock", Scheme: "hst-weak", Threads: 4, Ops: 200, Seed: 4,
-			MaxSteps: 4_000_000, WatchdogSCFails: 2048, HashSpinBudget: 2048,
+			MaxSteps: 4_000_000, WatchdogSCFails: 2048,
 			Faults: []faultinject.Spec{{Op: "hash-unlock", Action: "stick-lock", After: 30, Count: 1}},
 		}
 		o, err := RunScenario(s)

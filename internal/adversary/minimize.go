@@ -97,7 +97,6 @@ func Minimize(s Scenario, want *Outcome, budget int) (Scenario, *Outcome) {
 			{best.HashBits != 0, func(c *Scenario) { c.HashBits = 0 }},
 			{best.HTMInterference != 0, func(c *Scenario) { c.HTMInterference = 0 }},
 			{best.WatchdogSCFails != 0, func(c *Scenario) { c.WatchdogSCFails = 0 }},
-			{best.HashSpinBudget != 0, func(c *Scenario) { c.HashSpinBudget = 0 }},
 			{best.QuantumMax != defaultQuantumMax, func(c *Scenario) { c.QuantumMax = defaultQuantumMax }},
 			{best.StrictPaper, func(c *Scenario) { c.StrictPaper = false }},
 		} {

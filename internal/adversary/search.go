@@ -260,7 +260,7 @@ func mutate(rng *rand.Rand, s Scenario, opts Options) Scenario {
 		case 4:
 			s.StrictPaper = !s.StrictPaper
 		case 5:
-			s.HTMInterference = []int{0, 4, 8, 16}[rng.Intn(4)]
+			s.HTMInterference = []uint64{0, 4, 8, 16}[rng.Intn(4)]
 		case 6:
 			s.HashBits = []uint{0, 6, 10}[rng.Intn(3)]
 		case 7:

@@ -340,6 +340,15 @@ type CostModel struct {
 	HTMBegin  uint64
 	HTMCommit uint64
 	HTMAbort  uint64
+	// HTMInterference calibrates how violently emulation work interferes
+	// with transactions that span block boundaries (PICO-HTM's LL…SC
+	// windows): at each boundary inside an open transaction the engine
+	// aborts it with probability min(0.95, ((threads-1)/HTMInterference)²),
+	// modelling conflicts on QEMU's shared emulator state [paper §III-B,
+	// ref 18]. SC-only transactions (HST-HTM) never cross a boundary and
+	// are unaffected. A dimensionless divisor, not a cycle charge; the
+	// engine takes 0 as the default.
+	HTMInterference uint64
 
 	SyscallBase uint64 // guest syscall entry/exit
 	TBLookup    uint64 // translation-cache hit
@@ -372,6 +381,7 @@ func DefaultCostModel() CostModel {
 		HTMBegin:        60,
 		HTMCommit:       40,
 		HTMAbort:        300,
+		HTMInterference: 16,
 		SyscallBase:     1500,
 		TBLookup:        12,
 		TBTranslate:     400,

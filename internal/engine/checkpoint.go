@@ -270,7 +270,6 @@ func (m *Machine) demoteScheme() error {
 	if err != nil {
 		return err
 	}
-	tab.SpinBudget = m.cfg.HashSpinBudget
 	tab.SetInjector(m.cfg.FaultInjector)
 	res := m.cfg.resilience()
 	deps := core.Deps{Cost: &m.cfg.Cost, Res: &res, Htab: tab}

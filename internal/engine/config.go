@@ -47,31 +47,14 @@ func (cfg Config) Validate() error {
 	if n.MemBytes < 2*mmu.PageSize {
 		return fmt.Errorf("engine: MemBytes %d below the two-page minimum (%d)", n.MemBytes, 2*mmu.PageSize)
 	}
-	if n.MaxThreads < 1 {
-		return fmt.Errorf("engine: MaxThreads %d must be at least 1", n.MaxThreads)
-	}
-	// Per-thread stacks are carved upward from StackRegionBase with a guard
-	// page between them; the whole region must fit below the top of the
-	// 32-bit guest address space or later spawns would silently wrap onto
-	// low memory.
-	if uint64(StackRegionBase)+uint64(n.MaxThreads)*uint64(stackStride) > 1<<32 {
-		return fmt.Errorf("engine: %d stacks of %d bytes (+guard page) overflow the 32-bit address space above %#x",
-			n.MaxThreads, stackBytes, StackRegionBase)
-	}
 	if n.RecoveryAttempts < -1 {
 		return fmt.Errorf("engine: RecoveryAttempts %d is nonsense (-1 disables recovery)", n.RecoveryAttempts)
 	}
 	if n.WatchdogSCFails < -1 {
 		return fmt.Errorf("engine: WatchdogSCFails %d is nonsense (-1 disables the watchdog)", n.WatchdogSCFails)
 	}
-	if n.HashSpinBudget < 0 {
-		return fmt.Errorf("engine: negative HashSpinBudget %d", n.HashSpinBudget)
-	}
 	if n.ChainBudget < 0 {
 		return fmt.Errorf("engine: negative ChainBudget %d (0 disables chaining)", n.ChainBudget)
-	}
-	if n.HTMInterference < 1 {
-		return fmt.Errorf("engine: HTMInterference %d must be at least 1 (0 selects the default)", n.HTMInterference)
 	}
 	if n.TraceRingBits < 4 || n.TraceRingBits > 24 {
 		return fmt.Errorf("engine: TraceRingBits %d out of range [4,24]", n.TraceRingBits)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"atomemu/internal/core"
 	"atomemu/internal/hashtab"
 )
 
@@ -47,9 +48,6 @@ func TestNewMachineKeepsPartialConfig(t *testing.T) {
 	if m.cfg.MemBytes != def.MemBytes {
 		t.Errorf("MemBytes = %d, want default %d", m.cfg.MemBytes, def.MemBytes)
 	}
-	if m.cfg.MaxThreads != def.MaxThreads {
-		t.Error("MaxThreads not defaulted")
-	}
 	if m.cfg.Cost != def.Cost {
 		t.Error("Cost model not defaulted")
 	}
@@ -67,14 +65,30 @@ func TestNewMachineKeepsPartialConfig(t *testing.T) {
 func TestNewMachineExplicitFieldsUntouched(t *testing.T) {
 	cfg := DefaultConfig("pico-cas")
 	cfg.MemBytes = 8 << 20
-	cfg.MaxThreads = 3
 	cfg.HashBits = 7
+	cfg.Cost.HTMInterference = 5
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.cfg.MemBytes != 8<<20 || m.cfg.MaxThreads != 3 || m.cfg.HashBits != 7 {
+	if m.cfg.MemBytes != 8<<20 || m.cfg.HashBits != 7 || m.cfg.Cost.HTMInterference != 5 {
 		t.Errorf("explicit fields rewritten: %+v", m.cfg)
+	}
+}
+
+// TestPartialCostModelKeepsInterferenceDivisor: a caller-built cost model
+// that leaves HTMInterference zero gets the default divisor, never a
+// division by zero at the first block boundary inside a transaction.
+func TestPartialCostModelKeepsInterferenceDivisor(t *testing.T) {
+	m, err := NewMachine(Config{Scheme: "pico-htm", Cost: core.CostModel{IROp: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.cfg.Cost.IROp != 7 {
+		t.Errorf("IROp = %d, want the caller's 7", m.cfg.Cost.IROp)
+	}
+	if got, want := m.cfg.Cost.HTMInterference, core.DefaultCostModel().HTMInterference; got != want {
+		t.Errorf("HTMInterference = %d, want default %d", got, want)
 	}
 }
 
@@ -98,9 +112,9 @@ func TestDefaultHashBitsRoundTrip(t *testing.T) {
 // TestConcurrentSpawnRespectsMaxThreads: racing spawns must never overshoot
 // the thread limit — the reserve-tid-and-slot step in newCPU is atomic.
 func TestConcurrentSpawnRespectsMaxThreads(t *testing.T) {
-	const limit = 8
-	const attempts = 32
-	m, err := NewMachine(Config{Scheme: "pico-cas", MaxThreads: limit, StepMode: true})
+	const limit = maxThreads
+	const attempts = limit + 32
+	m, err := NewMachine(Config{Scheme: "pico-cas", StepMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}

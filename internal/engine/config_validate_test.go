@@ -67,12 +67,8 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"hash bits over address space", func(c *Config) { c.HashBits = 30 }, "28-bit table limit"},
 		{"hash bits under table minimum", func(c *Config) { c.HashBits = 2 }, "4-bit table minimum"},
 		{"mem below two pages", func(c *Config) { c.MemBytes = 4096 }, "two-page minimum"},
-		{"zero threads", func(c *Config) { c.MaxThreads = -3 }, "MaxThreads"},
-		{"stack region overflow", func(c *Config) { c.MaxThreads = 1 << 20 }, "overflow the 32-bit address space"},
 		{"recovery below sentinel", func(c *Config) { c.RecoveryAttempts = -2 }, "-1 disables recovery"},
 		{"watchdog below sentinel", func(c *Config) { c.WatchdogSCFails = -2 }, "-1 disables the watchdog"},
-		{"negative spin budget", func(c *Config) { c.HashSpinBudget = -1 }, "HashSpinBudget"},
-		{"negative interference", func(c *Config) { c.HTMInterference = -4 }, "HTMInterference"},
 		{"trace ring over cap", func(c *Config) { c.TraceRingBits = 30 }, "TraceRingBits"},
 		{"trace ring under floor", func(c *Config) { c.TraceRingBits = 2 }, "TraceRingBits"},
 	}

@@ -477,12 +477,13 @@ func (c *CPU) stepOnce() int {
 			// still open at a block boundary has emulation work — TB lookups,
 			// chaining updates, shared profiling state — inside it; with more
 			// threads that shared state churns faster. Abort with probability
-			// min(0.95, ((threads-1)/HTMInterference)²). SC-only transactions
-			// (HST-HTM) never reach here and are immune, the paper's point.
+			// min(0.95, ((threads-1)/Cost.HTMInterference)²). SC-only
+			// transactions (HST-HTM) never reach here and are immune, the
+			// paper's point.
 			if txn := c.mon.Txn; txn != nil && !txn.Done() {
 				n := uint64(c.m.runningCPUs.Load())
 				if n > 1 {
-					ratio := (n - 1) * 65536 / uint64(c.m.cfg.HTMInterference)
+					ratio := (n - 1) * 65536 / c.m.cfg.Cost.HTMInterference
 					p := ratio * ratio / 65536
 					if p > 62259 { // 0.95 in 16-bit fixed point
 						p = 62259

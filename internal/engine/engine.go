@@ -56,6 +56,8 @@ const (
 	// apart so an unmapped guard page follows each one.
 	stackBytes  uint32 = 64 << 10
 	stackStride        = stackBytes + mmu.PageSize
+	// maxThreads bounds guest thread creation per machine.
+	maxThreads = 256
 	// htmBits sizes the software HTM's lock table at 2^bits slots; its
 	// transactions hold htm.DefaultCapacity words of read+write set.
 	htmBits = 16
@@ -66,6 +68,11 @@ const (
 	quantumTBs    = 32
 	preemptMemOps = 600
 )
+
+// The stack region holds maxThreads stacks (+ guard pages) below the top of
+// the 32-bit guest address space; a larger maxThreads fails to compile here
+// instead of letting later spawns wrap onto low memory.
+const _ = uint64(1<<32) - (uint64(StackRegionBase) + maxThreads*uint64(stackStride))
 
 // Config configures a Machine.
 type Config struct {
@@ -79,8 +86,6 @@ type Config struct {
 	HashBits uint
 	// NoOptimize disables the IR optimizer (for differential testing).
 	NoOptimize bool
-	// MaxThreads bounds guest thread creation.
-	MaxThreads int
 	// FuseAtomics enables rule-based translation (paper §VI): recognized
 	// LL/SC retry loops run as single fused host atomics.
 	FuseAtomics bool
@@ -103,14 +108,6 @@ type Config struct {
 	// HotThreshold is the per-vCPU execution count at which a tiered
 	// block is promoted to optimized IR (0 = default 64).
 	HotThreshold int
-	// HTMInterference calibrates how violently emulation work interferes
-	// with transactions that span block boundaries (PICO-HTM's LL…SC
-	// windows): at each boundary inside an open transaction the engine
-	// aborts it with probability min(0.95, ((threads-1)/HTMInterference)²),
-	// modelling conflicts on QEMU's shared emulator state [paper §III-B,
-	// ref 18]. SC-only transactions (HST-HTM) never cross a boundary and
-	// are unaffected. 0 means the default (16); negative is rejected.
-	HTMInterference int
 	// MaxGuestInstrs aborts a runaway vCPU after this many guest
 	// instructions (0 = unlimited).
 	MaxGuestInstrs uint64
@@ -169,9 +166,6 @@ type Config struct {
 	// VirtualDeadline stops the machine with a DeadlineError once any vCPU
 	// clock passes this many virtual cycles. 0 means no deadline.
 	VirtualDeadline uint64
-	// HashSpinBudget bounds hashtab.SetWait's spin on a locked entry
-	// (0 = hashtab.DefaultSpinBudget).
-	HashSpinBudget int
 	// FaultInjector, when set, is threaded through the TM, the hash table
 	// and the MMU for deterministic failure testing.
 	FaultInjector *faultinject.Injector
@@ -218,8 +212,6 @@ func DefaultConfig(scheme string) Config {
 		Cost:             core.DefaultCostModel(),
 		MemBytes:         64 << 20,
 		HashBits:         14,
-		MaxThreads:       256,
-		HTMInterference:  16,
 		TraceRingBits:    12,
 		WatchdogSCFails:  1 << 17,
 		RecoveryAttempts: 3,
@@ -256,7 +248,7 @@ type Machine struct {
 
 	cpuMu sync.Mutex
 	cpus  []*CPU
-	// cpuReserved counts newCPU calls that passed the MaxThreads check but
+	// cpuReserved counts newCPU calls that passed the maxThreads check but
 	// have not appended to cpus yet, so concurrent guest spawns cannot
 	// overshoot the limit between the check and the append.
 	cpuReserved int
@@ -375,17 +367,14 @@ func (cfg Config) normalized() Config {
 	if cfg.Cost == (core.CostModel{}) {
 		cfg.Cost = def.Cost
 	}
+	if cfg.Cost.HTMInterference == 0 {
+		cfg.Cost.HTMInterference = def.Cost.HTMInterference
+	}
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = def.MemBytes
 	}
 	if cfg.HashBits == 0 {
 		cfg.HashBits = def.HashBits
-	}
-	if cfg.MaxThreads == 0 {
-		cfg.MaxThreads = def.MaxThreads
-	}
-	if cfg.HTMInterference == 0 {
-		cfg.HTMInterference = def.HTMInterference
 	}
 	if cfg.TraceRingBits == 0 {
 		cfg.TraceRingBits = def.TraceRingBits
@@ -454,7 +443,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		tab.SpinBudget = cfg.HashSpinBudget
 		tab.SetInjector(cfg.FaultInjector)
 		deps.Htab = tab
 	}
@@ -610,13 +598,13 @@ func (m *Machine) newCPU(entry uint32, startClock uint64, args []uint32) (*CPU, 
 		return nil, fmt.Errorf("engine: machine stopped")
 	}
 	// Reserve a tid and a slot under one lock so concurrent guest spawns
-	// cannot both pass the limit check and overshoot MaxThreads; the
+	// cannot both pass the limit check and overshoot maxThreads; the
 	// reservation (not a re-check at append time) also means a spawn that
 	// passed the check can never lose a race after mapping its stack.
 	m.cpuMu.Lock()
-	if len(m.cpus)+m.cpuReserved >= m.cfg.MaxThreads {
+	if len(m.cpus)+m.cpuReserved >= maxThreads {
 		m.cpuMu.Unlock()
-		return nil, fmt.Errorf("engine: thread limit %d reached", m.cfg.MaxThreads)
+		return nil, fmt.Errorf("engine: thread limit %d reached", maxThreads)
 	}
 	m.cpuReserved++
 	m.nextTID++

@@ -439,8 +439,6 @@ var sharedKeyNeutral = map[string]string{
 	"Cost":              "charged when a block is translated or run; not part of the block",
 	"MemBytes":          "sizes guest memory",
 	"HashBits":          "sizes the scheme's table, reached through the same hooks",
-	"MaxThreads":        "spawn limit",
-	"HTMInterference":   "abort probability at block boundaries, decided at run time",
 	"MaxGuestInstrs":    "run budget; the clamp's one-off blocks bypass both caches",
 	"TraceEvents":       "event ring, emitted by the executor",
 	"TraceRingBits":     "event ring size",
@@ -452,7 +450,6 @@ var sharedKeyNeutral = map[string]string{
 	"RecoveryAttempts":  "rollback policy; a demotion re-keys through Scheme",
 	"CheckpointSink":    "host plumbing",
 	"VirtualDeadline":   "run budget",
-	"HashSpinBudget":    "hash-lock spin bound at run time",
 	"FaultInjector":     "can fault a fetch mid-translation: callers must not attach an injected machine (server.run does not)",
 	"SchedHook":         "host plumbing",
 	"SharedTBStore":     "the store itself",

@@ -126,36 +126,38 @@ func TestUnknownSyscallFails(t *testing.T) {
 	}
 }
 
+// TestSpawnLimit: the guest spawns until sys_spawn refuses; the last
+// granted tid is maxThreads (the main thread is tid 1) and the refusal
+// returns 0xffffffff.
 func TestSpawnLimit(t *testing.T) {
-	cfg := DefaultConfig("pico-cas")
-	cfg.MaxThreads = 3
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	im := buildImage(t, `
 .org 0x10000
 .entry main
 main:
     ldr r5, =idle
+    movw r7, #0xffff
+    movt r7, #0xffff
+    movi r6, #0
+spawn:
     mov r0, r5
     movi r1, #0
     svc #3
-    svc #6          ; tid 2
-    mov r0, r5
-    svc #3
-    svc #6          ; tid 3
-    mov r0, r5
-    svc #3
-    svc #6          ; limit: 0xffffffff
+    cmp r0, r7
+    beq full
+    mov r6, r0
+    b spawn
+full:
+    mov r8, r0
+    mov r0, r6
+    svc #6          ; last granted tid
+    mov r0, r8
+    svc #6          ; the refusal
     svc #1
 idle:
     movi r0, #0
     svc #1
 `)
-	if err := m.LoadImage(im); err != nil {
-		t.Fatal(err)
-	}
+	m := newTestMachine(t, "pico-cas", im)
 	if _, err := m.Start(im.Entry); err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +165,8 @@ idle:
 		t.Fatal(err)
 	}
 	out := m.Output()
-	if len(out) != 3 || out[0] != 2 || out[1] != 3 || out[2] != ^uint32(0) {
-		t.Fatalf("output = %v", out)
+	if len(out) != 2 || out[0] != maxThreads || out[1] != ^uint32(0) {
+		t.Fatalf("output = %v, want [%d %d]", out, maxThreads, ^uint32(0))
 	}
 }
 

@@ -45,6 +45,7 @@ package router
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -62,7 +63,7 @@ import (
 	"atomemu/internal/server"
 )
 
-// Options configures a Router.
+// Options configures a Router. Zero values take DefaultOptions' values.
 type Options struct {
 	// Workers are the base URLs of the atomemud fleet ("http://host:port").
 	Workers []string
@@ -72,48 +73,37 @@ type Options struct {
 	// quantum is its weight. Unlisted tenants get DefaultWeight.
 	TenantWeights map[string]int
 	// DefaultWeight is the weight for tenants not in TenantWeights.
-	// Default 1.
 	DefaultWeight int
 	// QuotaPerWeight caps a tenant's live jobs (admitted, not yet terminal)
 	// at weight × QuotaPerWeight. Beyond it submissions are shed with 429
 	// and a Retry-After derived from the tenant's measured completion rate.
-	// Default 32; negative disables quotas.
+	// Negative disables quotas.
 	QuotaPerWeight int
 
-	// Dispatchers is the number of dispatch workers. Default 4.
+	// Dispatchers is the number of dispatch workers.
 	Dispatchers int
-	// DispatchAttempts is how many ring candidates one dispatch round
-	// tries before backing off. Default 3 (clamped to the fleet size).
-	DispatchAttempts int
 	// RedispatchRounds is how many dispatch rounds a job gets before it is
-	// shed. Default 3.
+	// shed.
 	RedispatchRounds int
-	// BounceBackoff is the base jittered backoff between candidate
-	// attempts and between rounds. Default 25ms.
-	BounceBackoff time.Duration
 
-	// ProbeInterval is the health probe cadence per worker. Default 250ms.
+	// ProbeInterval is the health probe cadence per worker.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request. Default 2s.
+	// ProbeTimeout bounds one probe request.
 	ProbeTimeout time.Duration
 	// ProbeSuspectAfter is the consecutive-failure count that turns a
-	// healthy worker suspect. Default 1.
+	// healthy worker suspect.
 	ProbeSuspectAfter int
 	// ProbeDownAfter is the consecutive-failure count that turns a worker
-	// down (ring eviction + failover). Default 3.
+	// down (ring eviction + failover).
 	ProbeDownAfter int
 	// ProbeBackoffMax caps the exponential probe backoff while a worker
-	// stays down. Default 5s.
+	// stays down.
 	ProbeBackoffMax time.Duration
 
 	// CheckpointFetchInterval is how often the checkpoint image of a
 	// dispatched job that checkpoints is re-fetched and cached (fetching
-	// encodes a full snapshot on the worker). Default 500ms.
+	// encodes a full snapshot on the worker).
 	CheckpointFetchInterval time.Duration
-
-	// VNodes is the virtual-node count per worker on the hash ring.
-	// Default 64.
-	VNodes int
 
 	// DataDir, when set, enables the router journal (submitted /
 	// dispatched / finished records) so a restart recovers the job table.
@@ -126,58 +116,61 @@ type Options struct {
 
 	// Client performs dispatch, status and checkpoint requests; probes and
 	// the completion-feed long-polls reuse its Transport under their own
-	// deadlines. Defaults to a 30s-timeout client.
+	// deadlines.
 	Client *http.Client
-	// Logger receives router diagnostics. Defaults to log.Default().
+	// Logger receives router diagnostics.
 	Logger *log.Logger
 }
 
+// Fixed dispatch parameters: no caller needs another value.
+const (
+	// vnodes is the virtual-node count per worker on the hash ring.
+	vnodes = 64
+	// dispatchAttempts is how many ring candidates one dispatch round tries
+	// before backing off (clamped to the fleet size).
+	dispatchAttempts = 3
+	// bounceBackoff is the base jittered backoff between candidate attempts
+	// and between rounds.
+	bounceBackoff = 25 * time.Millisecond
+)
+
+// DefaultOptions returns the configuration a zero Options takes: withDefaults
+// fills each zero field from here, and atomemu-router's flags default to it.
+// Workers has no default.
+func DefaultOptions() Options {
+	return Options{
+		DefaultWeight:           1,
+		QuotaPerWeight:          32,
+		Dispatchers:             4,
+		RedispatchRounds:        3,
+		ProbeInterval:           250 * time.Millisecond,
+		ProbeTimeout:            2 * time.Second,
+		ProbeSuspectAfter:       1,
+		ProbeDownAfter:          3,
+		ProbeBackoffMax:         5 * time.Second,
+		CheckpointFetchInterval: 500 * time.Millisecond,
+		Client:                  &http.Client{Timeout: 30 * time.Second},
+		Logger:                  log.Default(),
+	}
+}
+
+// withDefaults fills each zero field from DefaultOptions. max(v, 0) folds a
+// negative value into zero where negative means nothing; a negative
+// QuotaPerWeight is kept, it turns quotas off.
 func (o Options) withDefaults() Options {
-	if o.DefaultWeight <= 0 {
-		o.DefaultWeight = 1
-	}
-	if o.QuotaPerWeight == 0 {
-		o.QuotaPerWeight = 32
-	}
-	if o.Dispatchers <= 0 {
-		o.Dispatchers = 4
-	}
-	if o.DispatchAttempts <= 0 {
-		o.DispatchAttempts = 3
-	}
-	if o.RedispatchRounds <= 0 {
-		o.RedispatchRounds = 3
-	}
-	if o.BounceBackoff <= 0 {
-		o.BounceBackoff = 25 * time.Millisecond
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 250 * time.Millisecond
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.ProbeSuspectAfter <= 0 {
-		o.ProbeSuspectAfter = 1
-	}
-	if o.ProbeDownAfter <= 0 {
-		o.ProbeDownAfter = 3
-	}
-	if o.ProbeBackoffMax <= 0 {
-		o.ProbeBackoffMax = 5 * time.Second
-	}
-	if o.CheckpointFetchInterval <= 0 {
-		o.CheckpointFetchInterval = 500 * time.Millisecond
-	}
-	if o.VNodes <= 0 {
-		o.VNodes = 64
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if o.Logger == nil {
-		o.Logger = log.Default()
-	}
+	def := DefaultOptions()
+	o.DefaultWeight = cmp.Or(max(o.DefaultWeight, 0), def.DefaultWeight)
+	o.QuotaPerWeight = cmp.Or(o.QuotaPerWeight, def.QuotaPerWeight)
+	o.Dispatchers = cmp.Or(max(o.Dispatchers, 0), def.Dispatchers)
+	o.RedispatchRounds = cmp.Or(max(o.RedispatchRounds, 0), def.RedispatchRounds)
+	o.ProbeInterval = cmp.Or(max(o.ProbeInterval, 0), def.ProbeInterval)
+	o.ProbeTimeout = cmp.Or(max(o.ProbeTimeout, 0), def.ProbeTimeout)
+	o.ProbeSuspectAfter = cmp.Or(max(o.ProbeSuspectAfter, 0), def.ProbeSuspectAfter)
+	o.ProbeDownAfter = cmp.Or(max(o.ProbeDownAfter, 0), def.ProbeDownAfter)
+	o.ProbeBackoffMax = cmp.Or(max(o.ProbeBackoffMax, 0), def.ProbeBackoffMax)
+	o.CheckpointFetchInterval = cmp.Or(max(o.CheckpointFetchInterval, 0), def.CheckpointFetchInterval)
+	o.Client = cmp.Or(o.Client, def.Client)
+	o.Logger = cmp.Or(o.Logger, def.Logger)
 	return o
 }
 
@@ -358,7 +351,7 @@ func New(opts Options) (*Router, error) {
 		opts:    opts,
 		reply:   server.Reply{Name: "router", Log: opts.Logger},
 		workers: make(map[string]*worker, len(opts.Workers)),
-		ring:    newRing(opts.VNodes),
+		ring:    newRing(vnodes),
 		jobs:    make(map[string]*job),
 		byKey:   make(map[string]string),
 		tenants: make(map[string]*tenant),
@@ -646,7 +639,7 @@ func (r *Router) dispatch(j *job) {
 			r.mu.Unlock()
 			return
 		}
-		cands := r.ring.candidates(j.hashKey, r.opts.DispatchAttempts)
+		cands := r.ring.candidates(j.hashKey, dispatchAttempts)
 		if len(cands) > 2 {
 			// The arc owner stays first — placement stability is what builds
 			// worker warmth in the first place. But a bounce's spill order is
@@ -673,7 +666,7 @@ func (r *Router) dispatch(j *job) {
 				// Back off before spilling to the next candidate: the bounce
 				// is usually a momentarily full queue, and the jitter keeps
 				// concurrent dispatchers from stampeding the same spill.
-				if !r.sleepStop(jitter(r.opts.BounceBackoff << uint(i-1))) {
+				if !r.sleepStop(jitter(bounceBackoff << uint(i-1))) {
 					return
 				}
 			}
@@ -694,7 +687,7 @@ func (r *Router) dispatch(j *job) {
 			return
 		}
 		r.mu.Unlock()
-		if !r.sleepStop(jitter(r.opts.BounceBackoff << uint(rounds+1))) {
+		if !r.sleepStop(jitter(bounceBackoff << uint(rounds+1))) {
 			return
 		}
 	}

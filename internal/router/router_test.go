@@ -110,7 +110,6 @@ func fastOptions(urls ...string) Options {
 		ProbeDownAfter:          2,
 		ProbeBackoffMax:         200 * time.Millisecond,
 		CheckpointFetchInterval: 100 * time.Millisecond,
-		BounceBackoff:           5 * time.Millisecond,
 	}
 }
 

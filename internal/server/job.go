@@ -52,22 +52,19 @@ type JobRequest struct {
 // JobConfig is the engine Config subset a job may set. Zero values defer to
 // the engine defaults (Config.normalized), except VirtualDeadline, where
 // zero defers to the server's default budget.
+//
+// Translation tuning is not a tenant's to set: requests that still carry the
+// retired chain_budget, tiered, hot_threshold or fuse_atomics fields (and
+// journals written when they existed) decode with the fields ignored, and
+// the job runs with the engine's defaults.
 type JobConfig struct {
 	MemBytes         uint32 `json:"mem_bytes,omitempty"`
 	HashBits         uint   `json:"hash_bits,omitempty"`
 	MaxGuestInstrs   uint64 `json:"max_guest_instrs,omitempty"`
-	FuseAtomics      bool   `json:"fuse_atomics,omitempty"`
 	CheckpointEvery  uint64 `json:"checkpoint_every,omitempty"`
 	RecoveryAttempts int    `json:"recovery_attempts,omitempty"`
 	VirtualDeadline  uint64 `json:"virtual_deadline,omitempty"`
 	WatchdogSCFails  int64  `json:"watchdog_sc_fails,omitempty"`
-	// ChainBudget enables direct block chaining (max blocks per dispatch);
-	// 0 leaves it off. Tiered starts blocks as unoptimized IR and promotes
-	// them to optimized superblocks at HotThreshold executions (0 takes the
-	// engine default threshold).
-	ChainBudget  int  `json:"chain_budget,omitempty"`
-	Tiered       bool `json:"tiered,omitempty"`
-	HotThreshold int  `json:"hot_threshold,omitempty"`
 }
 
 // JobState is a job's lifecycle position. Terminal states: done, failed,
@@ -168,8 +165,8 @@ func (s *Server) decode(req JobRequest) (*job, error) {
 	}
 	var prog *compiled
 	if req.GAC != "" {
-		if len(req.GAC) > s.opts.MaxSourceBytes {
-			return nil, fmt.Errorf("gac source %d bytes exceeds the %d-byte limit", len(req.GAC), s.opts.MaxSourceBytes)
+		if len(req.GAC) > maxSourceBytes {
+			return nil, fmt.Errorf("gac source %d bytes exceeds the %d-byte limit", len(req.GAC), maxSourceBytes)
 		}
 		compile := s.compiled.compile
 		if len(req.Fault) > 0 {
@@ -185,8 +182,8 @@ func (s *Server) decode(req JobRequest) (*job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("image_b64: %w", err)
 		}
-		if len(raw) > s.opts.MaxSourceBytes {
-			return nil, fmt.Errorf("image %d bytes exceeds the %d-byte limit", len(raw), s.opts.MaxSourceBytes)
+		if len(raw) > maxSourceBytes {
+			return nil, fmt.Errorf("image %d bytes exceeds the %d-byte limit", len(raw), maxSourceBytes)
 		}
 		im, err := asm.ReadImage(bytes.NewReader(raw))
 		if err != nil {
@@ -214,33 +211,25 @@ func (s *Server) decode(req JobRequest) (*job, error) {
 		return nil, err
 	}
 
-	cfg := engine.DefaultConfig(req.Scheme)
-	cfg.MemBytes = req.Config.MemBytes
-	if req.Config.HashBits != 0 {
-		cfg.HashBits = req.Config.HashBits
+	// Zero fields take the engine defaults (Config.normalized), the two
+	// budgets below the server's.
+	cfg := engine.Config{
+		Scheme:           req.Scheme,
+		MemBytes:         req.Config.MemBytes,
+		HashBits:         req.Config.HashBits,
+		MaxGuestInstrs:   req.Config.MaxGuestInstrs,
+		CheckpointEvery:  req.Config.CheckpointEvery,
+		RecoveryAttempts: req.Config.RecoveryAttempts,
+		VirtualDeadline:  req.Config.VirtualDeadline,
+		WatchdogSCFails:  req.Config.WatchdogSCFails,
+		FaultInjector:    inj,
 	}
-	cfg.MaxGuestInstrs = req.Config.MaxGuestInstrs
-	cfg.FuseAtomics = req.Config.FuseAtomics
-	cfg.CheckpointEvery = req.Config.CheckpointEvery
-	if req.Config.RecoveryAttempts != 0 {
-		cfg.RecoveryAttempts = req.Config.RecoveryAttempts
-	}
-	cfg.VirtualDeadline = req.Config.VirtualDeadline
 	if cfg.VirtualDeadline == 0 {
 		cfg.VirtualDeadline = s.opts.DefaultVirtualDeadline
-	}
-	if req.Config.WatchdogSCFails != 0 {
-		cfg.WatchdogSCFails = req.Config.WatchdogSCFails
-	}
-	cfg.ChainBudget = req.Config.ChainBudget
-	cfg.Tiered = req.Config.Tiered
-	if req.Config.HotThreshold != 0 {
-		cfg.HotThreshold = req.Config.HotThreshold
 	}
 	if cfg.MaxGuestInstrs == 0 || cfg.MaxGuestInstrs > s.opts.MaxGuestInstrs {
 		cfg.MaxGuestInstrs = s.opts.MaxGuestInstrs
 	}
-	cfg.FaultInjector = inj
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -27,6 +27,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -46,34 +47,33 @@ import (
 	"atomemu/internal/tbstore"
 )
 
-// Options is the server policy. Zero values take the defaults below.
+// Options is the server policy. Zero values take DefaultOptions' values.
 type Options struct {
-	// Workers bounds concurrently running jobs (default 4).
+	// Workers bounds concurrently running jobs.
 	Workers int
 	// QueueDepth bounds jobs waiting to run; submissions past it are shed
-	// with 429 (default 16).
+	// with 429.
 	QueueDepth int
 	// DefaultWallDeadline and MaxWallDeadline budget a job's wall-clock
-	// run time (defaults 30s / 2m).
+	// run time.
 	DefaultWallDeadline time.Duration
 	MaxWallDeadline     time.Duration
-	// DefaultVirtualDeadline is applied when a job sets none (default
-	// 2e9 cycles; jobs may set a lower or higher one, engine-validated).
+	// DefaultVirtualDeadline is applied when a job sets none (jobs may set
+	// a lower or higher one, engine-validated).
 	DefaultVirtualDeadline uint64
-	// MaxGuestInstrs caps any job's instruction budget (default 4e9).
+	// MaxGuestInstrs caps any job's instruction budget.
 	MaxGuestInstrs uint64
-	// MaxThreadsPerJob bounds a job's worker-thread request (default 64).
+	// MaxThreadsPerJob bounds a job's worker-thread request.
 	MaxThreadsPerJob int
-	// MaxSourceBytes bounds GAC source / decoded image size (default 1MB).
-	MaxSourceBytes int
 	// BreakerThreshold is how many consecutive scheme-implicating failures
-	// open a scheme's breaker; 0 disables the breaker (default 3).
+	// open a scheme's breaker. 0 takes the default; a negative value
+	// disables the breaker.
 	BreakerThreshold int
 	// BreakerCooldown is how long a breaker stays open before a half-open
-	// probe (default 30s).
+	// probe.
 	BreakerCooldown time.Duration
 	// DrainGrace is how long Drain waits for in-flight jobs before
-	// cancelling them (default 10s).
+	// cancelling them.
 	DrainGrace time.Duration
 	// AllowFaultInjection accepts jobs carrying fault-injection rules —
 	// for soak and CI harnesses, never production tenants.
@@ -83,12 +83,12 @@ type Options struct {
 	// <DataDir>/ckpt, and New replays both so accepted work survives a
 	// crash or restart. Empty keeps the server purely in-memory.
 	DataDir string
-	// Fsync is the journal sync policy: "always", "batch" (default) or
-	// "never". See durable.SyncPolicy for the trade-offs.
+	// Fsync is the journal sync policy: "always", "batch" or "never". See
+	// durable.SyncPolicy for the trade-offs.
 	Fsync string
 	// MaxRestartResumes bounds how many times one job may resume from its
 	// on-disk checkpoint across daemon restarts before recovery falls back
-	// to requeueing it from scratch. Default 3; negative means unbounded.
+	// to requeueing it from scratch. Negative means unbounded.
 	// The same budget bounds resumes shipped in over POST /jobs/{id}/resume
 	// (router failover): past it, the snapshot is dropped and the job runs
 	// from scratch.
@@ -96,14 +96,14 @@ type Options struct {
 	// SharedTBCacheBlocks caps the process-wide content-addressed
 	// translation store (internal/tbstore) at this many cached blocks: jobs
 	// for the same image under the same configuration share translations
-	// instead of each re-paying decode+translate+optimize. On by default: 0
-	// takes DefaultSharedTBCacheBlocks, and a negative value is the one way
-	// to switch the store off (every job then keeps a private cache). A job
-	// attaches only from the second time its image and scheme are seen, so
-	// traffic that never repeats publishes nothing; a hit is charged the
-	// virtual cycles of the translation it skipped, so results do not depend
-	// on it. Fault-injected jobs never attach. The compile cache in front of
-	// it (source hash to image, same admission rule) has no switch.
+	// instead of each re-paying decode+translate+optimize. On by default:
+	// 0 takes the default cap, and a negative value is the one way to
+	// switch the store off (every job then keeps a private cache). A job attaches only from the second time its image
+	// and scheme are seen, so traffic that never repeats publishes nothing;
+	// a hit is charged the virtual cycles of the translation it skipped, so
+	// results do not depend on it. Fault-injected jobs never attach. The
+	// compile cache in front of it (source hash to image, same admission
+	// rule) has no switch.
 	SharedTBCacheBlocks int
 	// BackgroundReplay makes New return before the journal replay finishes:
 	// the HTTP surface comes up immediately, /readyz answers 503 (with
@@ -112,7 +112,6 @@ type Options struct {
 	// historical behavior, which tests and embedders rely on.
 	BackgroundReplay bool
 	// Logger receives server-side diagnostics (failed response encodes).
-	// Defaults to log.Default().
 	Logger *log.Logger
 
 	// testReplayHold, when set by a test, is received from after the journal
@@ -126,54 +125,49 @@ type Options struct {
 	testAdmitHold func()
 }
 
-// DefaultSharedTBCacheBlocks is the translation store's default cap: room
-// for some forty images of the largest admissible source, about 80 MB of
-// blocks when full.
-const DefaultSharedTBCacheBlocks = 1 << 16
+// maxSourceBytes bounds a job's GAC source and its decoded image.
+const maxSourceBytes = 1 << 20
 
+// DefaultOptions returns the policy a zero Options takes: withDefaults fills
+// each zero field from here, and atomemud's flags default to it.
+func DefaultOptions() Options {
+	return Options{
+		Workers:                4,
+		QueueDepth:             16,
+		DefaultWallDeadline:    30 * time.Second,
+		MaxWallDeadline:        2 * time.Minute,
+		DefaultVirtualDeadline: 2_000_000_000,
+		MaxGuestInstrs:         4_000_000_000,
+		MaxThreadsPerJob:       64,
+		BreakerThreshold:       3,
+		BreakerCooldown:        30 * time.Second,
+		DrainGrace:             10 * time.Second,
+		Fsync:                  "batch",
+		MaxRestartResumes:      3,
+		SharedTBCacheBlocks:    1 << 16, // some forty images of the largest admissible source, ~80 MB
+		Logger:                 log.Default(),
+	}
+}
+
+// withDefaults fills each zero field from DefaultOptions. max(v, 0) folds a
+// negative value into zero where negative means nothing; BreakerThreshold,
+// MaxRestartResumes and SharedTBCacheBlocks keep theirs.
 func (o Options) withDefaults() Options {
-	if o.SharedTBCacheBlocks == 0 {
-		o.SharedTBCacheBlocks = DefaultSharedTBCacheBlocks
-	}
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 16
-	}
-	if o.DefaultWallDeadline <= 0 {
-		o.DefaultWallDeadline = 30 * time.Second
-	}
-	if o.MaxWallDeadline <= 0 {
-		o.MaxWallDeadline = 2 * time.Minute
-	}
-	if o.DefaultVirtualDeadline == 0 {
-		o.DefaultVirtualDeadline = 2_000_000_000
-	}
-	if o.MaxGuestInstrs == 0 {
-		o.MaxGuestInstrs = 4_000_000_000
-	}
-	if o.MaxThreadsPerJob <= 0 {
-		o.MaxThreadsPerJob = 64
-	}
-	if o.MaxSourceBytes <= 0 {
-		o.MaxSourceBytes = 1 << 20
-	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 30 * time.Second
-	}
-	if o.DrainGrace <= 0 {
-		o.DrainGrace = 10 * time.Second
-	}
-	if o.MaxRestartResumes == 0 {
-		o.MaxRestartResumes = 3
-	}
-	if o.Logger == nil {
-		o.Logger = log.Default()
-	}
+	def := DefaultOptions()
+	o.Workers = cmp.Or(max(o.Workers, 0), def.Workers)
+	o.QueueDepth = cmp.Or(max(o.QueueDepth, 0), def.QueueDepth)
+	o.DefaultWallDeadline = cmp.Or(max(o.DefaultWallDeadline, 0), def.DefaultWallDeadline)
+	o.MaxWallDeadline = cmp.Or(max(o.MaxWallDeadline, 0), def.MaxWallDeadline)
+	o.DefaultVirtualDeadline = cmp.Or(o.DefaultVirtualDeadline, def.DefaultVirtualDeadline)
+	o.MaxGuestInstrs = cmp.Or(o.MaxGuestInstrs, def.MaxGuestInstrs)
+	o.MaxThreadsPerJob = cmp.Or(max(o.MaxThreadsPerJob, 0), def.MaxThreadsPerJob)
+	o.BreakerThreshold = cmp.Or(o.BreakerThreshold, def.BreakerThreshold)
+	o.BreakerCooldown = cmp.Or(max(o.BreakerCooldown, 0), def.BreakerCooldown)
+	o.DrainGrace = cmp.Or(max(o.DrainGrace, 0), def.DrainGrace)
+	o.Fsync = cmp.Or(o.Fsync, def.Fsync)
+	o.MaxRestartResumes = cmp.Or(o.MaxRestartResumes, def.MaxRestartResumes)
+	o.SharedTBCacheBlocks = cmp.Or(o.SharedTBCacheBlocks, def.SharedTBCacheBlocks)
+	o.Logger = cmp.Or(o.Logger, def.Logger)
 	return o
 }
 

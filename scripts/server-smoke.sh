@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Server smoke test, run by the CI server-smoke job and usable locally:
 # build atomemud, start it on an ephemeral port, submit PICO-CAS and HST
-# jobs over HTTP, assert their results and the error path, then SIGTERM
-# the daemon with a slow job in flight and require a clean (exit 0) drain.
+# jobs over HTTP (one carrying config fields older clients still send),
+# assert their results and the error path, then SIGTERM the daemon with a
+# slow job in flight and require a clean (exit 0) drain.
 # A second durable phase restarts the daemon over a -data-dir and asserts
 # the journal_*/ckpt_spill_* metrics and job survival across the restart.
 set -euo pipefail
@@ -93,6 +94,14 @@ fi
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$addr/metrics")
 [ "$code" = "405" ] || { echo "FAIL: POST /metrics returned $code, want 405"; exit 1; }
 echo "metrics scrape ok ($(echo "$metrics" | grep -cv '^#') samples)"
+
+# A request from an older client still carries the retired translation
+# tuning fields; they are ignored, and the job must finish done as usual.
+legacy_id=$(submit "{\"scheme\":\"hst\",\"arg\":100,\"gac\":\"$counter_gac\",\"config\":{\"tiered\":true,\"chain_budget\":8,\"hot_threshold\":4,\"fuse_atomics\":true}}")
+body=$(await "$legacy_id")
+echo "$body" | grep -q '"state":"done"' || { echo "FAIL: job with retired config fields: $body"; exit 1; }
+echo "$body" | grep -Eq '"output":\[[^]]*\b100\b' || { echo "FAIL: retired-fields output: $body"; exit 1; }
+echo "retired config fields accepted ($legacy_id)"
 
 # Admission must reject nonsense with 400.
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/jobs" \
