@@ -20,7 +20,8 @@ import (
 // entries are mapped into the transactional address space at
 // entrySpaceBit|index<<2; the plain-store path publishes entry updates
 // through TM.NotifyStore at that synthetic address, which is how a
-// conflicting store aborts an in-flight SC.
+// conflicting store aborts an in-flight SC, and how an LL that claims the
+// entry while an SC commits waits for that SC's publish before it loads.
 // Resilience: the default policy replaces the fixed attempt count with
 // reason-aware backoff — retryable aborts wait (exponential + per-tid
 // jitter) before re-issuing the transaction, non-retryable aborts and an
@@ -177,18 +178,7 @@ func (s *hstHTM) SC(ctx Context, addr, val uint32) (uint32, error) {
 			txn.AbortNow(htm.ReasonConflict)
 			return 1, nil
 		}
-		if err := txn.Write(addr, val); err != nil {
-			reason := htm.ReasonConflict
-			var ab *htm.Abort
-			if errors.As(err, &ab) {
-				reason = ab.Reason
-			}
-			if s.scAbort(ctx, reason, attempt) {
-				continue
-			}
-			return s.scFallback(ctx, addr, val, tid)
-		}
-		if err := txn.Commit(store); err != nil {
+		if err := txn.WriteCommit(addr, val, store); err != nil {
 			var ab *htm.Abort
 			if errors.As(err, &ab) {
 				if s.scAbort(ctx, ab.Reason, attempt) {
@@ -220,8 +210,11 @@ func (s *hstHTM) Store(ctx Context, addr, val uint32) error {
 // there is no open transaction to write into (only the SC is
 // transactional), and the claim after the write fails every monitor armed
 // before it. An SC transaction that read the entry first is aborted by the
-// entry's version bump; the window between its validation and its publish
-// is in the TM's commit, and plain stores share it.
+// entry's version bump. The SC's own window — between its validation and
+// its publish — is closed: NotifyStore waits out a committing transaction,
+// so an LL's load after its claim sees the SC's value. Plain stores and
+// RMWs still write before they announce, so one that lands on the word
+// while an SC commits it can be overwritten by the publish.
 func (s *hstHTM) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
 	old, f := ctx.Mem().Update(addr, u)

@@ -18,7 +18,12 @@ import (
 // *inside* the transaction and aborts it. Under contention the aborts
 // cascade into livelock; the paper reports frequent crashes beyond 8
 // threads. The engine reports such a livelock as an EmulationError, the
-// analogue of the crashed QEMU run.
+// analogue of the crashed QEMU run. The streak that counts toward it is
+// made of emulation aborts and genuine conflicts only: a transaction that
+// meets a slow commit (its host thread descheduled mid-commit) waits for
+// it, as a core waits for a hardware commit, instead of aborting (see
+// package htm), and the SC's write takes the monitored word's lock already
+// committing, so an LL never meets that lock held in flight.
 //
 // Rollback note: a real HTM abort rewinds the guest to the LL. A DBT cannot
 // rewind guest registers mid-block, so after an abort inside the window this
@@ -254,50 +259,37 @@ func (s *picoHTM) SC(ctx Context, addr, val uint32) (uint32, error) {
 		// Doomed window: an abort happened between LL and SC (emulation
 		// work or a conflicting access). It counts toward livelock.
 		reason, _ := txn.AbortReason()
-		ctx.Tracer().Emit(obs.EvSCFail, addr, obs.SCTxnDoomed)
-		if s.res.StrictPaper {
-			if lerr := s.noteAbort(ctx, reason); lerr != nil {
-				return 1, lerr
-			}
-			return 1, nil
-		}
-		s.chargeAbort(ctx, reason)
-		s.scFailed(ctx, reason)
-		return 1, nil
+		return s.windowFailed(ctx, addr, reason)
 	}
-	if err := txn.Write(addr, val); err != nil {
-		reason, _ := txn.AbortReason()
-		ctx.Tracer().Emit(obs.EvSCFail, addr, obs.SCTxnDoomed)
-		if s.res.StrictPaper {
-			if lerr := s.noteAbort(ctx, reason); lerr != nil {
-				return 1, lerr
-			}
-			return 1, nil
-		}
-		s.chargeAbort(ctx, reason)
-		s.scFailed(ctx, reason)
-		return 1, nil
-	}
-	if err := txn.Commit(s.memStore(ctx)); err != nil {
+	// The SC's write enters the commit already committing: an LL that
+	// meets the monitored word's lock meets a commit and waits for its
+	// publish, never an in-flight transaction it would abort against.
+	if err := txn.WriteCommit(addr, val, s.memStore(ctx)); err != nil {
 		var ab *htm.Abort
-		if errors.As(err, &ab) {
-			ctx.Tracer().Emit(obs.EvSCFail, addr, obs.SCTxnDoomed)
-			if s.res.StrictPaper {
-				if lerr := s.noteAbort(ctx, ab.Reason); lerr != nil {
-					return 1, lerr
-				}
-				return 1, nil
-			}
-			s.chargeAbort(ctx, ab.Reason)
-			s.scFailed(ctx, ab.Reason)
-			return 1, nil
+		if !errors.As(err, &ab) {
+			return 1, err
 		}
-		return 1, err
+		return s.windowFailed(ctx, addr, ab.Reason)
 	}
 	m.AbortStreak = 0
 	ctx.Stats().HTMCommits++
 	ctx.Charge(stats.CompHTM, s.cost.HTMCommit)
 	return 0, nil
+}
+
+// windowFailed fails the SC of a window whose transaction aborted. The
+// abort counts toward livelock (StrictPaper) or toward demotion.
+func (s *picoHTM) windowFailed(ctx Context, addr uint32, reason htm.AbortReason) (uint32, error) {
+	ctx.Tracer().Emit(obs.EvSCFail, addr, obs.SCTxnDoomed)
+	if s.res.StrictPaper {
+		if lerr := s.noteAbort(ctx, reason); lerr != nil {
+			return 1, lerr
+		}
+		return 1, nil
+	}
+	s.chargeAbort(ctx, reason)
+	s.scFailed(ctx, reason)
+	return 1, nil
 }
 
 func (s *picoHTM) Clrex(ctx Context) {

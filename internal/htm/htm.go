@@ -11,6 +11,37 @@
 // poisons a slot locked by an in-flight transaction (aborting its commit).
 // NotifyStore costs a single atomic load when no transaction is active.
 //
+// A hardware commit is instantaneous to every other core. The STM's commit
+// is a sequence — validate the read set, publish the write set, release —
+// so Commit holds every slot it depends on in a visible *committing* state
+// from validation to release: its write locks carry the committing bit and
+// its read slots are pinned (a per-slot count beside the lock word). What
+// meets a committing slot waits the commit out instead of observing half of
+// it:
+//   - NotifyStore on a committing lock waits for the release and then bumps
+//     the version; on a pinned slot it bumps and then waits for the pins to
+//     drain, so a load after NotifyStore returns sees every commit that
+//     validated against the old version. (Bump-then-check against
+//     Commit's pin-then-check: one of the two always sees the other.)
+//   - A transactional Read or Write that meets a committing lock waits and
+//     then proceeds against the published state, as a core whose line was
+//     just written by a committing core would.
+//
+// Every wait yields the host thread (runtime.Gosched); nothing hot-spins.
+// A committer never waits on anything, so waits cannot form a cycle.
+// Conflicts that real HTM reports still abort: a slot held by an in-flight
+// (not yet committing) transaction aborts the reader or writer that meets
+// it, and a commit-time validation that meets another owner's lock aborts
+// at once — every committing lock is a write lock, whose release always
+// moves the version, so waiting could only end in the same abort.
+// WriteCommit takes its slot already committing, so a transaction whose
+// last act is a write (an SC) never holds that lock in flight.
+//
+// A plain store still writes before it announces itself through
+// NotifyStore. The announcement is ordered with every commit, the write is
+// not: a store that lands on a committing transaction's write set between
+// its validation and its publish is overwritten by the publish.
+//
 // Transactions abort on conflict, on capacity overflow, on poisoning, and
 // explicitly (the engine aborts a transaction when emulation work — a
 // translation-cache miss — occurs inside it, reproducing the paper's
@@ -20,6 +51,7 @@ package htm
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"atomemu/internal/faultinject"
@@ -66,19 +98,29 @@ func (a *Abort) Error() string {
 
 // Lock-word layout:
 //
-//	unlocked: version<<2              (bit0 = 0)
-//	locked:   owner<<2 | poison<<1 | 1
+//	unlocked: version<<2                               (bit0 = 0)
+//	locked:   owner<<3 | committing<<2 | poison<<1 | 1
 const (
-	lockedBit  = 1
-	poisonBit  = 2
-	ownerShift = 2
-	versionInc = 4
+	lockedBit     = 1
+	poisonBit     = 2
+	committingBit = 4
+	ownerShift    = 3
+	versionInc    = 4
 )
+
+// committingOther reports whether lock word w is held by a committing
+// transaction other than id.
+func committingOther(w, id uint64) bool {
+	return w&(lockedBit|committingBit) == lockedBit|committingBit && w>>ownerShift != id
+}
 
 // TM is the transactional-memory "hardware": a versioned lock table shared
 // by all transactions on a machine.
 type TM struct {
-	locks    []atomic.Uint64
+	locks []atomic.Uint64
+	// pins counts, per slot, the committing transactions that validated a
+	// read of it and have not yet released.
+	pins     []atomic.Int32
 	mask     uint32
 	capacity int
 	// active counts in-flight transactions plus registered store
@@ -86,6 +128,9 @@ type TM struct {
 	active atomic.Int64
 	nextID atomic.Uint64
 	inj    *faultinject.Injector
+	// commitHook, when set by an in-package test, runs inside Commit
+	// between validation and publish.
+	commitHook func()
 }
 
 // DefaultCapacity bounds a transaction's combined read+write set, modelling
@@ -102,7 +147,7 @@ func New(bits uint, capacity int) (*TM, error) {
 		capacity = DefaultCapacity
 	}
 	n := uint32(1) << bits
-	return &TM{locks: make([]atomic.Uint64, n), mask: n - 1, capacity: capacity}, nil
+	return &TM{locks: make([]atomic.Uint64, n), pins: make([]atomic.Int32, n), mask: n - 1, capacity: capacity}, nil
 }
 
 func (tm *TM) slot(addr uint32) uint32 {
@@ -156,23 +201,34 @@ func (tm *TM) BumpIfWord(addr uint32, expect uint64) (uint64, bool) {
 
 // NotifyStore records a non-transactional store for strong atomicity:
 // readers of the slot revalidate and fail; a transaction holding the slot's
-// lock is poisoned and will abort at commit.
+// lock in flight is poisoned and will abort at commit. A committing
+// transaction is waited out: NotifyStore returns only after every commit
+// that locked or validated the slot before the notification has published,
+// so the caller's next load sees those commits whole.
 func (tm *TM) NotifyStore(addr uint32) {
 	if tm.active.Load() == 0 {
 		return
 	}
-	s := &tm.locks[tm.slot(addr)]
+	i := tm.slot(addr)
+	s := &tm.locks[i]
 	for {
 		w := s.Load()
 		if w&lockedBit != 0 {
+			if w&committingBit != 0 {
+				runtime.Gosched()
+				continue
+			}
 			if w&poisonBit != 0 || s.CompareAndSwap(w, w|poisonBit) {
-				return
+				break
 			}
 			continue
 		}
 		if s.CompareAndSwap(w, w+versionInc) {
-			return
+			break
 		}
+	}
+	for tm.pins[i].Load() != 0 {
+		runtime.Gosched()
 	}
 }
 
@@ -208,8 +264,9 @@ func (tm *TM) RestoreWords(words []uint64) {
 }
 
 type readEntry struct {
-	slot uint32
-	ver  uint64
+	slot   uint32
+	pinned bool // Commit pinned the slot; released with the locks
+	ver    uint64
 }
 
 type writeEntry struct {
@@ -252,7 +309,7 @@ func (tm *TM) Begin(tid uint32, load func(addr uint32) (uint32, error)) *Txn {
 func (t *Txn) TID() uint32 { return t.tid }
 
 func (t *Txn) abort(reason AbortReason, addr uint32) *Abort {
-	t.releaseLocks(true)
+	t.releaseLocks()
 	t.finish()
 	t.aborted = true
 	t.lastWhy = reason
@@ -267,19 +324,20 @@ func (t *Txn) finish() {
 	}
 }
 
-// releaseLocks drops every write lock. With bump, versions advance past the
-// pre-lock value so racing readers revalidate.
-func (t *Txn) releaseLocks(bump bool) {
+// releaseLocks drops every write lock, advancing each version past its
+// pre-lock value so racing readers revalidate, and then every read pin.
+func (t *Txn) releaseLocks() {
 	for i := range t.writes {
 		w := &t.writes[i]
-		if w.dup {
-			continue
+		if !w.dup {
+			t.tm.locks[w.slot].Store(w.prev + versionInc)
 		}
-		v := w.prev
-		if bump {
-			v += versionInc
+	}
+	for i := range t.reads {
+		if r := &t.reads[i]; r.pinned {
+			t.tm.pins[r.slot].Add(-1)
+			r.pinned = false
 		}
-		t.tm.locks[w.slot].Store(v)
 	}
 }
 
@@ -304,37 +362,61 @@ func (t *Txn) Read(addr uint32) (uint32, error) {
 	}
 	slot := t.tm.slot(addr)
 	s := &t.tm.locks[slot]
-	w := s.Load()
-	if w&lockedBit != 0 {
-		if w>>ownerShift != t.id {
-			return 0, t.abort(ReasonConflict, addr)
+	for {
+		w := s.Load()
+		if committingOther(w, t.id) {
+			runtime.Gosched()
+			continue
 		}
-		// We hold the slot lock for a colliding address; memory holds the
-		// committed value for this one.
+		if w&lockedBit != 0 {
+			if w>>ownerShift != t.id {
+				return 0, t.abort(ReasonConflict, addr)
+			}
+			// We hold the slot lock for a colliding address; memory holds
+			// the committed value for this one.
+			v, err := t.load(addr)
+			if err != nil {
+				t.abort(ReasonConflict, addr)
+				return 0, err
+			}
+			return v, nil
+		}
 		v, err := t.load(addr)
 		if err != nil {
 			t.abort(ReasonConflict, addr)
 			return 0, err
 		}
+		if w2 := s.Load(); w2 != w {
+			if committingOther(w2, t.id) {
+				continue // a commit began under the load: wait, then reread
+			}
+			return 0, t.abort(ReasonConflict, addr)
+		}
+		t.reads = append(t.reads, readEntry{slot: slot, ver: w})
+		if len(t.reads)+len(t.writes) > t.tm.capacity {
+			return 0, t.abort(ReasonCapacity, addr)
+		}
 		return v, nil
 	}
-	v, err := t.load(addr)
-	if err != nil {
-		t.abort(ReasonConflict, addr)
-		return 0, err
-	}
-	if s.Load() != w {
-		return 0, t.abort(ReasonConflict, addr)
-	}
-	t.reads = append(t.reads, readEntry{slot: slot, ver: w})
-	if len(t.reads)+len(t.writes) > t.tm.capacity {
-		return 0, t.abort(ReasonCapacity, addr)
-	}
-	return v, nil
 }
 
 // Write buffers a transactional store, eagerly locking the word's slot.
-func (t *Txn) Write(addr, val uint32) error {
+func (t *Txn) Write(addr, val uint32) error { return t.write(addr, val, 0) }
+
+// WriteCommit buffers a last store and commits, as Write then Commit would,
+// except that the store's slot is locked already committing: its lock is
+// never held by an in-flight transaction, so readers that meet it wait for
+// the publish instead of aborting.
+func (t *Txn) WriteCommit(addr, val uint32, store func(addr, val uint32) error) error {
+	if err := t.write(addr, val, committingBit); err != nil {
+		return err
+	}
+	return t.Commit(store)
+}
+
+// write locks addr's slot with lock-word flags state (0 or committingBit)
+// and buffers the store.
+func (t *Txn) write(addr, val uint32, state uint64) error {
 	if t.done {
 		return &Abort{Reason: ReasonConflict, Addr: addr}
 	}
@@ -350,9 +432,13 @@ func (t *Txn) Write(addr, val uint32) error {
 				t.writes = append(t.writes, writeEntry{addr: addr, val: val, slot: slot, dup: true})
 				break
 			}
+			if w&committingBit != 0 {
+				runtime.Gosched()
+				continue
+			}
 			return t.abort(ReasonConflict, addr)
 		}
-		if s.CompareAndSwap(w, t.id<<ownerShift|lockedBit) {
+		if s.CompareAndSwap(w, t.id<<ownerShift|state|lockedBit) {
 			t.writes = append(t.writes, writeEntry{addr: addr, val: val, slot: slot, prev: w})
 			break
 		}
@@ -391,49 +477,69 @@ func (t *Txn) Commit(store func(addr, val uint32) error) error {
 	case faultinject.ActPoison:
 		return t.abort(ReasonNonTxnStore, 0)
 	}
-	// Poison check: a plain store hit one of our locked slots.
+	// Enter the committing state: every write lock takes the committing
+	// bit. A store announced before this poisoned the lock and aborts the
+	// commit; one announced after it waits in NotifyStore for the publish.
 	for i := range t.writes {
 		w := &t.writes[i]
-		if t.tm.locks[w.slot].Load()&poisonBit != 0 {
-			return t.abort(ReasonNonTxnStore, w.addr)
+		if w.dup {
+			continue
+		}
+		s := &t.tm.locks[w.slot]
+		for {
+			cur := s.Load()
+			if cur&poisonBit != 0 {
+				return t.abort(ReasonNonTxnStore, w.addr)
+			}
+			if cur&committingBit != 0 || s.CompareAndSwap(cur, cur|committingBit) {
+				break
+			}
 		}
 	}
-	// Read validation.
-	for _, r := range t.reads {
-		w := t.tm.locks[r.slot].Load()
-		if w&lockedBit != 0 {
-			if w>>ownerShift != t.id {
-				return t.abort(ReasonConflict, 0)
-			}
+	// Validate the read set, pinning every slot not already ours. The pin
+	// is raised before the version is checked and NotifyStore bumps before
+	// it checks the pins, so a store notified after this validation waits
+	// for the publish.
+	for i := range t.reads {
+		r := &t.reads[i]
+		s := &t.tm.locks[r.slot]
+		if w := s.Load(); w&lockedBit != 0 && w>>ownerShift == t.id {
 			// We locked this slot after reading it; the pre-lock version
 			// must match what we read.
-			ok := false
-			for i := range t.writes {
-				we := &t.writes[i]
-				if we.slot == r.slot && !we.dup {
-					ok = we.prev == r.ver
-					break
-				}
-			}
-			if !ok {
+			if !t.lockedFrom(r.slot, r.ver) {
 				return t.abort(ReasonConflict, 0)
 			}
 			continue
 		}
-		if w != r.ver {
+		t.tm.pins[r.slot].Add(1)
+		r.pinned = true
+		if s.Load() != r.ver {
 			return t.abort(ReasonConflict, 0)
 		}
 	}
+	if t.tm.commitHook != nil {
+		t.tm.commitHook()
+	}
 	// Publish.
+	var err error
 	for i := range t.writes {
 		w := &t.writes[i]
-		if err := store(w.addr, w.val); err != nil {
-			t.releaseLocks(true)
-			t.finish()
-			return err
+		if err = store(w.addr, w.val); err != nil {
+			break
 		}
 	}
-	t.releaseLocks(true)
+	t.releaseLocks()
 	t.finish()
-	return nil
+	return err
+}
+
+// lockedFrom reports whether the transaction locked slot from version ver:
+// a slot read and then written must not have moved in between.
+func (t *Txn) lockedFrom(slot uint32, ver uint64) bool {
+	for i := range t.writes {
+		if w := &t.writes[i]; w.slot == slot && !w.dup {
+			return w.prev == ver
+		}
+	}
+	return false
 }
