@@ -334,3 +334,23 @@ func TestParseClassRoundTrip(t *testing.T) {
 		t.Error("ParseClass accepted junk")
 	}
 }
+
+// TestWSDequeSpuriousSTREXKeepsTask pins the seed-1 wsdeque scenario the
+// 300-run search found: a thief's LL of top fails the owner's STREX on the
+// last element under the HST family even though the thief then finds the
+// deque empty. An owner that took every failed STREX as a lost race left
+// that task unexecuted ("task 48 executed 0 times").
+func TestWSDequeSpuriousSTREXKeepsTask(t *testing.T) {
+	for _, scheme := range []string{"hst", "hst-weak", "hst-htm"} {
+		t.Run(scheme, func(t *testing.T) {
+			o, err := RunScenario(Scenario{Target: "wsdeque", Scheme: scheme, Mode: ModeStep,
+				Threads: 2, Ops: 64, Seed: 1, QuantumMax: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.Class != ClassOK {
+				t.Fatalf("class = %s (err=%q oracle=%q), want ok", o.Class, o.Err, o.OracleErr)
+			}
+		})
+	}
+}

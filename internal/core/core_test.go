@@ -428,7 +428,7 @@ func TestPSTStoreToUnmappedStillFaults(t *testing.T) {
 
 func TestPSTRemapWindowBlocksAndResumes(t *testing.T) {
 	f := newFixture(t)
-	s := f.scheme(t, "pst-remap").(*pstRemap)
+	s := f.scheme(t, "pst-remap").(*pst)
 	a, b := f.ctx(1), f.ctx(2)
 	f.mem.StoreWord(varAddr, 10)
 
@@ -439,7 +439,7 @@ func TestPSTRemapWindowBlocksAndResumes(t *testing.T) {
 	base := mmu.PageBase(varAddr)
 	p := s.lookup(base)
 	p.pmu.Lock()
-	alias := s.aliasFor(a.TID())
+	alias := AliasRegionBase + a.TID()*mmu.PageSize
 	if err := f.mem.Remap(base, alias, mmu.PermRW); err != nil {
 		t.Fatal(err)
 	}

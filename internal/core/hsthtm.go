@@ -129,9 +129,7 @@ func (s *hstHTM) scFallback(ctx Context, addr, val, tid uint32) (uint32, error) 
 // scAbort accounts one transactional-attempt abort and decides what the
 // SC does next: retry (after backoff), or demote and take the fallback.
 func (s *hstHTM) scAbort(ctx Context, reason htm.AbortReason, attempt int) (retry bool) {
-	ctx.Stats().HTMAborts++
-	ctx.Tracer().Emit(obs.EvHTMAbort, 0, uint64(reason))
-	ctx.Charge(stats.CompHTM, s.cost.HTMAbort)
+	chargeHTMAbort(ctx, s.cost, 0, reason)
 	if s.res.StrictPaper {
 		return true // the attempt counter provides the bound
 	}

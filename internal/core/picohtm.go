@@ -96,9 +96,7 @@ func (s *picoHTM) memStore(ctx Context) func(addr, val uint32) error {
 // chargeAbort bumps the abort streak and accounts one abort.
 func (s *picoHTM) chargeAbort(ctx Context, reason htm.AbortReason) {
 	ctx.Monitor().AbortStreak++
-	ctx.Stats().HTMAborts++
-	ctx.Tracer().Emit(obs.EvHTMAbort, ctx.Monitor().Addr, uint64(reason))
-	ctx.Charge(stats.CompHTM, s.cost.HTMAbort)
+	chargeHTMAbort(ctx, s.cost, ctx.Monitor().Addr, reason)
 }
 
 // noteAbort (StrictPaper mode) bumps the livelock counter; the returned
@@ -311,9 +309,7 @@ func (s *picoHTM) Load(ctx Context, addr uint32) (uint32, error) {
 		if !errors.As(err, &ab) {
 			return 0, err
 		}
-		ctx.Stats().HTMAborts++
-		ctx.Tracer().Emit(obs.EvHTMAbort, addr, uint64(ab.Reason))
-		ctx.Charge(stats.CompHTM, s.cost.HTMAbort)
+		chargeHTMAbort(ctx, s.cost, addr, ab.Reason)
 		// Doomed: fall through to a direct read; SC will fail.
 	}
 	v, f := ctx.Mem().LoadWord(addr)
@@ -336,9 +332,7 @@ func (s *picoHTM) LoadB(ctx Context, addr uint32) (uint8, error) {
 		if !errors.As(err, &ab) {
 			return 0, err
 		}
-		ctx.Stats().HTMAborts++
-		ctx.Tracer().Emit(obs.EvHTMAbort, addr, uint64(ab.Reason))
-		ctx.Charge(stats.CompHTM, s.cost.HTMAbort)
+		chargeHTMAbort(ctx, s.cost, addr, ab.Reason)
 	}
 	v, f := ctx.Mem().LoadByte(addr)
 	if f != nil {
@@ -357,9 +351,7 @@ func (s *picoHTM) Store(ctx Context, addr, val uint32) error {
 			if !errors.As(err, &ab) {
 				return err
 			}
-			ctx.Stats().HTMAborts++
-			ctx.Tracer().Emit(obs.EvHTMAbort, addr, uint64(ab.Reason))
-			ctx.Charge(stats.CompHTM, s.cost.HTMAbort)
+			chargeHTMAbort(ctx, s.cost, addr, ab.Reason)
 			// Doomed: apply directly below.
 		}
 	}
@@ -406,9 +398,7 @@ func (s *picoHTM) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 		if errors.As(err, &ab) {
 			reason = ab.Reason
 		}
-		ctx.Stats().HTMAborts++
-		ctx.Tracer().Emit(obs.EvHTMAbort, addr, uint64(reason))
-		ctx.Charge(stats.CompHTM, s.cost.HTMAbort)
+		chargeHTMAbort(ctx, s.cost, addr, reason)
 	}
 	old, f := ctx.Mem().Update(addr, u)
 	if f != nil {

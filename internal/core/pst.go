@@ -4,22 +4,33 @@ import (
 	"sync"
 
 	"atomemu/internal/mmu"
+	"atomemu/internal/mpk"
 	"atomemu/internal/obs"
 	"atomemu/internal/stats"
 )
 
-// pst is the Page Protection-Based Store Test (§III-D, Fig. 8). Instead of
-// instrumenting every store, the LL write-protects the page holding the
-// atomic variable; a store from any thread to that page takes a page fault,
-// whose handler checks the faulting address against the page's armed
-// monitors, breaks the conflicting ones, and performs the store. The SC runs
-// in an exclusive section, flips the protection to commit, and restores it.
+// pst is the Page Protection-Based Store Test (§III-D, Fig. 8) and the one
+// implementation of its whole family. Instead of instrumenting every store,
+// the LL guards the page holding the atomic variable so that a store from
+// any thread to it takes a page fault, whose handler checks the faulting
+// address against the page's armed monitors, breaks the conflicting ones,
+// and performs the store. The SC commits under the page lock.
 //
-// Store instrumentation is therefore free on the fast path (an unprotected
-// page stores normally) but each LL/SC pays protection-syscall and
-// suspension costs, and stores to a protected page that miss the monitored
-// word pay a fault anyway — the paper's "false sharing", which grows with
-// thread count.
+// Store instrumentation is therefore free on the fast path (an unguarded
+// page stores normally) but each LL/SC pays protection and suspension
+// costs, and stores to a guarded page that miss the monitored word pay a
+// fault anyway — the paper's "false sharing", which grows with thread
+// count.
+//
+// The variants differ only in their pageGuard: how a page's first monitor
+// guards it, how its last release lifts the guard, and how an SC commits
+// and what it charges. Everything else — LL, SC, Clrex, the monitor
+// release, the write path and its fault handler, Snapshot and Restore — is
+// written once here. pst's own guard write-protects the page: every LL
+// charges one mprotect plus an exclusive section, including LLs on an
+// already-protected page; every SC charges an exclusive section plus two
+// mprotects and commits with a privileged write; the last release charges
+// the mprotect that lifts the protection.
 //
 // Mechanically this implementation serializes page state with a per-page
 // mutex instead of the engine's stop-the-world (a fault handler running
@@ -28,29 +39,20 @@ import (
 // mprotect costs are charged through Context.ChargeExclusive and the cost
 // model so the timing behaviour matches the measured system.
 type pst struct {
-	plainLoads
-	cost *CostModel
+	name  string
+	guard pageGuard
 
 	mu    sync.Mutex // guards pages map
 	pages map[uint32]*pstPage
-
-	// The two variants' only additions to the write path (RMW):
-	// trapped reports a page whose stores trap before the mmu sees them
-	// (pst-mpk's key check), and waitRemap waits out an SC's remap window
-	// on an unmapped page, reporting whether the page was one of ours
-	// (pst-remap). Both are nil for pst.
-	trapped   func(addr uint32) bool
-	waitRemap func(ctx Context, base uint32) bool
 }
 
 type pstPage struct {
-	pmu       sync.Mutex // serializes monitors, protection state and SC/fault handling
+	pmu       sync.Mutex // serializes monitors, guard state and SC/fault handling
 	refcnt    int
 	protected bool
 	origPerm  mmu.Perm
 	monitors  map[uint32]*pstMonitor // tid -> armed monitor
-	remapping bool                   // PST-REMAP: SC remap window open
-	mpk       *mpkState              // PST-MPK: key bookkeeping
+	key       uint8                  // pst-mpk: the page's protection key, 0 when none
 }
 
 type pstMonitor struct {
@@ -58,15 +60,20 @@ type pstMonitor struct {
 	mon  *Monitor
 }
 
-// NewPST constructs the PST scheme.
-func NewPST(cost *CostModel) Scheme {
-	return &pst{cost: cost, pages: make(map[uint32]*pstPage)}
+func newPST(name string, guard pageGuard) *pst {
+	return &pst{name: name, guard: guard, pages: make(map[uint32]*pstPage)}
 }
 
-func (s *pst) Name() string            { return "pst" }
+// NewPST constructs the PST scheme.
+func NewPST(cost *CostModel) Scheme {
+	return newPST("pst", pageGuard{cost: cost})
+}
+
+func (s *pst) Name() string            { return s.name }
 func (s *pst) Atomicity() Atomicity    { return AtomicityStrong }
 func (s *pst) Portable() bool          { return true }
 func (s *pst) InstrumentsStores() bool { return true }
+func (s *pst) InstrumentsLoads() bool  { return s.guard.remap }
 
 func (s *pst) page(base uint32) *pstPage {
 	s.mu.Lock()
@@ -85,19 +92,16 @@ func (s *pst) lookup(base uint32) *pstPage {
 	return s.pages[base]
 }
 
-// releaseLocked removes tid's monitor from p and restores protection when
-// the last monitor leaves. Caller holds p.pmu.
+// releaseLocked removes tid's monitor from p and lifts the guard when the
+// last monitor leaves. Caller holds p.pmu.
 func (s *pst) releaseLocked(ctx Context, base uint32, p *pstPage, tid uint32) {
 	if _, armed := p.monitors[tid]; !armed {
 		return
 	}
 	delete(p.monitors, tid)
 	p.refcnt--
-	if p.refcnt == 0 && p.protected {
-		if err := ctx.Mem().Protect(base, mmu.PageSize, p.origPerm); err == nil {
-			p.protected = false
-		}
-		ctx.Charge(stats.CompMProtect, s.cost.MProtect)
+	if p.refcnt == 0 {
+		s.guard.disarm(ctx, base, p)
 	}
 }
 
@@ -138,26 +142,24 @@ func (s *pst) LL(ctx Context, addr uint32) (uint32, error) {
 	m.Addr = addr
 	p.monitors[ctx.TID()] = &pstMonitor{addr: addr, mon: m}
 	p.refcnt++
-	if !p.protected {
+	first := p.refcnt == 1
+	var err error
+	if first {
 		p.origPerm = ctx.Mem().PermAt(base)
 		if p.origPerm == 0 {
-			// Unmapped page: undo and fault like the guest load would.
-			s.releaseLocked(ctx, base, p, ctx.TID())
-			p.pmu.Unlock()
-			m.Reset()
-			return 0, &mmu.Fault{Addr: addr, Kind: mmu.FaultUnmapped, Access: mmu.AccessLoad}
+			// Unmapped page: fault like the guest load would.
+			err = &mmu.Fault{Addr: addr, Kind: mmu.FaultUnmapped, Access: mmu.AccessLoad}
 		}
-		if err := ctx.Mem().Protect(base, mmu.PageSize, p.origPerm&^mmu.PermWrite); err != nil {
-			s.releaseLocked(ctx, base, p, ctx.TID())
-			p.pmu.Unlock()
-			m.Reset()
-			return 0, err
-		}
-		p.protected = true
 	}
-	// The paper's LL: one mprotect syscall plus suspending the other vCPUs.
-	ctx.Charge(stats.CompMProtect, s.cost.MProtect)
-	ctx.ChargeExclusive()
+	if err == nil {
+		err = s.guard.arm(ctx, base, p, first)
+	}
+	if err != nil {
+		s.releaseLocked(ctx, base, p, ctx.TID())
+		p.pmu.Unlock()
+		m.Reset()
+		return 0, err
+	}
 	v, f := ctx.Mem().ReadWordPriv(addr)
 	p.pmu.Unlock()
 	if f != nil {
@@ -184,22 +186,22 @@ func (s *pst) SC(ctx Context, addr, val uint32) (uint32, error) {
 	p.pmu.Lock()
 	defer p.pmu.Unlock()
 	defer m.Reset()
-	// The paper's SC: exclusive section + two protection flips.
-	ctx.ChargeExclusive()
-	ctx.Charge(stats.CompMProtect, 2*s.cost.MProtect)
+	s.guard.chargeSC(ctx, p)
 	ok := m.Addr == addr && !m.Broken()
-	var fault *mmu.Fault
+	var err error
 	if ok {
-		if fault = p.denied(addr); fault == nil {
+		if f := p.denied(addr); f != nil {
+			err = f
+		} else {
 			// The SC's own update is a store to the variable: it breaks
 			// every other thread's monitor on the same word.
 			s.breakOthersLocked(p, addr, ctx.TID())
-			fault = ctx.Mem().WriteWordPriv(addr, val)
+			err = s.guard.commit(ctx, base, p, addr, val)
 		}
 	}
 	s.releaseLocked(ctx, base, p, ctx.TID())
-	if fault != nil {
-		return 1, fault
+	if err != nil {
+		return 1, err
 	}
 	if ok {
 		return 0, nil
@@ -211,7 +213,7 @@ func (s *pst) SC(ctx Context, addr, val uint32) (uint32, error) {
 func (s *pst) Clrex(ctx Context) { s.release(ctx) }
 
 // denied returns the fault a guest store to addr takes when the page was
-// not writable before the scheme protected it, nil otherwise: the family's
+// not writable before the scheme guarded it, nil otherwise: the family's
 // privileged commits (SC, fault handler) must not grant a write the guest
 // never had. Caller holds p.pmu.
 func (p *pstPage) denied(addr uint32) *mmu.Fault {
@@ -226,17 +228,20 @@ func (s *pst) Store(ctx Context, addr, val uint32) error {
 	return err
 }
 
-// RMW is the family's one guest-write path (Store is an exchange). A write to an unprotected page lands through the mmu. A protection
-// fault runs the SIGSEGV-handler analogue: under the page lock, which every
-// LL and SC on the page also holds, it breaks the other threads' monitors
-// on the word and commits with privileges. A monitor armed before the
-// handler is broken before its SC can check it; one armed after loads the
-// new value. The unprotected path is not ordered with the page lock: an LL
-// that protects the page between the mmu's permission check and its write
-// loads the old value, and its SC can succeed.
+// RMW is the family's one guest-write path (Store is an exchange). A write
+// to an unguarded page lands through the mmu. A store to a guarded page
+// faults — on the mmu's permission check, or before it when the guard
+// traps it — and runs the SIGSEGV-handler analogue: under the page lock,
+// which every LL and SC on the page also holds, it breaks the other
+// threads' monitors on the word and commits with privileges. A monitor
+// armed before the handler is broken before its SC can check it; one armed
+// after loads the new value. The unguarded path is not ordered with the
+// page lock: an LL that guards the page between the mmu's permission check
+// and its write loads the old value, and its SC can succeed. A write that
+// finds the page unmapped by an SC's remap window waits it out and retries.
 func (s *pst) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	for {
-		if s.trapped != nil && s.trapped(addr) {
+		if s.guard.trapped(addr) {
 			return s.handleStoreFault(ctx, addr, u)
 		}
 		old, f := ctx.Mem().Update(addr, u)
@@ -245,7 +250,7 @@ func (s *pst) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 			return old, nil
 		case f.Kind == mmu.FaultProtected:
 			return s.handleStoreFault(ctx, addr, u)
-		case f.Kind == mmu.FaultUnmapped && s.waitRemap != nil && s.waitRemap(ctx, mmu.PageBase(addr)):
+		case f.Kind == mmu.FaultUnmapped && s.waitWindow(ctx, addr):
 			continue
 		}
 		return 0, f
@@ -253,12 +258,12 @@ func (s *pst) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 }
 
 // handleStoreFault is the fault handler of RMW. A page the scheme does
-// not track, or one that was read-only before it was protected, faults for
+// not track, or one that was read-only before it was guarded, faults for
 // real.
 func (s *pst) handleStoreFault(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	st := ctx.Stats()
 	st.PageFaults++
-	ctx.Charge(stats.CompMProtect, s.cost.PageFault)
+	ctx.Charge(stats.CompMProtect, s.guard.cost.PageFault)
 	p := s.lookup(mmu.PageBase(addr))
 	if p == nil {
 		return 0, &mmu.Fault{Addr: addr, Kind: mmu.FaultProtected, Access: mmu.AccessStore}
@@ -288,6 +293,48 @@ func (s *pst) handleStoreFault(ctx Context, addr uint32, u mmu.Update) (uint32, 
 	return old, nil
 }
 
+// waitWindow blocks until an SC's remap window on addr's page closes and
+// reports whether there was one (retry) or not (a genuine fault). Like the
+// paper's MAPERR handler it "simply waits the completion of SC by locking
+// and unlocking", and it costs a delivered fault.
+func (s *pst) waitWindow(ctx Context, addr uint32) bool {
+	if !s.guard.remap {
+		return false
+	}
+	p := s.lookup(mmu.PageBase(addr))
+	if p == nil {
+		return false
+	}
+	ctx.Charge(stats.CompMProtect, s.guard.cost.PageFault)
+	ctx.Stats().PageFaults++
+	p.pmu.Lock()
+	//lint:ignore SA2001 empty critical section is the point: wait out the SC
+	p.pmu.Unlock()
+	return true
+}
+
+func (s *pst) Load(ctx Context, addr uint32) (uint32, error) {
+	return pstLoad(s, ctx, addr, ctx.Mem().LoadWord)
+}
+
+func (s *pst) LoadB(ctx Context, addr uint32) (uint8, error) {
+	return pstLoad(s, ctx, addr, ctx.Mem().LoadByte)
+}
+
+// pstLoad runs a guest load, waiting out remap windows as RMW does.
+func pstLoad[T uint8 | uint32](s *pst, ctx Context, addr uint32, load func(uint32) (T, *mmu.Fault)) (T, error) {
+	for {
+		v, f := load(addr)
+		switch {
+		case f == nil:
+			return v, nil
+		case f.Kind == mmu.FaultUnmapped && s.waitWindow(ctx, addr):
+			continue
+		}
+		return 0, f
+	}
+}
+
 // pstProtPage records one page the scheme held write-protected at
 // checkpoint time, with the permissions to restore once its monitors are
 // disarmed.
@@ -313,10 +360,14 @@ func (s *pst) Snapshot() any {
 	return out
 }
 
-// Restore empties the page registry and lifts the write protection the
-// memory rollback just re-installed: with every monitor disarmed, nobody
-// would ever unprotect those pages again.
+// Restore drops the guards that live outside the mmu, empties the page
+// registry and lifts the write protection the memory rollback just
+// re-installed: with every monitor disarmed, nobody would ever unguard
+// those pages again.
 func (s *pst) Restore(mem *mmu.Memory, snap any) {
+	if s.guard.keys != nil {
+		s.guard.keys.Reset()
+	}
 	s.mu.Lock()
 	s.pages = make(map[uint32]*pstPage)
 	s.mu.Unlock()
@@ -326,4 +377,103 @@ func (s *pst) Restore(mem *mmu.Memory, snap any) {
 		// re-mapped it, so this cannot fail.
 		_ = mem.Protect(pp.base, mmu.PageSize, pp.perm)
 	}
+}
+
+// pageGuard is how a PST variant guards a page, the one thing the three
+// variants do differently: what a page's first monitor does, what its
+// last release does, and how an SC commits and what it charges. Its zero
+// variant fields give pst itself: mprotect, and a privileged write to
+// commit. It is a struct, not an interface: with dynamic calls on the LL,
+// SC and write paths, the unguarded-write window RMW describes lost
+// updates measurably more often.
+type pageGuard struct {
+	cost *CostModel
+	// keys, when set, tags a page's first monitor with a protection key
+	// and falls back to mprotect when none is free (pst-mpk).
+	keys *mpk.Unit
+	// remap commits an SC by remapping the page to a private alias; the
+	// page is unmapped meanwhile, a window that loads and stores wait out
+	// (pst-remap).
+	remap bool
+}
+
+// arm guards p for an LL that has just armed a monitor on it and charges
+// that LL; first reports the page's first monitor. An error leaves the
+// page unguarded. Caller holds p.pmu.
+func (g pageGuard) arm(ctx Context, base uint32, p *pstPage, first bool) error {
+	if g.keys != nil {
+		if !first || g.armKey(ctx, base, p) {
+			return nil
+		}
+		// Key exhaustion: classic PST for this page.
+	}
+	if first {
+		if err := ctx.Mem().Protect(base, mmu.PageSize, p.origPerm&^mmu.PermWrite); err != nil {
+			return err
+		}
+		p.protected = true
+	}
+	// The paper's LL: one mprotect syscall plus suspending the other vCPUs.
+	ctx.Charge(stats.CompMProtect, g.cost.MProtect)
+	ctx.ChargeExclusive()
+	return nil
+}
+
+// disarm lifts the guard when the page's last monitor leaves. Caller
+// holds p.pmu.
+func (g pageGuard) disarm(ctx Context, base uint32, p *pstPage) {
+	if p.key != 0 {
+		g.disarmKey(ctx, base, p)
+		return
+	}
+	if !p.protected {
+		return
+	}
+	if err := ctx.Mem().Protect(base, mmu.PageSize, p.origPerm); err == nil {
+		p.protected = false
+	}
+	ctx.Charge(stats.CompMProtect, g.cost.MProtect)
+}
+
+// chargeSC charges an SC that found its page, whether it commits or not.
+// Caller holds p.pmu.
+func (g pageGuard) chargeSC(ctx Context, p *pstPage) {
+	switch {
+	case g.remap:
+		// Charged by commit, and only when the SC commits.
+	case p.key != 0:
+		// Grant-write / restore-deny on the owner's PKRU: two register
+		// writes, no kernel, no suspension.
+		ctx.Charge(stats.CompMProtect, 2*g.cost.WrPKRU)
+	default:
+		// The paper's SC: exclusive section + two protection flips.
+		ctx.ChargeExclusive()
+		ctx.Charge(stats.CompMProtect, 2*g.cost.MProtect)
+	}
+}
+
+// commit lands a successful SC's write of val to addr. Caller holds
+// p.pmu.
+func (g pageGuard) commit(ctx Context, base uint32, p *pstPage, addr, val uint32) error {
+	if g.remap {
+		return g.remapCommit(ctx, base, p, addr, val)
+	}
+	if f := ctx.Mem().WriteWordPriv(addr, val); f != nil {
+		return f
+	}
+	return nil
+}
+
+// trapped reports whether a store to addr traps before the mmu sees it:
+// a store to a key-tagged page traps on the hardware's key check — a real
+// SIGSEGV, full fault cost — before any mmu permission is consulted.
+//
+// It stays out of line because RMW's fast-path timing decides how often
+// the unguarded-write window RMW describes loses an update: inlined, the
+// engine's fused-vs-raw mix test failed measurably more often under
+// pst-mpk.
+//
+//go:noinline
+func (g pageGuard) trapped(addr uint32) bool {
+	return g.keys != nil && g.keys.KeyOf(addr) != 0
 }

@@ -77,6 +77,14 @@ func (r Resilience) normalized() Resilience {
 	return r
 }
 
+// chargeHTMAbort accounts one transaction abort in the HTM schemes:
+// the counter, the trace event at addr, and the abort's cycles.
+func chargeHTMAbort(ctx Context, cost *CostModel, addr uint32, reason htm.AbortReason) {
+	ctx.Stats().HTMAborts++
+	ctx.Tracer().Emit(obs.EvHTMAbort, addr, uint64(reason))
+	ctx.Charge(stats.CompHTM, cost.HTMAbort)
+}
+
 // retryable reports whether an abort reason can succeed on retry.
 // Conflicts and poisoned slots are transient contention; capacity,
 // emulation work and syscalls inside the window are properties of the

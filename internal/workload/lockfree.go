@@ -12,8 +12,12 @@
 //     head swing is a classic ABA window; PICO-CAS loses or duplicates
 //     nodes, which the conservation + value-multiset oracle catches.
 //   - wsdeque: Chase–Lev work-stealing deque. top is monotonic (no ABA),
-//     so this is a burn-in target: any exactly-once violation is a real
-//     scheme or engine bug under every scheme.
+//     so this is a burn-in target. STREX may fail spuriously (under the
+//     HST family a thief's LL of top fails the owner's SC even when the
+//     thief then finds the deque empty; pico-htm's aborts do the same),
+//     so the owner gives up the last element only once it reloads top
+//     and sees it moved. With that retry, an exactly-once violation is a
+//     real scheme or engine bug under every scheme.
 //   - seqlock: sequence-lock writer/reader. Readers validate snapshot
 //     consistency with no atomics at all; writers race an LL/SC
 //     acquisition on a monotonic word. Stresses plain-store visibility
@@ -431,11 +435,14 @@ func buildWSDeque(org uint32) (*Instance, error) {
 	b.Label("o_race") // last element: compete on top
 	b.Ldrex(arch.R3, arch.R4)
 	b.Cmp(arch.R3, arch.R2)
-	b.Bne("o_lost_clrex")
+	b.Bne("o_lost")
 	b.AddI(arch.R3, arch.R2, 1)
 	b.Strex(arch.R8, arch.R3, arch.R4)
 	b.CmpI(arch.R8, 0)
-	b.Bne("o_lost")
+	// A failed STREX need not mean a thief won: it may fail spuriously
+	// (under the HST family a thief's LL of top alone fails it). Reload
+	// top and compare again.
+	b.Bne("o_race")
 	// Won the race: reset bottom before exec (exec clobbers r1-r3, and the
 	// deque is empty either way once top passed t).
 	b.AddI(arch.R3, arch.R2, 1)
@@ -445,9 +452,8 @@ func buildWSDeque(org uint32) (*Instance, error) {
 	b.LdrR(arch.R0, arch.R5, arch.R3)
 	b.BL("exec")
 	b.B("o_next")
-	b.Label("o_lost_clrex")
+	b.Label("o_lost") // top moved: a thief took the last element
 	b.Clrex()
-	b.Label("o_lost")
 	b.AddI(arch.R3, arch.R2, 1)
 	b.Str(arch.R3, arch.R4, 4) // bottom = t+1 (canonical reset)
 	b.Label("o_next")
