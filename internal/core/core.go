@@ -396,7 +396,7 @@ type Deps struct {
 	Cost *CostModel
 	Htab *HashTable  // HST family store-test table
 	TM   *htm.TM     // HTM schemes
-	Res  *Resilience // HTM abort policy; nil means DefaultResilience
+	Res  *Resilience // HTM abort policy; nil means the default policy
 }
 
 // SchemeNames lists every implemented scheme in the paper's presentation
@@ -414,10 +414,6 @@ func New(name string, deps Deps) (Scheme, error) {
 	if deps.Cost == nil {
 		cm := DefaultCostModel()
 		deps.Cost = &cm
-	}
-	if deps.Res == nil {
-		r := DefaultResilience()
-		deps.Res = &r
 	}
 	switch name {
 	case "pico-cas":

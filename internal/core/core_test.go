@@ -444,8 +444,15 @@ func TestPSTRemapWindowBlocksAndResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// b's store now faults MAPERR and must block until the window closes.
+	// It charges the fault before it waits on the page lock.
+	wb := &chargeSignal{fakeCtx: b, charged: make(chan struct{}, 1)}
 	done := make(chan error, 1)
-	go func() { done <- s.Store(b, varAddr+8, 77) }()
+	go func() { done <- s.Store(wb, varAddr+8, 77) }()
+	select {
+	case <-wb.charged:
+	case err := <-done:
+		t.Fatalf("store completed during remap window: %v", err)
+	}
 	select {
 	case err := <-done:
 		t.Fatalf("store completed during remap window: %v", err)
@@ -461,6 +468,11 @@ func TestPSTRemapWindowBlocksAndResumes(t *testing.T) {
 	}
 	if v, _ := f.mem.LoadWord(varAddr + 8); v != 77 {
 		t.Errorf("blocked store lost: %d", v)
+	}
+	// One fault waited out the window, the second (the page is read-only
+	// again) landed the store as false sharing.
+	if b.st.PageFaults != 2 || b.st.FalseSharing != 1 {
+		t.Errorf("faults=%d falseSharing=%d, want 2/1", b.st.PageFaults, b.st.FalseSharing)
 	}
 	// a's SC still works (its monitor was not on varAddr+8... it was on
 	// varAddr — but b's store was false sharing, monitor intact).

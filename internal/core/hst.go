@@ -4,10 +4,33 @@ import (
 	"sync/atomic"
 
 	"atomemu/internal/hashtab"
+	"atomemu/internal/htm"
 	"atomemu/internal/mmu"
 	"atomemu/internal/obs"
 	"atomemu/internal/stats"
 )
+
+// hashState is the store-test table of the HST family, its only global
+// state. hst, hst-htm (through hst) and hst-weak embed it for the watchdog's
+// owner report and the table's checkpoint.
+type hashState struct{ tab *hashtab.Table }
+
+// HashOwner implements HashOwnerReporter for watchdog diagnostics.
+func (h hashState) HashOwner(addr uint32) (uint32, bool) {
+	return h.tab.Get(addr), true
+}
+
+// Snapshot captures the table. LockBits are dropped, so a stuck hst-weak
+// entry lock cannot survive rollback; hst's profiling shadow is not state
+// (it feeds a census, not correctness).
+func (h hashState) Snapshot() any { return h.tab.Snapshot() }
+
+// Restore re-installs a captured table.
+func (h hashState) Restore(mem *mmu.Memory, snap any) {
+	if entries, ok := snap.([]uint32); ok {
+		h.tab.Restore(entries)
+	}
+}
 
 // hst is the paper's Hash Table-Based Store Test (§III-A, Fig. 4/5), the
 // headline scheme. A flat non-blocking hash table records the thread id of
@@ -36,6 +59,14 @@ import (
 // A thread that already owns the entry pays one load, not a second
 // exchange; TestHSTExhaustiveInterleavings admits the order.
 //
+// This is also hst-htm's LL, store and RMW (hstHTM supplies only its SC),
+// so hst-htm is write-first too; its claim-first copy lost stores the same
+// way (TestHSTHTMCheckFindsOldOrderLostStore). Under hst-htm, tm is set and
+// every write is announced with NotifyStore: the entry (at entryAddr) after
+// LL's set and before its load, the entry after a claim's set, and the word
+// after its write. An announced entry aborts an SC transaction that read
+// it, and an LL's load waits out an SC that is publishing.
+//
 // Faithfulness note: like the paper's design, a thread's *own* store to an
 // address that collides with its active monitor leaves the entry with its
 // own tid and therefore does not break the monitor; the window this opens
@@ -43,11 +74,13 @@ import (
 // paper.
 type hst struct {
 	plainLoads
+	hashState
 	cost *CostModel
-	tab  *hashtab.Table
 	// shadow, when non-nil, records the last address stored into each
 	// entry so genuine collisions can be counted (profiling only).
 	shadow []atomic.Uint32
+	// tm is hst-htm's transactional memory, nil under hst.
+	tm *htm.TM
 	// step, when non-nil, runs before each shared-memory step of LL, Store
 	// and RMW, naming the step about to run. Only in-package tests set it,
 	// to drive every interleaving of those steps; unset it costs one nil
@@ -57,12 +90,12 @@ type hst struct {
 
 // NewHST constructs the HST scheme.
 func NewHST(cost *CostModel, tab *hashtab.Table) Scheme {
-	return &hst{cost: cost, tab: tab}
+	return &hst{hashState: hashState{tab}, cost: cost}
 }
 
 // NewHSTProfiled constructs HST with collision profiling enabled.
 func NewHSTProfiled(cost *CostModel, tab *hashtab.Table) Scheme {
-	return &hst{cost: cost, tab: tab, shadow: make([]atomic.Uint32, tab.Len())}
+	return &hst{hashState: hashState{tab}, cost: cost, shadow: make([]atomic.Uint32, tab.Len())}
 }
 
 func (s *hst) Name() string            { return "hst" }
@@ -78,8 +111,16 @@ func (s *hst) census(ctx Context, addr uint32) {
 	}
 }
 
+// set writes tid into addr's entry and announces the entry under hst-htm.
+func (s *hst) set(addr, tid uint32) {
+	s.tab.Set(addr, tid)
+	if s.tm != nil {
+		s.tm.NotifyStore(s.entryAddr(addr))
+	}
+}
+
 // claim makes the caller the owner of addr's entry after its write: one
-// load, and the exchange only when the owner changes. Store writes the same
+// load, and the set only when the owner changes. Store writes the same
 // steps out in place.
 func (s *hst) claim(ctx Context, addr uint32) {
 	if s.shadow != nil {
@@ -95,7 +136,7 @@ func (s *hst) claim(ctx Context, addr uint32) {
 	if s.step != nil {
 		s.step(ctx, "claim.set")
 	}
-	s.tab.Set(addr, tid)
+	s.set(addr, tid)
 }
 
 func (s *hst) LL(ctx Context, addr uint32) (uint32, error) {
@@ -106,7 +147,7 @@ func (s *hst) LL(ctx Context, addr uint32) (uint32, error) {
 	if s.step != nil {
 		s.step(ctx, "ll.set")
 	}
-	s.tab.Set(addr, ctx.TID())
+	s.set(addr, ctx.TID())
 	if s.step != nil {
 		s.step(ctx, "ll.load")
 	}
@@ -128,9 +169,16 @@ func (s *hst) SC(ctx Context, addr, val uint32) (uint32, error) {
 		ctx.Tracer().Emit(obs.EvSCFail, addr, obs.SCNoMonitor)
 		return 1, nil
 	}
+	return s.scExclusive(ctx, addr, val, s.cost.HashInline)
+}
+
+// scExclusive is the SC's check-and-store in a stop-the-world section,
+// charging charge instrument cycles inside it: hst's SC, and hst-htm's
+// guaranteed-progress fallback (which charges nothing there).
+func (s *hst) scExclusive(ctx Context, addr, val uint32, charge uint64) (uint32, error) {
 	ctx.StartExclusive()
 	defer ctx.EndExclusive()
-	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
+	ctx.Charge(stats.CompInstrument, charge)
 	if !s.tab.CheckOwner(addr, ctx.TID()) {
 		ctx.Tracer().Emit(obs.EvSCFail, addr, obs.SCHashStolen)
 		return 1, nil
@@ -146,7 +194,8 @@ func (s *hst) Clrex(ctx Context) { ctx.Monitor().Reset() }
 // Store writes the word, then claims its entry (see the type comment for
 // why in this order). The claim is claim's body written out: on
 // compute_1t the call alone cost about a seventh of guest_mips, and Store
-// is the word-store hot path.
+// is the word-store hot path. An owner's store under hst pays one tm check
+// for hst-htm's announcements.
 func (s *hst) Store(ctx Context, addr, val uint32) error {
 	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
 	if s.step != nil {
@@ -154,6 +203,9 @@ func (s *hst) Store(ctx Context, addr, val uint32) error {
 	}
 	if f := ctx.Mem().StoreWord(addr, val); f != nil {
 		return f
+	}
+	if s.tm != nil {
+		s.tm.NotifyStore(addr)
 	}
 	if s.shadow != nil {
 		s.census(ctx, addr)
@@ -169,6 +221,9 @@ func (s *hst) Store(ctx Context, addr, val uint32) error {
 		s.step(ctx, "claim.set")
 	}
 	s.tab.Set(addr, tid)
+	if s.tm != nil {
+		s.tm.NotifyStore(s.entryAddr(addr))
+	}
 	return nil
 }
 
@@ -181,6 +236,9 @@ func (s *hst) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	old, f := ctx.Mem().Update(addr, u)
 	if f != nil {
 		return 0, f
+	}
+	if s.tm != nil {
+		s.tm.NotifyStore(addr &^ 3)
 	}
 	s.claim(ctx, addr&^3)
 	return old, nil
@@ -195,13 +253,13 @@ func (s *hst) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 // than full HST.
 type hstWeak struct {
 	noInstrumentation
+	hashState
 	cost *CostModel
-	tab  *hashtab.Table
 }
 
 // NewHSTWeak constructs the HST-WEAK scheme.
 func NewHSTWeak(cost *CostModel, tab *hashtab.Table) Scheme {
-	return &hstWeak{cost: cost, tab: tab}
+	return &hstWeak{hashState: hashState{tab}, cost: cost}
 }
 
 func (s *hstWeak) Name() string         { return "hst-weak" }
@@ -296,36 +354,4 @@ func (s *hstWeak) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 		return 0, f
 	}
 	return old, nil
-}
-
-// HashOwner implements HashOwnerReporter for watchdog diagnostics.
-func (s *hst) HashOwner(addr uint32) (uint32, bool) {
-	return s.tab.Get(addr), true
-}
-
-// Snapshot captures the store-test table (the scheme's only global state;
-// the profiling shadow is excluded — it feeds a census, not correctness).
-func (s *hst) Snapshot() any { return s.tab.Snapshot() }
-
-// Restore re-installs a captured table.
-func (s *hst) Restore(mem *mmu.Memory, snap any) {
-	if entries, ok := snap.([]uint32); ok {
-		s.tab.Restore(entries)
-	}
-}
-
-// Snapshot captures the store-test table; LockBits are dropped so a stuck
-// SC entry lock cannot survive rollback.
-func (s *hstWeak) Snapshot() any { return s.tab.Snapshot() }
-
-// Restore re-installs a captured table.
-func (s *hstWeak) Restore(mem *mmu.Memory, snap any) {
-	if entries, ok := snap.([]uint32); ok {
-		s.tab.Restore(entries)
-	}
-}
-
-// HashOwner implements HashOwnerReporter for watchdog diagnostics.
-func (s *hstWeak) HashOwner(addr uint32) (uint32, bool) {
-	return s.tab.Get(addr), true
 }

@@ -7,21 +7,29 @@ import (
 	"testing"
 	"time"
 
+	"atomemu/internal/hashtab"
+	"atomemu/internal/htm"
 	"atomemu/internal/mmu"
 	"atomemu/internal/stats"
 )
 
-// This file is a bounded exhaustive interleaving check of the hst scheme:
-// two or three threads run a few operations on one address, or on two
-// addresses that share a hash entry, and every schedule of their
-// shared-memory steps is tried. The scheme's step hook pauses a thread
-// before each step of LL, Store and RMW; the scheduler then picks which
-// thread runs next. SC stops the world: it is one step, the thread pauses
-// before it, and it may start only while no other thread is inside a
-// scheme call. Every finished run is checked
-// against a sequential LL/SC reference (Blelloch & Wei's linearizable
-// LL/SC): an SC may fail spuriously, but it may never succeed across
-// another thread's write, and no write may be lost.
+// This file is a bounded exhaustive interleaving check of the hst scheme
+// and of hst-htm, which is hst with a transactional SC: two or three
+// threads run a few operations on one address, or on two addresses that
+// share a hash entry, and every schedule of their shared-memory steps is
+// tried. hst's step hook pauses a thread before each step of LL, Store and
+// RMW; the scheduler then picks which thread runs next. hst's SC stops the
+// world: it is one step, the thread pauses before it, and it may start only
+// while no other thread is inside a scheme call. Every finished run is
+// checked against a sequential LL/SC reference (Blelloch & Wei's
+// linearizable LL/SC): an SC may fail spuriously, but it may never succeed
+// across another thread's write, and no write may be lost.
+//
+// hst-htm's SC is run by the same rule, so under hst-htm the check covers
+// the order of its LL, store and claim steps (hst's), not the window of
+// the SC's transaction commit between validation and publish, where a
+// store that lands on the word can still be overwritten. That window is
+// the store half of the HTM schemes' open atomicity item (ROADMAP item 1).
 
 // opKind is one guest operation of a check thread.
 type opKind uint8
@@ -102,6 +110,25 @@ var checkCases = []checkCase{
 	}},
 }
 
+// checkScheme builds the scheme under check around the check's table and
+// the fixture's TM.
+type checkScheme func(tab *hashtab.Table, tm *htm.TM) Scheme
+
+func checkHST(tab *hashtab.Table, _ *htm.TM) Scheme { return NewHST(&CostModel{}, tab) }
+
+func checkHSTHTM(tab *hashtab.Table, tm *htm.TM) Scheme {
+	return NewHSTHTM(&CostModel{}, tab, tm, nil)
+}
+
+// hstOf returns the hst whose steps the check drives: the scheme itself,
+// or the one hst-htm embeds.
+func hstOf(s Scheme) *hst {
+	if h, ok := s.(*hstHTM); ok {
+		return h.hst
+	}
+	return s.(*hst)
+}
+
 // storeFunc is the store under test: hst.Store, or the claim-first copy.
 type storeFunc func(s *hst, ctx Context, addr, val uint32) error
 
@@ -109,14 +136,19 @@ func newOrderStore(s *hst, ctx Context, addr, val uint32) error { return s.Store
 
 // claimFirstStore is hst.Store as the paper writes it and as it was here
 // before the write moved ahead of the claim: Htable_set, then the word.
-// It is kept so the check shows the lost store it finds.
+// With a TM it is also hst-htm's store before hst-htm took hst's: the
+// entry and then the word announced after each. It is kept so the check
+// shows the lost store it finds.
 func claimFirstStore(s *hst, ctx Context, addr, val uint32) error {
 	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
 	s.step(ctx, "store.set")
-	s.tab.Set(addr, ctx.TID())
+	s.set(addr, ctx.TID())
 	s.step(ctx, "store.word")
 	if f := ctx.Mem().StoreWord(addr, val); f != nil {
 		return f
+	}
+	if s.tm != nil {
+		s.tm.NotifyStore(addr)
 	}
 	return nil
 }
@@ -161,7 +193,8 @@ type checkThread struct {
 
 // checkRun is the state of one run.
 type checkRun struct {
-	s       *hst
+	s       Scheme
+	h       *hst // s's hst, whose store storeFunc runs
 	store   storeFunc
 	threads []*checkThread
 	paused  chan struct{}
@@ -170,16 +203,18 @@ type checkRun struct {
 	history []call
 }
 
-// checker runs schedules of one case against one store function. Memory,
-// scheme and contexts are built once and reset between runs.
+// checker runs schedules of one case against one scheme and store
+// function. Memory, scheme and contexts are built once and reset between
+// runs.
 type checker struct {
 	cc    checkCase
 	store storeFunc
 	f     *fixture
-	s     *hst
+	s     Scheme
+	h     *hst
 }
 
-func newChecker(t *testing.T, cc checkCase, store storeFunc) *checker {
+func newChecker(t *testing.T, cc checkCase, build checkScheme, store storeFunc) *checker {
 	t.Helper()
 	f := newFixture(t)
 	tab, err := NewHashTable(checkHashBits)
@@ -189,8 +224,8 @@ func newChecker(t *testing.T, cc checkCase, store storeFunc) *checker {
 	if !tab.Collides(addrA, addrB) {
 		t.Fatal("check addresses must share a hash entry")
 	}
-	s := NewHST(&CostModel{}, tab).(*hst)
-	return &checker{cc: cc, store: store, f: f, s: s}
+	s := build(tab, f.tm)
+	return &checker{cc: cc, store: store, f: f, s: s, h: hstOf(s)}
 }
 
 // pause reports the calling thread's state to the scheduler and waits for its
@@ -226,7 +261,7 @@ func (r *checkRun) program(tid int) {
 		switch op.kind {
 		case opStore:
 			th.fresh = true
-			if err := r.store(r.s, ctx, op.addr, op.val); err != nil {
+			if err := r.store(r.h, ctx, op.addr, op.val); err != nil {
 				panic(err)
 			}
 			r.record(th, call{tid: tid, kind: "store", addr: op.addr, arg: op.val})
@@ -270,16 +305,16 @@ func (c *checker) run(choose func(enabled []int) int) *checkRun {
 	for _, a := range []uint32{addrA, addrB} {
 		mem.StoreWord(a, 0)
 	}
-	c.s.tab.Clear()
-	r := &checkRun{s: c.s, store: c.store, paused: make(chan struct{})}
+	c.h.tab.Clear()
+	r := &checkRun{s: c.s, h: c.h, store: c.store, paused: make(chan struct{})}
 	for i, ops := range c.cc.threads {
 		ctx := c.f.ctx(uint32(i + 1))
 		ctx.mon.Reset()
 		th := &checkThread{ctx: ctx, ops: ops, resume: make(chan struct{})}
 		r.threads = append(r.threads, th)
 	}
-	c.s.step = r.hook
-	defer func() { c.s.step = nil }()
+	c.h.step = r.hook
+	defer func() { c.h.step = nil }()
 	// Each thread runs to its first pause (before its first step) before
 	// the next starts, so the first step is the scheduler's choice too.
 	for i, th := range r.threads {
@@ -522,11 +557,20 @@ func describe(r *checkRun, final map[uint32]uint32) string {
 
 // TestHSTExhaustiveInterleavings admits hst's write-then-claim store: no
 // schedule of any case breaks linearizable LL/SC.
-func TestHSTExhaustiveInterleavings(t *testing.T) {
+func TestHSTExhaustiveInterleavings(t *testing.T) { exhaustive(t, checkHST) }
+
+// TestHSTHTMExhaustiveInterleavings admits hst-htm's LL, store and RMW,
+// which are hst's, under its transactional SC.
+func TestHSTHTMExhaustiveInterleavings(t *testing.T) { exhaustive(t, checkHSTHTM) }
+
+// exhaustive runs every case's every schedule under the scheme build makes.
+func exhaustive(t *testing.T, build checkScheme) {
+	total := 0
 	for _, cc := range checkCases {
 		t.Run(cc.name, func(t *testing.T) {
-			c := newChecker(t, cc, newOrderStore)
+			c := newChecker(t, cc, build, newOrderStore)
 			rep := c.explore()
+			total += rep.runs
 			if rep.violation != nil {
 				t.Fatalf("not linearizable after %d runs:\n%s", rep.runs, describe(rep.violation, rep.final))
 			}
@@ -534,15 +578,35 @@ func TestHSTExhaustiveInterleavings(t *testing.T) {
 			if rep.scOK == 0 || rep.runs < 2 {
 				t.Fatalf("vacuous check: %d schedules, %d successful SCs", rep.runs, rep.scOK)
 			}
+			if c.h.tm != nil && commits(c.f) != uint64(rep.scOK) {
+				t.Fatalf("%d SCs succeeded but %d committed a transaction", rep.scOK, commits(c.f))
+			}
 		})
 	}
+	t.Logf("%d schedules in all", total)
+}
+
+// commits is the number of SC transactions the fixture's threads committed.
+func commits(f *fixture) uint64 {
+	var n uint64
+	for _, c := range f.ctxs {
+		n += c.st.HTMCommits
+	}
+	return n
 }
 
 // TestHSTCheckFindsOldOrderLostStore runs the check on the claim-first
 // store: it must find the lost store, and the first schedule it finds is
 // the one pinned here.
-func TestHSTCheckFindsOldOrderLostStore(t *testing.T) {
-	c := newChecker(t, checkCases[0], claimFirstStore)
+func TestHSTCheckFindsOldOrderLostStore(t *testing.T) { findsOldOrder(t, checkHST) }
+
+// TestHSTHTMCheckFindsOldOrderLostStore finds the same lost store in
+// hst-htm's former claim-first store: its transactional SC commits over
+// the store as hst's stop-the-world SC does.
+func TestHSTHTMCheckFindsOldOrderLostStore(t *testing.T) { findsOldOrder(t, checkHSTHTM) }
+
+func findsOldOrder(t *testing.T, build checkScheme) {
+	c := newChecker(t, checkCases[0], build, claimFirstStore)
 	rep := c.explore()
 	if rep.violation == nil {
 		t.Fatalf("the check found nothing in the claim-first store over %d schedules", rep.runs)
@@ -595,7 +659,7 @@ func TestHSTLostStoreRegression(t *testing.T) {
 		{"write-first", newOrderStore, writeFirstSameSchedule, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newChecker(t, checkCases[0], tc.store)
+			c := newChecker(t, checkCases[0], checkHST, tc.store)
 			r := c.replay(t, tc.want.tids)
 			fin := c.final()
 			if got := strings.Join(r.trace, " | "); got != tc.want.trace {
@@ -618,6 +682,9 @@ func hooklessStore(s *hst, ctx Context, addr, val uint32) error {
 	if f := ctx.Mem().StoreWord(addr, val); f != nil {
 		return f
 	}
+	if s.tm != nil {
+		s.tm.NotifyStore(addr)
+	}
 	if s.shadow != nil {
 		s.census(ctx, addr)
 	}
@@ -626,6 +693,9 @@ func hooklessStore(s *hst, ctx Context, addr, val uint32) error {
 		return nil
 	}
 	s.tab.Set(addr, tid)
+	if s.tm != nil {
+		s.tm.NotifyStore(s.entryAddr(addr))
+	}
 	return nil
 }
 

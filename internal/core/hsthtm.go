@@ -16,12 +16,15 @@ import (
 // PICO-HTM — only the SC emulation itself is transactional, so no QEMU
 // emulation work can land inside the transaction and livelock it.
 //
+// It is hst with a TM: LL, Store, RMW, Clrex and HashOwner are hst's, which
+// announces its writes to the TM (see hst). hstHTM supplies only its SC
+// and its Snapshot and Restore, which add the TM slot words to the table.
+//
 // The transaction's footprint is the hash entry plus the guest word. Hash
-// entries are mapped into the transactional address space at
-// entrySpaceBit|index<<2; the plain-store path publishes entry updates
-// through TM.NotifyStore at that synthetic address, which is how a
-// conflicting store aborts an in-flight SC, and how an LL that claims the
-// entry while an SC commits waits for that SC's publish before it loads.
+// entries are mapped into the transactional address space at entryAddr;
+// hst announces every entry write there, which is how a conflicting LL or
+// store aborts an in-flight SC, and how an LL that claims the entry while
+// an SC commits waits for that SC's publish before it loads.
 // Resilience: the default policy replaces the fixed attempt count with
 // reason-aware backoff — retryable aborts wait (exponential + per-tid
 // jitter) before re-issuing the transaction, non-retryable aborts and an
@@ -30,11 +33,8 @@ import (
 // burning a fresh abort storm each time. StrictPaper keeps the original
 // fixed-count behavior.
 type hstHTM struct {
-	plainLoads
-	cost *CostModel
-	tab  *hashtab.Table
-	tm   *htm.TM
-	res  Resilience
+	*hst
+	res Resilience
 	// fallbackAfter is the abort count after which the SC falls back to
 	// the stop-the-world path (StrictPaper's forward progress guarantee).
 	fallbackAfter int
@@ -48,19 +48,18 @@ const entrySpaceBit uint32 = 1 << 31
 // NewHSTHTM constructs the HST-HTM scheme. A nil res means the default
 // resilient policy; res.StrictPaper restores the fixed-count fallback.
 func NewHSTHTM(cost *CostModel, tab *hashtab.Table, tm *htm.TM, res *Resilience) Scheme {
-	r := DefaultResilience()
+	var r Resilience
 	if res != nil {
-		r = res.normalized()
+		r = *res
 	}
-	return &hstHTM{cost: cost, tab: tab, tm: tm, res: r, fallbackAfter: 8}
+	return &hstHTM{hst: &hst{hashState: hashState{tab}, cost: cost, tm: tm}, res: r, fallbackAfter: 8}
 }
 
-func (s *hstHTM) Name() string            { return "hst-htm" }
-func (s *hstHTM) Atomicity() Atomicity    { return AtomicityStrong }
-func (s *hstHTM) Portable() bool          { return false }
-func (s *hstHTM) InstrumentsStores() bool { return true }
+func (s *hstHTM) Name() string   { return "hst-htm" }
+func (s *hstHTM) Portable() bool { return false }
 
-func (s *hstHTM) entryAddr(addr uint32) uint32 {
+// entryAddr is addr's hash entry in the transactional address space.
+func (s *hst) entryAddr(addr uint32) uint32 {
 	return entrySpaceBit | s.tab.Index(addr)<<2
 }
 
@@ -92,38 +91,11 @@ func (s *hstHTM) txStore(ctx Context) func(addr, val uint32) error {
 	}
 }
 
-func (s *hstHTM) setAndNotify(addr, tid uint32) {
-	s.tab.Set(addr, tid)
-	s.tm.NotifyStore(entrySpaceBit | s.tab.Index(addr)<<2)
-}
-
-func (s *hstHTM) LL(ctx Context, addr uint32) (uint32, error) {
-	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
-	s.setAndNotify(addr, ctx.TID())
-	v, f := ctx.Mem().LoadWord(addr)
-	if f != nil {
-		return 0, f
-	}
-	m := ctx.Monitor()
-	m.Active = true
-	m.Addr = addr
-	m.Val = v
-	return v, nil
-}
-
-// scFallback is the HST stop-the-world critical section — the portable
-// guaranteed-progress path.
-func (s *hstHTM) scFallback(ctx Context, addr, val, tid uint32) (uint32, error) {
-	ctx.StartExclusive()
-	defer ctx.EndExclusive()
-	if !s.tab.CheckOwner(addr, tid) {
-		ctx.Tracer().Emit(obs.EvSCFail, addr, obs.SCHashStolen)
-		return 1, nil
-	}
-	if f := ctx.Mem().StoreWord(addr, val); f != nil {
-		return 1, f
-	}
-	return 0, nil
+// scFallback is hst's stop-the-world check-and-store — the portable
+// guaranteed-progress path. The transactional attempts have charged
+// their own cycles, so it charges none inside the section.
+func (s *hstHTM) scFallback(ctx Context, addr, val uint32) (uint32, error) {
+	return s.scExclusive(ctx, addr, val, 0)
 }
 
 // scAbort accounts one transactional-attempt abort and decides what the
@@ -151,12 +123,12 @@ func (s *hstHTM) SC(ctx Context, addr, val uint32) (uint32, error) {
 	if !s.res.StrictPaper && s.res.inCooldown(m) {
 		// Demoted: skip the transactional attempts for the rest of the
 		// cooldown instead of re-running an abort storm per SC.
-		return s.scFallback(ctx, addr, val, tid)
+		return s.scFallback(ctx, addr, val)
 	}
 	load, store := s.txLoad(ctx), s.txStore(ctx)
 	for attempt := 1; ; attempt++ {
 		if s.res.StrictPaper && attempt > s.fallbackAfter {
-			return s.scFallback(ctx, addr, val, tid)
+			return s.scFallback(ctx, addr, val)
 		}
 		ctx.Charge(stats.CompHTM, s.cost.HTMBegin)
 		txn := s.tm.Begin(tid, load)
@@ -167,7 +139,7 @@ func (s *hstHTM) SC(ctx Context, addr, val uint32) (uint32, error) {
 				if s.scAbort(ctx, ab.Reason, attempt) {
 					continue
 				}
-				return s.scFallback(ctx, addr, val, tid)
+				return s.scFallback(ctx, addr, val)
 			}
 			return 1, err
 		}
@@ -182,7 +154,7 @@ func (s *hstHTM) SC(ctx Context, addr, val uint32) (uint32, error) {
 				if s.scAbort(ctx, ab.Reason, attempt) {
 					continue
 				}
-				return s.scFallback(ctx, addr, val, tid)
+				return s.scFallback(ctx, addr, val)
 			}
 			return 1, err
 		}
@@ -192,61 +164,24 @@ func (s *hstHTM) SC(ctx Context, addr, val uint32) (uint32, error) {
 	}
 }
 
-func (s *hstHTM) Clrex(ctx Context) { ctx.Monitor().Reset() }
-
-func (s *hstHTM) Store(ctx Context, addr, val uint32) error {
-	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
-	s.setAndNotify(addr, ctx.TID())
-	if f := ctx.Mem().StoreWord(addr, val); f != nil {
-		return f
-	}
-	s.tm.NotifyStore(addr)
-	return nil
-}
-
-// RMW writes the word and then claims and publishes its entry, as hst does:
-// there is no open transaction to write into (only the SC is
-// transactional), and the claim after the write fails every monitor armed
-// before it. An SC transaction that read the entry first is aborted by the
-// entry's version bump. The SC's own window — between its validation and
-// its publish — is closed: NotifyStore waits out a committing transaction,
-// so an LL's load after its claim sees the SC's value. Plain stores and
-// RMWs still write before they announce, so one that lands on the word
-// while an SC commits it can be overwritten by the publish.
-func (s *hstHTM) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
-	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
-	old, f := ctx.Mem().Update(addr, u)
-	if f != nil {
-		return 0, f
-	}
-	s.setAndNotify(addr&^3, ctx.TID())
-	s.tm.NotifyStore(addr &^ 3)
-	return old, nil
-}
-
-// HashOwner implements HashOwnerReporter for watchdog diagnostics.
-func (s *hstHTM) HashOwner(addr uint32) (uint32, bool) {
-	return s.tab.Get(addr), true
-}
-
-// hstHTMSnap is HST-HTM's checkpoint payload: the store-test table plus
+// hstHTMSnap is HST-HTM's checkpoint payload: hst's table snapshot plus
 // the TM slot words (entries live in the transactional address space, so
 // both must roll back together).
 type hstHTMSnap struct {
-	entries []uint32
-	words   []uint64
+	table any
+	words []uint64
 }
 
 // Snapshot captures the table and the TM slot words.
 func (s *hstHTM) Snapshot() any {
-	return &hstHTMSnap{entries: s.tab.Snapshot(), words: s.tm.SnapshotWords()}
+	return &hstHTMSnap{table: s.hashState.Snapshot(), words: s.tm.SnapshotWords()}
 }
 
 // Restore re-installs both; live transactions were aborted by the engine's
 // monitor disarm beforehand.
 func (s *hstHTM) Restore(mem *mmu.Memory, snap any) {
 	if hs, ok := snap.(*hstHTMSnap); ok {
-		s.tab.Restore(hs.entries)
+		s.hashState.Restore(mem, hs.table)
 		s.tm.RestoreWords(hs.words)
 	}
 }

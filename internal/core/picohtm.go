@@ -56,9 +56,9 @@ type picoHTM struct {
 // resilient policy; res.StrictPaper restores the paper's crash-on-livelock
 // behavior.
 func NewPicoHTM(cost *CostModel, tm *htm.TM, res *Resilience) Scheme {
-	r := DefaultResilience()
+	var r Resilience
 	if res != nil {
-		r = res.normalized()
+		r = *res
 	}
 	return &picoHTM{cost: cost, tm: tm, res: r, livelockLimit: 48}
 }
@@ -132,7 +132,7 @@ func (s *picoHTM) scFailed(ctx Context, reason htm.AbortReason) {
 		return
 	}
 	m := ctx.Monitor()
-	if !retryable(reason) || m.AbortStreak > s.res.MaxRetries {
+	if !retryable(reason) || m.AbortStreak > maxRetries {
 		s.demoteMon(ctx)
 	}
 }

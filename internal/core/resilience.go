@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
 
 	"atomemu/internal/htm"
@@ -28,54 +29,27 @@ type Resilience struct {
 	// degradation — PICO-HTM returns EmulationError after its livelock
 	// limit and HST-HTM falls back per-SC after a fixed attempt count.
 	StrictPaper bool
-	// MaxRetries bounds consecutive retryable aborts per LL/SC window
-	// before the monitor demotes.
-	MaxRetries int
-	// BackoffBase is the virtual-cycle delay unit; attempt k waits about
-	// BackoffBase<<k (capped at BackoffMax) plus jitter.
-	BackoffBase uint64
-	// BackoffMax caps the exponential delay.
-	BackoffMax uint64
-	// Cooldown is how many LL windows run on the fallback path after a
-	// demotion before the transactional fast path is retried.
-	Cooldown int
 	// Seed derives the per-vCPU jitter streams. Any value works; runs
-	// with equal seeds make identical backoff decisions.
+	// with equal seeds make identical backoff decisions, and 0 means
+	// defaultSeed.
 	Seed uint64
 }
 
-// DefaultResilience returns the default policy.
-func DefaultResilience() Resilience {
-	return Resilience{
-		MaxRetries:  16,
-		BackoffBase: 64,
-		BackoffMax:  4096,
-		Cooldown:    64,
-		Seed:        0x9e3779b97f4a7c15,
-	}
-}
-
-// normalized fills zero fields with defaults so a partially-specified
-// policy (e.g. only StrictPaper set) behaves sanely.
-func (r Resilience) normalized() Resilience {
-	d := DefaultResilience()
-	if r.MaxRetries <= 0 {
-		r.MaxRetries = d.MaxRetries
-	}
-	if r.BackoffBase == 0 {
-		r.BackoffBase = d.BackoffBase
-	}
-	if r.BackoffMax == 0 {
-		r.BackoffMax = d.BackoffMax
-	}
-	if r.Cooldown <= 0 {
-		r.Cooldown = d.Cooldown
-	}
-	if r.Seed == 0 {
-		r.Seed = d.Seed
-	}
-	return r
-}
+const (
+	// maxRetries bounds consecutive retryable aborts per LL/SC window
+	// before the monitor demotes.
+	maxRetries = 16
+	// backoffBase is the virtual-cycle delay unit; attempt k waits about
+	// backoffBase<<k (capped at backoffMax) plus jitter.
+	backoffBase uint64 = 64
+	// backoffMax caps the exponential delay.
+	backoffMax uint64 = 4096
+	// cooldownWindows is how many LL windows run on the fallback path
+	// after a demotion before the transactional fast path is retried.
+	cooldownWindows = 64
+	// defaultSeed is the jitter seed of a policy whose Seed is 0.
+	defaultSeed uint64 = 0x9e3779b97f4a7c15
+)
 
 // chargeHTMAbort accounts one transaction abort in the HTM schemes:
 // the counter, the trace event at addr, and the abort's cycles.
@@ -100,7 +74,7 @@ func retryable(reason htm.AbortReason) bool {
 // seedRng initializes the monitor's jitter stream on first use.
 func (r *Resilience) seedRng(m *Monitor, tid uint32) {
 	if m.Res.Rng == 0 {
-		m.Res.Rng = (r.Seed ^ uint64(tid)*0x2545f4914f6cdd1d) | 1
+		m.Res.Rng = (cmp.Or(r.Seed, defaultSeed) ^ uint64(tid)*0x2545f4914f6cdd1d) | 1
 	}
 }
 
@@ -118,7 +92,7 @@ func nextRand(m *Monitor) uint64 {
 // after an abort, charging the backoff delay when it does. attempt is the
 // number of aborts already taken this window (1-based).
 func (r *Resilience) backoffRetry(ctx Context, reason htm.AbortReason, attempt int) bool {
-	if !retryable(reason) || attempt > r.MaxRetries {
+	if !retryable(reason) || attempt > maxRetries {
 		return false
 	}
 	m := ctx.Monitor()
@@ -127,10 +101,8 @@ func (r *Resilience) backoffRetry(ctx Context, reason htm.AbortReason, attempt i
 	if shift > 6 {
 		shift = 6
 	}
-	d := r.BackoffBase << shift
-	if d > r.BackoffMax {
-		d = r.BackoffMax
-	}
+	d := backoffBase << shift
+	d = min(d, backoffMax)
 	// Half deterministic, half per-tid jitter: decorrelates competing
 	// vCPUs so they stop re-colliding in lockstep.
 	wait := d/2 + nextRand(m)%(d/2+1)
@@ -149,7 +121,7 @@ func (r *Resilience) backoffRetry(ctx Context, reason htm.AbortReason, attempt i
 // window and records the fallback.
 func (r *Resilience) demote(ctx Context) {
 	m := ctx.Monitor()
-	m.Res.CooldownLeft = r.Cooldown
+	m.Res.CooldownLeft = cooldownWindows
 	ctx.Stats().SchemeFallbacks++
 	ctx.Tracer().Emit(obs.EvSchemeFall, m.Addr, uint64(m.AbortStreak))
 }

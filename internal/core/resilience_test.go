@@ -88,15 +88,15 @@ func TestPicoHTMResetAbortsLeakedTxn(t *testing.T) {
 }
 
 // TestPicoHTMDegradesUnderAbortStorm drives every transactional attempt of
-// tid 1 into an abort and checks the resilient policy retries with backoff,
-// then demotes and completes the LL/SC window on the degraded path.
+// tid 1 into an abort and checks the default policy retries with backoff
+// maxRetries times, then demotes and completes the LL/SC window on the
+// degraded path.
 func TestPicoHTMDegradesUnderAbortStorm(t *testing.T) {
 	f := newResFixture(t, 12)
 	f.tm.SetInjector(faultinject.New(faultinject.Rule{
 		Op: faultinject.OpTxnBegin, Action: faultinject.ActAbort, TID: 1,
 	}))
-	res := &Resilience{MaxRetries: 3, Cooldown: 4}
-	s := f.picoHTM(t, res)
+	s := f.picoHTM(t, nil)
 	a := f.ctx(1)
 	if fl := f.mem.StoreWord(varAddr, 100); fl != nil {
 		t.Fatal(fl)
@@ -111,8 +111,8 @@ func TestPicoHTMDegradesUnderAbortStorm(t *testing.T) {
 	if !a.mon.Degraded {
 		t.Fatal("monitor should be degraded after exhausting retries")
 	}
-	if a.st.HTMRetries != 3 || a.st.HTMBackoffWaits != 3 {
-		t.Fatalf("retries=%d backoffs=%d, want 3/3", a.st.HTMRetries, a.st.HTMBackoffWaits)
+	if a.st.HTMRetries != maxRetries || a.st.HTMBackoffWaits != maxRetries {
+		t.Fatalf("retries=%d backoffs=%d, want %d/%d", a.st.HTMRetries, a.st.HTMBackoffWaits, maxRetries, maxRetries)
 	}
 	if a.st.SchemeFallbacks != 1 {
 		t.Fatalf("fallbacks=%d, want 1", a.st.SchemeFallbacks)
@@ -157,7 +157,7 @@ func TestPicoHTMDegradedWindowCatchesABA(t *testing.T) {
 	f.tm.SetInjector(faultinject.New(faultinject.Rule{
 		Op: faultinject.OpTxnBegin, Action: faultinject.ActAbort, TID: 1,
 	}))
-	s := f.picoHTM(t, &Resilience{MaxRetries: 1, Cooldown: 100})
+	s := f.picoHTM(t, nil)
 	a, b := f.ctx(1), f.ctx(2)
 	if fl := f.mem.StoreWord(varAddr, 100); fl != nil {
 		t.Fatal(fl)
@@ -198,7 +198,7 @@ func TestPicoHTMDegradedWindowAdoptsOwnAliasingStore(t *testing.T) {
 	f.tm.SetInjector(faultinject.New(faultinject.Rule{
 		Op: faultinject.OpTxnBegin, Action: faultinject.ActAbort, TID: 1,
 	}))
-	s := f.picoHTM(t, &Resilience{MaxRetries: 1, Cooldown: 100})
+	s := f.picoHTM(t, nil)
 	a := f.ctx(1)
 	alias := uint32(0)
 	for cand := varAddr + 4; cand < varAddr+4096; cand += 4 {
@@ -242,7 +242,7 @@ func TestHSTHTMDemotesToStopTheWorld(t *testing.T) {
 	f.tm.SetInjector(faultinject.New(faultinject.Rule{
 		Op: faultinject.OpTxnCommit, Action: faultinject.ActAbort, TID: 1,
 	}))
-	s := f.hstHTM(t, &Resilience{MaxRetries: 2, Cooldown: 8})
+	s := f.hstHTM(t, nil)
 	a := f.ctx(1)
 	if fl := f.mem.StoreWord(varAddr, 100); fl != nil {
 		t.Fatal(fl)
@@ -256,8 +256,8 @@ func TestHSTHTMDemotesToStopTheWorld(t *testing.T) {
 	if v, _ := f.mem.LoadWord(varAddr); v != 101 {
 		t.Fatalf("mem = %d, want 101", v)
 	}
-	if a.st.SchemeFallbacks != 1 || a.st.HTMRetries != 2 {
-		t.Fatalf("fallbacks=%d retries=%d, want 1/2", a.st.SchemeFallbacks, a.st.HTMRetries)
+	if a.st.SchemeFallbacks != 1 || a.st.HTMRetries != maxRetries {
+		t.Fatalf("fallbacks=%d retries=%d, want 1/%d", a.st.SchemeFallbacks, a.st.HTMRetries, maxRetries)
 	}
 	// During cooldown the SC takes the fallback directly: no new aborts.
 	aborts := a.st.HTMAborts

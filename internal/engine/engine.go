@@ -134,7 +134,7 @@ type Config struct {
 	// schemes return EmulationError after an abort storm instead of
 	// demoting to their portable fallback path. The figure/correctness
 	// harness sets it for reproduction fidelity; the default is resilient,
-	// with core.DefaultResilience's retry budget, backoff and cooldown.
+	// with core's constant retry budget, backoff and cooldown.
 	StrictPaper bool
 	// ResilienceSeed seeds the deterministic per-tid backoff jitter
 	// (0 = default).
@@ -394,8 +394,7 @@ func (cfg Config) normalized() Config {
 }
 
 // resilience derives the scheme-facing resilience policy from the config;
-// the schemes fill the retry budget, backoff and cooldown from
-// core.DefaultResilience.
+// the retry budget, backoff and cooldown are core's constants.
 func (cfg *Config) resilience() core.Resilience {
 	return core.Resilience{StrictPaper: cfg.StrictPaper, Seed: cfg.ResilienceSeed}
 }

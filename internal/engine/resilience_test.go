@@ -54,7 +54,7 @@ func runStackResilience(t *testing.T, cfg Config, threads int, pairsPerThread ui
 // then demotes) and checks PICO-HTM degrades (SchemeFallbacks > 0) yet
 // finishes the stack workload with a fully intact stack. The storm is
 // Count-bounded: an unbounded one would (rightly) starve individual vCPUs
-// into the progress watchdog. The count is sized to core.DefaultResilience's
+// into the progress watchdog. The count is sized to core's
 // 16-retry budget: about a thousand demotions, which keep most SCs of the
 // 16-vCPU HST-HTM run below on the fallback path. With fewer, more SCs
 // commit transactionally, where HST-HTM's known stack corruption is still
