@@ -1,7 +1,7 @@
 package main
 
 // crashsoak is the durability proof: a real atomemud-style daemon (this
-// binary re-executed in crashsoak-serve mode) is SIGKILLed mid-burst
+// binary re-executed in serve mode with -data-dir) is SIGKILLed mid-burst
 // several times over one data directory. After each kill the parent
 // restarts it, re-submits every idempotency key, and finally asserts the
 // durability contract:
@@ -17,22 +17,22 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"atomemu/internal/engine"
 	"atomemu/internal/gac"
-	"atomemu/internal/obs"
 	"atomemu/internal/server"
 )
 
@@ -110,41 +110,49 @@ func runCrashsoak(cfg crashsoakConfig) error {
 		refs[i] = out
 	}
 
-	client := &http.Client{Timeout: 5 * time.Second}
+	client := server.Client{HTTP: &http.Client{Timeout: 5 * time.Second}}
+	ctx := context.Background()
 	idByKey := make(map[string]string)
 	var csv bytes.Buffer
 	fmt.Fprintf(&csv, "# crashsoak cycles=%d jobs=%d workers=%d scale=%g\n", cfg.Cycles, cfg.Jobs, cfg.Workers, cfg.Scale)
 	fmt.Fprintf(&csv, "cycle,event,done,total,spill_total,resumed,requeued,terminal,corrupt\n")
 
+	// kill pulls the plug on the running daemon: no drain, no warning,
+	// exactly like a crash. Every return path leaves none behind.
+	var child *exec.Cmd
+	kill := func() {
+		if child != nil {
+			child.Process.Kill()
+			child.Wait()
+			child = nil
+		}
+	}
+	defer kill()
+
 	var resumedTotal, requeuedTotal float64
 	kills := 0
 	for cycle := 0; cycle <= cfg.Cycles; cycle++ {
 		os.Remove(addrFile)
-		child := exec.Command(exe, "crashsoak-serve",
+		child = exec.Command(exe, "serve",
 			"-data-dir", dataDir, "-addr-file", addrFile,
 			"-workers", strconv.Itoa(cfg.Workers), "-queue", strconv.Itoa(cfg.Queue))
 		child.Stderr = os.Stderr
 		if err := child.Start(); err != nil {
+			child = nil
 			return err
 		}
 		base, err := awaitAddrFile(addrFile, child, 20*time.Second)
 		if err != nil {
-			child.Process.Kill()
-			child.Wait()
 			return err
 		}
 
-		mets, err := scrapeMetrics(client, base)
+		mets, err := client.Metrics(ctx, base)
 		if err != nil {
-			child.Process.Kill()
-			child.Wait()
 			return err
 		}
 		resumedTotal += mets["atomemu_restart_jobs_resumed_total"]
 		requeuedTotal += mets["atomemu_restart_jobs_requeued_total"]
 		if c := mets["atomemu_journal_corrupt_records_total"]; c != 0 {
-			child.Process.Kill()
-			child.Wait()
 			return fmt.Errorf("cycle %d: replay skipped %g corrupt journal records", cycle, c)
 		}
 		fmt.Fprintf(&csv, "%d,start,%d,%d,%g,%g,%g,%g,%g\n", cycle,
@@ -158,33 +166,41 @@ func runCrashsoak(cfg crashsoakConfig) error {
 			cycle, base, mets["atomemu_restart_jobs_resumed_total"],
 			mets["atomemu_restart_jobs_requeued_total"], mets["atomemu_restart_jobs_terminal_total"])
 
-		// (Re-)submit every key. A key seen before must answer its old id.
+		// (Re-)submit every key, retrying a refusal or a transport error for
+		// up to 15 s. A key seen before must answer its old id.
 		for i := 0; i < cfg.Jobs; i++ {
 			key := fmt.Sprintf("crash-%d", i)
-			id, err := submitCrashsoakJob(client, base, key, crashsoakArg(cfg.Scale, i))
+			body, err := json.Marshal(server.JobRequest{
+				Scheme: "pico-cas", GAC: crashsoakGAC, Arg: crashsoakArg(cfg.Scale, i),
+				DeadlineMS:     120_000,
+				IdempotencyKey: key,
+				Config:         server.JobConfig{CheckpointEvery: 5000},
+			})
 			if err != nil {
-				child.Process.Kill()
-				child.Wait()
+				return err
+			}
+			var ack server.Accepted
+			for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+				if ack, err = client.Submit(ctx, base, body); err == nil || time.Now().After(deadline) {
+					break
+				}
+			}
+			if err != nil {
 				return fmt.Errorf("cycle %d submit %s: %w", cycle, key, err)
 			}
-			if old, seen := idByKey[key]; seen && old != id {
-				child.Process.Kill()
-				child.Wait()
-				return fmt.Errorf("cycle %d: key %s answered %s, previously %s — duplicate admission", cycle, key, id, old)
+			if old, seen := idByKey[key]; seen && old != ack.ID {
+				return fmt.Errorf("cycle %d: key %s answered %s, previously %s — duplicate admission", cycle, key, ack.ID, old)
 			}
-			idByKey[key] = id
+			idByKey[key] = ack.ID
 		}
 
 		if cycle < cfg.Cycles {
 			// Let the burst run until checkpoints hit the disk, then pull the
-			// plug — no drain, no warning, exactly like a crash.
+			// plug.
 			if err := awaitSpill(client, base, 30*time.Second); err != nil {
-				child.Process.Kill()
-				child.Wait()
 				return fmt.Errorf("cycle %d: %w", cycle, err)
 			}
-			child.Process.Kill()
-			child.Wait()
+			kill()
 			kills++
 			fmt.Fprintf(&csv, "%d,sigkill,,%d,,,,,\n", cycle, cfg.Jobs)
 			logf("crashsoak: cycle %d SIGKILL", cycle)
@@ -193,33 +209,30 @@ func runCrashsoak(cfg crashsoakConfig) error {
 
 		// Final cycle: run everything to completion and audit.
 		if err := awaitAllDone(client, base, idByKey, 120*time.Second); err != nil {
-			child.Process.Kill()
-			child.Wait()
 			return err
 		}
 		lost, mismatched := 0, 0
 		for i := 0; i < cfg.Jobs; i++ {
 			key := fmt.Sprintf("crash-%d", i)
-			st, err := jobStatus(client, base, idByKey[key])
-			if err != nil {
+			st, found, err := client.Status(ctx, base, idByKey[key], key)
+			if err != nil || !found {
 				lost++
-				logf("crashsoak: %s (%s) LOST: %v", key, idByKey[key], err)
+				logf("crashsoak: %s (%s) LOST: found=%v err=%v", key, idByKey[key], found, err)
 				continue
 			}
-			if st.State != "done" || !equalOutputs(st.Output, refs[i]) {
+			if st.State != server.StateDone || !slices.Equal(st.Output, refs[i]) {
 				mismatched++
 				logf("crashsoak: %s state=%s output mismatch (got %d words, want %d)",
 					key, st.State, len(st.Output), len(refs[i]))
 			}
 		}
-		mets, _ = scrapeMetrics(client, base)
+		mets, _ = client.Metrics(ctx, base)
 		fmt.Fprintf(&csv, "%d,final,%d,%d,%g,%g,%g,%g,%g\n", cycle,
 			cfg.Jobs-lost-mismatched, cfg.Jobs,
 			mets["atomemu_ckpt_spill_total"], resumedTotal, requeuedTotal,
 			mets["atomemu_restart_jobs_terminal_total"],
 			mets["atomemu_journal_corrupt_records_total"])
-		child.Process.Kill()
-		child.Wait()
+		kill()
 
 		fmt.Printf("crashsoak: %d jobs, %d SIGKILL cycles: lost=%d duplicated=0 mismatched=%d resumed=%g requeued=%g\n",
 			cfg.Jobs, kills, lost, mismatched, resumedTotal, requeuedTotal)
@@ -270,58 +283,6 @@ func crashsoakReference(arg uint32) ([]uint32, error) {
 	return m.Output(), nil
 }
 
-func submitCrashsoakJob(client *http.Client, base, key string, arg uint32) (string, error) {
-	req := server.JobRequest{
-		Scheme: "pico-cas", GAC: crashsoakGAC, Arg: arg,
-		DeadlineMS:     120_000,
-		IdempotencyKey: key,
-		Config:         server.JobConfig{CheckpointEvery: 5000},
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return "", err
-	}
-	var lastErr error
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := client.Post(base+"/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			lastErr = err
-			time.Sleep(50 * time.Millisecond)
-			continue
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			lastErr = fmt.Errorf("POST /jobs: %d %s", resp.StatusCode, strings.TrimSpace(string(b)))
-			time.Sleep(50 * time.Millisecond)
-			continue
-		}
-		var ans struct {
-			ID string `json:"id"`
-		}
-		if err := json.Unmarshal(b, &ans); err != nil {
-			return "", err
-		}
-		return ans.ID, nil
-	}
-	return "", lastErr
-}
-
-func jobStatus(client *http.Client, base, id string) (server.JobStatus, error) {
-	var st server.JobStatus
-	resp, err := client.Get(base + "/jobs/" + id)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		return st, fmt.Errorf("GET /jobs/%s: %d %s", id, resp.StatusCode, strings.TrimSpace(string(b)))
-	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
-}
-
 // awaitAddrFile waits for the child daemon to publish its listen address.
 func awaitAddrFile(path string, child *exec.Cmd, timeout time.Duration) (string, error) {
 	deadline := time.Now().Add(timeout)
@@ -340,10 +301,10 @@ func awaitAddrFile(path string, child *exec.Cmd, timeout time.Duration) (string,
 // awaitSpill polls /metrics until at least one checkpoint hit the disk in
 // this daemon's lifetime — the signal that a kill now lands mid-run with
 // durable state worth resuming.
-func awaitSpill(client *http.Client, base string, timeout time.Duration) error {
+func awaitSpill(client server.Client, base string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		mets, err := scrapeMetrics(client, base)
+		mets, err := client.Metrics(context.Background(), base)
 		if err == nil && mets["atomemu_ckpt_spill_total"] > 0 {
 			return nil
 		}
@@ -352,13 +313,13 @@ func awaitSpill(client *http.Client, base string, timeout time.Duration) error {
 	return fmt.Errorf("no checkpoint spill within %s", timeout)
 }
 
-func awaitAllDone(client *http.Client, base string, idByKey map[string]string, timeout time.Duration) error {
+func awaitAllDone(client server.Client, base string, idByKey map[string]string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		done := 0
-		for _, id := range idByKey {
-			st, err := jobStatus(client, base, id)
-			if err == nil && (st.State == "done" || st.State == "failed" || st.State == "canceled") {
+		for key, id := range idByKey {
+			st, _, err := client.Status(context.Background(), base, id, key)
+			if err == nil && st.State.Terminal() {
 				done++
 			}
 		}
@@ -370,86 +331,57 @@ func awaitAllDone(client *http.Client, base string, idByKey map[string]string, t
 	return fmt.Errorf("jobs still unterminated after %s", timeout)
 }
 
-func countDone(client *http.Client, base string, idByKey map[string]string) int {
+func countDone(client server.Client, base string, idByKey map[string]string) int {
 	done := 0
-	for _, id := range idByKey {
-		if st, err := jobStatus(client, base, id); err == nil && st.State == "done" {
+	for key, id := range idByKey {
+		if st, _, err := client.Status(context.Background(), base, id, key); err == nil && st.State == server.StateDone {
 			done++
 		}
 	}
 	return done
 }
 
-// scrapeMetrics reads a daemon's /metrics as series → value.
-func scrapeMetrics(client *http.Client, base string) (map[string]float64, error) {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	exp, err := obs.ParseExposition(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return exp.Values(), nil
-}
-
-func equalOutputs(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // --- child mode ---
 
-// runCrashsoakServe is the daemon side of crashsoak: a durable server on an
-// ephemeral loopback port, its address published through -addr-file. It
-// never shuts down gracefully — the parent's SIGKILL is the whole point.
-func runCrashsoakServe(args []string) error {
-	fs := flag.NewFlagSet("crashsoak-serve", flag.ContinueOnError)
-	dataDir := fs.String("data-dir", "", "durability directory (required)")
+// runServe is the child mode of crashsoak and fabricsoak: an atomemud
+// worker on an ephemeral loopback port, its address published through
+// -addr-file. It never shuts down gracefully — the parent's SIGKILL is the
+// whole point. With -data-dir (crashsoak) it is durable and fsyncs every
+// record: SIGKILL is the adversary, so every acknowledged record must
+// already be on disk, and batch syncing would let an acked job vanish.
+// Without it (fabricsoak) it is in-memory: when the parent kills it,
+// everything it held dies with it, and only the router's cached checkpoint
+// can save the in-flight work.
+func runServe(args []string) error {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	dataDir := fs.String("data-dir", "", "durability directory (omit for an in-memory worker)")
 	addrFile := fs.String("addr-file", "", "file to publish the listen address to (required)")
 	workers := fs.Int("workers", 2, "emulation workers")
 	queue := fs.Int("queue", 16, "job queue depth")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dataDir == "" || *addrFile == "" {
-		return fmt.Errorf("crashsoak-serve needs -data-dir and -addr-file")
+	if *addrFile == "" {
+		return fmt.Errorf("serve needs -addr-file")
 	}
-	s, err := server.New(server.Options{
-		Workers:    *workers,
-		QueueDepth: *queue,
-		DataDir:    *dataDir,
-		// SIGKILL is the adversary here, so every acknowledged record must
-		// already be on disk: batch syncing would let an acked job vanish.
-		Fsync: "always",
-	})
+	opts := server.Options{Workers: *workers, QueueDepth: *queue, DataDir: *dataDir}
+	if *dataDir != "" {
+		opts.Fsync = "always"
+	}
+	s, err := server.New(opts)
 	if err != nil {
 		return err
 	}
-	return serveOnAddrFile(s.Handler(), *addrFile)
-}
-
-// serveOnAddrFile serves h on an ephemeral loopback port whose address it
-// publishes to path, the file awaitAddrFile reads.
-func serveOnAddrFile(h http.Handler, path string) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
 	// Publish atomically so the parent never reads a half-written address.
-	if err := os.WriteFile(path+".tmp", []byte(ln.Addr().String()), 0o644); err != nil {
+	if err := os.WriteFile(*addrFile+".tmp", []byte(ln.Addr().String()), 0o644); err != nil {
 		return err
 	}
-	if err := os.Rename(path+".tmp", path); err != nil {
+	if err := os.Rename(*addrFile+".tmp", *addrFile); err != nil {
 		return err
 	}
-	return http.Serve(ln, h)
+	return http.Serve(ln, s.Handler())
 }

@@ -1,8 +1,8 @@
 package main
 
 // fabricsoak is the multi-node failover proof: an in-process router fronts
-// several real worker daemons (this binary re-executed in fabric-serve
-// mode), a burst of keyed jobs is submitted, and once the router has
+// several real worker daemons (this binary re-executed in serve mode,
+// in-memory), a burst of keyed jobs is submitted, and once the router has
 // cached a checkpoint for some in-flight job that job's worker is
 // SIGKILLed mid-burst. The audit then asserts the fabric contract:
 //
@@ -20,12 +20,12 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"time"
 
@@ -104,7 +104,7 @@ func runFabricsoak(cfg fabricsoakConfig) error {
 	urls := make([]string, 0, cfg.Fleet)
 	for i := 0; i < cfg.Fleet; i++ {
 		addrFile := filepath.Join(tmpDir, fmt.Sprintf("addr-%d", i))
-		child := exec.Command(exe, "fabric-serve",
+		child := exec.Command(exe, "serve",
 			"-addr-file", addrFile,
 			"-workers", strconv.Itoa(cfg.Workers), "-queue", strconv.Itoa(cfg.Queue))
 		child.Stderr = os.Stderr
@@ -214,7 +214,7 @@ func runFabricsoak(cfg fabricsoakConfig) error {
 			logf("fabricsoak: %s finalized from the killed worker", keys[i])
 			continue
 		}
-		if v.Status == nil || !equalOutputs(v.Status.Output, refs[i]) {
+		if v.Status == nil || !slices.Equal(v.Status.Output, refs[i]) {
 			mismatched++
 			logf("fabricsoak: %s output diverged from the uninterrupted reference", keys[i])
 		}
@@ -291,32 +291,4 @@ func routerMetrics(r *router.Router) map[string]float64 {
 	r.WritePrometheus(&buf) // a buffer write cannot fail
 	exp, _ := obs.ParseExposition(&buf)
 	return exp.Values()
-}
-
-// --- child mode ---
-
-// runFabricServe is the worker side of fabricsoak: a plain (non-durable)
-// atomemud worker on an ephemeral loopback port, its address published
-// through -addr-file. Non-durable is the point — when the parent SIGKILLs
-// it, everything it held dies with it, and only the router's cached
-// checkpoint can save the in-flight work.
-func runFabricServe(args []string) error {
-	fs := flag.NewFlagSet("fabric-serve", flag.ContinueOnError)
-	addrFile := fs.String("addr-file", "", "file to publish the listen address to (required)")
-	workers := fs.Int("workers", 2, "emulation workers")
-	queue := fs.Int("queue", 16, "job queue depth")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *addrFile == "" {
-		return fmt.Errorf("fabric-serve needs -addr-file")
-	}
-	s, err := server.New(server.Options{
-		Workers:    *workers,
-		QueueDepth: *queue,
-	})
-	if err != nil {
-		return err
-	}
-	return serveOnAddrFile(s.Handler(), *addrFile)
 }

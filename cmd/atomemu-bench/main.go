@@ -63,13 +63,11 @@ func main() {
 }
 
 func run(args []string) error {
-	// The crashsoak child mode re-executes this binary as a daemon; it has
-	// its own flags and must be routed before the bench FlagSet sees them.
-	if len(args) > 0 && args[0] == "crashsoak-serve" {
-		return runCrashsoakServe(args[1:])
-	}
-	if len(args) > 0 && args[0] == "fabric-serve" {
-		return runFabricServe(args[1:])
+	// crashsoak and fabricsoak re-execute this binary as a worker daemon;
+	// that child mode has its own flags and must be routed before the bench
+	// FlagSet sees them.
+	if len(args) > 0 && args[0] == "serve" {
+		return runServe(args[1:])
 	}
 	fs := flag.NewFlagSet("atomemu-bench", flag.ContinueOnError)
 	scale := fs.Float64("scale", 0.25, "work scale factor (1.0 = full-size runs)")

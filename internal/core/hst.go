@@ -61,11 +61,16 @@ func (h hashState) Restore(mem *mmu.Memory, snap any) {
 //
 // This is also hst-htm's LL, store and RMW (hstHTM supplies only its SC),
 // so hst-htm is write-first too; its claim-first copy lost stores the same
-// way (TestHSTHTMCheckFindsOldOrderLostStore). Under hst-htm, tm is set and
-// every write is announced with NotifyStore: the entry (at entryAddr) after
-// LL's set and before its load, the entry after a claim's set, and the word
-// after its write. An announced entry aborts an SC transaction that read
-// it, and an LL's load waits out an SC that is publishing.
+// way (TestHSTHTMCheckFindsOldOrderLostStore). Under hst-htm, tm is set:
+// every entry write is announced with NotifyStore (at entryAddr) after
+// LL's set and before its load, and after a claim's set; and a store or
+// RMW writes and claims under the word's TM store lock (htm.BeginStore).
+// An announced entry aborts an SC transaction that read it, and an LL's
+// load waits out an SC that is publishing. The store lock is what the
+// SC's stop-the-world section is under hst: the SC's commit locks the
+// word, so it either publishes before the store writes or validates after
+// the claim has moved the entry, and a store never lands between an SC's
+// check and its write.
 //
 // Faithfulness note: like the paper's design, a thread's *own* store to an
 // address that collides with its active monitor leaves the entry with its
@@ -195,17 +200,17 @@ func (s *hst) Clrex(ctx Context) { ctx.Monitor().Reset() }
 // why in this order). The claim is claim's body written out: on
 // compute_1t the call alone cost about a seventh of guest_mips, and Store
 // is the word-store hot path. An owner's store under hst pays one tm check
-// for hst-htm's announcements.
+// for hst-htm's store lock.
 func (s *hst) Store(ctx Context, addr, val uint32) error {
 	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
+	if s.tm != nil {
+		return s.storeLocked(ctx, addr, val)
+	}
 	if s.step != nil {
 		s.step(ctx, "store.word")
 	}
 	if f := ctx.Mem().StoreWord(addr, val); f != nil {
 		return f
-	}
-	if s.tm != nil {
-		s.tm.NotifyStore(addr)
 	}
 	if s.shadow != nil {
 		s.census(ctx, addr)
@@ -221,9 +226,21 @@ func (s *hst) Store(ctx Context, addr, val uint32) error {
 		s.step(ctx, "claim.set")
 	}
 	s.tab.Set(addr, tid)
-	if s.tm != nil {
-		s.tm.NotifyStore(s.entryAddr(addr))
+	return nil
+}
+
+// storeLocked is hst-htm's Store: the write and the claim, under the
+// word's store lock.
+func (s *hst) storeLocked(ctx Context, addr, val uint32) error {
+	if s.step != nil {
+		s.step(ctx, "store.word")
 	}
+	l := s.tm.BeginStore(addr)
+	defer s.tm.EndStore(l)
+	if f := ctx.Mem().StoreWord(addr, val); f != nil {
+		return f
+	}
+	s.claim(ctx, addr)
 	return nil
 }
 
@@ -233,12 +250,13 @@ func (s *hst) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	if s.step != nil {
 		s.step(ctx, "rmw.word")
 	}
+	if s.tm != nil {
+		l := s.tm.BeginStore(addr &^ 3)
+		defer s.tm.EndStore(l)
+	}
 	old, f := ctx.Mem().Update(addr, u)
 	if f != nil {
 		return 0, f
-	}
-	if s.tm != nil {
-		s.tm.NotifyStore(addr &^ 3)
 	}
 	s.claim(ctx, addr&^3)
 	return old, nil

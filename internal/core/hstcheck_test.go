@@ -27,9 +27,12 @@ import (
 //
 // hst-htm's SC is run by the same rule, so under hst-htm the check covers
 // the order of its LL, store and claim steps (hst's), not the window of
-// the SC's transaction commit between validation and publish, where a
-// store that lands on the word can still be overwritten. That window is
-// the store half of the HTM schemes' open atomicity item (ROADMAP item 1).
+// the SC's transaction commit between validation and publish; the TM's
+// store lock, which keeps a store out of that window, is checked in
+// package htm. The lock does constrain the schedules here: under a TM a
+// store or RMW takes its word's store lock in its first step and holds it
+// to its end, so that step may start only while no other thread is inside
+// a store or RMW on the same lock slot.
 
 // opKind is one guest operation of a check thread.
 type opKind uint8
@@ -184,6 +187,7 @@ type checkThread struct {
 	// fresh is set before each LL, Store and RMW call: its first step hook
 	// pauses the thread at the call's boundary, not inside it.
 	fresh bool
+	op    checkOp // the op being run
 	// Set by the thread before it reports, read by the scheduler after.
 	next   string // label of the step it will run when resumed
 	inCall bool   // it is paused inside a scheme call, after a step of it
@@ -258,6 +262,7 @@ func (r *checkRun) program(tid int) {
 	th := r.threads[tid]
 	ctx := th.ctx
 	for _, op := range th.ops {
+		th.op = op
 		switch op.kind {
 		case opStore:
 			th.fresh = true
@@ -334,9 +339,10 @@ func (c *checker) run(choose func(enabled []int) int) *checkRun {
 				continue
 			}
 			live++
-			if th.next != "sc" || !r.othersInCall(i) {
-				enabled = append(enabled, i)
+			if th.next == "sc" && r.othersInCall(i) || r.storeLocked(i) {
+				continue
 			}
+			enabled = append(enabled, i)
 		}
 		if live == 0 {
 			return r
@@ -356,6 +362,23 @@ func (c *checker) run(choose func(enabled []int) int) *checkRun {
 func (r *checkRun) othersInCall(i int) bool {
 	for k, th := range r.threads {
 		if k != i && th.inCall {
+			return true
+		}
+	}
+	return false
+}
+
+// storeLocked reports whether thread i's next step would wait for another
+// thread's TM store lock: it begins a store or RMW, and another thread is
+// inside a store or RMW whose word shares the lock slot.
+func (r *checkRun) storeLocked(i int) bool {
+	tm := r.h.tm
+	th := r.threads[i]
+	if tm == nil || th.inCall || th.op.kind == opLLSC || th.next == "sc" {
+		return false
+	}
+	for k, o := range r.threads {
+		if k != i && o.inCall && o.op.kind != opLLSC && tm.SameSlot(o.op.addr, th.op.addr) {
 			return true
 		}
 	}
@@ -679,11 +702,11 @@ func TestHSTLostStoreRegression(t *testing.T) {
 // baseline TestHSTStepHookOverheadGuard measures the unset hook against.
 func hooklessStore(s *hst, ctx Context, addr, val uint32) error {
 	ctx.Charge(stats.CompInstrument, s.cost.HashInline)
+	if s.tm != nil {
+		return s.storeLocked(ctx, addr, val)
+	}
 	if f := ctx.Mem().StoreWord(addr, val); f != nil {
 		return f
-	}
-	if s.tm != nil {
-		s.tm.NotifyStore(addr)
 	}
 	if s.shadow != nil {
 		s.census(ctx, addr)
@@ -693,9 +716,6 @@ func hooklessStore(s *hst, ctx Context, addr, val uint32) error {
 		return nil
 	}
 	s.tab.Set(addr, tid)
-	if s.tm != nil {
-		s.tm.NotifyStore(s.entryAddr(addr))
-	}
 	return nil
 }
 

@@ -355,35 +355,36 @@ func (s *picoHTM) Store(ctx Context, addr, val uint32) error {
 			// Doomed: apply directly below.
 		}
 	}
-	if f := ctx.Mem().StoreWord(addr, val); f != nil {
+	l := s.tm.BeginStore(addr)
+	f := ctx.Mem().StoreWord(addr, val)
+	s.endStore(ctx, addr, l)
+	if f != nil {
 		return f
 	}
-	s.notifyOwnStore(ctx, addr)
 	return nil
 }
 
-// notifyOwnStore publishes a direct store for strong atomicity. Inside a
+// endStore releases a direct store's lock, which aborts every transaction
+// that read the word and moves a degraded window's slot word. Inside a
 // degraded window, a store to an address aliasing the monitored slot
-// would bump the slot word and fail our own SC forever (the guest retries
-// the identical window); the CAS adopts exactly our own bump into the
-// snapshot — if it loses (the word moved, or a transaction holds the
-// lock) the plain NotifyStore runs and the window conservatively fails.
-func (s *picoHTM) notifyOwnStore(ctx Context, addr uint32) {
+// would so fail our own SC forever (the guest retries the identical
+// window); a lock taken from the window's snapshot adopts exactly our own
+// move into it — otherwise the word moved under someone else too, and the
+// window conservatively fails.
+func (s *picoHTM) endStore(ctx Context, addr uint32, l htm.StoreLock) {
+	s.tm.EndStore(l)
 	m := ctx.Monitor()
 	if m.Degraded && m.Active && s.tm.SameSlot(addr, m.Addr) {
-		if next, ok := s.tm.BumpIfWord(m.Addr, m.Res.DegradedWord); ok {
+		if next, ok := l.Adopt(m.Res.DegradedWord); ok {
 			m.Res.DegradedWord = next
-			return
 		}
 	}
-	s.tm.NotifyStore(addr)
 }
 
 // RMW inside an open window reads and writes the word transactionally, so
 // it commits or aborts with the window like every other access in it.
-// Otherwise (no window, or a doomed one) it is a host atomic followed by
-// the same store notification a direct store makes, which aborts every
-// transaction that read the word and moves a degraded window's slot word.
+// Otherwise (no window, or a doomed one) it is a host atomic under the
+// word's store lock, as a direct store is.
 func (s *picoHTM) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	m := ctx.Monitor()
 	if m.Txn != nil && !m.Txn.Done() {
@@ -400,11 +401,12 @@ func (s *picoHTM) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 		}
 		chargeHTMAbort(ctx, s.cost, addr, reason)
 	}
+	l := s.tm.BeginStore(addr &^ 3)
 	old, f := ctx.Mem().Update(addr, u)
+	s.endStore(ctx, addr&^3, l)
 	if f != nil {
 		return 0, f
 	}
-	s.notifyOwnStore(ctx, addr&^3)
 	return old, nil
 }
 

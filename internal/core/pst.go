@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"atomemu/internal/mmu"
 	"atomemu/internal/mpk"
@@ -44,6 +46,36 @@ type pst struct {
 
 	mu    sync.Mutex // guards pages map
 	pages map[uint32]*pstPage
+
+	// writers counts, per stripe of pages, the writes between their guard
+	// check and their mmu write (see RMW).
+	writers [pstWriterStripes]pstWriters
+}
+
+// pstWriterStripes is the number of page stripes writers are counted in.
+// Pages that share a stripe only make an LL wait out each other's writes.
+const pstWriterStripes = 64
+
+// pstWriters is one stripe's count, alone on its cache line so writers to
+// pages of different stripes do not contend.
+type pstWriters struct {
+	n atomic.Int32
+	_ [60]byte
+}
+
+// writersOf returns the count of addr's page stripe.
+func (s *pst) writersOf(addr uint32) *atomic.Int32 {
+	return &s.writers[addr>>mmu.PageShift%pstWriterStripes].n
+}
+
+// waitWriters waits until no write to addr's page stripe is between its
+// guard check and its mmu write: the acknowledgement a real mprotect's TLB
+// shootdown waits for. Each such write is a few loads and one atomic store
+// that neither blocks nor takes a lock, so the wait yields and is short.
+func (s *pst) waitWriters(addr uint32) {
+	for n := s.writersOf(addr); n.Load() != 0; {
+		runtime.Gosched()
+	}
 }
 
 type pstPage struct {
@@ -160,6 +192,11 @@ func (s *pst) LL(ctx Context, addr uint32) (uint32, error) {
 		m.Reset()
 		return 0, err
 	}
+	if first {
+		// A write that passed its guard check before the page was guarded
+		// lands before the load below.
+		s.waitWriters(addr)
+	}
 	v, f := ctx.Mem().ReadWordPriv(addr)
 	p.pmu.Unlock()
 	if f != nil {
@@ -235,16 +272,23 @@ func (s *pst) Store(ctx Context, addr, val uint32) error {
 // which every LL and SC on the page also holds, it breaks the other
 // threads' monitors on the word and commits with privileges. A monitor
 // armed before the handler is broken before its SC can check it; one armed
-// after loads the new value. The unguarded path is not ordered with the
-// page lock: an LL that guards the page between the mmu's permission check
-// and its write loads the old value, and its SC can succeed. A write that
-// finds the page unmapped by an SC's remap window waits it out and retries.
+// after loads the new value. The unguarded path is counted in its page
+// stripe's writers from before the guard check to after the mmu write,
+// and an LL that guards a page waits the count out before it loads, so a
+// write that passed the check before the guard went up lands before the
+// LL's load. The count is dropped before anything that takes the page
+// lock, which the waiting LL holds. A write that finds the page unmapped
+// by an SC's remap window waits it out and retries.
 func (s *pst) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
+	w := s.writersOf(addr)
 	for {
+		w.Add(1)
 		if s.guard.trapped(addr) {
+			w.Add(-1)
 			return s.handleStoreFault(ctx, addr, u)
 		}
 		old, f := ctx.Mem().Update(addr, u)
+		w.Add(-1)
 		switch {
 		case f == nil:
 			return old, nil
@@ -383,9 +427,7 @@ func (s *pst) Restore(mem *mmu.Memory, snap any) {
 // variants do differently: what a page's first monitor does, what its
 // last release does, and how an SC commits and what it charges. Its zero
 // variant fields give pst itself: mprotect, and a privileged write to
-// commit. It is a struct, not an interface: with dynamic calls on the LL,
-// SC and write paths, the unguarded-write window RMW describes lost
-// updates measurably more often.
+// commit.
 type pageGuard struct {
 	cost *CostModel
 	// keys, when set, tags a page's first monitor with a protection key
@@ -467,13 +509,6 @@ func (g pageGuard) commit(ctx Context, base uint32, p *pstPage, addr, val uint32
 // trapped reports whether a store to addr traps before the mmu sees it:
 // a store to a key-tagged page traps on the hardware's key check — a real
 // SIGSEGV, full fault cost — before any mmu permission is consulted.
-//
-// It stays out of line because RMW's fast-path timing decides how often
-// the unguarded-write window RMW describes loses an update: inlined, the
-// engine's fused-vs-raw mix test failed measurably more often under
-// pst-mpk.
-//
-//go:noinline
 func (g pageGuard) trapped(addr uint32) bool {
 	return g.keys != nil && g.keys.KeyOf(addr) != 0
 }

@@ -212,6 +212,7 @@ func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
 	m.cpuMu.Lock()
 	m.cpus = kept
 	m.nextTID = snap.NextTID
+	launched := m.launched
 	m.cpuMu.Unlock()
 	m.outMu.Lock()
 	m.output = append(m.output[:0], snap.Output...)
@@ -243,16 +244,12 @@ func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
 	m.stopped.Store(false)
 	m.hostRing.EmitAt(snap.VirtualTime, obs.EvRestore, 0, m.recoveryRestores.Load())
 
+	// A rollback relaunches the live vCPUs; a resumed machine's vCPUs
+	// start when RunContext launches it.
 	for _, c := range kept {
-		if c.haltedFlag.Load() {
-			continue
+		if launched && !c.haltedFlag.Load() {
+			m.launchCPU(c)
 		}
-		cc := c
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			cc.run()
-		}()
 	}
 	return nil
 }

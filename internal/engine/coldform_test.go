@@ -161,12 +161,8 @@ func runColdForm(t *testing.T, cfg Config, src string) coldFormRun {
 	}
 	r.output, r.st, r.vt = m.Output(), m.AggregateStats(), m.VirtualTime()
 	for i := range m.tbs.shards {
-		for _, tb := range m.tbs.shards[i].tbs {
-			b := tb.cold
-			if b == nil {
-				b = tb.ir.Load()
-			}
-			r.transLen += uint64(b.GuestLen)
+		for _, e := range m.tbs.shards[i].tbs {
+			r.transLen += uint64(e.tb.firstForm().GuestLen)
 		}
 	}
 	return r

@@ -30,7 +30,7 @@ func benchSharedTBLookup(b *testing.B, workers int) {
 	}
 	pcs := benchPCs(1024)
 	for _, pc := range pcs {
-		m.tbs.insert(pc, &TB{})
+		m.tbs.insert(pc, &TB{}, 0)
 	}
 	lookup := m.tbs.get
 	b.ResetTimer()

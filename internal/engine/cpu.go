@@ -92,7 +92,6 @@ type CPU struct {
 	exitCode   uint32
 	err        error
 	done       chan struct{} // closed when the vCPU stops
-
 }
 
 func newCPU(m *Machine, tid uint32) *CPU {
@@ -329,7 +328,10 @@ func (c *CPU) run() {
 			c.m.stop(&DeadlineError{TID: c.tid, Deadline: deadline, Clock: c.clock})
 			break
 		}
-		if ckptEvery > 0 {
+		// A vCPU that has just exited must not capture: its haltedFlag is
+		// set only by finish, so the cut would record it live at the pc
+		// after its exit, and a restore would run it on from there.
+		if ckptEvery > 0 && !c.halted {
 			c.m.maybeCheckpoint(c)
 		}
 		if wdLeft -= blocks; wdLeft <= 0 {

@@ -165,6 +165,61 @@ func TestResumeFromSpilledSnapshotMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// TestExitingVCPUIsNotCutLive: a vCPU whose exit lands on a checkpoint
+// cadence point must not capture the cut itself. Its exit sets the halted
+// flag the capture reads only later, so the cut recorded it live at the pc
+// after its exit, and a machine restored from that cut ran it on past the
+// exit: the lock-free stack's workers then looped with their iteration
+// count wrapped below zero until the instruction cap. Here the cut's vCPU
+// would run on into the second exit, with code 7.
+func TestExitingVCPUIsNotCutLive(t *testing.T) {
+	im := buildImage(t, `
+.org 0x10000
+.entry worker
+worker:
+    movi r1, #20
+spin:
+    subsi r1, r1, #1
+    bne spin
+    movi r0, #0
+    svc #1
+    movi r0, #7
+    svc #1
+`)
+	cfg := DefaultConfig("hst")
+	cfg.MaxGuestInstrs = 1_000_000
+	cfg.CheckpointEvery = 1
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadImage(im); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.SpawnThread(im.Entry); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.LatestCheckpoint()
+	if snap == nil {
+		t.Fatal("no checkpoint captured at a cadence of one cycle")
+	}
+	resumed, err := ResumeFromSnapshot(cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range resumed.CPUs() {
+		if c.ExitCode() != 0 {
+			t.Fatalf("vCPU %d resumed from the last cut exited %d, want 0: the cut recorded it live past its exit", c.TID(), c.ExitCode())
+		}
+	}
+}
+
 // TestResumeRejectsBadInput: the resume entry point fails fast on the
 // configurations and snapshots it cannot honour.
 func TestResumeRejectsBadInput(t *testing.T) {

@@ -291,14 +291,13 @@ type Machine struct {
 	// cpuMu; never call stop while holding parkMu.
 	parkMu sync.Mutex
 	parked int
-	// deadlockArmed gates the detector (guarded by parkMu). SpawnThread
-	// launches a vCPU goroutine at once, so between two host-side spawns the
-	// first thread can park on a barrier the second has yet to reach, and
-	// "every live vCPU is parked" is then true of a machine that is only
-	// half set up. The detector arms when RunContext takes the machine,
-	// which re-checks once for parks it ignored; StepMode arms at
-	// construction, where the caller sequences spawns and steps itself.
-	deadlockArmed bool
+	// launched is set (under cpuMu) when RunContext first takes the
+	// machine. Until then no vCPU has a goroutine: a machine set up by
+	// host-side spawns (or ResumeFromSnapshot) starts whole, so no vCPU
+	// runs, parks or fails while the host is still adding threads, "every
+	// live vCPU is parked" is never true of a machine half set up, and a
+	// machine that is never run holds no goroutine.
+	launched bool
 
 	// Checkpoint/recovery state. lastCkpt is the newest consistent cut;
 	// nextCkptVT is the virtual time at which the next capture is claimed
@@ -339,6 +338,15 @@ type TB struct {
 	// the shared store's span checks and demotion retention (sharedtb.go).
 	lo, hi atomic.Uint32
 	sens   atomic.Uint32
+}
+
+// firstForm is the form the block was translated in first: its cold form
+// under tiering, otherwise its one IR.
+func (tb *TB) firstForm() *ir.Block {
+	if tb.cold != nil {
+		return tb.cold
+	}
+	return tb.ir.Load()
 }
 
 // newTB wraps a freshly translated block as a TB: as its cold form when
@@ -415,8 +423,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		futexes:  make(map[uint32]*futexQueue),
 		barriers: make(map[uint32]*guestBarrier),
 		stopCh:   make(chan struct{}),
-
-		deadlockArmed: cfg.StepMode,
 	}
 	m.mem.SetInjector(cfg.FaultInjector)
 	m.nextCkptVT.Store(cfg.CheckpointEvery)
@@ -574,8 +580,8 @@ func (m *Machine) Err() error {
 	return m.firstErr
 }
 
-// Start creates the main vCPU at entry with r0..rN = args and, unless the
-// machine is in step mode, launches it.
+// Start creates the main vCPU at entry with r0..rN = args. Unless the
+// machine is in step mode, it runs once RunContext takes the machine.
 func (m *Machine) Start(entry uint32, args ...uint32) (*CPU, error) {
 	return m.newCPU(entry, 0, args)
 }
@@ -633,17 +639,43 @@ func (m *Machine) newCPU(entry uint32, startClock uint64, args []uint32) (*CPU, 
 	m.cpuMu.Lock()
 	m.cpus = append(m.cpus, c)
 	m.cpuReserved--
+	launched := m.launched
 	m.cpuMu.Unlock()
 	m.runningCPUs.Add(1)
 
-	if !m.cfg.StepMode {
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			c.run()
-		}()
+	// A guest spawn runs at once; a host spawn waits for launch.
+	if launched && !m.cfg.StepMode {
+		m.launchCPU(c)
 	}
 	return c, nil
+}
+
+// launch starts the vCPUs set up before RunContext took the machine (host
+// spawns, or a resumed snapshot's live vCPUs), once.
+func (m *Machine) launch() {
+	m.cpuMu.Lock()
+	defer m.cpuMu.Unlock()
+	if m.launched {
+		return
+	}
+	m.launched = true
+	if m.cfg.StepMode {
+		return
+	}
+	for _, c := range m.cpus {
+		if !c.haltedFlag.Load() {
+			m.launchCPU(c)
+		}
+	}
+}
+
+// launchCPU starts c's goroutine.
+func (m *Machine) launchCPU(c *CPU) {
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		c.run()
+	}()
 }
 
 func (m *Machine) mapStack(tid uint32) (uint32, error) {
@@ -844,21 +876,26 @@ func (m *Machine) localFor(c *CPU, pc uint32) (*localTB, error) {
 		return lt, nil
 	}
 	c.st.TBSharedLookups++
-	tb := m.tbs.get(pc)
+	opts, perInstr := m.topts, m.cfg.Cost.TBTranslate
+	if m.tiered {
+		opts.Optimize, opts.FuseAtomics = false, false
+		perInstr = m.cfg.Cost.TBDecode
+	}
+	tb, ready := m.tbs.lookup(pc)
+	if tb != nil && ready > c.clock && !m.cfg.StepMode {
+		// Another vCPU published the block at a later virtual time than
+		// this one has reached: this vCPU waits for it, or translates it
+		// itself, whichever is sooner. Which vCPU the host ran first then
+		// decides who pays a translation, not whether it is paid. (In step
+		// mode the external schedule already decides it, and a recorded
+		// schedule replays to the same virtual times.)
+		c.charge(stats.CompTBTranslate, min(ready-c.clock, perInstr*uint64(tb.firstForm().GuestLen)))
+	}
 	if tb == nil {
 		c.abortOpenTxn(pc)
-		opts, perInstr := m.topts, m.cfg.Cost.TBTranslate
-		if m.tiered {
-			opts.Optimize, opts.FuseAtomics = false, false
-			perInstr = m.cfg.Cost.TBDecode
-		}
 		if stb := m.adoptShared(c, pc); stb != nil {
-			first := stb.cold
-			if first == nil {
-				first = stb.ir.Load()
-			}
-			c.charge(stats.CompTBTranslate, perInstr*uint64(first.GuestLen))
-			tb, _ = m.tbs.insert(pc, stb)
+			c.charge(stats.CompTBTranslate, perInstr*uint64(stb.firstForm().GuestLen))
+			tb, _ = m.tbs.insert(pc, stb, c.clock)
 		} else {
 			block, err := translate.Block(m.fetcher(), pc, opts)
 			if err != nil {
@@ -884,7 +921,7 @@ func (m *Machine) localFor(c *CPU, pc uint32) (*localTB, error) {
 				}
 			}
 			var won bool
-			tb, won = m.tbs.insert(pc, fresh)
+			tb, won = m.tbs.insert(pc, fresh, c.clock)
 			c.st.TBTranslations++
 			if !won {
 				c.st.TBRaceDiscards++

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -268,11 +269,12 @@ barcell: .word 0
 }
 
 // TestHostSpawnsSurviveEarlyPark pins the spawn/park ordering that made
-// TestGuestBarrier flake (8/300 at nproc=2): SpawnThread launches the vCPU
-// goroutine at once, so the first thread can park on the barrier before the
-// host has spawned the second. That is a machine half set up, not a guest
-// deadlock — the detector must not fire until Run owns the machine. Here
-// the host waits for the first park on purpose, so the ordering is certain.
+// TestGuestBarrier flake (8/300 at nproc=2): when SpawnThread ran the vCPU
+// at once, the first thread could park on the barrier before the host had
+// spawned the second, a machine half set up that the deadlock detector
+// took for a guest deadlock. A host-spawned vCPU now waits for Run: here
+// the host gives the first thread time to park and checks that it has not
+// run at all.
 func TestHostSpawnsSurviveEarlyPark(t *testing.T) {
 	im := buildImage(t, `
 .org 0x10000
@@ -289,11 +291,12 @@ barcell: .word 0
 	if _, err := m.SpawnThread(im.Entry); err != nil {
 		t.Fatal(err)
 	}
-	for parked := 0; parked == 0 && !m.Stopped(); {
-		time.Sleep(time.Millisecond)
-		m.parkMu.Lock()
-		parked = m.parked
-		m.parkMu.Unlock()
+	time.Sleep(20 * time.Millisecond)
+	m.parkMu.Lock()
+	parked := m.parked
+	m.parkMu.Unlock()
+	if ran := m.AggregateStats().GuestInstrs; parked != 0 || ran != 0 {
+		t.Fatalf("before Run: %d vCPUs parked after %d guest instructions, want none run", parked, ran)
 	}
 	if _, err := m.SpawnThread(im.Entry); err != nil {
 		t.Fatalf("second host spawn after the first thread parked: %v", err)
@@ -312,6 +315,36 @@ barcell: .word 0
 	var de *core.DeadlockError
 	if err := m.Run(); !errors.As(err, &de) {
 		t.Fatalf("lone barrier waiter should deadlock, got %v", err)
+	}
+}
+
+// TestUnrunMachineHoldsNoGoroutines: host-spawned vCPUs get their
+// goroutines only when Run takes the machine, so a machine whose set-up
+// fails after some spawns (a later spawn out of memory, say) and is never
+// run leaves nothing behind to wait forever and pin it.
+func TestUnrunMachineHoldsNoGoroutines(t *testing.T) {
+	im := buildImage(t, `
+.org 0x10000
+.entry worker
+worker:
+    svc #1
+`)
+	const n = 8
+	before := runtime.NumGoroutine()
+	m := newTestMachine(t, "hst", im)
+	for i := 0; i < n; i++ {
+		if _, err := m.SpawnThread(im.Entry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= n {
+		t.Fatalf("%d host spawns without Run added %d goroutines, want none", n, grew)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(m.CPUs()); got != n {
+		t.Fatalf("ran %d vCPUs, want %d", got, n)
 	}
 }
 

@@ -72,15 +72,8 @@ func (m *Machine) RunContext(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Host-side spawns are over: arm the deadlock detector and judge the
-	// parks it ignored while the machine was being set up.
-	m.parkMu.Lock()
-	m.deadlockArmed = true
-	derr := m.deadlockedLocked()
-	m.parkMu.Unlock()
-	if derr != nil {
-		m.stop(derr)
-	}
+	// Host-side spawns are over: start the machine.
+	m.launch()
 	attempts := 0
 	for {
 		err := m.waitStopped(ctx)
@@ -232,12 +225,12 @@ func (m *Machine) noteResume(c *CPU) {
 }
 
 // deadlockedLocked builds the structured deadlock diagnostic when every
-// live vCPU is parked in a blocking syscall with no wake in flight and the
-// detector is armed (see Machine.deadlockArmed). Caller holds parkMu and
-// must pass a non-nil result to Machine.stop only after releasing it.
+// live vCPU is parked in a blocking syscall with no wake in flight. Caller
+// holds parkMu and must pass a non-nil result to Machine.stop only after
+// releasing it.
 func (m *Machine) deadlockedLocked() error {
 	running := int(m.runningCPUs.Load())
-	if !m.deadlockArmed || m.parked <= 0 || m.parked != running || m.stopped.Load() {
+	if m.parked <= 0 || m.parked != running || m.stopped.Load() {
 		return nil
 	}
 	werr := &core.DeadlockError{}

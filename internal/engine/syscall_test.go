@@ -3,10 +3,15 @@ package engine
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFutexWakeCountsAndValueMismatch(t *testing.T) {
-	// Three sleepers on one futex; main wakes 2, then 1.
+	// Three sleepers on one futex; main wakes 2, then 1. A counter the
+	// sleepers raise before futex_wait cannot tell main they are asleep
+	// (one may still be on its way in, miss the wake and sleep forever), so
+	// the host raises the go flag main spins on only once all three are
+	// parked.
 	im := buildImage(t, `
 .org 0x10000
 .entry main
@@ -19,12 +24,11 @@ main:
     svc #3
     mov r0, r5
     svc #3
-    ; give them time to sleep: spin on the sleeping counter
 waitloop:
-    ldr r2, =slept
+    ldr r2, =go
     ldr r1, [r2]
-    cmpi r1, #3
-    blt waitloop
+    cmpi r1, #0
+    beq waitloop
     ; wake 2
     ldr r0, =cell
     movi r1, #2
@@ -41,13 +45,6 @@ waitloop:
     svc #6          ; print 1
     svc #1
 sleeper:
-    ldr r4, =slept
-sret:
-    ldrex r1, [r4]
-    addi r1, r1, #1
-    strex r2, r1, [r4]
-    cmpi r2, #0
-    bne sret
     ldr r0, =cell
     movi r1, #0
     svc #7          ; futex_wait(cell, 0)
@@ -55,13 +52,24 @@ sret:
     svc #1
 .align 4
 cell: .word 0
-slept: .word 0
+go: .word 0
 `)
 	m := newTestMachine(t, "pico-cas", im)
 	if _, err := m.Start(im.Entry); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(); err != nil {
+	runErr := make(chan error, 1)
+	go func() { runErr <- m.Run() }()
+	for parked := 0; parked < 3 && !m.Stopped(); {
+		time.Sleep(time.Millisecond)
+		m.parkMu.Lock()
+		parked = m.parked
+		m.parkMu.Unlock()
+	}
+	if f := m.Mem().WriteWordPriv(im.MustSymbol("go"), 1); f != nil {
+		t.Fatal(f)
+	}
+	if err := <-runErr; err != nil {
 		t.Fatal(err)
 	}
 	out := m.Output()

@@ -32,10 +32,17 @@ const (
 
 type tbShard struct {
 	mu  sync.Mutex
-	tbs map[uint32]*TB
+	tbs map[uint32]tbEntry
 	// pad spaces shards a cache line apart so lock traffic on one shard
 	// doesn't false-share with a neighbour.
 	_ [48]byte
+}
+
+// tbEntry is a published block and its ready time: the virtual clock of
+// the vCPU that published it, translation paid.
+type tbEntry struct {
+	tb    *TB
+	ready uint64
 }
 
 type tbCache struct {
@@ -50,27 +57,34 @@ func (c *tbCache) shard(pc uint32) *tbShard {
 
 // get returns the block cached for pc, or nil.
 func (c *tbCache) get(pc uint32) *TB {
-	s := c.shard(pc)
-	s.mu.Lock()
-	tb := s.tbs[pc]
-	s.mu.Unlock()
+	tb, _ := c.lookup(pc)
 	return tb
 }
 
-// insert publishes tb for pc and returns the canonical block: tb itself if
-// this call won, or the already-published block if another vCPU raced us
-// here first (won=false; the caller's translation is discarded).
-func (c *tbCache) insert(pc uint32, tb *TB) (canonical *TB, won bool) {
+// lookup returns the block cached for pc, or nil, and its ready time.
+func (c *tbCache) lookup(pc uint32) (*TB, uint64) {
+	s := c.shard(pc)
+	s.mu.Lock()
+	e := s.tbs[pc]
+	s.mu.Unlock()
+	return e.tb, e.ready
+}
+
+// insert publishes tb for pc, ready at virtual time ready, and returns the
+// canonical block: tb itself if this call won, or the already-published
+// block if another vCPU raced us here first (won=false; the caller's
+// translation is discarded).
+func (c *tbCache) insert(pc uint32, tb *TB, ready uint64) (canonical *TB, won bool) {
 	s := c.shard(pc)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if existing := s.tbs[pc]; existing != nil {
+	if existing := s.tbs[pc].tb; existing != nil {
 		return existing, false
 	}
 	if s.tbs == nil {
-		s.tbs = make(map[uint32]*TB)
+		s.tbs = make(map[uint32]tbEntry)
 	}
-	s.tbs[pc] = tb
+	s.tbs[pc] = tbEntry{tb, ready}
 	return tb, true
 }
 
@@ -84,8 +98,8 @@ func (c *tbCache) retain(keep func(*TB) bool) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for pc, tb := range s.tbs {
-			if !keep(tb) {
+		for pc, e := range s.tbs {
+			if !keep(e.tb) {
 				delete(s.tbs, pc)
 			}
 		}

@@ -36,7 +36,7 @@ func TestTBCacheRacingMissesYieldOneTB(t *testing.T) {
 				pc := pcs[idx]
 				tb := cache.get(pc)
 				if tb == nil {
-					tb, _ = cache.insert(pc, &TB{})
+					tb, _ = cache.insert(pc, &TB{}, 0)
 				}
 				results[g][idx] = tb
 			}
@@ -72,7 +72,7 @@ func TestTBCacheInsertCostIsLinear(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for pc := 0; pc < n; pc++ {
-			c.insert(uint32(pc)*4, tb)
+			c.insert(uint32(pc)*4, tb, 0)
 		}
 		runtime.ReadMemStats(&after)
 		if c.len() != n {

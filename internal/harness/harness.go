@@ -106,15 +106,11 @@ func RunWorkload(cfg RunConfig) (*RunResult, error) {
 	return res, nil
 }
 
-// spawnWorkers starts n vCPUs at entry with arg. The first ones already
-// run, so a scheme failure (Fig. 11's livelock) can stop the machine
-// before the last spawn: that is the run's result, which Run reports.
+// spawnWorkers spawns n vCPUs at entry with arg; they start when Run
+// takes the machine.
 func spawnWorkers(m *engine.Machine, n int, entry, arg uint32) error {
 	for i := 0; i < n; i++ {
 		if _, err := m.SpawnThread(entry, arg); err != nil {
-			if isSchemeCrash(err) {
-				return nil
-			}
 			return err
 		}
 	}

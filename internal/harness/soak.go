@@ -1,9 +1,9 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -144,12 +144,13 @@ func RunSoak(opts SoakOptions, progress Progress) (*Soak, error) {
 		base, opts.Clients, opts.JobsPerClient, opts.Workers, opts.QueueDepth)
 
 	exp := &Soak{Opts: opts, Rows: make([]SoakRow, opts.Clients)}
+	client := server.Client{HTTP: http.DefaultClient}
 	var wg sync.WaitGroup
 	for c := 0; c < opts.Clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			soakClient(base, opts, c, &exp.Rows[c])
+			soakClient(client, base, opts, c, &exp.Rows[c])
 		}(c)
 	}
 	wg.Wait()
@@ -163,10 +164,12 @@ func RunSoak(opts SoakOptions, progress Progress) (*Soak, error) {
 	// and immediately drain. Accepted jobs must all reach a terminal state
 	// (the grace-period cancel is their exit path) and the daemon must not
 	// have panicked.
+	slow, err := json.Marshal(server.JobRequest{Scheme: "pico-cas", GAC: soakSpinGAC, DeadlineMS: 60_000})
+	if err != nil {
+		return nil, err
+	}
 	for c := 0; c < opts.Clients; c++ {
-		if _, code, _ := soakSubmit(base, server.JobRequest{
-			Scheme: "pico-cas", GAC: soakSpinGAC, DeadlineMS: 60_000,
-		}); code == http.StatusAccepted {
+		if _, err := client.Submit(context.Background(), base, slow); err == nil {
 			exp.DrainWave++
 		}
 	}
@@ -198,9 +201,10 @@ func RunSoak(opts SoakOptions, progress Progress) (*Soak, error) {
 // concurrent submitters to overflow the small admission queue and exercise
 // the 429 shed/retry path — then polls each accepted job to a terminal
 // state.
-func soakClient(base string, opts SoakOptions, c int, row *SoakRow) {
+func soakClient(client server.Client, base string, opts SoakOptions, c int, row *SoakRow) {
 	row.Client = c
 	rng := rand.New(rand.NewSource(opts.Seed + int64(c)))
+	ctx := context.Background()
 	const burst = 3
 	for i := 0; i < opts.JobsPerClient; i += burst {
 		n := burst
@@ -209,7 +213,7 @@ func soakClient(base string, opts SoakOptions, c int, row *SoakRow) {
 		}
 		ids := make([]string, 0, n)
 		for j := 0; j < n; j++ {
-			id, shed, ok := soakSubmitRetry(base, soakJob(rng), rng)
+			id, shed, ok := soakSubmitRetry(client, base, soakJob(rng), rng)
 			row.Shed += shed
 			if !ok {
 				row.Dropped++
@@ -222,10 +226,13 @@ func soakClient(base string, opts SoakOptions, c int, row *SoakRow) {
 			ids = append(ids, id)
 		}
 		for _, id := range ids {
-			st, err := soakAwait(base, id)
-			if err != nil {
-				row.Failed++
-				continue
+			// A job that errs or never finishes counts as failed.
+			var st server.JobStatus
+			for deadline := time.Now().Add(time.Minute); ; time.Sleep(3 * time.Millisecond) {
+				var err error
+				if st, _, err = client.Status(ctx, base, id, ""); err != nil || st.State.Terminal() || time.Now().After(deadline) {
+					break
+				}
 			}
 			switch st.State {
 			case server.StateDone:
@@ -288,16 +295,18 @@ func soakJob(rng *rand.Rand) server.JobRequest {
 // soakSubmitRetry submits with up to four attempts, backing off after each
 // shed. Returns the job id, how many 429s were absorbed, and whether the
 // job was eventually accepted.
-func soakSubmitRetry(base string, req server.JobRequest, rng *rand.Rand) (id string, shed int, ok bool) {
+func soakSubmitRetry(client server.Client, base string, req server.JobRequest, rng *rand.Rand) (id string, shed int, ok bool) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return "", 0, false
+	}
 	for attempt := 0; attempt < 4; attempt++ {
-		id, code, err := soakSubmit(base, req)
-		if err != nil {
-			return "", shed, false
-		}
-		switch code {
-		case http.StatusAccepted:
-			return id, shed, true
-		case http.StatusTooManyRequests:
+		ack, err := client.Submit(context.Background(), base, body)
+		var refused *server.Refused
+		switch {
+		case err == nil:
+			return ack.ID, shed, true
+		case errors.As(err, &refused) && refused.Code == http.StatusTooManyRequests:
 			shed++
 			time.Sleep(time.Duration(5+rng.Intn(10)*(attempt+1)) * time.Millisecond)
 		default:
@@ -305,48 +314,6 @@ func soakSubmitRetry(base string, req server.JobRequest, rng *rand.Rand) (id str
 		}
 	}
 	return "", shed, false
-}
-
-func soakSubmit(base string, req server.JobRequest) (id string, code int, err error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return "", 0, err
-	}
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	var out struct {
-		ID string `json:"id"`
-	}
-	if resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return "", resp.StatusCode, err
-		}
-	}
-	return out.ID, resp.StatusCode, nil
-}
-
-func soakAwait(base string, id string) (server.JobStatus, error) {
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/jobs/" + id)
-		if err != nil {
-			return server.JobStatus{}, err
-		}
-		var st server.JobStatus
-		derr := json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if derr != nil {
-			return server.JobStatus{}, derr
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		time.Sleep(3 * time.Millisecond)
-	}
-	return server.JobStatus{}, fmt.Errorf("job %s never finished", id)
 }
 
 // Totals sums the per-client rows.

@@ -172,3 +172,149 @@ func TestEntryClaimProtocolLosesNoUpdate(t *testing.T) {
 		t.Error("transactions leaked")
 	}
 }
+
+// storeAdd is a plain read-modify-write of word under its store lock, as
+// a scheme's fused RMW runs it.
+func storeAdd(tm *TM, mem *memStore, word, n uint32) {
+	l := tm.BeginStore(word)
+	v, _ := mem.load(word)
+	mem.store(word, v+n)
+	tm.EndStore(l)
+}
+
+// TestStoreInCommitWindowLandsAfterPublish: a plain store that begins
+// between a commit's validation and its publish waits for the publish.
+// Written first, it would be overwritten by the publish and lost.
+func TestStoreInCommitWindowLandsAfterPublish(t *testing.T) {
+	tm := newTM(t)
+	mem := newMemStore()
+	const word = 0x4000
+	mem.store(word, 1)
+	txn := tm.Begin(1, mem.load)
+	v, err := txn.Read(word)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := inWindow(tm, func() bool {
+		storeAdd(tm, mem, word, 10)
+		return true
+	})
+	if err := txn.WriteCommit(word, v+1, mem.store); err != nil {
+		t.Fatalf("WriteCommit: %v", err)
+	}
+	<-added
+	if got, _ := mem.load(word); got != 12 {
+		t.Fatalf("word = %d after the commit's 2 and the store's +10, want 12", got)
+	}
+}
+
+// TestStoreLockAbortsStaleReader: a transaction that read the word before
+// a plain store cannot commit after it, and one that reads while the store
+// holds the lock waits for the store's value.
+func TestStoreLockAbortsStaleReader(t *testing.T) {
+	tm := newTM(t)
+	mem := newMemStore()
+	word, other := distinctSlots(t, tm)
+	stale := tm.Begin(1, mem.load)
+	if _, err := stale.Read(word); err != nil {
+		t.Fatal(err)
+	}
+	l := tm.BeginStore(word)
+	read := make(chan uint32)
+	go func() {
+		fresh := tm.Begin(2, mem.load)
+		v, err := fresh.Read(word)
+		if err != nil {
+			t.Error(err)
+		}
+		fresh.AbortNow(ReasonConflict)
+		read <- v
+	}()
+	time.Sleep(10 * time.Millisecond)
+	mem.store(word, 5)
+	tm.EndStore(l)
+	if v := <-read; v != 5 {
+		t.Fatalf("read under a store lock = %d, want the store's 5", v)
+	}
+	if err := stale.Write(other, 1); err != nil {
+		t.Fatal(err)
+	}
+	var ab *Abort
+	if err := stale.Commit(mem.store); !errors.As(err, &ab) || ab.Reason != ReasonConflict {
+		t.Fatalf("stale reader commit = %v, want a conflict abort", err)
+	}
+	if tm.Active() {
+		t.Error("transactions leaked")
+	}
+}
+
+// TestStoreLockedAddsAndCommitsLoseNoUpdate mixes store-locked increments
+// with transactional ones on one counter: every increment must count.
+func TestStoreLockedAddsAndCommitsLoseNoUpdate(t *testing.T) {
+	tm := newTM(t)
+	mem := newMemStore()
+	const word, perWorker = 0x5000, 3000
+	var wg sync.WaitGroup
+	for g := uint32(1); g <= 4; g++ {
+		wg.Add(1)
+		go func(tid uint32) {
+			defer wg.Done()
+			for n := 0; n < perWorker; {
+				if tid%2 == 0 {
+					storeAdd(tm, mem, word, 1)
+					n++
+					continue
+				}
+				txn := tm.Begin(tid, mem.load)
+				v, err := txn.Read(word)
+				if err == nil && txn.WriteCommit(word, v+1, mem.store) == nil {
+					n++
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if v, _ := mem.load(word); v != 4*perWorker {
+		t.Fatalf("counter = %d, want %d: %d updates lost", v, 4*perWorker, 4*perWorker-v)
+	}
+	if tm.Active() {
+		t.Error("transactions leaked")
+	}
+}
+
+// TestStoreLockAdoptsOnlyItsOwnMove: a degraded window adopts its own
+// store's version move only when the store's lock was taken from the
+// window's snapshot word, never across a foreign move or a poisoning.
+func TestStoreLockAdoptsOnlyItsOwnMove(t *testing.T) {
+	tm := newTM(t)
+	mem := newMemStore()
+	const word = 0x6000
+	w0 := tm.SlotWord(word)
+	l := tm.BeginStore(word)
+	tm.EndStore(l)
+	next, ok := l.Adopt(w0)
+	if !ok || next != tm.SlotWord(word) || next == w0 {
+		t.Fatalf("own store from the snapshot: Adopt = %#x, %t; slot %#x (was %#x)", next, ok, tm.SlotWord(word), w0)
+	}
+	// A lock taken after a foreign move is refused: the snapshot is stale.
+	l = tm.BeginStore(word)
+	tm.EndStore(l)
+	if _, ok := l.Adopt(w0); ok {
+		t.Fatal("adopted across a foreign store")
+	}
+	// A store that poisoned an in-flight owner moved nothing itself.
+	txn := tm.Begin(1, mem.load)
+	if err := txn.Write(word, 1); err != nil {
+		t.Fatal(err)
+	}
+	w := tm.SlotWord(word)
+	l = tm.BeginStore(word)
+	tm.EndStore(l)
+	if _, ok := l.Adopt(w); ok {
+		t.Fatal("adopted a poisoning store")
+	}
+	var ab *Abort
+	if err := txn.Commit(mem.store); !errors.As(err, &ab) || ab.Reason != ReasonNonTxnStore {
+		t.Fatalf("poisoned commit = %v, want a non-txn-store abort", err)
+	}
+}

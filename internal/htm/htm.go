@@ -6,10 +6,12 @@
 // commit-time read validation, plus one extension real HTM gets for free
 // from cache coherence and that the schemes depend on: *strong atomicity*
 // against non-transactional stores. The HTM schemes instrument every guest
-// write and pass it through TM.NotifyStore, which either bumps the version
-// of the word's lock slot (aborting any reader that saw the old version) or
-// poisons a slot locked by an in-flight transaction (aborting its commit).
-// NotifyStore costs a single atomic load when no transaction is active.
+// write: a guest word is written under its slot's store lock (BeginStore,
+// EndStore, below), and a write outside guest memory (hst-htm's hash
+// entries) is announced with NotifyStore. Either moves the version of the
+// slot (aborting any reader that saw the old version) or poisons a slot
+// locked by an in-flight transaction (aborting its commit). NotifyStore
+// costs a single atomic load when no transaction is active.
 //
 // A hardware commit is instantaneous to every other core. The STM's commit
 // is a sequence — validate the read set, publish the write set, release —
@@ -37,10 +39,21 @@
 // WriteCommit takes its slot already committing, so a transaction whose
 // last act is a write (an SC) never holds that lock in flight.
 //
-// A plain store still writes before it announces itself through
-// NotifyStore. The announcement is ordered with every commit, the write is
-// not: a store that lands on a committing transaction's write set between
-// its validation and its publish is overwritten by the publish.
+// A plain store to guest memory is bracketed by BeginStore and EndStore,
+// which hold the word's slot committing for the store (owner 0, the *store
+// lock*) the way a commit holds its write set: BeginStore waits out a
+// commit or another store on the slot, and then the slot's pins, so the
+// write can land neither between a commit's validation and its publish
+// (where the publish would overwrite it) nor under a transaction that read
+// the old word and is about to commit; EndStore moves the version. What
+// meets a store lock waits it out as it would a commit, except NotifyStore,
+// which leaves the version to the lock's release and waits only for pins:
+// a store-lock holder may announce another slot (hst-htm's entry claim) and
+// must never wait on a store lock itself, so the waits stay acyclic. A slot
+// an in-flight transaction holds is poisoned instead of locked, and the
+// store writes at once: the transaction can no longer commit, and its
+// release moves the version. There is no fast path while the TM is idle: a
+// transaction may begin between such a check and the write.
 //
 // Transactions abort on conflict, on capacity overflow, on poisoning, and
 // explicitly (the engine aborts a transaction when emulation work — a
@@ -183,28 +196,13 @@ func (tm *TM) SlotWord(addr uint32) uint64 {
 // SameSlot reports whether two addresses alias to the same lock slot.
 func (tm *TM) SameSlot(a, b uint32) bool { return tm.slot(a) == tm.slot(b) }
 
-// BumpIfWord advances addr's slot version by exactly one step iff the slot
-// still holds expect, returning the new word. A degraded vCPU uses it to
-// adopt its own in-window store's version bump into its snapshot: the CAS
-// guarantees no foreign bump is absorbed, and a locked expect word is
-// refused (bumping it would corrupt the owner's lock).
-func (tm *TM) BumpIfWord(addr uint32, expect uint64) (uint64, bool) {
-	if expect&lockedBit != 0 {
-		return expect, false
-	}
-	next := expect + versionInc
-	if tm.locks[tm.slot(addr)].CompareAndSwap(expect, next) {
-		return next, true
-	}
-	return expect, false
-}
-
 // NotifyStore records a non-transactional store for strong atomicity:
 // readers of the slot revalidate and fail; a transaction holding the slot's
 // lock in flight is poisoned and will abort at commit. A committing
 // transaction is waited out: NotifyStore returns only after every commit
 // that locked or validated the slot before the notification has published,
-// so the caller's next load sees those commits whole.
+// so the caller's next load sees those commits whole. A slot under a store
+// lock is left to that lock's release, which moves the version.
 func (tm *TM) NotifyStore(addr uint32) {
 	if tm.active.Load() == 0 {
 		return
@@ -215,6 +213,9 @@ func (tm *TM) NotifyStore(addr uint32) {
 		w := s.Load()
 		if w&lockedBit != 0 {
 			if w&committingBit != 0 {
+				if w>>ownerShift == storeOwner {
+					break
+				}
 				runtime.Gosched()
 				continue
 			}
@@ -230,6 +231,72 @@ func (tm *TM) NotifyStore(addr uint32) {
 	for tm.pins[i].Load() != 0 {
 		runtime.Gosched()
 	}
+}
+
+// storeOwner is the owner field of a store lock; transaction ids start at 1.
+const storeOwner = 0
+
+// StoreLock is a plain store's hold on its word's slot, from BeginStore to
+// EndStore.
+type StoreLock struct {
+	slot uint32
+	prev uint64 // the unlocked word the lock replaced
+	held bool   // false: an in-flight transaction held the slot and was poisoned
+}
+
+// BeginStore readies the slot of addr for a plain store of the word: it
+// waits out a commit or another store on the slot, locks it committing
+// for the store, and waits for the slot's pins to drain, so every commit
+// that validated a read of the old word has published. A slot held by an
+// in-flight transaction is poisoned instead; that transaction can no
+// longer commit. The caller writes and then calls EndStore.
+func (tm *TM) BeginStore(addr uint32) StoreLock {
+	i := tm.slot(addr)
+	s := &tm.locks[i]
+	for {
+		w := s.Load()
+		if w&lockedBit == 0 {
+			if s.CompareAndSwap(w, storeOwner<<ownerShift|committingBit|lockedBit) {
+				for tm.pins[i].Load() != 0 {
+					runtime.Gosched()
+				}
+				return StoreLock{slot: i, prev: w, held: true}
+			}
+			continue
+		}
+		if w&committingBit != 0 {
+			runtime.Gosched()
+			continue
+		}
+		if w&poisonBit != 0 || s.CompareAndSwap(w, w|poisonBit) {
+			return StoreLock{slot: i}
+		}
+	}
+}
+
+// EndStore releases a store lock, moving the slot's version past the word
+// the lock replaced, so every reader of the old word revalidates and fails.
+// After a poisoning BeginStore it waits for the slot's pins, as NotifyStore
+// does.
+func (tm *TM) EndStore(l StoreLock) {
+	if l.held {
+		tm.locks[l.slot].Store(l.prev + versionInc)
+		return
+	}
+	for tm.pins[l.slot].Load() != 0 {
+		runtime.Gosched()
+	}
+}
+
+// Adopt returns the slot word the lock's release left behind if the lock
+// was taken from word, and false otherwise. A degraded vCPU uses it to
+// adopt its own store's version move into its snapshot: a lock taken from
+// the snapshot means no foreign store or commit moved the word in between.
+func (l StoreLock) Adopt(word uint64) (uint64, bool) {
+	if !l.held || l.prev != word {
+		return word, false
+	}
+	return l.prev + versionInc, true
 }
 
 // SnapshotWords copies every slot's lock word for a checkpoint. A word

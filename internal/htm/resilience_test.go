@@ -36,45 +36,6 @@ func TestStoreWatcherKeepsNotifyStoreLive(t *testing.T) {
 	}
 }
 
-func TestBumpIfWordAdoptsOnlyExactWord(t *testing.T) {
-	tm := newTM(t)
-	const addr = 0x300
-	w0 := tm.SlotWord(addr)
-	nw, ok := tm.BumpIfWord(addr, w0)
-	if !ok || nw == w0 {
-		t.Fatalf("bump of current word should succeed: ok=%v %#x -> %#x", ok, w0, nw)
-	}
-	if got := tm.SlotWord(addr); got != nw {
-		t.Fatalf("slot should hold the bumped word: got %#x want %#x", got, nw)
-	}
-	// A stale expect (the pre-bump word) must be refused: the CAS prevents
-	// a degraded vCPU from absorbing a foreign version advance.
-	if _, ok := tm.BumpIfWord(addr, w0); ok {
-		t.Fatal("bump with stale expect must fail")
-	}
-	if got := tm.SlotWord(addr); got != nw {
-		t.Fatalf("failed bump must not change the slot: got %#x want %#x", got, nw)
-	}
-}
-
-func TestBumpIfWordRefusesLockedWord(t *testing.T) {
-	tm := newTM(t)
-	mem := newMemStore()
-	const addr = 0x400
-	txn := tm.Begin(1, mem.load)
-	if err := txn.Write(addr, 7); err != nil {
-		t.Fatal(err)
-	}
-	w := tm.SlotWord(addr) // eager write lock: word is locked by txn
-	if _, ok := tm.BumpIfWord(addr, w); ok {
-		t.Fatal("bump of a locked word must be refused")
-	}
-	if got := tm.SlotWord(addr); got != w {
-		t.Fatalf("refused bump corrupted the lock word: %#x -> %#x", w, got)
-	}
-	txn.AbortNow(ReasonConflict)
-}
-
 func TestInjectedBeginAbortDoomsTxn(t *testing.T) {
 	tm := newTM(t)
 	mem := newMemStore()

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -96,7 +97,10 @@ func TestProbeStatzParsesWarmth(t *testing.T) {
 	}))
 	defer stub.Close()
 	r := newTestRouter(t, fastOptions(stub.URL))
-	sz := r.probeStatz(stub.URL)
+	sz, err := r.probeClient.Statz(context.Background(), stub.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m := sz.Metrics; m.Accepted != 7 || m.Completed != 5 || m.Shed != 1 {
 		t.Errorf("counters = %+v", m)
 	}
@@ -108,7 +112,7 @@ func TestProbeStatzParsesWarmth(t *testing.T) {
 		json.NewEncoder(w).Encode(map[string]any{"metrics": map[string]uint64{"accepted": 1}})
 	}))
 	defer old.Close()
-	if sz := r.probeStatz(old.URL); sz.Warmth.TBStoreBlocks != 0 {
+	if sz, _ := r.probeClient.Statz(context.Background(), old.URL); sz.Warmth.TBStoreBlocks != 0 {
 		t.Errorf("hint-less worker should score 0 warmth, got %d", sz.Warmth.TBStoreBlocks)
 	}
 }

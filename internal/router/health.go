@@ -1,14 +1,9 @@
 package router
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
+	"context"
 	"math/rand"
-	"net/http"
 	"time"
-
-	"atomemu/internal/server"
 )
 
 // Worker health is a three-state machine driven by active probes of the
@@ -131,12 +126,15 @@ func (r *Router) probe(url string) {
 		r.workers[url].probing = false
 		r.mu.Unlock()
 	}()
-	q, depth, err := r.probeReadyz(url)
+	// Any answer but a 200 from /readyz is a failure: a draining worker
+	// must leave the rotation just like a dead one. /statz only feeds
+	// gauges and the warmth hint; a failed read of it counts as all zero.
+	q, depth, err := r.probeClient.Ready(context.Background(), url)
 	if err != nil {
 		r.noteWorkerFailure(url, err.Error())
 		return
 	}
-	sz := r.probeStatz(url)
+	sz, _ := r.probeClient.Statz(context.Background(), url)
 	r.mu.Lock()
 	w := r.workers[url]
 	if w != nil {
@@ -146,47 +144,6 @@ func (r *Router) probe(url string) {
 	}
 	r.mu.Unlock()
 	r.noteWorkerSuccess(url)
-}
-
-// probeReadyz GETs {url}/readyz; any transport error or non-200 is a
-// failure (a 503-draining worker must leave the rotation just like a dead
-// one). On 200 it returns the worker's reported queue length and depth.
-func (r *Router) probeReadyz(url string) (queued, depth int, err error) {
-	req, err := http.NewRequest(http.MethodGet, url+"/readyz", nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	resp, err := r.probeClient.Do(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("readyz: %s: %s", resp.Status, string(body))
-	}
-	var rb struct {
-		Queued     int `json:"queued"`
-		QueueDepth int `json:"queue_depth"`
-	}
-	_ = json.Unmarshal(body, &rb) // gauges only; a parse failure is not a health failure
-	return rb.Queued, rb.QueueDepth, nil
-}
-
-// probeStatz samples the worker's job counters and warmth hint for
-// per-worker load gauges. Best-effort: health never depends on it, and a
-// failed probe reads as all zero.
-func (r *Router) probeStatz(url string) server.Statz {
-	var sz server.Statz
-	resp, err := r.probeClient.Get(url + "/statz")
-	if err != nil {
-		return sz
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&sz)
-	}
-	return sz
 }
 
 // noteWorkerSuccess records a successful interaction: reset the failure

@@ -1,12 +1,8 @@
 package router
 
 import (
-	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,108 +11,6 @@ import (
 	"atomemu/internal/durable"
 	"atomemu/internal/server"
 )
-
-// dispatchResp is the decoded outcome of one dispatch POST.
-type dispatchResp struct {
-	code    int
-	id      string          // worker-side job id on 202
-	state   server.JobState // worker-side state on 202 (terminal on an idempotent hit)
-	resumed bool            // worker adopted the shipped snapshot
-	errMsg  string          // body text on non-202
-}
-
-// postDispatch performs the worker hand-off: POST /jobs with the original
-// wire request, or POST /jobs/{routerID}/resume shipping the cached ACKP
-// image when this is a checkpoint-carrying failover re-dispatch. The
-// router id names the resume so the worker's synthetic idempotency key
-// ("resume:<routerID>") stays stable across re-ships.
-func (r *Router) postDispatch(url, routerID string, raw []byte, useCkpt bool, ckpt []byte, resumes int) (*dispatchResp, error) {
-	var (
-		target string
-		body   []byte
-		err    error
-	)
-	if useCkpt {
-		// The record keeps the request in wire form only; the rare failover
-		// that ships a checkpoint pays for decoding it.
-		var req server.JobRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, fmt.Errorf("decoding request for resume: %w", err)
-		}
-		target = url + "/jobs/" + routerID + "/resume"
-		body, err = json.Marshal(server.ResumeRequest{
-			Request:     req,
-			SnapshotB64: base64.StdEncoding.EncodeToString(ckpt),
-			Resumes:     resumes,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("encoding resume: %w", err)
-		}
-	} else {
-		target = url + "/jobs"
-		body = raw
-	}
-	resp, err := r.client.Post(target, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	out := &dispatchResp{code: resp.StatusCode}
-	if resp.StatusCode == http.StatusAccepted {
-		var ack struct {
-			ID      string          `json:"id"`
-			State   server.JobState `json:"state"`
-			Resumed bool            `json:"resumed"`
-		}
-		if err := json.Unmarshal(data, &ack); err != nil || ack.ID == "" {
-			return nil, fmt.Errorf("bad accept body %q", string(data))
-		}
-		out.id, out.state, out.resumed = ack.ID, ack.State, ack.Resumed
-		return out, nil
-	}
-	var eb struct {
-		Error string `json:"error"`
-	}
-	_ = json.Unmarshal(data, &eb)
-	out.errMsg = eb.Error
-	if out.errMsg == "" {
-		out.errMsg = string(data)
-	}
-	return out, nil
-}
-
-// fetchStatus GETs one worker-side job status. A non-200/404 code is
-// reported as an error (it implicates the worker, not the job). An answer
-// about a job admitted under another key is a 404: worker job ids restart
-// with an in-memory worker process, so after a restart the id the router
-// remembers may name somebody else's job.
-func (r *Router) fetchStatus(url, workerJob, key string) (*server.JobStatus, int, error) {
-	req, err := http.NewRequestWithContext(r.ctx, http.MethodGet, url+"/jobs/"+workerJob, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	switch {
-	case resp.StatusCode == http.StatusOK && resp.Header.Get(server.KeyHeader) != key:
-		return nil, http.StatusNotFound, nil
-	case resp.StatusCode == http.StatusOK:
-		var st server.JobStatus
-		if err := json.Unmarshal(data, &st); err != nil {
-			return nil, 0, fmt.Errorf("bad status body: %w", err)
-		}
-		return &st, http.StatusOK, nil
-	case resp.StatusCode == http.StatusNotFound:
-		return nil, http.StatusNotFound, nil
-	default:
-		return nil, 0, fmt.Errorf("status: HTTP %d", resp.StatusCode)
-	}
-}
 
 // reconcile asks the worker about one dispatched job and acts on the
 // answer: a terminal status finalizes the router job, and a worker that
@@ -127,56 +21,22 @@ func (r *Router) fetchStatus(url, workerJob, key string) (*server.JobStatus, int
 // that proxy it; the error is a transport-level one that implicates the
 // worker.
 func (r *Router) reconcile(j *job, url, workerJob string) (*server.JobStatus, error) {
-	st, code, err := r.fetchStatus(url, workerJob, j.wkey)
+	st, found, err := r.client.Status(r.ctx, url, workerJob, j.wkey)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case code == http.StatusNotFound:
+	if !found {
 		r.mu.Lock()
 		if j.state == jobDispatched && j.worker == url && j.workerJob == workerJob {
 			r.failoverLocked(j, fmt.Sprintf("worker %s no longer knows job %s", url, workerJob))
 		}
 		r.mu.Unlock()
-	case st.State.Terminal():
-		r.finalize(j, url, st)
+		return nil, nil
 	}
-	return st, nil
-}
-
-// fetchCheckpoint pulls the job's latest live checkpoint image and caches
-// it as the failover resume point. A 404 (not running / no checkpoint yet)
-// or an image of somebody else's job (see fetchStatus) is a non-event. A
-// transport error is returned so the caller can skip the worker's other
-// jobs; counting it is left to the feed and the probes.
-func (r *Router) fetchCheckpoint(j *job, url, workerJob string) error {
-	req, err := http.NewRequestWithContext(r.ctx, http.MethodGet, url+"/jobs/"+workerJob+"/checkpoint", nil)
-	if err != nil {
-		return err
+	if st.State.Terminal() {
+		r.finalize(j, url, &st)
 	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(server.KeyHeader) != j.wkey {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return err
-	}
-	vt, _ := strconv.ParseUint(resp.Header.Get("X-Atomemu-Virtual-Time"), 10, 64)
-	r.mu.Lock()
-	if j.state == jobDispatched && j.worker == url && vt >= j.ckptVT {
-		j.ckpt = data
-		j.ckptVT = vt
-	}
-	r.mu.Unlock()
-	r.ckptFetches.Add(1)
-	r.ckptFetchBytes.Add(uint64(len(data)))
-	return nil
+	return &st, nil
 }
 
 // failoverLocked re-queues a dispatched job whose worker is gone, arming
@@ -232,7 +92,7 @@ func (r *Router) finalize(j *job, url string, st *server.JobStatus) {
 	t := r.tenants[j.tenant]
 	t.inflight--
 	t.live--
-	t.noteFinish(now)
+	t.finishes.Note(now)
 	if j.state == jobDone {
 		t.completed++
 	} else {

@@ -48,8 +48,10 @@ import (
 	"cmp"
 	"context"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -252,38 +254,8 @@ type tenant struct {
 	completed    uint64
 	failed       uint64
 
-	waitHist *obs.Histogram // dispatch wait (enqueue→hand-off), seconds
-
-	finishRing [32]time.Time
-	finishN    int
-}
-
-func (t *tenant) noteFinish(at time.Time) {
-	t.finishRing[t.finishN%len(t.finishRing)] = at
-	t.finishN++
-}
-
-// finishRate is the tenant's measured completions/sec over its recent
-// finish ring; 0 means no evidence.
-func (t *tenant) finishRate(now time.Time) float64 {
-	n := t.finishN
-	if n > len(t.finishRing) {
-		n = len(t.finishRing)
-	}
-	if n < 2 {
-		return 0
-	}
-	oldest := now
-	for i := 0; i < n; i++ {
-		if ts := t.finishRing[i]; ts.Before(oldest) {
-			oldest = ts
-		}
-	}
-	span := now.Sub(oldest)
-	if span <= 0 {
-		span = 50 * time.Millisecond
-	}
-	return float64(n) / span.Seconds()
+	waitHist *obs.Histogram      // dispatch wait (enqueue→hand-off), seconds
+	finishes server.FinishWindow // quota sheds derive their Retry-After from it
 }
 
 // latencyBuckets spans in-process test latencies to worst-case redispatch
@@ -318,9 +290,13 @@ type Router struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	client      *http.Client
-	probeClient *http.Client
-	watchClient *http.Client // no Timeout: each long-poll carries its own deadline
+	// The job API's callers, one per deadline regime, over one Transport:
+	// client for dispatch, status and checkpoint requests (Options.Client's
+	// Timeout), probeClient for probes (ProbeTimeout), watchClient for feed
+	// long-polls (no Timeout: each carries its own deadline).
+	client      server.Client
+	probeClient server.Client
+	watchClient server.Client
 
 	// Lifetime counters (see metrics.go).
 	dispatches         atomic.Uint64
@@ -355,12 +331,12 @@ func New(opts Options) (*Router, error) {
 		jobs:    make(map[string]*job),
 		byKey:   make(map[string]string),
 		tenants: make(map[string]*tenant),
-		client:  opts.Client,
-		probeClient: &http.Client{
+		client:  server.Client{HTTP: opts.Client},
+		probeClient: server.Client{HTTP: &http.Client{
 			Timeout:   opts.ProbeTimeout,
 			Transport: opts.Client.Transport,
-		},
-		watchClient: &http.Client{Transport: opts.Client.Transport},
+		}},
+		watchClient: server.Client{HTTP: &http.Client{Transport: opts.Client.Transport}},
 		finishLag:   obs.NewHistogram(latencyBuckets),
 	}
 	r.ctx, r.cancel = context.WithCancel(context.Background())
@@ -540,18 +516,11 @@ func contentKey(tag, content string) string {
 // tenant's measured completion rate: how long until one quota slot likely
 // frees. Clamped to [1, 30]; 2 without rate evidence.
 func (r *Router) tenantRetryAfterLocked(t *tenant) int {
-	rate := t.finishRate(time.Now())
+	rate := t.finishes.Rate(time.Now())
 	if rate <= 0 {
 		return 2
 	}
-	secs := 1 / rate
-	if secs < 1 {
-		return 1
-	}
-	if secs > 30 {
-		return 30
-	}
-	return int(secs + 0.5)
+	return max(int(min(1/rate, 30)+0.5), 1)
 }
 
 // enqueueLocked appends the job to its tenant queue and puts the tenant on
@@ -693,9 +662,11 @@ func (r *Router) dispatch(j *job) {
 	}
 }
 
-// tryDispatch hands the job to one worker: POST /jobs, or POST
-// /jobs/{id}/resume with the cached checkpoint image when this is a
-// failover re-dispatch that has one to ship.
+// tryDispatch hands the job to one worker: POST /jobs with the original
+// wire request, or, on a failover re-dispatch with a cached checkpoint,
+// POST /jobs/{id}/resume shipping the image. The router id names the
+// resume, so the worker's synthetic idempotency key ("resume:<id>") stays
+// stable across re-ships. Neither request is cut short by Close.
 func (r *Router) tryDispatch(j *job, url string) dispOutcome {
 	r.mu.Lock()
 	w := r.workers[url]
@@ -716,21 +687,34 @@ func (r *Router) tryDispatch(j *job, url string) dispOutcome {
 	gen := w.syncGen
 	r.mu.Unlock()
 
-	resp, err := r.postDispatch(url, j.id, raw, useCkpt, ckpt, resumes)
+	var ack server.Accepted
+	var err error
+	if useCkpt {
+		// The record keeps the request in wire form only; the rare failover
+		// that ships a checkpoint pays for decoding it.
+		rr := server.ResumeRequest{SnapshotB64: base64.StdEncoding.EncodeToString(ckpt), Resumes: resumes}
+		if err = json.Unmarshal(raw, &rr.Request); err != nil {
+			err = fmt.Errorf("decoding request for resume: %w", err)
+		} else {
+			ack, err = r.client.Resume(context.Background(), url, j.id, rr)
+		}
+	} else {
+		ack, err = r.client.Submit(context.Background(), url, raw)
+	}
 
 	now := time.Now()
 	r.mu.Lock()
 	delete(w.pending, key)
 	early := j.early
 	j.early = nil
-	accepted := err == nil && resp.code == http.StatusAccepted && j.state == jobQueued
+	accepted := err == nil && j.state == jobQueued
 	var resumesNow int
 	if accepted {
 		j.state = jobDispatched
 		j.worker = url
-		j.workerJob = resp.id
+		j.workerJob = ack.ID
 		j.dispatchedAt = now
-		j.resumed = useCkpt && resp.resumed
+		j.resumed = useCkpt && ack.Resumed
 		j.useCkpt = false
 		t := r.tenants[j.tenant]
 		t.inflight++
@@ -742,52 +726,47 @@ func (r *Router) tryDispatch(j *job, url string) dispOutcome {
 	missed := w.syncGen != gen
 	r.mu.Unlock()
 
-	if err != nil {
-		r.dispatchErrs.Add(1)
-		r.noteWorkerFailure(url, "dispatch: "+err.Error())
-		return dispFail
-	}
-	switch resp.code {
-	case http.StatusAccepted:
-		if !accepted { // lost a race with shed/stop
-			return dispTerminal
-		}
-		r.dispatches.Add(1)
-		if useCkpt && resp.resumed {
-			r.failoverResumed.Add(1)
-		}
-		r.journalAppend(durable.Record{
-			Type: durable.TypeDispatched, Job: j.id,
-			Worker: url, WorkerJob: resp.id, Resumes: resumesNow,
-			UnixMS: now.UnixMilli(),
-		})
-		switch {
-		case early != nil:
-			r.finalize(j, url, early)
-		case missed || resp.state.Terminal():
-			// No event will come: a resync listed this worker's jobs while
-			// the 202 was in flight, or the key was already terminal there
-			// (an idempotent hit on an earlier dispatch's result).
-			if _, err := r.reconcile(j, url, resp.id); err != nil {
-				r.noteWorkerFailure(url, "reconcile: "+err.Error())
-			}
-		}
-		return dispOK
-	case http.StatusTooManyRequests:
+	var refused *server.Refused
+	errors.As(err, &refused)
+	switch {
+	case refused != nil && refused.Code == http.StatusTooManyRequests:
 		r.bounces.Add(1)
 		return dispBounce
-	case http.StatusBadRequest:
+	case refused != nil && refused.Code == http.StatusBadRequest:
 		// The fleet rejected the job itself; retrying elsewhere cannot help.
 		r.mu.Lock()
-		r.failLocked(j, "worker rejected job: "+resp.errMsg)
+		r.failLocked(j, "worker rejected job: "+refused.Msg)
 		r.mu.Unlock()
 		r.journalFinish(j)
 		return dispTerminal
-	default:
+	case err != nil:
 		r.dispatchErrs.Add(1)
-		r.noteWorkerFailure(url, fmt.Sprintf("dispatch: HTTP %d: %s", resp.code, resp.errMsg))
+		r.noteWorkerFailure(url, "dispatch: "+err.Error())
 		return dispFail
+	case !accepted: // lost a race with shed/stop
+		return dispTerminal
 	}
+	r.dispatches.Add(1)
+	if useCkpt && ack.Resumed {
+		r.failoverResumed.Add(1)
+	}
+	r.journalAppend(durable.Record{
+		Type: durable.TypeDispatched, Job: j.id,
+		Worker: url, WorkerJob: ack.ID, Resumes: resumesNow,
+		UnixMS: now.UnixMilli(),
+	})
+	switch {
+	case early != nil:
+		r.finalize(j, url, early)
+	case missed || ack.State.Terminal():
+		// No event will come: a resync listed this worker's jobs while
+		// the 202 was in flight, or the key was already terminal there
+		// (an idempotent hit on an earlier dispatch's result).
+		if _, err := r.reconcile(j, url, ack.ID); err != nil {
+			r.noteWorkerFailure(url, "reconcile: "+err.Error())
+		}
+	}
+	return dispOK
 }
 
 // sleepStop sleeps d unless the router stops first; false means stopped.
@@ -812,7 +791,7 @@ func (r *Router) shedLocked(j *job, why string) {
 	t := r.tenants[j.tenant]
 	t.live--
 	t.shedDispatch++
-	t.noteFinish(j.finishedAt)
+	t.finishes.Note(j.finishedAt)
 	r.opts.Logger.Printf("router: shedding %s: %s", j.id, why)
 }
 
@@ -825,7 +804,7 @@ func (r *Router) failLocked(j *job, why string) {
 	t := r.tenants[j.tenant]
 	t.live--
 	t.failed++
-	t.noteFinish(j.finishedAt)
+	t.finishes.Note(j.finishedAt)
 	r.failed.Add(1)
 }
 

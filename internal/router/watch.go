@@ -2,11 +2,6 @@ package router
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	neturl "net/url"
 	"time"
 
 	"atomemu/internal/server"
@@ -88,7 +83,11 @@ func (r *Router) watchLoop(url string) {
 			}
 			needSync = false
 		}
-		resp, err := r.fetchCompletions(url, epoch, after)
+		// The long-poll lives under the router's lifetime (Close cancels it
+		// mid-wait) with its own deadline: the wait plus a probe's slack.
+		ctx, cancel := context.WithTimeout(r.ctx, watchWait+r.opts.ProbeTimeout)
+		resp, err := r.watchClient.Completions(ctx, url, epoch, after, watchWait)
+		cancel()
 		if err != nil {
 			if !fail("watch: " + err.Error()) {
 				return
@@ -114,37 +113,6 @@ func (r *Router) watchLoop(url string) {
 		}
 		after = resp.Seq
 	}
-}
-
-// fetchCompletions performs one feed long-poll. The request lives under
-// the router's lifetime context (Close cancels it mid-wait) with its own
-// deadline of the wait plus a probe's worth of slack.
-func (r *Router) fetchCompletions(url, epoch string, after uint64) (*server.CompletionsResponse, error) {
-	ctx, cancel := context.WithTimeout(r.ctx, watchWait+r.opts.ProbeTimeout)
-	defer cancel()
-	target := fmt.Sprintf("%s/completions?epoch=%s&after=%d&wait=%d",
-		url, neturl.QueryEscape(epoch), after, int(watchWait/time.Second))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.watchClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("completions: %s: %s", resp.Status, body)
-	}
-	var out server.CompletionsResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&out); err != nil {
-		return nil, fmt.Errorf("bad completions body: %w", err)
-	}
-	if out.Epoch == "" {
-		return nil, fmt.Errorf("bad completions body: no epoch")
-	}
-	return &out, nil
 }
 
 // deliver routes one feed event to the job it finishes, matched on the
@@ -238,9 +206,23 @@ func (r *Router) ckptLoop() {
 		r.mu.Unlock()
 		for url, refs := range byWorker {
 			for _, p := range refs {
-				if r.fetchCheckpoint(p.j, url, p.workerJob) != nil {
+				// A nil image (no checkpoint yet, or another key's job) is a
+				// non-event; counting a transport error is left to the feed
+				// and the probes.
+				img, vt, err := r.client.Checkpoint(r.ctx, url, p.workerJob, p.j.wkey)
+				if err != nil {
 					break
 				}
+				if img == nil {
+					continue
+				}
+				r.mu.Lock()
+				if p.j.state == jobDispatched && p.j.worker == url && vt >= p.j.ckptVT {
+					p.j.ckpt, p.j.ckptVT = img, vt
+				}
+				r.mu.Unlock()
+				r.ckptFetches.Add(1)
+				r.ckptFetchBytes.Add(uint64(len(img)))
 			}
 		}
 	}

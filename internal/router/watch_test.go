@@ -683,8 +683,24 @@ func TestNewEpochFailsJobsOverWithoutATimer(t *testing.T) {
 	})
 	freshHandler := fresh.Handler()
 
-	// Image content places a job, so vary it until both workers hold one;
-	// the jobs run long enough to still be in flight at the swap.
+	// Hold A's feed once the router has its epoch. The long-poll already
+	// inside A returns on the next publish (a job the router does not know),
+	// and the request after it parks at the gate. From then on A's old
+	// process cannot deliver a completion before it dies, so every job the
+	// router places on A is still in flight on it at the swap, however fast
+	// it runs.
+	awaitCond(t, 10*time.Second, "A's feed to go live", func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.workers[a.ts.URL].watchLive
+	})
+	a.holdFeed.Store(true)
+	if _, err := a.srv.Submit(server.JobRequest{Scheme: "pico-cas", GAC: exitGAC, Config: server.JobConfig{MemBytes: 1 << 20}}); err != nil {
+		t.Fatal(err)
+	}
+	awaitCond(t, 10*time.Second, "the watcher to be held off A's feed", func() bool { return a.parkedFeeds.Load() == 1 })
+
+	// Image content places a job, so vary it until both workers hold one.
 	ref := referenceOutput(t, milestoneGAC, 200)
 	var ids []string
 	placed := map[string]bool{}
@@ -718,6 +734,7 @@ func TestNewEpochFailsJobsOverWithoutATimer(t *testing.T) {
 	// its copies — zombies the exactly-once argument tolerates.)
 	a.handler.Store(&freshHandler)
 	a.ts.CloseClientConnections()
+	a.holdFeed.Store(false)
 
 	awaitCond(t, 120*time.Second, "every job to finish after the failover", func() bool {
 		return r.completed.Load() == jobs

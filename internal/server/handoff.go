@@ -77,6 +77,10 @@ func (s *Server) SubmitResume(alias string, rr ResumeRequest) (string, bool, err
 	return id, resumed, nil
 }
 
+// virtualTimeHeader carries a checkpoint image's virtual time on
+// GET /jobs/{id}/checkpoint.
+const virtualTimeHeader = "X-Atomemu-Virtual-Time"
+
 // handleCheckpoint serves GET /jobs/{id}/checkpoint: the running machine's
 // latest checkpoint as an ACKP image, virtual time and consumed resume
 // budget in headers. 404 when the job is unknown, not running, or has not
@@ -107,7 +111,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, id string) {
 	}
 	setKeyHeader(w, j)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Atomemu-Virtual-Time", strconv.FormatUint(snap.VirtualTime, 10))
+	w.Header().Set(virtualTimeHeader, strconv.FormatUint(snap.VirtualTime, 10))
 	w.Header().Set("X-Atomemu-Resumes", strconv.Itoa(resumes))
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	if _, err := w.Write(data); err != nil {

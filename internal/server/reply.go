@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"strconv"
+	"time"
 )
 
 // SubmitError is a submission failure with its HTTP status: 400 for bad
@@ -24,6 +25,39 @@ type SubmitError struct {
 }
 
 func (e *SubmitError) Error() string { return e.Msg }
+
+// FinishWindow measures a completion rate for a Retry-After hint: jobs per
+// second over the last 32 finishes, from the oldest of them to now. Using
+// now as the right edge makes the rate decay while nothing finishes: a
+// stalled pool reports an ever-lower rate, not its last good one. One
+// finish is evidence; a span under 50 ms counts as 50 ms, so a burst of
+// finishes cannot claim an unbounded rate. The zero value is empty, and it
+// is not safe for concurrent use.
+type FinishWindow struct {
+	ring [32]time.Time
+	n    int
+}
+
+// Note records one finish at t.
+func (w *FinishWindow) Note(t time.Time) {
+	w.ring[w.n%len(w.ring)] = t
+	w.n++
+}
+
+// Rate is the measured jobs per second at now; 0 means no evidence.
+func (w *FinishWindow) Rate(now time.Time) float64 {
+	n := min(w.n, len(w.ring))
+	if n == 0 {
+		return 0
+	}
+	oldest := now
+	for _, t := range w.ring[:n] {
+		if t.Before(oldest) {
+			oldest = t
+		}
+	}
+	return float64(n) / max(now.Sub(oldest), 50*time.Millisecond).Seconds()
+}
 
 // Reply is the HTTP reply layer atomemud and atomemu-router both answer
 // through: JSON bodies, {"error": msg} errors, the one-method guard, and

@@ -264,11 +264,10 @@ type Server struct {
 	recoveryDone chan struct{}
 	recoverErr   error
 
-	// finishRing holds the last finish times, the worker pool's measured
-	// drain rate; 429 sheds derive their Retry-After from it.
-	finishMu   sync.Mutex
-	finishRing []time.Time
-	finishNext int
+	// finishes is the worker pool's measured drain rate; 429 sheds derive
+	// their Retry-After from it.
+	finishMu sync.Mutex
+	finishes FinishWindow
 
 	mu     sync.Mutex
 	jobs   map[string]*job
@@ -332,7 +331,6 @@ func New(opts Options) (*Server, error) {
 		shedByID:     make(map[string]string),
 		wallHist:     make(map[string]*obs.Histogram),
 		virtHist:     make(map[string]*obs.Histogram),
-		finishRing:   make([]time.Time, 32),
 		completions:  newCompletions(),
 		compiled:     newCompileCache(compileCacheBytes),
 		tbstore:      tbstore.New[*engine.TB](opts.SharedTBCacheBlocks),
@@ -845,49 +843,14 @@ func (s *Server) finish(j *job, class engine.StopClass, err error, m *engine.Mac
 	j.cfg = engine.Config{}
 	final := j.status
 	j.mu.Unlock()
-	s.noteFinish(final.FinishedAt)
+	s.finishMu.Lock()
+	s.finishes.Note(final.FinishedAt)
+	s.finishMu.Unlock()
 	// Journal the terminal state outside the job lock (an append can rotate
 	// into compaction, which re-reads every job's status), and announce it
 	// only once that record is durable.
 	s.journalFinish(j, final)
 	s.completions.publish(j.id)
-}
-
-// noteFinish records one terminal transition in the drain-rate ring.
-func (s *Server) noteFinish(t time.Time) {
-	s.finishMu.Lock()
-	s.finishRing[s.finishNext%len(s.finishRing)] = t
-	s.finishNext++
-	s.finishMu.Unlock()
-}
-
-// drainRate is the worker pool's measured throughput in jobs per second:
-// the finishes remembered in the ring over the span from the oldest of
-// them to now. Using "now" (not the newest finish) as the right edge makes
-// the estimate decay while nothing finishes — a stalled pool reports an
-// ever-lower rate instead of its last good one. 0 means no evidence yet.
-func (s *Server) drainRate() float64 {
-	s.finishMu.Lock()
-	var oldest time.Time
-	n := 0
-	for _, t := range s.finishRing {
-		if t.IsZero() {
-			continue
-		}
-		n++
-		if oldest.IsZero() || t.Before(oldest) {
-			oldest = t
-		}
-	}
-	s.finishMu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	span := time.Since(oldest)
-	if span < 50*time.Millisecond {
-		span = 50 * time.Millisecond
-	}
-	return float64(n) / span.Seconds()
 }
 
 // retryAfterSecs derives a 429 Retry-After hint: how long until the
@@ -896,20 +859,16 @@ func (s *Server) drainRate() float64 {
 // per queued job per worker. Clamped to [1, 60].
 func (s *Server) retryAfterSecs() int {
 	qlen := len(s.jobQueue())
+	s.finishMu.Lock()
+	rate := s.finishes.Rate(time.Now())
+	s.finishMu.Unlock()
 	var secs float64
-	if rate := s.drainRate(); rate > 0 {
+	if rate > 0 {
 		secs = (float64(qlen) + 1) / rate
 	} else {
 		secs = float64(qlen)/float64(s.opts.Workers) + 1
 	}
-	n := int(secs + 0.999)
-	if n < 1 {
-		n = 1
-	}
-	if n > 60 {
-		n = 60
-	}
-	return n
+	return min(max(int(secs+0.999), 1), 60)
 }
 
 // --- HTTP ---

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -134,6 +135,27 @@ main:
 	st := awaitTerminal(t, s, id)
 	if st.State != StateDone || len(st.Output) != 1 || st.Output[0] != 42 {
 		t.Fatalf("state=%s output=%v err=%q", st.State, st.Output, st.Error)
+	}
+}
+
+// TestFailedSpawnLeavesNoGoroutines: a job can pass admission and still
+// fail while its machine is set up, when the threads it asks for do not
+// all fit in the memory it asks for (64 stacks of 64 KiB in 1 MiB). The
+// vCPUs spawned before the failing one must not outlive the job.
+func TestFailedSpawnLeavesNoGoroutines(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	before := runtime.NumGoroutine()
+	id, err := s.Submit(JobRequest{Scheme: "hst", GAC: counterGAC, Threads: 64, Arg: 1,
+		Config: JobConfig{MemBytes: 1 << 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := awaitTerminal(t, s, id)
+	if st.State != StateFailed || !strings.Contains(st.Error, "map") {
+		t.Fatalf("state=%s err=%q, want failed at a stack mapping", st.State, st.Error)
+	}
+	if grew := runtime.NumGoroutine() - before; grew > 4 {
+		t.Fatalf("%d goroutines more after the failed job than before it", grew)
 	}
 }
 
