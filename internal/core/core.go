@@ -90,29 +90,15 @@ type Monitor struct {
 	// detection.
 	AbortStreak int
 
-	// Degraded marks the current LL/SC window as running on the portable
-	// fallback path after an abort storm (PICO-HTM, HST-HTM).
-	Degraded bool
-
-	// Res is the monitor's resilience state. Unlike the architectural
-	// fields it survives Reset: cooldowns and the backoff RNG span many
-	// LL/SC windows.
-	Res ResState
-}
-
-// ResState is the per-monitor resilience bookkeeping (see Resilience).
-type ResState struct {
-	// Rng is the per-vCPU xorshift state behind backoff jitter; 0 means
-	// not yet seeded.
+	// Rng is the xorshift state behind the HTM schemes' backoff jitter
+	// (see Resilience); 0 means not yet seeded. Like AbortStreak it
+	// survives Reset: backoff spans many LL/SC windows.
 	Rng uint64
-	// CooldownLeft is how many more LL windows run degraded before the
-	// transactional fast path is retried.
-	CooldownLeft int
-	// Watcher is true while this monitor holds a TM store watcher (so
-	// NotifyStore stays live across its degraded windows).
-	Watcher bool
-	// DegradedWord is the TM slot-word snapshot taken at a degraded LL.
-	DegradedWord uint64
+
+	// Demote asks the engine to demote the whole machine to portable HST
+	// at this vCPU's next block boundary. Resilient PICO-HTM sets it when
+	// the vCPU's abort streak reaches the livelock limit (see Resilience).
+	Demote bool
 }
 
 // Reset clears the monitor. A still-open transaction is aborted first:
@@ -128,7 +114,6 @@ func (m *Monitor) Reset() {
 	m.Val = 0
 	m.broken.Store(false)
 	m.Txn = nil
-	m.Degraded = false
 }
 
 // Break marks the monitor broken (cross-thread).
@@ -232,8 +217,9 @@ type Scheme interface {
 
 // EmulationError reports a scheme-level failure that aborts the guest run —
 // the analogue of QEMU crashing or livelocking (the paper's PICO-HTM beyond
-// 8 threads). With the default (resilient) configuration the HTM schemes
-// degrade instead of returning this; StrictPaper mode restores it.
+// 8 threads). With the default (resilient) configuration PICO-HTM demotes
+// the machine to portable HST instead of returning this; StrictPaper mode
+// restores it.
 type EmulationError struct {
 	Scheme string
 	Reason string

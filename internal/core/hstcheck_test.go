@@ -370,15 +370,16 @@ func (r *checkRun) othersInCall(i int) bool {
 
 // storeLocked reports whether thread i's next step would wait for another
 // thread's TM store lock: it begins a store or RMW, and another thread is
-// inside a store or RMW whose word shares the lock slot.
+// inside a store or RMW whose word shares the lock slot. addrA and addrB
+// fall in different slots of the fixture's 2^14-slot TM, so sharing a slot
+// means sharing the word.
 func (r *checkRun) storeLocked(i int) bool {
-	tm := r.h.tm
 	th := r.threads[i]
-	if tm == nil || th.inCall || th.op.kind == opLLSC || th.next == "sc" {
+	if r.h.tm == nil || th.inCall || th.op.kind == opLLSC || th.next == "sc" {
 		return false
 	}
 	for k, o := range r.threads {
-		if k != i && o.inCall && o.op.kind != opLLSC && tm.SameSlot(o.op.addr, th.op.addr) {
+		if k != i && o.inCall && o.op.kind != opLLSC && o.op.addr == th.op.addr {
 			return true
 		}
 	}

@@ -25,13 +25,16 @@ import (
 // hst announces every entry write there, which is how a conflicting LL or
 // store aborts an in-flight SC, and how an LL that claims the entry while
 // an SC commits waits for that SC's publish before it loads.
+//
 // Resilience: the default policy replaces the fixed attempt count with
 // reason-aware backoff — retryable aborts wait (exponential + per-tid
-// jitter) before re-issuing the transaction, non-retryable aborts and an
-// exhausted budget demote the monitor, after which SCs go straight to the
-// stop-the-world fallback for a cooldown's worth of windows instead of
-// burning a fresh abort storm each time. StrictPaper keeps the original
-// fixed-count behavior.
+// jitter) before re-issuing the transaction. A non-retryable abort or an
+// exhausted budget sends that one SC to the stop-the-world fallback and
+// counts a fallback; the next SC tries the transaction again. hst-htm never
+// demotes the machine: an SC already waiting in hst's stop-the-world would
+// check the old scheme's hash table while stores made after a swap claim
+// entries only in the new one. StrictPaper keeps the original fixed-count
+// behavior.
 type hstHTM struct {
 	*hst
 	res Resilience
@@ -99,7 +102,7 @@ func (s *hstHTM) scFallback(ctx Context, addr, val uint32) (uint32, error) {
 }
 
 // scAbort accounts one transactional-attempt abort and decides what the
-// SC does next: retry (after backoff), or demote and take the fallback.
+// SC does next: retry (after backoff), or count a fallback and take it.
 func (s *hstHTM) scAbort(ctx Context, reason htm.AbortReason, attempt int) (retry bool) {
 	chargeHTMAbort(ctx, s.cost, 0, reason)
 	if s.res.StrictPaper {
@@ -108,7 +111,8 @@ func (s *hstHTM) scAbort(ctx Context, reason htm.AbortReason, attempt int) (retr
 	if s.res.backoffRetry(ctx, reason, attempt) {
 		return true
 	}
-	s.res.demote(ctx)
+	ctx.Stats().SchemeFallbacks++
+	ctx.Tracer().Emit(obs.EvSchemeFall, ctx.Monitor().Addr, uint64(attempt))
 	return false
 }
 
@@ -120,11 +124,6 @@ func (s *hstHTM) SC(ctx Context, addr, val uint32) (uint32, error) {
 		return 1, nil
 	}
 	tid := ctx.TID()
-	if !s.res.StrictPaper && s.res.inCooldown(m) {
-		// Demoted: skip the transactional attempts for the rest of the
-		// cooldown instead of re-running an abort storm per SC.
-		return s.scFallback(ctx, addr, val)
-	}
 	load, store := s.txLoad(ctx), s.txStore(ctx)
 	for attempt := 1; ; attempt++ {
 		if s.res.StrictPaper && attempt > s.fallbackAfter {

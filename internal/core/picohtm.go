@@ -35,20 +35,20 @@ import (
 //
 // Resilience: with the default policy the livelock is survived instead of
 // reported. Retryable aborts at the LL back off and retry (Resilience);
-// once the budget is exhausted — or an abort reason that retrying cannot
-// fix occurs — the monitor demotes to a degraded window for a cooldown:
-// the LL snapshots the TM slot word of the monitored address and loads
-// directly, and the SC revalidates the snapshot and the value inside a
-// stop-the-world section. Every store path (transactional commits, plain
-// instrumented stores, other vCPUs' degraded SCs) changes the slot word,
-// so the degraded window keeps strong atomicity — at HST-like cost. A TM
-// store watcher keeps NotifyStore live while any monitor is degraded.
+// an abort that retrying cannot fix, or one past the retry budget, ends
+// the window as a doomed one does (the LL loads directly, the SC fails)
+// and the guest retries it. A streak that reaches the livelock limit,
+// where StrictPaper would crash, asks the engine to demote the machine to
+// portable HST (Monitor.Demote). The engine swaps the scheme once, with
+// the world stopped at the vCPU's next block boundary; the guest's retry
+// of the window runs under hst.
 type picoHTM struct {
 	cost *CostModel
 	tm   *htm.TM
 	res  Resilience
 	// livelockLimit is the number of consecutive aborts after which the
-	// scheme declares livelock (StrictPaper mode).
+	// scheme declares livelock: StrictPaper reports it, the resilient
+	// policy demotes the machine.
 	livelockLimit int
 }
 
@@ -93,69 +93,25 @@ func (s *picoHTM) memStore(ctx Context) func(addr, val uint32) error {
 	}
 }
 
-// chargeAbort bumps the abort streak and accounts one abort.
-func (s *picoHTM) chargeAbort(ctx Context, reason htm.AbortReason) {
-	ctx.Monitor().AbortStreak++
-	chargeHTMAbort(ctx, s.cost, ctx.Monitor().Addr, reason)
-}
-
-// noteAbort (StrictPaper mode) bumps the livelock counter; the returned
-// error is non-nil when the scheme declares livelock.
+// noteAbort bumps the abort streak and accounts one abort. A streak past
+// livelockLimit is livelock: in StrictPaper mode the returned error
+// reports it; the resilient policy asks the engine to demote the machine
+// (Monitor.Demote) instead.
 func (s *picoHTM) noteAbort(ctx Context, reason htm.AbortReason) error {
-	s.chargeAbort(ctx, reason)
 	m := ctx.Monitor()
-	if m.AbortStreak > s.livelockLimit {
-		return &EmulationError{
-			Scheme: s.Name(),
-			Reason: fmt.Sprintf("livelock: %d consecutive HTM aborts (thread %d)", m.AbortStreak, ctx.TID()),
-		}
+	m.AbortStreak++
+	chargeHTMAbort(ctx, s.cost, m.Addr, reason)
+	if m.AbortStreak <= s.livelockLimit {
+		return nil
 	}
-	return nil
-}
-
-// demoteMon switches the monitor to degraded windows for a cooldown,
-// taking a store watcher so NotifyStore stays observable meanwhile.
-func (s *picoHTM) demoteMon(ctx Context) {
-	m := ctx.Monitor()
-	if !m.Res.Watcher {
-		s.tm.AddStoreWatcher()
-		m.Res.Watcher = true
+	if !s.res.StrictPaper {
+		m.Demote = true
+		return nil
 	}
-	s.res.demote(ctx)
-}
-
-// scFailed decides, after a failed resilient window, whether the next
-// windows should run degraded. Retries are impossible at the SC (the guest
-// rewinds to the LL itself), so only the demotion decision is made here.
-func (s *picoHTM) scFailed(ctx Context, reason htm.AbortReason) {
-	if s.res.StrictPaper {
-		return
+	return &EmulationError{
+		Scheme: s.Name(),
+		Reason: fmt.Sprintf("livelock: %d consecutive HTM aborts (thread %d)", m.AbortStreak, ctx.TID()),
 	}
-	m := ctx.Monitor()
-	if !retryable(reason) || m.AbortStreak > maxRetries {
-		s.demoteMon(ctx)
-	}
-}
-
-// llDegraded opens a degraded (non-transactional) LL/SC window. The slot
-// word is snapshotted BEFORE the value load: a store between the two then
-// shows up as a word change at the SC, never as an unnoticed same-value
-// swap (ABA).
-func (s *picoHTM) llDegraded(ctx Context, addr uint32) (uint32, error) {
-	m := ctx.Monitor()
-	word := s.tm.SlotWord(addr)
-	v, f := ctx.Mem().LoadWord(addr)
-	if f != nil {
-		m.Reset()
-		return 0, f
-	}
-	m.Active = true
-	m.Addr = addr
-	m.Val = v
-	m.Txn = nil
-	m.Degraded = true
-	m.Res.DegradedWord = word
-	return v, nil
 }
 
 func (s *picoHTM) LL(ctx Context, addr uint32) (uint32, error) {
@@ -165,18 +121,6 @@ func (s *picoHTM) LL(ctx Context, addr uint32) (uint32, error) {
 		// new LL re-arms the monitor.
 		m.Txn.AbortNow(htm.ReasonConflict)
 	}
-	if !s.res.StrictPaper {
-		if s.res.inCooldown(m) {
-			return s.llDegraded(ctx, addr)
-		}
-		if m.Res.Watcher {
-			// Cooldown expired: retry the transactional fast path with a
-			// clean slate and release the store watcher.
-			s.tm.RemoveStoreWatcher()
-			m.Res.Watcher = false
-			m.AbortStreak = 0
-		}
-	}
 	for {
 		ctx.Charge(stats.CompHTM, s.cost.HTMBegin)
 		txn := s.tm.Begin(ctx.TID(), s.memLoad(ctx))
@@ -184,20 +128,22 @@ func (s *picoHTM) LL(ctx Context, addr uint32) (uint32, error) {
 		if err != nil {
 			var ab *htm.Abort
 			if errors.As(err, &ab) {
-				if s.res.StrictPaper {
-					if lerr := s.noteAbort(ctx, ab.Reason); lerr != nil {
-						m.Reset()
-						return 0, lerr
-					}
+				if lerr := s.noteAbort(ctx, ab.Reason); lerr != nil {
+					m.Reset()
+					return 0, lerr
+				}
+				if s.res.StrictPaper || s.res.backoffRetry(ctx, ab.Reason, m.AbortStreak) {
 					continue
 				}
-				s.chargeAbort(ctx, ab.Reason)
-				if s.res.backoffRetry(ctx, ab.Reason, m.AbortStreak) {
-					continue
+				// Give the window up: no monitor, so its SC fails and the
+				// guest retries it — on hst, if the streak asked for the
+				// demotion.
+				m.Reset()
+				v, f := ctx.Mem().LoadWord(addr)
+				if f != nil {
+					return 0, f
 				}
-				s.demoteMon(ctx)
-				s.res.inCooldown(m) // consume this window's cooldown slot
-				return s.llDegraded(ctx, addr)
+				return v, nil
 			}
 			txn.AbortNow(htm.ReasonConflict)
 			m.Reset()
@@ -211,42 +157,8 @@ func (s *picoHTM) LL(ctx Context, addr uint32) (uint32, error) {
 	}
 }
 
-// scDegraded validates and completes a degraded window under
-// stop-the-world: the SC succeeds only if the slot word still matches the
-// LL snapshot and the memory value is unchanged. Parked vCPUs holding open
-// transactions cannot have published anything (commits never span a
-// checkpoint), and the NotifyStore on success poisons any such transaction
-// that had eagerly locked the slot.
-func (s *picoHTM) scDegraded(ctx Context, addr, val uint32) (uint32, error) {
-	m := ctx.Monitor()
-	defer m.Reset()
-	if !m.Active || m.Addr != addr {
-		ctx.Tracer().Emit(obs.EvSCFail, addr, obs.SCNoMonitor)
-		return 1, nil
-	}
-	ctx.StartExclusive()
-	defer ctx.EndExclusive()
-	cur, f := ctx.Mem().LoadWord(addr)
-	if f != nil {
-		return 1, f
-	}
-	if s.tm.SlotWord(addr) != m.Res.DegradedWord || cur != m.Val {
-		ctx.Tracer().Emit(obs.EvSCFail, addr, obs.SCValueChanged)
-		return 1, nil
-	}
-	if f := ctx.Mem().StoreWord(addr, val); f != nil {
-		return 1, f
-	}
-	s.tm.NotifyStore(addr)
-	m.AbortStreak = 0
-	return 0, nil
-}
-
 func (s *picoHTM) SC(ctx Context, addr, val uint32) (uint32, error) {
 	m := ctx.Monitor()
-	if m.Degraded {
-		return s.scDegraded(ctx, addr, val)
-	}
 	txn := m.Txn
 	defer m.Reset()
 	if !m.Active || m.Addr != addr || txn == nil {
@@ -276,18 +188,13 @@ func (s *picoHTM) SC(ctx Context, addr, val uint32) (uint32, error) {
 }
 
 // windowFailed fails the SC of a window whose transaction aborted. The
-// abort counts toward livelock (StrictPaper) or toward demotion.
+// abort counts toward livelock: retries are impossible at the SC (the
+// guest rewinds to the LL itself), so the failed SC is the retry. A lone
+// abort of any reason — the first pass of a window whose tail block is
+// translated inside the transaction — costs one failed SC, not the scheme.
 func (s *picoHTM) windowFailed(ctx Context, addr uint32, reason htm.AbortReason) (uint32, error) {
 	ctx.Tracer().Emit(obs.EvSCFail, addr, obs.SCTxnDoomed)
-	if s.res.StrictPaper {
-		if lerr := s.noteAbort(ctx, reason); lerr != nil {
-			return 1, lerr
-		}
-		return 1, nil
-	}
-	s.chargeAbort(ctx, reason)
-	s.scFailed(ctx, reason)
-	return 1, nil
+	return 1, s.noteAbort(ctx, reason)
 }
 
 func (s *picoHTM) Clrex(ctx Context) {
@@ -357,28 +264,11 @@ func (s *picoHTM) Store(ctx Context, addr, val uint32) error {
 	}
 	l := s.tm.BeginStore(addr)
 	f := ctx.Mem().StoreWord(addr, val)
-	s.endStore(ctx, addr, l)
+	s.tm.EndStore(l)
 	if f != nil {
 		return f
 	}
 	return nil
-}
-
-// endStore releases a direct store's lock, which aborts every transaction
-// that read the word and moves a degraded window's slot word. Inside a
-// degraded window, a store to an address aliasing the monitored slot
-// would so fail our own SC forever (the guest retries the identical
-// window); a lock taken from the window's snapshot adopts exactly our own
-// move into it — otherwise the word moved under someone else too, and the
-// window conservatively fails.
-func (s *picoHTM) endStore(ctx Context, addr uint32, l htm.StoreLock) {
-	s.tm.EndStore(l)
-	m := ctx.Monitor()
-	if m.Degraded && m.Active && s.tm.SameSlot(addr, m.Addr) {
-		if next, ok := l.Adopt(m.Res.DegradedWord); ok {
-			m.Res.DegradedWord = next
-		}
-	}
 }
 
 // RMW inside an open window reads and writes the word transactionally, so
@@ -403,7 +293,7 @@ func (s *picoHTM) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 	}
 	l := s.tm.BeginStore(addr &^ 3)
 	old, f := ctx.Mem().Update(addr, u)
-	s.endStore(ctx, addr&^3, l)
+	s.tm.EndStore(l)
 	if f != nil {
 		return 0, f
 	}
@@ -416,8 +306,8 @@ func (s *picoHTM) RMW(ctx Context, addr uint32, u mmu.Update) (uint32, error) {
 func (s *picoHTM) Snapshot() any { return s.tm.SnapshotWords() }
 
 // Restore re-installs the slot words. The engine has already aborted every
-// live transaction and released every store watcher (monitor disarm), so
-// the TM's active count is back at zero.
+// live transaction (monitor disarm), so the TM's active count is back at
+// zero.
 func (s *picoHTM) Restore(mem *mmu.Memory, snap any) {
 	if words, ok := snap.([]uint64); ok {
 		s.tm.RestoreWords(words)

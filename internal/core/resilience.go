@@ -12,21 +12,26 @@ import (
 // Resilience is the abort-handling policy shared by the HTM schemes. The
 // paper's reproduction crashes the machine when PICO-HTM livelocks beyond
 // 8 threads (§III-B, Fig. 11); real deployments pair the transactional
-// fast path with a guaranteed-progress fallback instead. This policy
-// classifies each abort by reason and decides between a bounded
-// backoff-retry and demoting the monitor to the portable fallback path
-// for a cooldown window:
+// fast path with a guaranteed-progress fallback instead. There is one
+// fallback, portable HST's stop-the-world. This policy classifies each
+// abort by reason and decides whether a bounded backoff-retry can help:
 //
 //	conflict, non-txn-store  transient contention: backoff, retry
-//	capacity                 deterministic: the window cannot fit, demote
-//	emulation, syscall       deterministic: the window always contains
-//	                         emulation work, demote
+//	capacity                 the window cannot fit: no retry
+//	emulation, syscall       the window contains emulation work (often
+//	                         only once, while its block is translated):
+//	                         no retry
 //
-// All delays are virtual cycles plus a runtime.Gosched(); nothing reads
-// the wall clock, so runs stay reproducible.
+// HST-HTM takes the fallback per SC, to hst's stop-the-world
+// check-and-store, when it may not retry. PICO-HTM fails the window
+// instead (the guest retries it) and takes the fallback only for livelock:
+// when a vCPU's abort streak reaches the limit at which StrictPaper would
+// crash, it asks the engine to demote the whole machine to hst
+// (Monitor.Demote). All delays are virtual cycles plus a runtime.Gosched();
+// nothing reads the wall clock, so runs stay reproducible.
 type Resilience struct {
 	// StrictPaper restores the paper's behavior: no retries, no
-	// degradation — PICO-HTM returns EmulationError after its livelock
+	// demotion — PICO-HTM returns EmulationError after its livelock
 	// limit and HST-HTM falls back per-SC after a fixed attempt count.
 	StrictPaper bool
 	// Seed derives the per-vCPU jitter streams. Any value works; runs
@@ -36,17 +41,15 @@ type Resilience struct {
 }
 
 const (
-	// maxRetries bounds consecutive retryable aborts per LL/SC window
-	// before the monitor demotes.
+	// maxRetries bounds consecutive retryable aborts before the scheme
+	// stops backing off: HST-HTM falls back, PICO-HTM gives the window
+	// up.
 	maxRetries = 16
 	// backoffBase is the virtual-cycle delay unit; attempt k waits about
 	// backoffBase<<k (capped at backoffMax) plus jitter.
 	backoffBase uint64 = 64
 	// backoffMax caps the exponential delay.
 	backoffMax uint64 = 4096
-	// cooldownWindows is how many LL windows run on the fallback path
-	// after a demotion before the transactional fast path is retried.
-	cooldownWindows = 64
 	// defaultSeed is the jitter seed of a policy whose Seed is 0.
 	defaultSeed uint64 = 0x9e3779b97f4a7c15
 )
@@ -73,18 +76,18 @@ func retryable(reason htm.AbortReason) bool {
 
 // seedRng initializes the monitor's jitter stream on first use.
 func (r *Resilience) seedRng(m *Monitor, tid uint32) {
-	if m.Res.Rng == 0 {
-		m.Res.Rng = (cmp.Or(r.Seed, defaultSeed) ^ uint64(tid)*0x2545f4914f6cdd1d) | 1
+	if m.Rng == 0 {
+		m.Rng = (cmp.Or(r.Seed, defaultSeed) ^ uint64(tid)*0x2545f4914f6cdd1d) | 1
 	}
 }
 
 // nextRand steps the monitor's xorshift64 stream.
 func nextRand(m *Monitor) uint64 {
-	x := m.Res.Rng
+	x := m.Rng
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	m.Res.Rng = x
+	m.Rng = x
 	return x
 }
 
@@ -114,24 +117,5 @@ func (r *Resilience) backoffRetry(ctx Context, reason htm.AbortReason, attempt i
 	// Yield the host thread too: the competing transaction is a real
 	// goroutine that needs host cycles to finish and release its locks.
 	runtime.Gosched()
-	return true
-}
-
-// demote switches the monitor onto the fallback path for a cooldown
-// window and records the fallback.
-func (r *Resilience) demote(ctx Context) {
-	m := ctx.Monitor()
-	m.Res.CooldownLeft = cooldownWindows
-	ctx.Stats().SchemeFallbacks++
-	ctx.Tracer().Emit(obs.EvSchemeFall, m.Addr, uint64(m.AbortStreak))
-}
-
-// inCooldown reports whether the monitor should keep using the fallback
-// path, consuming one cooldown window.
-func (r *Resilience) inCooldown(m *Monitor) bool {
-	if m.Res.CooldownLeft <= 0 {
-		return false
-	}
-	m.Res.CooldownLeft--
 	return true
 }

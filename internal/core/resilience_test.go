@@ -9,8 +9,8 @@ import (
 	"atomemu/internal/htm"
 )
 
-// resFixture builds a pico-htm scheme around a small TM (16 slots, so
-// slot-aliasing addresses are easy to find) with an explicit policy.
+// resFixture builds the HTM schemes around their own TM with an explicit
+// policy.
 type resFixture struct {
 	*fixture
 	tm *htm.TM
@@ -87,11 +87,14 @@ func TestPicoHTMResetAbortsLeakedTxn(t *testing.T) {
 	}
 }
 
-// TestPicoHTMDegradesUnderAbortStorm drives every transactional attempt of
-// tid 1 into an abort and checks the default policy retries with backoff
-// maxRetries times, then demotes and completes the LL/SC window on the
-// degraded path.
-func TestPicoHTMDegradesUnderAbortStorm(t *testing.T) {
+// TestPicoHTMAbortStormRequestsDemotion drives every transactional attempt
+// of tid 1 into an abort and checks the default policy retries with
+// backoff maxRetries times, then gives the window up — the LL loads
+// directly, the SC fails — and that the guest's retries give their windows
+// up at once until the streak reaches the livelock limit, where the
+// monitor asks the engine to demote the machine. Counting the fallback is
+// the engine's job, once per machine.
+func TestPicoHTMAbortStormRequestsDemotion(t *testing.T) {
 	f := newResFixture(t, 12)
 	f.tm.SetInjector(faultinject.New(faultinject.Rule{
 		Op: faultinject.OpTxnBegin, Action: faultinject.ActAbort, TID: 1,
@@ -101,41 +104,45 @@ func TestPicoHTMDegradesUnderAbortStorm(t *testing.T) {
 	if fl := f.mem.StoreWord(varAddr, 100); fl != nil {
 		t.Fatal(fl)
 	}
-	v, err := s.LL(a, varAddr)
-	if err != nil {
-		t.Fatalf("LL should degrade, not fail: %v", err)
+	givenUp := func() {
+		t.Helper()
+		v, err := s.LL(a, varAddr)
+		if err != nil {
+			t.Fatalf("LL should give the window up, not fail: %v", err)
+		}
+		if v != 100 {
+			t.Fatalf("LL = %d, want 100", v)
+		}
+		if r, err := s.SC(a, varAddr, 101); err != nil || r != 1 {
+			t.Fatalf("SC of a given-up window must fail: r=%d err=%v", r, err)
+		}
 	}
-	if v != 100 {
-		t.Fatalf("LL = %d, want 100", v)
+	givenUp()
+	if a.st.HTMRetries != maxRetries || a.st.HTMBackoffWaits != maxRetries || a.mon.Demote {
+		t.Fatalf("retries=%d backoffs=%d demote=%v, want %d/%d/false",
+			a.st.HTMRetries, a.st.HTMBackoffWaits, a.mon.Demote, maxRetries, maxRetries)
 	}
-	if !a.mon.Degraded {
-		t.Fatal("monitor should be degraded after exhausting retries")
+	for a.mon.AbortStreak < s.livelockLimit {
+		givenUp()
+		if a.mon.Demote {
+			t.Fatalf("streak %d asked for a demotion below the livelock limit %d", a.mon.AbortStreak, s.livelockLimit)
+		}
 	}
-	if a.st.HTMRetries != maxRetries || a.st.HTMBackoffWaits != maxRetries {
-		t.Fatalf("retries=%d backoffs=%d, want %d/%d", a.st.HTMRetries, a.st.HTMBackoffWaits, maxRetries, maxRetries)
+	givenUp()
+	if !a.mon.Demote || a.st.HTMRetries != maxRetries {
+		t.Fatalf("streak %d: demote=%v retries=%d, want a demotion and no further backoff",
+			a.mon.AbortStreak, a.mon.Demote, a.st.HTMRetries)
 	}
-	if a.st.SchemeFallbacks != 1 {
-		t.Fatalf("fallbacks=%d, want 1", a.st.SchemeFallbacks)
+	if a.st.SchemeFallbacks != 0 {
+		t.Fatalf("fallbacks=%d, want 0: the engine counts the demotion", a.st.SchemeFallbacks)
 	}
-	if r, err := s.SC(a, varAddr, 101); err != nil || r != 0 {
-		t.Fatalf("degraded SC: r=%d err=%v", r, err)
+	if v, _ := f.mem.LoadWord(varAddr); v != 100 {
+		t.Fatalf("mem = %d, want 100", v)
 	}
-	if v, _ := f.mem.LoadWord(varAddr); v != 101 {
-		t.Fatalf("mem = %d, want 101", v)
+	if f.tm.Active() {
+		t.Fatal("given-up window leaked a live transaction")
 	}
-	// The remaining cooldown windows skip the doomed transactional path
-	// outright: no further retries are burned.
-	before := a.st.HTMRetries
-	if _, err := s.LL(a, varAddr); err != nil {
-		t.Fatal(err)
-	}
-	if r, err := s.SC(a, varAddr, 102); err != nil || r != 0 {
-		t.Fatalf("cooldown SC: r=%d err=%v", r, err)
-	}
-	if a.st.HTMRetries != before {
-		t.Fatal("cooldown windows must not retry transactions")
-	}
-	// Other tids keep the transactional fast path.
+	// Other tids keep the transactional fast path and ask for nothing.
 	b := f.ctx(2)
 	if _, err := s.LL(b, varAddr); err != nil {
 		t.Fatal(err)
@@ -143,100 +150,60 @@ func TestPicoHTMDegradesUnderAbortStorm(t *testing.T) {
 	if r, err := s.SC(b, varAddr, 103); err != nil || r != 0 {
 		t.Fatalf("tid-2 SC: r=%d err=%v", r, err)
 	}
-	if b.st.SchemeFallbacks != 0 || b.st.HTMCommits != 1 {
-		t.Fatalf("tid 2 should commit transactionally: fallbacks=%d commits=%d",
-			b.st.SchemeFallbacks, b.st.HTMCommits)
+	if b.mon.Demote || b.st.HTMCommits != 1 {
+		t.Fatalf("tid 2 should commit transactionally: demote=%v commits=%d", b.mon.Demote, b.st.HTMCommits)
 	}
 }
 
-// TestPicoHTMDegradedWindowCatchesABA checks the degraded window's
-// slot-word snapshot: a foreign store that restores the original value
-// (classic ABA) still fails the SC, because the store bumped the version.
-func TestPicoHTMDegradedWindowCatchesABA(t *testing.T) {
-	f := newResFixture(t, 12)
-	f.tm.SetInjector(faultinject.New(faultinject.Rule{
-		Op: faultinject.OpTxnBegin, Action: faultinject.ActAbort, TID: 1,
-	}))
-	s := f.picoHTM(t, nil)
-	a, b := f.ctx(1), f.ctx(2)
-	if fl := f.mem.StoreWord(varAddr, 100); fl != nil {
-		t.Fatal(fl)
-	}
-	if _, err := s.LL(a, varAddr); err != nil {
-		t.Fatal(err)
-	}
-	if !a.mon.Degraded {
-		t.Fatal("window should be degraded")
-	}
-	// ABA: tid 2 swaps the value away and back between LL and SC.
-	if err := s.Store(b, varAddr, 55); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Store(b, varAddr, 100); err != nil {
-		t.Fatal(err)
-	}
-	if r, err := s.SC(a, varAddr, 101); err != nil || r != 1 {
-		t.Fatalf("ABA'd degraded SC must fail: r=%d err=%v", r, err)
-	}
-	// The guest's retry (fresh LL) then succeeds.
-	if _, err := s.LL(a, varAddr); err != nil {
-		t.Fatal(err)
-	}
-	if r, err := s.SC(a, varAddr, 101); err != nil || r != 0 {
-		t.Fatalf("retry SC: r=%d err=%v", r, err)
-	}
-	if v, _ := f.mem.LoadWord(varAddr); v != 101 {
-		t.Fatalf("mem = %d, want 101", v)
-	}
-}
-
-// TestPicoHTMDegradedWindowAdoptsOwnAliasingStore: a store by the degraded
-// window's own vCPU to an address aliasing the monitored slot must not fail
-// the SC — the guest would retry the identical window forever.
-func TestPicoHTMDegradedWindowAdoptsOwnAliasingStore(t *testing.T) {
-	f := newResFixture(t, 4) // 16 slots: aliases are nearby
-	f.tm.SetInjector(faultinject.New(faultinject.Rule{
-		Op: faultinject.OpTxnBegin, Action: faultinject.ActAbort, TID: 1,
-	}))
-	s := f.picoHTM(t, nil)
-	a := f.ctx(1)
-	alias := uint32(0)
-	for cand := varAddr + 4; cand < varAddr+4096; cand += 4 {
-		if f.tm.SameSlot(varAddr, uint32(cand)) {
-			alias = uint32(cand)
-			break
+// TestPicoHTMDemotesOnlyAtLivelockLimit: an abort that retrying cannot
+// fix (emulation work inside the window, as on the first pass of a window
+// whose tail block is translated inside the transaction) fails the SC and
+// nothing more; a successful window clears the streak, and only a streak
+// past the livelock limit asks for the demotion — where StrictPaper
+// reports livelock instead.
+func TestPicoHTMDemotesOnlyAtLivelockLimit(t *testing.T) {
+	for _, strict := range []bool{false, true} {
+		f := newResFixture(t, 12)
+		s := f.picoHTM(t, &Resilience{StrictPaper: strict})
+		a := f.ctx(1)
+		abortedWindow := func() error {
+			t.Helper()
+			if _, err := s.LL(a, varAddr); err != nil {
+				t.Fatal(err)
+			}
+			a.mon.Txn.AbortNow(htm.ReasonEmulation)
+			r, err := s.SC(a, varAddr, 1)
+			if r != 1 {
+				t.Fatalf("strict=%v: doomed SC: r=%d", strict, r)
+			}
+			return err
 		}
-	}
-	if alias == 0 {
-		t.Fatal("no slot alias found in range")
-	}
-	if fl := f.mem.StoreWord(varAddr, 100); fl != nil {
-		t.Fatal(fl)
-	}
-	if _, err := s.LL(a, varAddr); err != nil {
-		t.Fatal(err)
-	}
-	if !a.mon.Degraded {
-		t.Fatal("window should be degraded")
-	}
-	// Scratch store inside the window to a slot-aliasing address.
-	if err := s.Store(a, alias, 7); err != nil {
-		t.Fatal(err)
-	}
-	if r, err := s.SC(a, varAddr, 101); err != nil || r != 0 {
-		t.Fatalf("own aliasing store must not fail the degraded SC: r=%d err=%v", r, err)
-	}
-	if v, _ := f.mem.LoadWord(varAddr); v != 101 {
-		t.Fatalf("mem = %d, want 101", v)
-	}
-	if v, _ := f.mem.LoadWord(alias); v != 7 {
-		t.Fatalf("alias mem = %d, want 7", v)
+		if err := abortedWindow(); err != nil || a.mon.Demote {
+			t.Fatalf("strict=%v: one emulation abort: err=%v demote=%v", strict, err, a.mon.Demote)
+		}
+		if _, err := s.LL(a, varAddr); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := s.SC(a, varAddr, 2); err != nil || r != 0 || a.mon.AbortStreak != 0 {
+			t.Fatalf("strict=%v: clean window: r=%d err=%v streak=%d", strict, r, err, a.mon.AbortStreak)
+		}
+		for range s.livelockLimit {
+			if err := abortedWindow(); err != nil || a.mon.Demote {
+				t.Fatalf("strict=%v: streak %d: err=%v demote=%v", strict, a.mon.AbortStreak, err, a.mon.Demote)
+			}
+		}
+		err := abortedWindow()
+		var eerr *EmulationError
+		if strict != errors.As(err, &eerr) || a.mon.Demote == strict {
+			t.Fatalf("strict=%v: streak %d: err=%v demote=%v", strict, a.mon.AbortStreak, err, a.mon.Demote)
+		}
 	}
 }
 
 // TestHSTHTMDemotesToStopTheWorld drives the HST-HTM SC transaction into a
-// commit-abort storm and checks it demotes to the stop-the-world fallback
-// (completing the SC) and that cooldown windows skip the storm entirely.
+// commit-abort storm and checks that the SC falls back to the
+// stop-the-world path and completes, and that the next SC tries the
+// transaction again.
 func TestHSTHTMDemotesToStopTheWorld(t *testing.T) {
 	f := newResFixture(t, 12)
 	f.tm.SetInjector(faultinject.New(faultinject.Rule{
@@ -259,29 +226,20 @@ func TestHSTHTMDemotesToStopTheWorld(t *testing.T) {
 	if a.st.SchemeFallbacks != 1 || a.st.HTMRetries != maxRetries {
 		t.Fatalf("fallbacks=%d retries=%d, want 1/%d", a.st.SchemeFallbacks, a.st.HTMRetries, maxRetries)
 	}
-	// During cooldown the SC takes the fallback directly: no new aborts.
+	if a.mon.Demote {
+		t.Fatal("hst-htm must not ask for a machine demotion")
+	}
 	aborts := a.st.HTMAborts
 	if _, err := s.LL(a, varAddr); err != nil {
 		t.Fatal(err)
 	}
 	if r, err := s.SC(a, varAddr, 102); err != nil || r != 0 {
-		t.Fatalf("cooldown SC: r=%d err=%v", r, err)
+		t.Fatalf("second SC: r=%d err=%v", r, err)
 	}
-	if a.st.HTMAborts != aborts {
-		t.Fatal("cooldown SC must not re-run the abort storm")
+	if a.st.HTMAborts == aborts || a.st.SchemeFallbacks != 2 {
+		t.Fatalf("second SC should retry the transaction, then fall back: aborts %d -> %d, fallbacks=%d",
+			aborts, a.st.HTMAborts, a.st.SchemeFallbacks)
 	}
-	if a.st.ExclSections == 0 && v(t, f, varAddr) != 102 {
-		t.Fatal("fallback should have used the exclusive section")
-	}
-}
-
-func v(t *testing.T, f *resFixture, addr uint32) uint32 {
-	t.Helper()
-	x, fl := f.mem.LoadWord(addr)
-	if fl != nil {
-		t.Fatal(fl)
-	}
-	return x
 }
 
 // TestHSTHTMStrictKeepsFixedFallback: StrictPaper mode preserves the

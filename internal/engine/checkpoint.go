@@ -11,8 +11,9 @@ import (
 )
 
 // This file is the engine half of crash-consistent checkpointing: cadence
-// tracking and capture (maybeCheckpoint/capture) and rollback (restore,
-// with optional demotion to the portable HST scheme).
+// tracking and capture (maybeCheckpoint/capture), rollback (restore, with
+// optional demotion to the portable HST scheme), and the live demotion to
+// HST that shares restore's disarm (demoteLive).
 
 // maybeCheckpoint captures a consistent cut when this vCPU's clock crosses
 // the next cadence point. The fast path is two atomic loads; exactly one
@@ -129,6 +130,12 @@ func (m *Machine) capture(c *CPU) *checkpoint.Snapshot {
 // come back empty — each vCPU that was blocked at the cut re-executes its
 // syscall on resumption and re-joins the rebuilt queue.
 func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
+	if !demote && m.demoted() {
+		// The cut may predate the demotion and hold the HTM scheme's
+		// payload, which hst cannot take: a demoted machine restores only
+		// by demoting again, to fresh hst state.
+		return fmt.Errorf("engine: restoring a %s cut without demoting the %s machine", m.cfg.Scheme, m.scheme.Name())
+	}
 	// Owning the machine does not exclude host-side status pollers: a live
 	// AggregateStats read stops the (empty) world via exclHolder, so holding
 	// it across the rewrite of per-vCPU state keeps those reads race-free.
@@ -141,19 +148,10 @@ func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
 	for _, c := range all {
 		byTID[c.tid] = c
 	}
-	// Disarm every monitor first (including those of vCPUs spawned after
-	// the cut, which are about to be dropped), releasing any TM store
-	// watchers they hold so NotifyStore doesn't stay live forever.
-	for _, c := range all {
-		if c.mon.Res.Watcher && m.tm != nil {
-			m.tm.RemoveStoreWatcher()
-		}
-		c.mon = core.Monitor{}
-	}
-	if demote {
-		if err := m.demoteScheme(); err != nil {
-			return err
-		}
+	// Disarm every vCPU first, including those spawned after the cut,
+	// which are about to be dropped.
+	if err := m.disarm(all, demote); err != nil {
+		return err
 	}
 	if f := m.mem.Restore(snap.Mem); f != nil {
 		return fmt.Errorf("engine: restoring guest memory: %w", f)
@@ -193,13 +191,6 @@ func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
 		c.wdStalled = 0
 		c.lastExclSeen = m.exclSections.Load()
 		c.preemptLeft = 0
-		// Always drop the vCPU-private TB tier: after a demotion it holds
-		// blocks instrumented for the wrong scheme, and after any rollback
-		// its chain links describe control flow the restored run may never
-		// re-validate. Resume re-looks-up and re-links from the shared
-		// cache.
-		c.localTBs = make(map[uint32]*localTB)
-		c.jumpCache = [jumpCacheSize]*localTB{}
 		c.done = make(chan struct{})
 		if cs.Halted {
 			close(c.done)
@@ -254,14 +245,66 @@ func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
 	return nil
 }
 
+// disarm readies cpus for a scheme swap or a rollback; the caller has
+// stopped the world. It aborts every open transaction and clears every
+// monitor (an SC after the resumption fails spuriously, which LL/SC
+// guests tolerate), and with demote it swaps the scheme for portable HST.
+// It always drops every vCPU-private TB tier: after a demotion it holds
+// blocks instrumented for the wrong scheme, and after any rollback its
+// chain links describe control flow the restored run may never
+// re-validate. The links are cut as well, since a vCPU parked at a chain
+// boundary still holds its previous block. Execution re-looks-up and
+// re-links from the shared cache.
+func (m *Machine) disarm(cpus []*CPU, demote bool) error {
+	for _, c := range cpus {
+		c.mon.Reset()
+		c.mon = core.Monitor{}
+		for _, lt := range c.localTBs {
+			lt.taken, lt.fall = nil, nil
+		}
+		c.localTBs = make(map[uint32]*localTB)
+		c.jumpCache = [jumpCacheSize]*localTB{}
+	}
+	if demote {
+		return m.demoteScheme()
+	}
+	return nil
+}
+
+// demoteLive demotes the running machine to portable HST on the request
+// its scheme left on c's monitor (resilient pico-htm after an abort
+// storm). c is at a block boundary, where it stops the world: every other
+// vCPU is then parked between blocks or in a syscall, as for a capture, so
+// none is inside a scheme call. A request that finds the machine already
+// demoted does nothing.
+func (m *Machine) demoteLive(c *CPU) {
+	streak := c.mon.AbortStreak
+	c.mon.Demote = false
+	c.StartExclusive()
+	defer c.EndExclusive()
+	if m.demoted() {
+		return
+	}
+	if err := m.disarm(m.CPUs(), true); err != nil {
+		c.fail(fmt.Errorf("engine: demoting to hst: %w", err))
+		return
+	}
+	c.st.SchemeFallbacks++
+	c.ring.Emit(obs.EvSchemeFall, c.pc, uint64(streak))
+}
+
+// demoted reports whether the machine no longer runs the scheme it was
+// built with: a live demotion or a demoting rollback swapped it for hst.
+func (m *Machine) demoted() bool { return m.scheme.Name() != m.cfg.Scheme }
+
 // demoteScheme swaps the active scheme for portable HST with fresh state.
 // When the translation options change it drops the machine-cache blocks
 // whose translation actually depended on the changed options — a block
 // with no plain stores translates identically either way, so it survives
 // (tbCache.retain; resetting everything re-paid translation for every
 // pure-compute block). The cross-job view re-keys to the demoted universe.
-// Restore unconditionally drops the per-vCPU local caches (stale blocks
-// and chain links) either way.
+// disarm, its only caller, drops the per-vCPU local caches (stale blocks
+// and chain links).
 func (m *Machine) demoteScheme() error {
 	tab, err := core.NewHashTable(m.cfg.HashBits)
 	if err != nil {

@@ -475,6 +475,9 @@ func (c *CPU) stepOnce() int {
 			return blocks
 		}
 		if c.m.tm != nil {
+			if c.mon.Demote {
+				c.m.demoteLive(c)
+			}
 			// Emulator-interference model (paper §III-B, ref 18): a transaction
 			// still open at a block boundary has emulation work — TB lookups,
 			// chaining updates, shared profiling state — inside it; with more

@@ -33,7 +33,7 @@ func TestRestoreFaultConsumesRecoveryAttempt(t *testing.T) {
 			Op: faultinject.OpMemStore, Action: faultinject.ActFault, Addr: RuntimeBase, Count: 1,
 		},
 	)
-	agg, rep := runStackResilience(t, cfg, 16, 384, 256)
+	agg, rep, _ := runStackResilience(t, cfg, 16, 384, 256)
 	if got := cfg.FaultInjector.Fired(); got != 2 {
 		t.Fatalf("injected faults fired = %d, want 2 (one guest fault, one restore fault)", got)
 	}

@@ -130,11 +130,12 @@ type Config struct {
 	// ProfileCollisions enables the HST collision census (Table I support).
 	ProfileCollisions bool
 
-	// StrictPaper restores the paper's crash-on-livelock behavior: the HTM
-	// schemes return EmulationError after an abort storm instead of
-	// demoting to their portable fallback path. The figure/correctness
-	// harness sets it for reproduction fidelity; the default is resilient,
-	// with core's constant retry budget, backoff and cooldown.
+	// StrictPaper restores the paper's crash-on-livelock behavior: PICO-HTM
+	// returns EmulationError at its livelock streak instead of demoting the
+	// machine to portable HST, and HST-HTM's SC falls back after a fixed
+	// attempt count instead of backing off. The figure/correctness harness
+	// sets it for reproduction fidelity; the default is resilient, with
+	// core's constant retry budget and backoff.
 	StrictPaper bool
 	// ResilienceSeed seeds the deterministic per-tid backoff jitter
 	// (0 = default).
@@ -402,7 +403,7 @@ func (cfg Config) normalized() Config {
 }
 
 // resilience derives the scheme-facing resilience policy from the config;
-// the retry budget, backoff and cooldown are core's constants.
+// the retry budget and backoff are core's constants.
 func (cfg *Config) resilience() core.Resilience {
 	return core.Resilience{StrictPaper: cfg.StrictPaper, Seed: cfg.ResilienceSeed}
 }

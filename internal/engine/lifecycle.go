@@ -89,7 +89,9 @@ func (m *Machine) RunContext(ctx context.Context) error {
 		if snap == nil {
 			return err
 		}
-		demote := schemeAttributed(err) && !m.scheme.Portable()
+		// A machine demoted once never runs its HTM scheme again, whether
+		// the cut predates the demotion or not.
+		demote := m.demoted() || schemeAttributed(err) && !m.scheme.Portable()
 		// The restore itself can fail — a fault injected into the page-table
 		// rebuild, a snapshot that no longer matches the machine, or a panic
 		// on the restore path. Each failed restore consumes a recovery

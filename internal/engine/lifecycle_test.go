@@ -24,7 +24,7 @@ func TestRecoveryFromInjectedFault(t *testing.T) {
 	cfg.FaultInjector = faultinject.New(faultinject.Rule{
 		Op: faultinject.OpMemStore, Action: faultinject.ActFault, After: 6_000, Count: 1,
 	})
-	agg, rep := runStackResilience(t, cfg, 16, 384, 256)
+	agg, rep, _ := runStackResilience(t, cfg, 16, 384, 256)
 	if cfg.FaultInjector.Fired() == 0 {
 		t.Fatal("injected fault never fired; the demo tested nothing")
 	}

@@ -12,8 +12,9 @@ import (
 )
 
 // runStackResilience drives the lock-free-stack bench through an explicit
-// config and returns the aggregate stats and the post-run stack audit.
-func runStackResilience(t *testing.T, cfg Config, threads int, pairsPerThread uint64, nodes uint32) (stats.CPU, guestlib.StackReport) {
+// config and returns the aggregate stats, the post-run stack audit and the
+// scheme the machine ended on.
+func runStackResilience(t *testing.T, cfg Config, threads int, pairsPerThread uint64, nodes uint32) (stats.CPU, guestlib.StackReport, string) {
 	t.Helper()
 	sb, err := guestlib.BuildStackBench(0x10000, nodes)
 	if err != nil {
@@ -46,19 +47,29 @@ func runStackResilience(t *testing.T, cfg Config, threads int, pairsPerThread ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.AggregateStats(), rep
+	return m.AggregateStats(), rep, m.Scheme().Name()
 }
 
-// TestStressPicoHTMFaultInjectedAbortStorm forces a long storm of
-// transaction-begin aborts (so every LL/SC window retries with backoff and
-// then demotes) and checks PICO-HTM degrades (SchemeFallbacks > 0) yet
-// finishes the stack workload with a fully intact stack. The storm is
-// Count-bounded: an unbounded one would (rightly) starve individual vCPUs
-// into the progress watchdog. The count is sized to core's
-// 16-retry budget: about a thousand demotions, which keep most SCs of the
-// 16-vCPU HST-HTM run below on the fallback path. With fewer, more SCs
-// commit transactionally, where HST-HTM's known stack corruption is still
-// open, and that test would measure the hole instead of the policy.
+// checkDemotedOnce asserts a resilient pico-htm run's outcome: an intact
+// stack, finished on hst after exactly one machine demotion.
+func checkDemotedOnce(t *testing.T, agg stats.CPU, rep guestlib.StackReport, scheme string) {
+	t.Helper()
+	if rep.Corrupted() {
+		t.Errorf("stack corrupted: %+v", rep)
+	}
+	if scheme != "hst" {
+		t.Errorf("machine ended on %s, want hst", scheme)
+	}
+	if agg.SchemeFallbacks != 1 {
+		t.Errorf("SchemeFallbacks = %d, want exactly one machine demotion", agg.SchemeFallbacks)
+	}
+}
+
+// TestStressPicoHTMFaultInjectedAbortStorm forces a storm of
+// transaction-begin aborts, so the first LL/SC window retries with backoff
+// until its budget runs out and asks for the machine's demotion. PICO-HTM
+// must finish the stack workload on hst, demoted once, with a fully intact
+// stack.
 func TestStressPicoHTMFaultInjectedAbortStorm(t *testing.T) {
 	for _, threads := range []int{8, 16} {
 		t.Run(map[int]string{8: "8vcpu", 16: "16vcpu"}[threads], func(t *testing.T) {
@@ -67,25 +78,21 @@ func TestStressPicoHTMFaultInjectedAbortStorm(t *testing.T) {
 			cfg.FaultInjector = faultinject.New(faultinject.Rule{
 				Op: faultinject.OpTxnBegin, Action: faultinject.ActAbort, Count: 16000,
 			})
-			agg, rep := runStackResilience(t, cfg, threads, 384, 256)
-			if agg.SchemeFallbacks == 0 {
-				t.Error("expected scheme fallbacks under a commit-abort storm")
-			}
+			agg, rep, scheme := runStackResilience(t, cfg, threads, 384, 256)
 			if agg.HTMRetries == 0 {
 				t.Error("expected backoff retries before demotion")
 			}
-			if rep.Corrupted() {
-				t.Errorf("stack corrupted: %+v", rep)
-			}
+			checkDemotedOnce(t, agg, rep, scheme)
 		})
 	}
 }
 
 // TestStressHSTHTMFaultInjectedAbortStorm storms HST-HTM's SC transaction
 // with begin aborts (they fire before the entry-owner check, so each SC
-// takes consecutive aborts until its retry budget demotes it): the SC
-// falls back to the stop-the-world path and completes. Count-bounded for
-// the same starvation reason as above.
+// takes consecutive aborts until its retry budget runs out): each such SC
+// falls back to the stop-the-world path and completes, and the machine
+// stays on hst-htm. Count-bounded: an unbounded storm would (rightly)
+// starve individual vCPUs into the progress watchdog.
 func TestStressHSTHTMFaultInjectedAbortStorm(t *testing.T) {
 	for _, threads := range []int{8, 16} {
 		t.Run(map[int]string{8: "8vcpu", 16: "16vcpu"}[threads], func(t *testing.T) {
@@ -94,12 +101,15 @@ func TestStressHSTHTMFaultInjectedAbortStorm(t *testing.T) {
 			cfg.FaultInjector = faultinject.New(faultinject.Rule{
 				Op: faultinject.OpTxnBegin, Action: faultinject.ActAbort, Count: 16000,
 			})
-			agg, rep := runStackResilience(t, cfg, threads, 384, 256)
+			agg, rep, scheme := runStackResilience(t, cfg, threads, 384, 256)
 			if agg.SchemeFallbacks == 0 {
-				t.Error("expected scheme fallbacks under a commit-abort storm")
+				t.Error("expected per-SC fallbacks under a begin-abort storm")
 			}
 			if agg.HTMRetries == 0 {
-				t.Error("expected backoff retries before demotion")
+				t.Error("expected backoff retries before falling back")
+			}
+			if scheme != "hst-htm" {
+				t.Errorf("hst-htm must not demote the machine; ended on %s", scheme)
 			}
 			if rep.Corrupted() {
 				t.Errorf("stack corrupted: %+v", rep)
@@ -110,17 +120,163 @@ func TestStressHSTHTMFaultInjectedAbortStorm(t *testing.T) {
 
 // TestStressPicoHTM16VCPUsCompletesDegraded is the headline robustness
 // claim: at 16 vCPUs the paper's PICO-HTM livelocks and crashes, while the
-// default resilient policy completes the run (degraded) with a correct
-// stack — no fault injection involved.
+// default resilient policy demotes the machine to hst once and completes
+// with a correct stack — no fault injection involved.
 func TestStressPicoHTM16VCPUsCompletesDegraded(t *testing.T) {
 	cfg := DefaultConfig("pico-htm")
 	cfg.MaxGuestInstrs = 2_000_000_000
-	agg, rep := runStackResilience(t, cfg, 16, 1024, 256)
-	if agg.SchemeFallbacks == 0 {
-		t.Error("16-vCPU pico-htm should have demoted at least once")
+	agg, rep, scheme := runStackResilience(t, cfg, 16, 1024, 256)
+	checkDemotedOnce(t, agg, rep, scheme)
+}
+
+// windowCounterProgram is counterProgram with each LL/SC window spanning a
+// block boundary, so a vCPU parked between blocks can hold an open
+// transaction. The first pass runs the window's tail with no monitor (its
+// SC fails), which translates it outside any transaction.
+const windowCounterProgram = `
+.org 0x10000
+.entry worker
+worker:
+    ldr r4, =counter
+    b tail
+loop:
+    ldrex r1, [r4]
+    cmpi r1, #0
+    bne tail
+tail:
+    addi r1, r1, #1
+    strex r2, r1, [r4]
+    cmpi r2, #0
+    bne loop
+    subsi r0, r0, #1
+    bne loop
+    movi r0, #0
+    svc #1
+.align 1024
+counter: .word 0
+`
+
+// TestPicoHTMLiveDemotionLosesNoUpdate demotes a 16-vCPU pico-htm machine
+// mid-run while other vCPUs sit between the blocks of open LL/SC windows.
+// The interference model is off so those windows stay open across the
+// boundary; vCPU 1's transactions then all abort, so its window gives up
+// and asks for the demotion. The demotion aborts the open windows, whose
+// SCs then fail under hst and retry: not one increment may be lost.
+func TestPicoHTMLiveDemotionLosesNoUpdate(t *testing.T) {
+	const threads, iters = 16, 400
+	im := buildImage(t, windowCounterProgram)
+	cfg := DefaultConfig("pico-htm")
+	cfg.MaxGuestInstrs = 200_000_000
+	cfg.Cost.HTMInterference = 1 << 30
+	cfg.FaultInjector = faultinject.New(faultinject.Rule{
+		Op: faultinject.OpTxnBegin, Action: faultinject.ActAbort, TID: 1, After: iters / 4, Count: 64,
+	})
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.Corrupted() {
-		t.Errorf("stack corrupted: %+v", rep)
+	if err := m.LoadImage(im); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < threads; i++ {
+		if _, err := m.SpawnThread(im.Entry, iters); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Mem().LoadWord(im.MustSymbol("counter")); v != threads*iters {
+		t.Fatalf("counter = %d, want %d: %d updates lost", v, threads*iters, threads*iters-int(v))
+	}
+	agg := m.AggregateStats()
+	if got := m.Scheme().Name(); got != "hst" || agg.SchemeFallbacks != 1 {
+		t.Fatalf("scheme %s after %d demotions, want hst after exactly one", got, agg.SchemeFallbacks)
+	}
+}
+
+// faultAfterLoopProgram increments the counter r0 times, then stores to
+// done, where the test injects a fault.
+const faultAfterLoopProgram = `
+.org 0x10000
+.entry worker
+worker:
+    ldr r4, =counter
+    ldr r5, =done
+loop:
+    ldrex r1, [r4]
+    addi r1, r1, #1
+    strex r2, r1, [r4]
+    cmpi r2, #0
+    bne loop
+    subsi r0, r0, #1
+    bne loop
+    movi r1, #1
+    str r1, [r5]
+    movi r0, #0
+    svc #1
+.align 1024
+counter: .word 0
+done: .word 0
+`
+
+// TestCheckpointBeforeLiveDemotionRestoresUnderHST rolls a live-demoted
+// machine back to a cut taken before its demotion: the restore stays on
+// hst, never on the HTM scheme the cut was taken under. One vCPU keeps the
+// run deterministic: the last window's transactions all abort, so it asks
+// for the demotion; a first run without checkpoints measures where the
+// run ends, and the second places its only cut before the demotion and
+// faults the store after it once. A rollback that kept the cut's pico-htm
+// payload under hst fails the restore, so the run would exhaust its
+// recovery attempts.
+func TestCheckpointBeforeLiveDemotionRestoresUnderHST(t *testing.T) {
+	const iters = 300
+	im := buildImage(t, faultAfterLoopProgram)
+	storm := faultinject.Rule{Op: faultinject.OpTxnBegin, Action: faultinject.ActAbort, After: iters - 1, Count: 64}
+	run := func(every uint64, rules ...faultinject.Rule) (*Machine, error) {
+		cfg := DefaultConfig("pico-htm")
+		cfg.MaxGuestInstrs = 10_000_000
+		cfg.CheckpointEvery = every
+		cfg.FaultInjector = faultinject.New(rules...)
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadImage(im); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.SpawnThread(im.Entry, iters); err != nil {
+			t.Fatal(err)
+		}
+		return m, m.Run()
+	}
+	m, err := run(0, storm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Scheme().Name(); got != "hst" {
+		t.Fatalf("the last window should demote the machine; ended on %s", got)
+	}
+	// The storm's backoff takes most of the run's last quarter: a cadence
+	// of 3/4 of the run cuts once, before the demotion, and never again.
+	m, err = run(m.VirtualTime()*3/4, storm, faultinject.Rule{
+		Op: faultinject.OpMemStore, Action: faultinject.ActFault, Addr: im.MustSymbol("done"), Count: 1,
+	})
+	if err != nil {
+		t.Fatalf("rollback should recover the run: %v", err)
+	}
+	agg := m.AggregateStats()
+	if agg.RecoveryRestores != 1 || agg.Checkpoints != 1 {
+		t.Fatalf("restores=%d checkpoints=%d, want one of each", agg.RecoveryRestores, agg.Checkpoints)
+	}
+	if agg.SchemeFallbacks != 0 {
+		t.Fatalf("SchemeFallbacks = %d: the restored cut should predate the demotion", agg.SchemeFallbacks)
+	}
+	if got := m.Scheme().Name(); got != "hst" {
+		t.Fatalf("restored under %s, want hst", got)
+	}
+	if v, _ := m.Mem().LoadWord(im.MustSymbol("counter")); v != iters {
+		t.Fatalf("counter = %d, want %d", v, iters)
 	}
 }
 

@@ -77,7 +77,8 @@ func (m *Machine) attachSharedTB(im *asm.Image, key *[32]byte) {
 // translation options: post-demotion translations belong to the demoted
 // key's universe, so the machine gets a clean keyed view instead of
 // poisoning (or being poisoned by) the un-demoted one. Runs only while the
-// machine is quiesced (restore owns all vCPUs).
+// machine is quiesced (restore owns all vCPUs; a live demotion has stopped
+// the world).
 func (m *Machine) rekeySharedTB() {
 	if m.sharedView == nil {
 		return

@@ -263,7 +263,7 @@ func TestChainingSurvivesCheckpointRestore(t *testing.T) {
 	cfg.FaultInjector = faultinject.New(faultinject.Rule{
 		Op: faultinject.OpMemStore, Action: faultinject.ActFault, After: 6_000, Count: 1,
 	})
-	agg, rep := runStackResilience(t, cfg, 8, 256, 256)
+	agg, rep, _ := runStackResilience(t, cfg, 8, 256, 256)
 	if cfg.FaultInjector.Fired() == 0 {
 		t.Fatal("injected fault never fired; the test exercised nothing")
 	}

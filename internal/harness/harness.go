@@ -65,7 +65,7 @@ func RunWorkload(cfg RunConfig) (*RunResult, error) {
 	ecfg.MaxGuestInstrs = 4_000_000_000
 	ecfg.ProfileCollisions = cfg.ProfileCollisions
 	// Paper-fidelity runs: HTM livelock crashes (Fig. 11's missing data
-	// points) instead of degrading to the resilient fallback.
+	// points) instead of falling back to hst.
 	ecfg.StrictPaper = true
 	m, err := engine.NewMachine(ecfg)
 	if err != nil {
@@ -129,6 +129,9 @@ func isSchemeCrash(err error) bool {
 // StackRun is the §IV-A correctness experiment result for one scheme.
 type StackRun struct {
 	Scheme string
+	// EndScheme is the scheme the machine finished on: Scheme, or hst
+	// after a demotion.
+	EndScheme string
 	// Threads is the worker count actually used (PICO-HTM is capped at 8,
 	// the paper's own limit before it livelocks).
 	Threads int
@@ -153,7 +156,7 @@ type StackRun struct {
 // workers, totalOps pop+push pairs in all (the paper uses 16 threads and
 // 1,048,575 operations), nodes stack entries. It runs in StrictPaper mode
 // so the paper's crash behavior reproduces; see RunResilience for the
-// degraded-but-completing counterpart.
+// falling-back-but-completing counterpart.
 func RunStack(scheme string, threads int, totalOps uint64, nodes uint32) (*StackRun, error) {
 	cfg := engine.DefaultConfig(scheme)
 	cfg.MaxGuestInstrs = 4_000_000_000
@@ -187,6 +190,7 @@ func runStack(cfg engine.Config, threads int, totalOps uint64, nodes uint32) (*S
 	runErr := m.Run()
 	out := &StackRun{
 		Scheme:      cfg.Scheme,
+		EndScheme:   m.Scheme().Name(),
 		Threads:     threads,
 		Ops:         per * uint64(threads),
 		VirtualTime: m.VirtualTime(),

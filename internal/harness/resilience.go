@@ -11,18 +11,21 @@ import (
 // ResilienceRow is one (scheme, mode) run of the lock-free-stack bench.
 type ResilienceRow struct {
 	Scheme string
-	// Strict runs the paper-faithful policy (livelock crashes the run);
-	// otherwise the resilience layer degrades the scheme and completes.
-	Strict bool
-	// Recovery runs the resilient policy with checkpointing on and an
-	// injected mid-run store fault: the run is killed mid-flight and must
-	// roll back to the last checkpoint and complete.
-	Recovery    bool
+	// Mode is the row's policy:
+	//	strict     the paper's: HTM livelock crashes the run
+	//	resilient  the default: back off, fall back to hst, complete
+	//	recovery   resilient with checkpointing on and an injected mid-run
+	//	           store fault, rolled back to the last cut and completed
+	//	baseline   plain hst, what a full fallback costs
+	Mode        string
 	Threads     int
 	Crashed     bool
 	Reason      string
 	CorruptPct  float64
 	VirtualTime uint64
+	// EndScheme is the scheme the machine finished on (hst after a
+	// demotion).
+	EndScheme string
 	// Resilience counters (all zero in strict mode by construction).
 	Retries       uint64
 	BackoffWaits  uint64
@@ -33,22 +36,12 @@ type ResilienceRow struct {
 	Restores    uint64
 }
 
-// Mode names the row's policy for display.
-func (r ResilienceRow) Mode() string {
-	switch {
-	case r.Recovery:
-		return "recovery"
-	case r.Strict:
-		return "strict"
-	}
-	return "resilient"
-}
-
 // Resilience is the robustness experiment: the HTM schemes driven through
 // the §IV-A lock-free stack at a thread count where PICO-HTM livelocks,
-// once under the paper's strict policy (reproducing the crash) and once
-// under the default resilient policy (degrading but completing with a
-// correct final stack).
+// under the paper's strict policy (reproducing the crash), under the
+// default resilient policy (falling back to hst but completing with a
+// correct final stack) and with a rollback on top, beside a plain hst run
+// of the same stack.
 type Resilience struct {
 	Threads int
 	Ops     uint64
@@ -80,68 +73,46 @@ func RunResilience(threads int, totalOps uint64, nodes uint32, seed uint64, prog
 		nodes = 4096
 	}
 	exp := &Resilience{Threads: threads, Ops: totalOps, Nodes: nodes, Seed: seed}
+	type variant struct{ scheme, mode string }
+	var variants []variant
 	for _, scheme := range ResilienceSchemes() {
-		for _, strict := range []bool{true, false} {
-			cfg := engine.DefaultConfig(scheme)
-			cfg.MaxGuestInstrs = 4_000_000_000
-			cfg.StrictPaper = strict
-			cfg.ResilienceSeed = seed
-			run, err := runStack(cfg, threads, totalOps, nodes)
-			if err != nil {
-				return nil, fmt.Errorf("harness: resilience %s strict=%v: %w", scheme, strict, err)
-			}
-			row := ResilienceRow{
-				Scheme:        scheme,
-				Strict:        strict,
-				Threads:       threads,
-				Crashed:       run.Crashed,
-				Reason:        run.Reason,
-				CorruptPct:    run.CorruptPct,
-				VirtualTime:   run.VirtualTime,
-				Retries:       run.Stats.HTMRetries,
-				BackoffWaits:  run.Stats.HTMBackoffWaits,
-				Fallbacks:     run.Stats.SchemeFallbacks,
-				WatchdogTrips: run.Stats.WatchdogTrips,
-			}
-			if row.Crashed {
-				progress("%-9s %-9s t=%-3d CRASH: %s", scheme, row.Mode(), threads, row.Reason)
-			} else {
-				progress("%-9s %-9s t=%-3d vt=%-12d retries=%d fallbacks=%d corrupt=%.2f%%",
-					scheme, row.Mode(), threads, row.VirtualTime, row.Retries, row.Fallbacks, row.CorruptPct)
-			}
-			exp.Rows = append(exp.Rows, row)
+		for _, mode := range []string{"strict", "resilient", "recovery"} {
+			variants = append(variants, variant{scheme, mode})
 		}
-		// Recovery scenario: resilient policy with checkpointing on and a
-		// one-shot store fault injected mid-run. The run must roll back to
-		// the last checkpoint, re-execute, and still produce a clean stack.
-		pairs := (totalOps / uint64(threads)) * uint64(threads)
-		cfg := engine.DefaultConfig(scheme)
+	}
+	variants = append(variants, variant{"hst", "baseline"})
+	pairs := (totalOps / uint64(threads)) * uint64(threads)
+	for _, v := range variants {
+		cfg := engine.DefaultConfig(v.scheme)
 		cfg.MaxGuestInstrs = 4_000_000_000
-		cfg.StrictPaper = false
+		cfg.StrictPaper = v.mode == "strict"
 		cfg.ResilienceSeed = seed
-		// Each push/pop pair performs ~2 guest stores and ~450 virtual
-		// cycles, so a fault after `pairs` stores lands mid-run and the
-		// checkpoint cadence of pairs*10 cycles guarantees several cuts
-		// before it fires.
-		cfg.CheckpointEvery = pairs * 10
-		cfg.FaultInjector = faultinject.New(faultinject.Rule{
-			Op:     faultinject.OpMemStore,
-			Action: faultinject.ActFault,
-			After:  pairs,
-			Count:  1,
-		})
+		if v.mode == "recovery" {
+			// Each push/pop pair performs ~2 guest stores and ~450 virtual
+			// cycles, so a fault after `pairs` stores lands mid-run and the
+			// checkpoint cadence of pairs*10 cycles guarantees several cuts
+			// before it fires.
+			cfg.CheckpointEvery = pairs * 10
+			cfg.FaultInjector = faultinject.New(faultinject.Rule{
+				Op:     faultinject.OpMemStore,
+				Action: faultinject.ActFault,
+				After:  pairs,
+				Count:  1,
+			})
+		}
 		run, err := runStack(cfg, threads, totalOps, nodes)
 		if err != nil {
-			return nil, fmt.Errorf("harness: resilience %s recovery: %w", scheme, err)
+			return nil, fmt.Errorf("harness: resilience %s %s: %w", v.scheme, v.mode, err)
 		}
 		row := ResilienceRow{
-			Scheme:        scheme,
-			Recovery:      true,
+			Scheme:        v.scheme,
+			Mode:          v.mode,
 			Threads:       threads,
 			Crashed:       run.Crashed,
 			Reason:        run.Reason,
 			CorruptPct:    run.CorruptPct,
 			VirtualTime:   run.VirtualTime,
+			EndScheme:     run.EndScheme,
 			Retries:       run.Stats.HTMRetries,
 			BackoffWaits:  run.Stats.HTMBackoffWaits,
 			Fallbacks:     run.Stats.SchemeFallbacks,
@@ -150,10 +121,10 @@ func RunResilience(threads int, totalOps uint64, nodes uint32, seed uint64, prog
 			Restores:      run.Stats.RecoveryRestores,
 		}
 		if row.Crashed {
-			progress("%-9s %-9s t=%-3d CRASH: %s", scheme, row.Mode(), threads, row.Reason)
+			progress("%-9s %-9s t=%-3d CRASH: %s", v.scheme, v.mode, threads, row.Reason)
 		} else {
-			progress("%-9s %-9s t=%-3d vt=%-12d ckpts=%d restores=%d corrupt=%.2f%%",
-				scheme, row.Mode(), threads, row.VirtualTime, row.Checkpoints, row.Restores, row.CorruptPct)
+			progress("%-9s %-9s t=%-3d vt=%-12d retries=%d fallbacks=%d restores=%d corrupt=%.2f%% end=%s",
+				v.scheme, v.mode, threads, row.VirtualTime, row.Retries, row.Fallbacks, row.Restores, row.CorruptPct, row.EndScheme)
 		}
 		exp.Rows = append(exp.Rows, row)
 	}
@@ -164,10 +135,11 @@ func RunResilience(threads int, totalOps uint64, nodes uint32, seed uint64, prog
 func (exp *Resilience) Render(w io.Writer) {
 	fmt.Fprintf(w, "Resilience — lock-free stack, %d threads, %d op pairs, %d nodes\n",
 		exp.Threads, exp.Ops, exp.Nodes)
-	fmt.Fprintf(w, "(strict = paper policy: HTM livelock aborts the run; resilient = default: degrade and complete;\n")
-	fmt.Fprintf(w, " recovery = resilient + checkpointing with an injected mid-run fault, rolled back and completed)\n\n")
-	fmt.Fprintf(w, "  %-9s %-9s %-8s %10s %10s %10s %8s %8s %9s  %s\n",
-		"scheme", "mode", "outcome", "retries", "backoffs", "fallbacks", "ckpts", "restores", "corrupt%", "detail")
+	fmt.Fprintf(w, "(strict = paper policy: HTM livelock aborts the run; resilient = default: fall back to hst and complete;\n")
+	fmt.Fprintf(w, " recovery = resilient + checkpointing with an injected mid-run fault, rolled back and completed;\n")
+	fmt.Fprintf(w, " baseline = plain hst on the same stack)\n\n")
+	fmt.Fprintf(w, "  %-9s %-9s %-8s %10s %10s %10s %8s %8s %9s %-9s  %s\n",
+		"scheme", "mode", "outcome", "retries", "backoffs", "fallbacks", "ckpts", "restores", "corrupt%", "end", "detail")
 	for _, r := range exp.Rows {
 		outcome := "ok"
 		detail := fmt.Sprintf("vt=%d", r.VirtualTime)
@@ -175,19 +147,19 @@ func (exp *Resilience) Render(w io.Writer) {
 			outcome = "crash"
 			detail = r.Reason
 		}
-		fmt.Fprintf(w, "  %-9s %-9s %-8s %10d %10d %10d %8d %8d %9.2f  %s\n",
-			r.Scheme, r.Mode(), outcome, r.Retries, r.BackoffWaits, r.Fallbacks,
-			r.Checkpoints, r.Restores, r.CorruptPct, detail)
+		fmt.Fprintf(w, "  %-9s %-9s %-8s %10d %10d %10d %8d %8d %9.2f %-9s  %s\n",
+			r.Scheme, r.Mode, outcome, r.Retries, r.BackoffWaits, r.Fallbacks,
+			r.Checkpoints, r.Restores, r.CorruptPct, r.EndScheme, detail)
 	}
 }
 
-// CSV writes rows: scheme,mode,threads,crashed,retries,backoff_waits,fallbacks,watchdog_trips,checkpoints,restores,corrupt_pct,virtual_time.
+// CSV writes rows: scheme,mode,threads,crashed,retries,backoff_waits,fallbacks,watchdog_trips,checkpoints,restores,corrupt_pct,virtual_time,end_scheme.
 func (exp *Resilience) CSV(w io.Writer) {
 	fmt.Fprintf(w, "# seed=%d\n", exp.Seed)
-	fmt.Fprintln(w, "scheme,mode,threads,crashed,retries,backoff_waits,fallbacks,watchdog_trips,checkpoints,restores,corrupt_pct,virtual_time")
+	fmt.Fprintln(w, "scheme,mode,threads,crashed,retries,backoff_waits,fallbacks,watchdog_trips,checkpoints,restores,corrupt_pct,virtual_time,end_scheme")
 	for _, r := range exp.Rows {
-		fmt.Fprintf(w, "%s,%s,%d,%v,%d,%d,%d,%d,%d,%d,%.4f,%d\n",
-			r.Scheme, r.Mode(), r.Threads, r.Crashed, r.Retries, r.BackoffWaits,
-			r.Fallbacks, r.WatchdogTrips, r.Checkpoints, r.Restores, r.CorruptPct, r.VirtualTime)
+		fmt.Fprintf(w, "%s,%s,%d,%v,%d,%d,%d,%d,%d,%d,%.4f,%d,%s\n",
+			r.Scheme, r.Mode, r.Threads, r.Crashed, r.Retries, r.BackoffWaits,
+			r.Fallbacks, r.WatchdogTrips, r.Checkpoints, r.Restores, r.CorruptPct, r.VirtualTime, r.EndScheme)
 	}
 }

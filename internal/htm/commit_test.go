@@ -281,40 +281,3 @@ func TestStoreLockedAddsAndCommitsLoseNoUpdate(t *testing.T) {
 		t.Error("transactions leaked")
 	}
 }
-
-// TestStoreLockAdoptsOnlyItsOwnMove: a degraded window adopts its own
-// store's version move only when the store's lock was taken from the
-// window's snapshot word, never across a foreign move or a poisoning.
-func TestStoreLockAdoptsOnlyItsOwnMove(t *testing.T) {
-	tm := newTM(t)
-	mem := newMemStore()
-	const word = 0x6000
-	w0 := tm.SlotWord(word)
-	l := tm.BeginStore(word)
-	tm.EndStore(l)
-	next, ok := l.Adopt(w0)
-	if !ok || next != tm.SlotWord(word) || next == w0 {
-		t.Fatalf("own store from the snapshot: Adopt = %#x, %t; slot %#x (was %#x)", next, ok, tm.SlotWord(word), w0)
-	}
-	// A lock taken after a foreign move is refused: the snapshot is stale.
-	l = tm.BeginStore(word)
-	tm.EndStore(l)
-	if _, ok := l.Adopt(w0); ok {
-		t.Fatal("adopted across a foreign store")
-	}
-	// A store that poisoned an in-flight owner moved nothing itself.
-	txn := tm.Begin(1, mem.load)
-	if err := txn.Write(word, 1); err != nil {
-		t.Fatal(err)
-	}
-	w := tm.SlotWord(word)
-	l = tm.BeginStore(word)
-	tm.EndStore(l)
-	if _, ok := l.Adopt(w); ok {
-		t.Fatal("adopted a poisoning store")
-	}
-	var ab *Abort
-	if err := txn.Commit(mem.store); !errors.As(err, &ab) || ab.Reason != ReasonNonTxnStore {
-		t.Fatalf("poisoned commit = %v, want a non-txn-store abort", err)
-	}
-}

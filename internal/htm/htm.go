@@ -136,8 +136,8 @@ type TM struct {
 	pins     []atomic.Int32
 	mask     uint32
 	capacity int
-	// active counts in-flight transactions plus registered store
-	// watchers; NotifyStore's fast path is one load of it.
+	// active counts in-flight transactions; NotifyStore's fast path is
+	// one load of it.
 	active atomic.Int64
 	nextID atomic.Uint64
 	inj    *faultinject.Injector
@@ -172,29 +172,9 @@ func (tm *TM) slot(addr uint32) uint32 {
 // transaction runs; the field is read without synchronization afterwards.
 func (tm *TM) SetInjector(inj *faultinject.Injector) { tm.inj = inj }
 
-// Active reports whether any transaction is in flight or any store watcher
-// is registered, the condition under which NotifyStore does any work.
+// Active reports whether any transaction is in flight, the condition under
+// which NotifyStore does any work.
 func (tm *TM) Active() bool { return tm.active.Load() > 0 }
-
-// AddStoreWatcher keeps NotifyStore live while no transaction is open, so
-// a vCPU running a degraded (non-transactional) LL/SC window still
-// observes version bumps from plain stores. Paired with
-// RemoveStoreWatcher.
-func (tm *TM) AddStoreWatcher() { tm.active.Add(1) }
-
-// RemoveStoreWatcher releases a watcher taken with AddStoreWatcher.
-func (tm *TM) RemoveStoreWatcher() { tm.active.Add(-1) }
-
-// SlotWord returns the current lock word of addr's slot. A degraded LL/SC
-// window snapshots it at LL (before loading the value) and revalidates at
-// SC: any committed transaction or notified plain store to an aliasing
-// address changes the word.
-func (tm *TM) SlotWord(addr uint32) uint64 {
-	return tm.locks[tm.slot(addr)].Load()
-}
-
-// SameSlot reports whether two addresses alias to the same lock slot.
-func (tm *TM) SameSlot(a, b uint32) bool { return tm.slot(a) == tm.slot(b) }
 
 // NotifyStore records a non-transactional store for strong atomicity:
 // readers of the slot revalidate and fail; a transaction holding the slot's
@@ -288,17 +268,6 @@ func (tm *TM) EndStore(l StoreLock) {
 	}
 }
 
-// Adopt returns the slot word the lock's release left behind if the lock
-// was taken from word, and false otherwise. A degraded vCPU uses it to
-// adopt its own store's version move into its snapshot: a lock taken from
-// the snapshot means no foreign store or commit moved the word in between.
-func (l StoreLock) Adopt(word uint64) (uint64, bool) {
-	if !l.held || l.prev != word {
-		return word, false
-	}
-	return l.prev + versionInc, true
-}
-
 // SnapshotWords copies every slot's lock word for a checkpoint. A word
 // locked by an open transaction (a vCPU parked mid LL/SC window) is
 // recorded as a fresh unlocked version and poison bits are dropped: a
@@ -317,9 +286,9 @@ func (tm *TM) SnapshotWords() []uint64 {
 }
 
 // RestoreWords installs a SnapshotWords copy. Call only at machine
-// quiescence, after every live transaction has been aborted and every
-// store watcher released (the active count is not part of the snapshot —
-// it reaches zero through those aborts/releases).
+// quiescence, after every live transaction has been aborted (the active
+// count is not part of the snapshot — it reaches zero through those
+// aborts).
 func (tm *TM) RestoreWords(words []uint64) {
 	for i := range tm.locks {
 		var w uint64

@@ -7,35 +7,6 @@ import (
 	"atomemu/internal/faultinject"
 )
 
-func TestStoreWatcherKeepsNotifyStoreLive(t *testing.T) {
-	tm := newTM(t)
-	const addr = 0x200
-	w0 := tm.SlotWord(addr)
-	// With no transaction and no watcher, NotifyStore takes the fast path
-	// and leaves the slot untouched.
-	tm.NotifyStore(addr)
-	if got := tm.SlotWord(addr); got != w0 {
-		t.Fatalf("NotifyStore with no watcher changed slot: %#x -> %#x", w0, got)
-	}
-	tm.AddStoreWatcher()
-	if !tm.Active() {
-		t.Fatal("watcher should make the TM active")
-	}
-	tm.NotifyStore(addr)
-	w1 := tm.SlotWord(addr)
-	if w1 == w0 {
-		t.Fatal("NotifyStore with a watcher must bump the slot version")
-	}
-	tm.RemoveStoreWatcher()
-	if tm.Active() {
-		t.Fatal("TM should be idle after watcher removal")
-	}
-	tm.NotifyStore(addr)
-	if got := tm.SlotWord(addr); got != w1 {
-		t.Fatalf("NotifyStore after watcher removal changed slot: %#x -> %#x", w1, got)
-	}
-}
-
 func TestInjectedBeginAbortDoomsTxn(t *testing.T) {
 	tm := newTM(t)
 	mem := newMemStore()

@@ -28,7 +28,7 @@ const (
 	EvExclExit          // vCPU left an exclusive section
 	EvHTMAbort          // HTM transaction aborted (Arg = htm.AbortReason)
 	EvHTMBackoff        // resilience layer charged an abort backoff (Arg = wait cycles)
-	EvSchemeFall        // resilience layer demoted the scheme (Arg = streak length)
+	EvSchemeFall        // resilience layer fell back to portable HST (Arg = abort streak length)
 	EvWatchdogTrip      // SC watchdog tripped a stalled monitor (Addr = monitored address)
 	EvCheckpoint        // checkpoint captured (Arg = pages copied)
 	EvRestore           // checkpoint restored after a fault (Arg = snapshot sequence)

@@ -22,8 +22,8 @@ func TestTenantFairnessUnderFlood(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fairness soak")
 	}
-	w := startWorker(t, server.Options{Workers: 2, QueueDepth: 64})
-	opts := fastOptions(w.url())
+	w := startCountingWorker(t, server.Options{Workers: 2, QueueDepth: 64})
+	opts := fastOptions(w.ts.URL)
 	opts.QuotaPerWeight = 8 // each tenant caps at 8 live jobs
 	opts.TenantWeights = map[string]int{"flood": 1, "bg": 1}
 	r := newTestRouter(t, opts)
@@ -57,7 +57,11 @@ func TestTenantFairnessUnderFlood(t *testing.T) {
 	}
 
 	// Flood: far more submissions than the quota admits, as fast as the
-	// transport allows.
+	// transport allows. The worker may finish jobs as fast as they are
+	// posted (on one P it does), so its completion feed is held until the
+	// submissions are done: the router then sees every admitted flood job
+	// live, and the quota has something to bite on.
+	w.holdFeed.Store(true)
 	const floodTries = 40
 	var floodAdmitted, flood429 int
 	floodIDs := make([]string, 0, floodTries)
@@ -77,6 +81,7 @@ func TestTenantFairnessUnderFlood(t *testing.T) {
 			t.Fatalf("flood submit %d: HTTP %d (%s)", i, code, id)
 		}
 	}
+	w.holdFeed.Store(false)
 	if flood429 == 0 {
 		t.Fatalf("flooder was never shed (%d/%d admitted); the quota is not biting", floodAdmitted, floodTries)
 	}

@@ -788,7 +788,10 @@ func (s *Server) run(j *job) {
 	}
 
 	runErr := m.RunContext(ctx)
-	s.breakers.report(scheme, probe, schemeTripworthy(runErr))
+	// A run that ended on another scheme was demoted mid-run (a live
+	// demotion or a demoting rollback): it implicates the scheme as much
+	// as a failure does, even when the job went on to finish.
+	s.breakers.report(scheme, probe, schemeTripworthy(runErr) || m.Scheme().Name() != scheme)
 	if sp != nil {
 		// The machine has stopped, so no further sink calls: flush the last
 		// spill before finish journals the terminal record and deletes it.

@@ -334,6 +334,64 @@ func TestBreakerDemotesToHSTAndProbes(t *testing.T) {
 	}
 }
 
+// TestBreakerLearnsFromMidRunDemotion: a pico-htm job whose abort storm
+// demotes the machine to hst still finishes, but counts against the
+// scheme; BreakerThreshold of them open the breaker, and the next pico-htm
+// job starts on hst.
+func TestBreakerLearnsFromMidRunDemotion(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, BreakerThreshold: 2, BreakerCooldown: time.Hour,
+		AllowFaultInjection: true})
+	storm := JobRequest{Scheme: "pico-htm", GAC: counterGAC, Arg: 100,
+		Fault: []faultinject.Spec{{Op: "txn-begin", Action: "abort", TID: 1, Count: 64}}}
+	for i := 0; i < 2; i++ {
+		id, err := s.Submit(storm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := awaitTerminal(t, s, id)
+		if st.State != StateDone || st.SchemeEffective != "hst" || !st.Demoted || st.Fallbacks != 1 {
+			t.Fatalf("storm job %d: state=%s effective=%s demoted=%v fallbacks=%d err=%q",
+				i, st.State, st.SchemeEffective, st.Demoted, st.Fallbacks, st.Error)
+		}
+	}
+	if got := s.Metrics().BreakerTrips; got != 1 {
+		t.Fatalf("breaker trips = %d, want 1", got)
+	}
+	id, err := s.Submit(JobRequest{Scheme: "pico-htm", GAC: counterGAC, Arg: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := awaitTerminal(t, s, id)
+	if st.State != StateDone || st.SchemeEffective != "hst" || !st.Demoted || st.Fallbacks != 0 {
+		t.Fatalf("job after the trip: state=%s effective=%s demoted=%v fallbacks=%d",
+			st.State, st.SchemeEffective, st.Demoted, st.Fallbacks)
+	}
+}
+
+// TestSplitWindowPicoHTMStaysTransactional: a healthy pico-htm job whose
+// LL/SC window spans translation blocks takes an emulation abort on the
+// window's first pass (its tail block is translated inside the
+// transaction). That costs one failed SC, not the scheme: the job ends on
+// pico-htm with no fallback, and BreakerThreshold such jobs open nothing.
+func TestSplitWindowPicoHTMStaysTransactional(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, BreakerThreshold: 2, BreakerCooldown: time.Hour,
+		SharedTBCacheBlocks: -1})
+	for i := 0; i < 3; i++ {
+		id, err := s.Submit(JobRequest{Scheme: "pico-htm", GAC: splitWindowGAC, Arg: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := awaitTerminal(t, s, id)
+		if st.State != StateDone || st.SchemeEffective != "pico-htm" || st.Demoted || st.Fallbacks != 0 {
+			t.Fatalf("job %d: state=%s effective=%s demoted=%v fallbacks=%d err=%q",
+				i, st.State, st.SchemeEffective, st.Demoted, st.Fallbacks, st.Error)
+		}
+	}
+	if m := s.Metrics(); m.BreakerTrips != 0 || m.Demoted != 0 {
+		t.Fatalf("breaker trips=%d demoted=%d, want 0/0", m.BreakerTrips, m.Demoted)
+	}
+}
+
 func TestDrainFinishesAcceptedJobsAndRefusesNew(t *testing.T) {
 	s, err := New(Options{Workers: 2, QueueDepth: 8, DrainGrace: 100 * time.Millisecond})
 	if err != nil {

@@ -67,10 +67,10 @@ type CPU struct {
 	HTMAborts     uint64
 	ExclSections  uint64 // stop-the-world sections entered
 
-	// Resilience events (abort backoff, degradation, watchdog).
+	// Resilience events (abort backoff, fallback to hst, watchdog).
 	HTMRetries      uint64 // transactional attempts re-issued after a retryable abort
 	HTMBackoffWaits uint64 // backoff waits taken before those retries
-	SchemeFallbacks uint64 // monitors demoted to the portable fallback path
+	SchemeFallbacks uint64 // fallbacks to portable HST: machine demotions (pico-htm), stop-the-world SCs (hst-htm)
 	WatchdogTrips   uint64 // progress-watchdog diagnostics raised
 
 	// Checkpoint/recovery events. These live at machine level (per-CPU
