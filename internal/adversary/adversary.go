@@ -10,8 +10,8 @@
 //   - RunScenario (this file): execute one fully-described Scenario and
 //     classify its outcome. In step mode the run is bit-deterministic:
 //     the same Scenario always produces the same trace hash.
-//   - stepper (sched.go): the deterministic scheduler that drives a
-//     step-mode machine across blocking guest syscalls.
+//   - stepRun (sched.go): the deterministic scheduler that drives a
+//     step-mode machine, guest waits included, on one goroutine.
 //   - Search (search.go): coverage-guided scenario generation.
 //   - Minimize/Repro (minimize.go, repro.go): shrink a failing scenario
 //     to a minimal deterministic reproduction and round-trip it as a
@@ -234,12 +234,9 @@ func RunScenario(s Scenario) (*Outcome, error) {
 	cfg.Cost.HTMInterference = s.HTMInterference
 	cfg.WatchdogSCFails = s.WatchdogSCFails
 	cfg.FaultInjector = inj
-	var st *stepper
 	switch s.Mode {
 	case ModeStep:
 		cfg.StepMode = true
-		st = newStepper()
-		cfg.SchedHook = st
 	case ModeFree:
 		cfg.ChainBudget = s.ChainBudget
 		cfg.Tiered = s.Tiered
@@ -277,7 +274,7 @@ func RunScenario(s Scenario) (*Outcome, error) {
 	o := &Outcome{Atomicity: m.Scheme().Atomicity()}
 	wedged := false
 	if s.Mode == ModeStep {
-		o.Steps, wedged = st.run(m, cpus, s.Seed, s.QuantumMax, s.MaxSteps)
+		o.Steps, wedged = stepRun(m, cpus, s.Seed, s.QuantumMax, s.MaxSteps)
 	} else {
 		_ = m.Run()
 		o.Steps = m.AggregateStats().GuestInstrs

@@ -13,255 +13,73 @@ import (
 // simply have been too small for the schedule.
 var ErrWedged = errors.New("adversary: step budget exhausted before completion")
 
-// The stepper drives a step-mode machine deterministically. Each vCPU
-// gets a worker goroutine, but at most one worker ever executes guest
-// instructions at a time: the scheduler grants a quantum, the worker
-// steps until the quantum ends (or it halts, parks, or the machine
-// stops), then reports back. Blocking guest syscalls (futex, barrier,
-// join) park the worker's goroutine inside engine.CPU.Step; the
-// engine.SchedHook tells the scheduler about parks and wakes so it can
-// keep granting quanta without ever racing two guest instructions.
+// stepRun drives a step-mode machine deterministically, on the calling
+// goroutine: it picks a runnable vCPU and a quantum, steps that vCPU until
+// the quantum ends (or the vCPU halts, begins a guest wait, or the machine
+// stops), and picks again. A step never blocks: a vCPU that begins a futex,
+// barrier or join wait returns from Step Waiting, and is runnable again
+// once another vCPU's step has ended its wait. Every decision comes from a
+// seeded rand over state that is itself a function of the decisions so
+// far, so the whole interleaving replays from the seed.
 //
-// Determinism argument: scheduling decisions are taken only at
-// quiescence — no quantum outstanding and no woken worker still
-// returning from its syscall. A woken worker executes no further guest
-// instructions before ending its slice (the Parked flag breaks the step
-// loop), so the only concurrency between workers is syscall-return
-// bookkeeping that the guest cannot observe. With decisions driven by a
-// seeded rand over a state that is itself a deterministic function of
-// the grant history, the whole interleaving replays from the seed.
-
-type evKind uint8
-
-const (
-	evDone   evKind = iota // a granted quantum ended
-	evParked               // a worker parked inside a blocking syscall
-	evWoken                // a wake was delivered to n parked workers
-)
-
-type schedEvent struct {
-	kind   evKind
-	tid    uint32
-	used   int  // evDone: guest instructions actually executed
-	halted bool // evDone: the vCPU halted during the slice
-	n      int  // evWoken: wakes delivered
-}
-
-type workerState uint8
-
-const (
-	wsIdle workerState = iota
-	wsRunning
-	wsParked
-	wsHalted
-)
-
-type stepWorker struct {
-	tid   uint32
-	cpu   *engine.CPU
-	grant chan int
-	state workerState // owned by the scheduler goroutine
-	// wasParked is worker-goroutine-local: set by the Parked hook, which
-	// the engine invokes on the parking vCPU's own goroutine, and read by
-	// the step loop right after Step returns. It must not live on the
-	// scheduler side — a wake can race the scheduler's view of a park,
-	// but never the parking goroutine's own flag.
-	wasParked bool
-}
-
-type stepper struct {
-	m       *engine.Machine
-	events  chan schedEvent
-	workers map[uint32]*stepWorker
-	order   []*stepWorker // by spawn order (== tid order)
-}
-
-func newStepper() *stepper {
-	return &stepper{
-		events:  make(chan schedEvent),
-		workers: make(map[uint32]*stepWorker),
-	}
-}
-
-// Parked implements engine.SchedHook. Runs on the parking worker's own
-// goroutine, after the park is registered but before it sleeps.
-func (st *stepper) Parked(tid uint32) {
-	if w := st.workers[tid]; w != nil {
-		w.wasParked = true
-	}
-	st.events <- schedEvent{kind: evParked, tid: tid}
-}
-
-// Woken implements engine.SchedHook. Runs on the waker's goroutine
-// before the wakes are delivered (possibly under machine locks, so this
-// must only send to the always-receiving scheduler).
-func (st *stepper) Woken(n int) {
-	st.events <- schedEvent{kind: evWoken, n: n}
-}
-
-func (w *stepWorker) loop(st *stepper) {
-	for n := range w.grant {
-		used, halted := 0, false
-		for used < n {
-			w.wasParked = false
-			alive, _ := w.cpu.Step() // a fatal error also reports !alive
-			used++
-			if !alive {
-				halted = true
-				break
-			}
-			if w.wasParked {
-				// The step blocked, was woken, and returned: end the slice
-				// before executing any further guest instruction, so that
-				// the wake-up point is a scheduling decision.
-				break
-			}
-			if st.m.Stopped() {
-				// Step does not check the stop flag itself; without this a
-				// worker could run guest code (and re-park!) after exit_group.
-				break
-			}
-		}
-		st.events <- schedEvent{kind: evDone, tid: w.tid, used: used, halted: halted}
-	}
-}
-
-// run drives the machine to completion (all vCPUs halted, machine
-// stopped, or budget exhausted). It returns the total guest instructions
-// stepped and whether the run wedged (budget out / scheduler starvation).
-func (st *stepper) run(m *engine.Machine, cpus []*engine.CPU, seed uint64, quantumMax int, maxSteps uint64) (uint64, bool) {
-	st.m = m
-	for _, c := range cpus {
-		w := &stepWorker{tid: c.TID(), cpu: c, grant: make(chan int)}
-		st.workers[w.tid] = w
-		st.order = append(st.order, w)
-	}
-	for _, w := range st.order {
-		go w.loop(st)
-	}
-	defer func() {
-		for _, w := range st.order {
-			close(w.grant)
-		}
-	}()
-
+// It returns the guest instructions stepped and whether the run wedged
+// (budget out, or nobody left to run). The steps of a quantum that ended
+// in a wait count once that wait ends, or the run does.
+func stepRun(m *engine.Machine, cpus []*engine.CPU, seed uint64, quantumMax int, maxSteps uint64) (uint64, bool) {
 	rng := rand.New(rand.NewSource(int64(seed ^ 0x9e3779b97f4a7c15)))
-	var granted *stepWorker
-	pendingReturns := 0 // wakes delivered whose workers haven't reported back
 	var total uint64
-
-	recv := func() {
-		ev := <-st.events
-		switch ev.kind {
-		case evDone:
-			w := st.workers[ev.tid]
-			total += uint64(ev.used)
-			if w.state == wsParked && pendingReturns > 0 {
-				// A parked worker reporting back means its wake arrived.
-				pendingReturns--
+	owed := make([]uint64, len(cpus))
+	settle := func(all bool) {
+		for i, c := range cpus {
+			if owed[i] > 0 && (all || !c.Waiting()) {
+				total += owed[i]
+				owed[i] = 0
 			}
-			if granted == w {
-				granted = nil
-			}
-			if ev.halted {
-				w.state = wsHalted
-			} else {
-				w.state = wsIdle
-			}
-		case evParked:
-			w := st.workers[ev.tid]
-			if w == nil {
-				// A guest-spawned vCPU the stepper does not manage (none of
-				// the current targets spawn, but stay robust).
-				return
-			}
-			w.state = wsParked
-			if granted == w {
-				granted = nil
-			}
-		case evWoken:
-			pendingReturns += ev.n
 		}
 	}
-
-	// drain waits for every worker to leave the running/parked states.
-	// It is entered only once the machine is stopped (or interrupted):
-	// stop() wakes all registered waiters, so each parked worker's slice
-	// ends and its evDone arrives. Counter accounting is unreliable here
-	// (stop-wakes bypass the Woken hook), hence the state-based loop.
-	drain := func() {
-		for {
-			busy := false
-			for _, w := range st.order {
-				if w.state == wsRunning || w.state == wsParked {
-					busy = true
-					break
-				}
-			}
-			if !busy {
-				return
-			}
-			recv()
-		}
-	}
-
 	for {
-		// Collect events until quiescent: no quantum outstanding and every
-		// delivered wake accounted for. If the machine stops mid-slice we
-		// wait only for the grantee, then switch to state-based draining.
-		for granted != nil || pendingReturns > 0 {
-			if m.Stopped() && granted == nil {
-				break
-			}
-			recv()
-		}
+		settle(false)
 		if m.Stopped() {
-			drain()
+			settle(true)
 			return total, false
 		}
-
-		runnable := runnable(st.order)
-		if len(runnable) == 0 {
-			allHalted := true
-			for _, w := range st.order {
-				if w.state != wsHalted {
-					allHalted = false
-					break
-				}
+		// cpus is in spawn order, which assigns ascending tids.
+		var runnable []int
+		halted := 0
+		for i, c := range cpus {
+			if c.Halted() {
+				halted++
+			} else if !c.Waiting() {
+				runnable = append(runnable, i)
 			}
-			if allHalted {
-				return total, false
-			}
-			// Parked workers with no wake in flight and nobody running: the
-			// engine's own deadlock detector should have fired; if it did
-			// not (e.g. an injected stuck lock left a spinner mid-quantum
-			// earlier), declare a wedge and unwind.
-			m.Interrupt(ErrWedged)
-			drain()
-			return total, true
 		}
-		if total >= maxSteps {
+		if len(runnable) == 0 && halted == len(cpus) {
+			return total, false
+		}
+		// Waiting vCPUs with nobody left to wake them are a deadlock the
+		// engine reports itself; if it did not (an injected stuck lock left
+		// a spinner mid-quantum earlier, say), the run is wedged.
+		if len(runnable) == 0 || total >= maxSteps {
 			m.Interrupt(ErrWedged)
-			drain()
+			settle(true)
 			return total, true
 		}
 
-		w := runnable[rng.Intn(len(runnable))]
-		k := 1 + rng.Intn(quantumMax)
-		w.state = wsRunning
-		granted = w
-		w.grant <- k
-	}
-}
-
-// runnable returns the idle workers in tid order (st.order is already
-// sorted by spawn order, which assigns ascending tids).
-func runnable(order []*stepWorker) []*stepWorker {
-	out := make([]*stepWorker, 0, len(order))
-	for _, w := range order {
-		if w.state == wsIdle {
-			out = append(out, w)
+		i := runnable[rng.Intn(len(runnable))]
+		k := uint64(1 + rng.Intn(quantumMax))
+		c := cpus[i]
+		var used uint64
+		for used < k {
+			alive, _ := c.Step() // a fatal error also reports !alive
+			used++
+			if !alive || c.Waiting() || m.Stopped() {
+				break
+			}
+		}
+		if c.Waiting() {
+			owed[i] += used
+		} else {
+			total += used
 		}
 	}
-	return out
 }

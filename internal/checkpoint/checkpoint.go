@@ -19,7 +19,10 @@
 //     syscall arguments and its pc already points at the post-svc
 //     continuation, so the restore simply re-executes the syscall, which
 //     re-joins the rebuilt queue (or returns immediately, per futex
-//     semantics, when the rolled-back memory no longer matches).
+//     semantics, when the rolled-back memory no longer matches). A waiter
+//     already woken is never recorded as blocked: its waker wrote its
+//     result and clock and cleared its marker before delivering the wake,
+//     so the cut records it as returned, whether or not it has run since.
 package checkpoint
 
 import (

@@ -183,7 +183,7 @@ func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
 			kind:    cs.Blocked.Kind,
 			addr:    cs.Blocked.Addr,
 		}
-		c.joinParked = 0
+		c.joiners = nil
 		// Re-seed the watchdog from the restored counters so pre-rollback
 		// failures aren't double counted against the restored run.
 		c.wdSucc = cs.Stats.SCs - cs.Stats.SCFails
@@ -191,10 +191,13 @@ func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
 		c.wdStalled = 0
 		c.lastExclSeen = m.exclSections.Load()
 		c.preemptLeft = 0
-		c.done = make(chan struct{})
-		if cs.Halted {
-			close(c.done)
-		} else {
+		// A stop can wake a vCPU whose restored mark it has not re-run yet;
+		// that wake must not end the re-run wait.
+		select {
+		case <-c.wake:
+		default:
+		}
+		if !cs.Halted {
 			running++
 		}
 		kept = append(kept, c)
@@ -212,12 +215,12 @@ func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
 	m.heapNext = snap.HeapNext
 	m.heapMu.Unlock()
 	m.futexMu.Lock()
-	m.futexes = make(map[uint32]*futexQueue)
+	m.futexes = make(map[uint32][]*CPU)
 	m.futexMu.Unlock()
 	m.barMu.Lock()
 	m.barriers = make(map[uint32]*guestBarrier, len(snap.Barriers))
 	for _, b := range snap.Barriers {
-		m.barriers[b.Addr] = &guestBarrier{total: b.Total, gen: &barrierGen{ch: make(chan struct{})}}
+		m.barriers[b.Addr] = &guestBarrier{total: b.Total}
 	}
 	m.barMu.Unlock()
 	m.parkMu.Lock()
@@ -229,8 +232,6 @@ func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
 	}
 	m.errMu.Lock()
 	m.firstErr = nil
-	m.stopCh = make(chan struct{})
-	m.stopChClosed = false
 	m.errMu.Unlock()
 	m.stopped.Store(false)
 	m.hostRing.EmitAt(snap.VirtualTime, obs.EvRestore, 0, m.recoveryRestores.Load())

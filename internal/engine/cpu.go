@@ -35,9 +35,10 @@ type CPU struct {
 	ring *obs.Ring
 
 	// clock is this vCPU's virtual time. Like st, it is a plain word only
-	// this vCPU's goroutine writes; anyone else reads it only while the
-	// vCPU is quiescent: parked by a stop-the-world (VirtualTime, capture,
-	// restore) or finished (sysJoin, after done is closed).
+	// this vCPU's goroutine writes, or its waker, while the vCPU is
+	// registered as waiting (endWaitLocked); anyone else reads it only while
+	// the vCPU is quiescent: parked by a stop-the-world (VirtualTime,
+	// capture, restore) or finished (sysJoin, under parkMu).
 	clock uint64
 
 	// localTBs is the vCPU-private level of the two-level TB cache: plain
@@ -79,19 +80,20 @@ type CPU struct {
 	// (the goroutine run loop keeps its own block-cadence counter).
 	stepWd int
 
-	// blocked and joinParked belong to the guest-deadlock detector and the
-	// checkpoint layer; both are guarded by Machine.parkMu. blocked marks
-	// this vCPU as parked in a blocking syscall (and tells a checkpoint
-	// restore to re-execute it); joinParked counts vCPUs currently joined on
-	// this one, settled by finish.
-	blocked    blockedMark
-	joinParked int
+	// blocked and joiners belong to the guest wait (syscall.go), the
+	// deadlock detector and the checkpoint layer; both are guarded by
+	// Machine.parkMu. blocked marks this vCPU as waiting in a blocking
+	// syscall (and tells a checkpoint restore to re-execute it); joiners
+	// are the vCPUs waiting for this one to finish, whose waits finish ends.
+	blocked blockedMark
+	joiners []*CPU
+	// wake carries the one wake a sleeping waiter gets (CPU.wait).
+	wake chan struct{}
 
 	halted     bool
 	haltedFlag atomic.Bool
 	exitCode   uint32
 	err        error
-	done       chan struct{} // closed when the vCPU stops
 }
 
 func newCPU(m *Machine, tid uint32) *CPU {
@@ -101,6 +103,7 @@ func newCPU(m *Machine, tid uint32) *CPU {
 		slots:    make([]uint32, 64),
 		localTBs: make(map[uint32]*localTB),
 		yieldRng: tid*2654435761 + 1,
+		wake:     make(chan struct{}, 1),
 	}
 	c.ring = m.newTraceRing(tid, &c.clock)
 	return c
@@ -209,10 +212,9 @@ func (c *CPU) RunningCPUs() int { return int(c.m.runningCPUs.Load()) }
 // is off (obs.Ring methods are nil-safe).
 func (c *CPU) Tracer() *obs.Ring { return c.ring }
 
-// finish marks the vCPU stopped and releases joiners. Halting, settling the
-// join park counts (closing done is the wake this vCPU owes its joiners)
-// and re-checking for deadlock happen under one parkMu hold, so the
-// detector never sees a half-finished vCPU.
+// finish marks the vCPU stopped and ends its joiners' waits. Halting,
+// ending those waits and re-checking for deadlock happen under one parkMu
+// hold, so the detector never sees a half-finished vCPU.
 func (c *CPU) finish() {
 	m := c.m
 	m.parkMu.Lock()
@@ -220,9 +222,10 @@ func (c *CPU) finish() {
 		m.runningCPUs.Add(-1)
 	}
 	c.haltedFlag.Store(true)
-	jp := c.joinParked
-	m.parked -= jp
-	c.joinParked = 0
+	for _, j := range c.joiners {
+		m.endWaitLocked(j, 0, c.clock, false)
+	}
+	c.joiners = nil
 	// This exit may strand the remaining vCPUs: with one fewer runner,
 	// "every live vCPU is parked" may hold now.
 	derr := m.deadlockedLocked()
@@ -230,19 +233,8 @@ func (c *CPU) finish() {
 	if derr != nil {
 		m.stop(derr)
 	}
-	// Closing done below is the wake this vCPU owes its joiners; tell the
-	// external scheduler (when there is one) before delivering it, same as
-	// noteWake.
-	if jp > 0 {
-		if h := m.cfg.SchedHook; h != nil {
-			h.Woken(jp)
-		}
-	}
 	if c.mon.Txn != nil && !c.mon.Txn.Done() {
 		c.mon.Txn.AbortNow(htm.ReasonSyscall)
-	}
-	if c.done != nil {
-		close(c.done)
 	}
 }
 
@@ -425,6 +417,9 @@ func (c *CPU) nextRand() uint32 {
 
 // Step executes one translation block in step mode (one guest instruction,
 // since step mode caps blocks at 1). It returns false once the vCPU halted.
+// A step never blocks: a step that begins a guest wait (futex, barrier,
+// join) returns with Waiting true, and stepping a waiting vCPU does
+// nothing until another vCPU's step has ended its wait.
 //
 // The loop-level services that the goroutine run loop provides — the
 // progress watchdog and the virtual deadline — run here too, at the same
@@ -434,6 +429,9 @@ func (c *CPU) nextRand() uint32 {
 func (c *CPU) Step() (bool, error) {
 	if c.halted {
 		return false, c.err
+	}
+	if c.Waiting() {
+		return true, nil
 	}
 	e := c.m.excl
 	e.execStart(c)

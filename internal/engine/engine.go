@@ -112,7 +112,10 @@ type Config struct {
 	// instructions (0 = unlimited).
 	MaxGuestInstrs uint64
 	// StepMode builds vCPUs for deterministic single-stepping (litmus
-	// tests): no goroutines, one guest instruction per block.
+	// tests, the adversary's scheduler): no goroutines, one guest
+	// instruction per block, and CPU.Step never blocks — a guest wait
+	// returns from Step with CPU.Waiting set until another vCPU's step
+	// ends it.
 	StepMode bool
 	// TraceWriter, when set, logs every executed guest instruction
 	// (tid, pc, disassembly). Forces one-instruction blocks; debugging only.
@@ -170,10 +173,6 @@ type Config struct {
 	// FaultInjector, when set, is threaded through the TM, the hash table
 	// and the MMU for deterministic failure testing.
 	FaultInjector *faultinject.Injector
-	// SchedHook, when set, observes vCPU blocking transitions so an
-	// external step-mode scheduler (internal/adversary) can drive the
-	// machine without timeouts or polling. See the SchedHook type.
-	SchedHook SchedHook
 
 	// SharedTBStore attaches the machine to the process-wide
 	// content-addressed translation store (internal/tbstore): translation
@@ -185,25 +184,6 @@ type Config struct {
 	// by ResumeFromSnapshot never calls LoadImage, so it never shares —
 	// a snapshot records no store-watch state to prove its pages pristine.
 	SharedTBStore *tbstore.Store[*TB]
-}
-
-// SchedHook receives vCPU park/wake notifications for an external
-// deterministic scheduler. A step-mode machine is driven one vCPU at a
-// time through CPU.Step, but blocking guest syscalls (futex, barrier,
-// join) do not return until another vCPU delivers a wake — the scheduler
-// must know when the vCPU it is stepping has parked (its Step call will
-// not return) and how many parked vCPUs a wake is about to release
-// (their pending Step calls will now return).
-//
-// Parked runs on the parking vCPU's goroutine after the park is
-// registered, before it sleeps. Woken runs on the waking vCPU's
-// goroutine before the wakes are delivered, possibly under machine
-// locks: implementations must not call back into the Machine, and may
-// only block on a peer that is guaranteed to be receiving (a channel
-// hand-off to the scheduler loop).
-type SchedHook interface {
-	Parked(tid uint32)
-	Woken(n int)
 }
 
 // DefaultConfig returns a ready-to-use configuration for the given scheme.
@@ -256,15 +236,9 @@ type Machine struct {
 	nextTID     uint32
 	wg          sync.WaitGroup
 
-	stopped atomic.Bool
-	// stopCh broadcasts the stop to join waiters, which (unlike futex and
-	// barrier waiters) have no per-waiter wake channel the stop path can
-	// reach: a join cycle would otherwise hang the host forever after the
-	// deadlock detector fires. Guarded by errMu; recreated by restore.
-	stopCh       chan struct{}
-	stopChClosed bool
-	errMu        sync.Mutex
-	firstErr     error
+	stopped  atomic.Bool
+	errMu    sync.Mutex
+	firstErr error
 
 	outMu  sync.Mutex
 	output []uint32
@@ -272,8 +246,9 @@ type Machine struct {
 	heapMu   sync.Mutex
 	heapNext uint32
 
+	// futexes queues each futex word's waiters, oldest first.
 	futexMu sync.Mutex
-	futexes map[uint32]*futexQueue
+	futexes map[uint32][]*CPU
 
 	barMu    sync.Mutex
 	barriers map[uint32]*guestBarrier
@@ -284,11 +259,11 @@ type Machine struct {
 	// runningCPUs counts vCPUs not yet halted.
 	runningCPUs atomic.Int32
 
-	// parkMu guards parked, the per-CPU blocked markers and joinParked
-	// counts: the guest-deadlock detector's state. parked counts vCPUs
-	// blocked in a guest syscall with no wake in flight (wakers decrement
-	// before delivering the wake, so parked == runningCPUs only at a true
-	// deadlock). Lock order: futexMu/barMu before parkMu, parkMu before
+	// parkMu guards parked, the per-CPU blocked marks and joiners: the
+	// state of the guest wait and its deadlock detector. parked counts vCPUs
+	// waiting in a guest syscall that nobody has ended (a waker ends the
+	// wait before it delivers the wake, so parked == runningCPUs only at a
+	// true deadlock). Lock order: futexMu/barMu before parkMu, parkMu before
 	// cpuMu; never call stop while holding parkMu.
 	parkMu sync.Mutex
 	parked int
@@ -421,9 +396,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 		mem:      mmu.New(cfg.MemBytes),
 		excl:     newExclusive(),
 		heapNext: DefaultHeapBase,
-		futexes:  make(map[uint32]*futexQueue),
+		futexes:  make(map[uint32][]*CPU),
 		barriers: make(map[uint32]*guestBarrier),
-		stopCh:   make(chan struct{}),
 	}
 	m.mem.SetInjector(cfg.FaultInjector)
 	m.nextCkptVT.Store(cfg.CheckpointEvery)
@@ -539,39 +513,35 @@ func (m *Machine) MapRegion(addr, size uint32, perm mmu.Perm) error {
 	return m.mem.Map(addr, size, perm)
 }
 
-// stop records the first fatal error and halts every vCPU.
+// stop records the first fatal error and halts every vCPU. The first stop
+// wakes every waiting vCPU and leaves its wait unfinished; a later stop
+// finds nobody new to wake, since a stopped machine parks nobody.
 func (m *Machine) stop(err error) {
 	m.errMu.Lock()
 	if m.firstErr == nil && err != nil {
 		m.firstErr = err
 	}
-	m.stopped.Store(true)
-	if !m.stopChClosed {
-		m.stopChClosed = true
-		close(m.stopCh)
-	}
 	m.errMu.Unlock()
-	// Wake sleepers so they observe the stop.
-	m.futexMu.Lock()
-	for _, q := range m.futexes {
-		q.wakeAll(0)
+	if m.stopped.Swap(true) {
+		return
 	}
-	m.futexMu.Unlock()
-	m.barMu.Lock()
-	for _, b := range m.barriers {
-		b.releaseAll()
+	m.parkMu.Lock()
+	for _, c := range m.CPUs() {
+		if c.blocked.active {
+			c.wakeUp()
+		}
 	}
-	m.barMu.Unlock()
+	m.parkMu.Unlock()
 }
 
 // Stopped reports whether the machine has fatally stopped (Err can still
 // be nil: a clean exit_group also stops the machine).
 func (m *Machine) Stopped() bool { return m.stopped.Load() }
 
-// Interrupt stops the machine as if a fatal error had occurred, waking
-// any vCPUs parked in blocking guest syscalls so their pending Step
-// calls return. External steppers use it to abandon a wedged step-mode
-// run; outside step mode, cancelling RunContext is the supported path.
+// Interrupt stops the machine as if a fatal error had occurred. External
+// steppers use it to abandon a wedged step-mode run, whose waiting vCPUs
+// stay Waiting; outside step mode, cancelling RunContext is the supported
+// path.
 func (m *Machine) Interrupt(err error) { m.stop(err) }
 
 // Err returns the first fatal error, if any.
@@ -635,7 +605,6 @@ func (m *Machine) newCPU(entry uint32, startClock uint64, args []uint32) (*CPU, 
 	}
 	c.slots[13] = stackTop    // sp
 	c.slots[14] = RuntimeBase // lr: returning from the entry function exits
-	c.done = make(chan struct{})
 
 	m.cpuMu.Lock()
 	m.cpus = append(m.cpus, c)

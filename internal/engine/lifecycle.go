@@ -173,9 +173,10 @@ func schemeAttributed(err error) bool {
 
 // --- guest-deadlock detection ---
 
-// blockedMark records that a vCPU is parked in a blocking guest syscall.
-// It doubles as the deadlock report's wait info and as the checkpoint
-// marker that tells a restore to re-execute the interrupted syscall.
+// blockedMark records that a vCPU is waiting in a blocking guest syscall
+// that nobody has ended yet (syscall.go). It doubles as the deadlock
+// report's wait info and as the checkpoint marker that tells a restore to
+// re-execute the interrupted syscall.
 type blockedMark struct {
 	active  bool
 	syscall uint32
@@ -185,49 +186,8 @@ type blockedMark struct {
 	total   int    // barrier size
 }
 
-// notePark registers c as blocked just before it leaves its execution
-// region, and stops the machine with a DeadlockError when this park leaves
-// no vCPU that could ever issue a wake. Must be called without futexMu or
-// barMu held (stop takes both).
-func (m *Machine) notePark(c *CPU, mark blockedMark) {
-	m.parkMu.Lock()
-	c.blocked = mark
-	m.parked++
-	derr := m.deadlockedLocked()
-	m.parkMu.Unlock()
-	if derr != nil {
-		m.stop(derr)
-	}
-	if h := m.cfg.SchedHook; h != nil {
-		h.Parked(c.tid)
-	}
-}
-
-// noteWake is the waker-side decrement: n parked vCPUs are about to receive
-// a wake. It must run BEFORE the wake is delivered, so a vCPU with a wake
-// in flight is never counted as parked (no false deadlocks).
-func (m *Machine) noteWake(n int) {
-	if n == 0 {
-		return
-	}
-	m.parkMu.Lock()
-	m.parked -= n
-	m.parkMu.Unlock()
-	if h := m.cfg.SchedHook; h != nil {
-		h.Woken(n)
-	}
-}
-
-// noteResume clears c's blocked marker once it is back inside its execution
-// region (the waker already decremented the park count on its behalf).
-func (m *Machine) noteResume(c *CPU) {
-	m.parkMu.Lock()
-	c.blocked = blockedMark{}
-	m.parkMu.Unlock()
-}
-
 // deadlockedLocked builds the structured deadlock diagnostic when every
-// live vCPU is parked in a blocking syscall with no wake in flight. Caller
+// live vCPU is waiting in a blocking syscall that nobody has ended. Caller
 // holds parkMu and must pass a non-nil result to Machine.stop only after
 // releasing it.
 func (m *Machine) deadlockedLocked() error {

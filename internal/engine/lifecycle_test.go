@@ -253,9 +253,9 @@ cell: .word 0
 	}
 }
 
-// TestDeadlockJoinCycle: two vCPUs joining each other can never finish, and
-// neither has a wake channel the stop path can reach — the detector plus the
-// stop broadcast must still unwedge the host and report both waiters.
+// TestDeadlockJoinCycle: two vCPUs joining each other can never finish, so
+// no waker will ever end either wait — the detector plus the stop's wake
+// of every waiter must still unwedge the host and report both waiters.
 func TestDeadlockJoinCycle(t *testing.T) {
 	im := buildImage(t, `
 .org 0x10000

@@ -62,9 +62,7 @@ func ResumeFromSnapshot(cfg Config, snap *checkpoint.Snapshot) (*Machine, error)
 			return nil, fmt.Errorf("engine: resume: bad vCPU tid %d in snapshot", cs.TID)
 		}
 		seen[cs.TID] = true
-		c := newCPU(m, cs.TID)
-		c.done = make(chan struct{})
-		m.cpus = append(m.cpus, c)
+		m.cpus = append(m.cpus, newCPU(m, cs.TID))
 	}
 	// Seed the rollback state before restoring, so a recoverable failure in
 	// the resumed run can roll back to the resume point even before the

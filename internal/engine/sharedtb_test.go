@@ -451,7 +451,6 @@ var sharedKeyNeutral = map[string]string{
 	"CheckpointSink":    "host plumbing",
 	"VirtualDeadline":   "run budget",
 	"FaultInjector":     "can fault a fetch mid-translation: callers must not attach an injected machine (server.run does not)",
-	"SchedHook":         "host plumbing",
 	"SharedTBStore":     "the store itself",
 }
 

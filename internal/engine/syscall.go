@@ -74,7 +74,7 @@ func (m *Machine) syscall(c *CPU, num uint32) {
 		}
 		r[0] = child.tid
 	case SysJoin:
-		r[0] = m.sysJoin(c, r[0])
+		m.sysJoin(c, r[0])
 	case SysGetTID:
 		r[0] = c.tid
 	case SysWrite:
@@ -82,13 +82,13 @@ func (m *Machine) syscall(c *CPU, num uint32) {
 		m.output = append(m.output, r[0])
 		m.outMu.Unlock()
 	case SysFutexWait:
-		r[0] = m.sysFutexWait(c, r[0], r[1])
+		m.sysFutexWait(c, r[0], r[1])
 	case SysFutexWake:
 		r[0] = m.sysFutexWake(c, r[0], r[1])
 	case SysBarrierInit:
 		m.sysBarrierInit(r[0], int(r[1]))
 	case SysBarrierWait:
-		r[0] = m.sysBarrierWait(c, r[0])
+		m.sysBarrierWait(c, r[0])
 	case SysMmap:
 		r[0] = m.sysMmap(r[0])
 	case SysClock:
@@ -109,133 +109,153 @@ func (m *Machine) cpuByTID(tid uint32) *CPU {
 	return nil
 }
 
-func (m *Machine) sysJoin(c *CPU, tid uint32) uint32 {
-	target := m.cpuByTID(tid)
-	if target == nil || target == c {
-		return 1
+// --- the guest wait ---
+//
+// futex_wait, barrier_wait and join are one wait. The waiter registers its
+// blocked mark under parkMu, together with the queue its waker looks in,
+// and from then on touches none of its own state. The waker (futex_wake,
+// the barrier's last arrival, the joined vCPU's finish) ends the wait under
+// parkMu before it delivers the wake: it writes the waiter's r0, lifts its
+// clock, clears the mark and counts the unpark. A delivered wake has thus
+// already written everything the wait returns, so no checkpoint cut can
+// record a woken waiter as blocked, and a waiter in step mode needs no
+// goroutine: Step returns as soon as the wait begins (CPU.Waiting), and
+// the vCPU is runnable again once another vCPU's step has ended the wait.
+
+// parkLocked registers c as waiting with mark. The caller holds parkMu and
+// the lock its waker takes, and queues c where that waker looks before it
+// releases them. It registers nothing and reports false once the machine
+// has stopped: stop has woken every waiter already, and nobody would wake c.
+func (m *Machine) parkLocked(c *CPU, mark blockedMark) bool {
+	if m.stopped.Load() {
+		return false
 	}
-	// Register the park against the target under parkMu: finish() settles
-	// joinParked and halts under the same lock, so either we see the target
-	// halted (no park) or finish() will decrement for us before it closes
-	// done.
+	c.blocked = mark
+	m.parked++
+	return true
+}
+
+// wait is the waiter's half after parkLocked, with no lock held. It stops
+// the machine if the park left no vCPU that could wake anyone; then a vCPU
+// goroutine sleeps outside its execution region until its wait has ended
+// or the machine has stopped, while in step mode it returns at once.
+func (c *CPU) wait() {
+	m := c.m
 	m.parkMu.Lock()
-	var derr error
-	parked := false
-	if !target.haltedFlag.Load() {
-		c.blocked = blockedMark{active: true, kind: "join", syscall: SysJoin, addr: tid}
-		target.joinParked++
-		m.parked++
-		parked = true
-		derr = m.deadlockedLocked()
-	}
+	derr := m.deadlockedLocked()
 	m.parkMu.Unlock()
 	if derr != nil {
 		m.stop(derr)
 	}
-	if parked {
-		if h := m.cfg.SchedHook; h != nil {
-			h.Parked(c.tid)
-		}
+	if m.cfg.StepMode {
+		return
 	}
 	m.excl.execEnd(c)
-	// Also watch the stop broadcast: in a join cycle the target's done can
-	// never close, and the deadlock stop must still unblock us.
-	select {
-	case <-target.done:
-	case <-m.stopCh:
-	}
+	<-c.wake
 	m.excl.execStart(c)
-	m.noteResume(c)
-	// The joiner resumes no earlier than the joinee finished. The joinee
-	// owns its clock until done is closed, so a joiner woken by the stop
-	// alone leaves it unread; the stopping machine's virtual time is the
-	// maximum over all clocks, which already counts the joinee's.
+}
+
+// endWaitLocked ends w's wait from its waker's side: w returns r0 from its
+// syscall at virtual time clk or later, the lift charged as exclusive
+// (synchronization) time when chargeExcl is set. Caller holds parkMu. On a
+// stopped machine it does nothing: stop has woken w and left its wait as
+// it was.
+func (m *Machine) endWaitLocked(w *CPU, r0 uint32, clk uint64, chargeExcl bool) {
+	if m.stopped.Load() {
+		return
+	}
+	w.slots[0] = r0
+	w.liftClockTo(clk, chargeExcl)
+	w.blocked = blockedMark{}
+	m.parked--
+	w.wakeUp()
+}
+
+// wakeUp delivers a wake to c's sleeping goroutine. Each wait gets exactly
+// one, from its waker or from stop; in step mode nobody sleeps and the
+// token is never read.
+func (c *CPU) wakeUp() {
 	select {
-	case <-target.done:
-		c.liftClockTo(target.clock, false)
+	case c.wake <- struct{}{}:
 	default:
 	}
-	return 0
+}
+
+// Waiting reports whether the vCPU is blocked in a guest wait that nobody
+// has ended yet. In step mode Step returns as soon as a wait begins; the
+// vCPU is runnable again once another vCPU's step has ended it.
+func (c *CPU) Waiting() bool {
+	c.m.parkMu.Lock()
+	defer c.m.parkMu.Unlock()
+	return c.blocked.active
+}
+
+// sysJoin waits for thread tid to finish; its finish ends the wait with the
+// joined thread's clock.
+func (m *Machine) sysJoin(c *CPU, tid uint32) {
+	target := m.cpuByTID(tid)
+	if target == nil || target == c {
+		c.slots[0] = 1
+		return
+	}
+	m.parkMu.Lock()
+	waits := false
+	if target.haltedFlag.Load() {
+		c.slots[0] = 0
+		c.liftClockTo(target.clock, false)
+	} else if waits = m.parkLocked(c, blockedMark{active: true, kind: "join", syscall: SysJoin, addr: tid}); waits {
+		target.joiners = append(target.joiners, c)
+	}
+	m.parkMu.Unlock()
+	if waits {
+		c.wait()
+	}
 }
 
 // --- futex ---
 
-type futexQueue struct {
-	waiters []chan uint64
-}
-
-// wakeAll releases every waiter, stamping them with the waker's clock.
-// Caller holds futexMu.
-func (q *futexQueue) wakeAll(clk uint64) {
-	for _, ch := range q.waiters {
-		ch <- clk
-	}
-	q.waiters = nil
-}
-
-func (m *Machine) sysFutexWait(c *CPU, addr, expected uint32) uint32 {
+func (m *Machine) sysFutexWait(c *CPU, addr, expected uint32) {
 	m.futexMu.Lock()
 	v, f := m.mem.LoadWord(addr)
 	if f != nil {
 		m.futexMu.Unlock()
 		c.fail(fmt.Errorf("engine: tid %d: futex_wait fault: %w", c.tid, f))
-		return 1
+		return
 	}
 	if v != expected {
 		m.futexMu.Unlock()
-		return 1
+		c.slots[0] = 1
+		return
 	}
-	q := m.futexes[addr]
-	if q == nil {
-		q = &futexQueue{}
-		m.futexes[addr] = q
+	m.parkMu.Lock()
+	waits := m.parkLocked(c, blockedMark{active: true, kind: "futex", syscall: SysFutexWait, addr: addr})
+	if waits {
+		m.futexes[addr] = append(m.futexes[addr], c)
 	}
-	ch := make(chan uint64, 1)
-	q.waiters = append(q.waiters, ch)
-	stoppedAlready := m.stopped.Load()
+	m.parkMu.Unlock()
 	m.futexMu.Unlock()
-	if stoppedAlready {
-		// The machine stopped before we could sleep; stop() already woke
-		// registered waiters, so the channel has (or will get) a value —
-		// but don't rely on ordering, just drain if present and leave.
-		select {
-		case <-ch:
-		default:
-		}
-		return 0
+	if waits {
+		c.wait()
 	}
-	// Register the park before sleeping (futexMu is released: a deadlock
-	// here stops the machine, whose wakeAll reaches our channel).
-	m.notePark(c, blockedMark{active: true, kind: "futex", syscall: SysFutexWait, addr: addr})
-	m.excl.execEnd(c)
-	wakeClk := <-ch
-	m.excl.execStart(c)
-	m.noteResume(c)
-	// Blocked time counts as synchronization overhead.
-	c.liftClockTo(wakeClk+m.cfg.Cost.SyscallBase, true)
-	return 0
 }
 
+// sysFutexWake ends the waits of up to maxWake waiters on addr, oldest
+// first; each returns 0 no earlier than the waker's clock plus a syscall,
+// the blocked time counted as synchronization overhead.
 func (m *Machine) sysFutexWake(c *CPU, addr, maxWake uint32) uint32 {
 	m.futexMu.Lock()
 	defer m.futexMu.Unlock()
 	q := m.futexes[addr]
-	if q == nil || len(q.waiters) == 0 {
+	n := min(int(maxWake), len(q))
+	if n == 0 {
 		return 0
 	}
-	n := int(maxWake)
-	if n > len(q.waiters) {
-		n = len(q.waiters)
+	m.parkMu.Lock()
+	for _, w := range q[:n] {
+		m.endWaitLocked(w, 0, c.clock+m.cfg.Cost.SyscallBase, true)
 	}
-	clk := c.clock
-	// Waker-side unpark accounting, BEFORE delivering the wakes: a waiter
-	// with a wake in flight must never count as parked, or the deadlock
-	// detector could fire while the machine can still make progress.
-	m.noteWake(n)
-	for i := 0; i < n; i++ {
-		q.waiters[i] <- clk
-	}
-	q.waiters = append(q.waiters[:0], q.waiters[n:]...)
+	m.parkMu.Unlock()
+	m.futexes[addr] = append(q[:0], q[n:]...)
 	return uint32(n)
 }
 
@@ -245,22 +265,7 @@ type guestBarrier struct {
 	total   int
 	arrived int
 	maxClk  uint64
-	gen     *barrierGen
-}
-
-// barrierGen is one barrier generation; releaseClk is written exactly once,
-// before ch is closed, so waiters read it race-free after the close.
-type barrierGen struct {
-	ch         chan struct{}
-	releaseClk uint64
-}
-
-// releaseAll releases current waiters (machine stop). Caller holds barMu.
-func (b *guestBarrier) releaseAll() {
-	old := b.gen
-	b.gen = &barrierGen{ch: make(chan struct{})}
-	b.arrived = 0
-	close(old.ch)
+	waiters []*CPU
 }
 
 func (m *Machine) sysBarrierInit(addr uint32, total int) {
@@ -268,38 +273,37 @@ func (m *Machine) sysBarrierInit(addr uint32, total int) {
 		total = 1
 	}
 	m.barMu.Lock()
-	m.barriers[addr] = &guestBarrier{total: total, gen: &barrierGen{ch: make(chan struct{})}}
+	m.barriers[addr] = &guestBarrier{total: total}
 	m.barMu.Unlock()
 }
 
-func (m *Machine) sysBarrierWait(c *CPU, addr uint32) uint32 {
+// sysBarrierWait arrives at the barrier at addr. The last arrival returns 1
+// and ends every other arrival's wait with 0; all of them resume no earlier
+// than the latest arrival's clock plus a syscall, the wait charged as
+// synchronization overhead.
+func (m *Machine) sysBarrierWait(c *CPU, addr uint32) {
 	m.barMu.Lock()
 	b := m.barriers[addr]
 	if b == nil {
 		m.barMu.Unlock()
 		c.fail(fmt.Errorf("engine: tid %d: barrier_wait on uninitialized barrier %#x", c.tid, addr))
-		return 0
+		return
 	}
 	b.arrived++
-	if clk := c.clock; clk > b.maxClk {
-		b.maxClk = clk
-	}
+	b.maxClk = max(b.maxClk, c.clock)
 	if b.arrived == b.total {
-		// Last arriver: release the generation. Unpark the waiters before
-		// closing the channel (waker-side accounting; barMu-then-parkMu is
-		// the sanctioned order).
-		old := b.gen
-		old.releaseClk = b.maxClk
-		b.maxClk = 0
-		b.arrived = 0
-		b.gen = &barrierGen{ch: make(chan struct{})}
-		m.noteWake(b.total - 1)
-		close(old.ch)
+		release := b.maxClk + m.cfg.Cost.SyscallBase
+		m.parkMu.Lock()
+		for _, w := range b.waiters {
+			m.endWaitLocked(w, 0, release, true)
+		}
+		m.parkMu.Unlock()
+		b.waiters, b.arrived, b.maxClk = b.waiters[:0], 0, 0
 		m.barMu.Unlock()
-		c.liftClockTo(old.releaseClk+m.cfg.Cost.SyscallBase, true)
-		return 1
+		c.slots[0] = 1
+		c.liftClockTo(release, true)
+		return
 	}
-	g := b.gen
 	mark := blockedMark{
 		active:  true,
 		kind:    "barrier",
@@ -308,14 +312,16 @@ func (m *Machine) sysBarrierWait(c *CPU, addr uint32) uint32 {
 		arrived: b.arrived,
 		total:   b.total,
 	}
+	m.parkMu.Lock()
+	waits := m.parkLocked(c, mark)
+	if waits {
+		b.waiters = append(b.waiters, c)
+	}
+	m.parkMu.Unlock()
 	m.barMu.Unlock()
-	m.notePark(c, mark)
-	m.excl.execEnd(c)
-	<-g.ch
-	m.excl.execStart(c)
-	m.noteResume(c)
-	c.liftClockTo(g.releaseClk+m.cfg.Cost.SyscallBase, true)
-	return 0
+	if waits {
+		c.wait()
+	}
 }
 
 // --- memory ---

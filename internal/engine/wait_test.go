@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"atomemu/internal/checkpoint"
 )
@@ -140,4 +142,95 @@ woke:
 .align 16
 cell: .word 0
 `, 2, 200, nil)
+}
+
+// TestStepModeWaitReturns: in step mode a guest wait never blocks the
+// stepping goroutine. The step that arrives at a two-party barrier first
+// returns with Waiting set, a further step of that vCPU does nothing, and
+// the other vCPU's arrival ends the wait: it writes r0 = 0 and lifts the
+// waiter's clock to the release time, with no goroutine started on the
+// way. The stepping runs on a helper goroutine only so that a step that
+// blocks fails the test instead of hanging it.
+func TestStepModeWaitReturns(t *testing.T) {
+	im := buildImage(t, `
+.org 0x10000
+.entry worker
+worker:
+    ldr r0, =bar
+arrive:
+    svc #10         ; barrier_wait
+    svc #1
+.align 16
+bar: .word 0
+`)
+	cfg := DefaultConfig("hst")
+	cfg.StepMode = true
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadImage(im); err != nil {
+		t.Fatal(err)
+	}
+	m.InitBarrier(im.MustSymbol("bar"), 2)
+	var cpus [2]*CPU
+	for i := range cpus {
+		if cpus[i], err = m.SpawnThread(im.Entry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1, c2 := cpus[0], cpus[1]
+	step := func(c *CPU) {
+		if alive, err := c.Step(); !alive || err != nil {
+			t.Errorf("vCPU %d: alive=%v err=%v", c.TID(), alive, err)
+		}
+	}
+	// arrive steps c up to and through its barrier_wait.
+	arrive := func(c *CPU) {
+		for c.PC() != im.MustSymbol("arrive") && !t.Failed() {
+			step(c)
+		}
+		step(c)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		goroutines := runtime.NumGoroutine()
+		arrive(c1)
+		if !c1.Waiting() {
+			t.Error("vCPU 1 arrived first at the barrier but is not Waiting")
+		}
+		waitClock, pc := c1.clock, c1.PC()
+		step(c1)
+		if !c1.Waiting() || c1.PC() != pc || c1.clock != waitClock {
+			t.Error("stepping a waiting vCPU ran it")
+		}
+		arrive(c2) // the last arrival releases vCPU 1
+		if c1.Waiting() || c2.Waiting() {
+			t.Errorf("after the last arrival: Waiting = %v, %v, want both false", c1.Waiting(), c2.Waiting())
+		}
+		if r0, r0last := c1.Reg(0), c2.Reg(0); r0 != 0 || r0last != 1 {
+			t.Errorf("barrier_wait returned %d to the waiter and %d to the last arrival, want 0 and 1", r0, r0last)
+		}
+		if c1.clock <= waitClock || c1.clock != c2.clock {
+			t.Errorf("waiter clock %d (was %d at its arrival), want lifted to the release time %d", c1.clock, waitClock, c2.clock)
+		}
+		if n := runtime.NumGoroutine(); n != goroutines {
+			t.Errorf("stepping changed the goroutine count from %d to %d", goroutines, n)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a step-mode barrier_wait blocked the stepping goroutine")
+	}
+	for _, c := range cpus {
+		if alive, _ := c.Step(); alive {
+			t.Errorf("vCPU %d did not exit after the barrier", c.TID())
+		}
+	}
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
