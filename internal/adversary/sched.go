@@ -23,34 +23,22 @@ var ErrWedged = errors.New("adversary: step budget exhausted before completion")
 // far, so the whole interleaving replays from the seed.
 //
 // It returns the guest instructions stepped and whether the run wedged
-// (budget out, or nobody left to run). The steps of a quantum that ended
-// in a wait count once that wait ends, or the run does.
+// (budget out, or nobody left to run).
 func stepRun(m *engine.Machine, cpus []*engine.CPU, seed uint64, quantumMax int, maxSteps uint64) (uint64, bool) {
 	rng := rand.New(rand.NewSource(int64(seed ^ 0x9e3779b97f4a7c15)))
 	var total uint64
-	owed := make([]uint64, len(cpus))
-	settle := func(all bool) {
-		for i, c := range cpus {
-			if owed[i] > 0 && (all || !c.Waiting()) {
-				total += owed[i]
-				owed[i] = 0
-			}
-		}
-	}
 	for {
-		settle(false)
 		if m.Stopped() {
-			settle(true)
 			return total, false
 		}
 		// cpus is in spawn order, which assigns ascending tids.
-		var runnable []int
+		var runnable []*engine.CPU
 		halted := 0
-		for i, c := range cpus {
+		for _, c := range cpus {
 			if c.Halted() {
 				halted++
 			} else if !c.Waiting() {
-				runnable = append(runnable, i)
+				runnable = append(runnable, c)
 			}
 		}
 		if len(runnable) == 0 && halted == len(cpus) {
@@ -61,25 +49,16 @@ func stepRun(m *engine.Machine, cpus []*engine.CPU, seed uint64, quantumMax int,
 		// a spinner mid-quantum earlier, say), the run is wedged.
 		if len(runnable) == 0 || total >= maxSteps {
 			m.Interrupt(ErrWedged)
-			settle(true)
 			return total, true
 		}
 
-		i := runnable[rng.Intn(len(runnable))]
-		k := uint64(1 + rng.Intn(quantumMax))
-		c := cpus[i]
-		var used uint64
-		for used < k {
+		c := runnable[rng.Intn(len(runnable))]
+		for k := 1 + rng.Intn(quantumMax); k > 0; k-- {
 			alive, _ := c.Step() // a fatal error also reports !alive
-			used++
+			total++
 			if !alive || c.Waiting() || m.Stopped() {
 				break
 			}
-		}
-		if c.Waiting() {
-			owed[i] += used
-		} else {
-			total += used
 		}
 	}
 }
