@@ -199,11 +199,12 @@ func (m *Machine) sysJoin(c *CPU, tid uint32) {
 		return
 	}
 	m.parkMu.Lock()
-	waits := false
-	if target.haltedFlag.Load() {
+	halted := target.haltedFlag.Load()
+	waits := !halted && m.parkLocked(c, blockedMark{active: true, kind: "join", syscall: SysJoin, addr: tid})
+	if halted {
 		c.slots[0] = 0
 		c.liftClockTo(target.clock, false)
-	} else if waits = m.parkLocked(c, blockedMark{active: true, kind: "join", syscall: SysJoin, addr: tid}); waits {
+	} else if waits {
 		target.joiners = append(target.joiners, c)
 	}
 	m.parkMu.Unlock()

@@ -11,13 +11,14 @@ import (
 	"atomemu/internal/checkpoint"
 )
 
-// resumeEveryCut runs src's worker on threads host-spawned vCPUs with a
-// checkpoint captured at every cadence point of one cycle, then resumes a
-// brand-new machine from every captured cut (at most maxCuts of them,
-// evenly spaced) and runs it to the end. Every resumed run must finish
-// cleanly with the uninterrupted run's output. init runs on each fresh
-// machine before the spawns (barrier set-up).
-func resumeEveryCut(t *testing.T, src string, threads, maxCuts int, init func(*Machine)) {
+// resumeEveryCut runs src's worker on two host-spawned vCPUs (r0 = 0 and
+// 1) with a checkpoint captured at every cadence point of one cycle, then
+// resumes a brand-new machine from every captured cut (at most 200 of
+// them, evenly spaced) and runs it to the end. Every resumed run must
+// finish cleanly with the uninterrupted run's output. init sets up the
+// first machine before the spawns; a resumed one takes its set-up from
+// the cut.
+func resumeEveryCut(t *testing.T, src string, init func(*Machine)) {
 	t.Helper()
 	im := buildImage(t, src)
 	cfg := DefaultConfig("hst")
@@ -41,7 +42,7 @@ func resumeEveryCut(t *testing.T, src string, threads, maxCuts int, init func(*M
 	if init != nil {
 		init(m)
 	}
-	for i := 0; i < threads; i++ {
+	for i := 0; i < 2; i++ {
 		if _, err := m.SpawnThread(im.Entry, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func resumeEveryCut(t *testing.T, src string, threads, maxCuts int, init func(*M
 
 	cfg.CheckpointSink = nil
 	cfg.CheckpointEvery = 0
-	stride := max(1, len(cuts)/maxCuts)
+	stride := max(1, len(cuts)/200)
 	failed, tried := 0, 0
 	for i := 0; i < len(cuts); i += stride {
 		tried++
@@ -100,7 +101,7 @@ loop:
 bar: .word 0
 `
 	im := buildImage(t, src)
-	resumeEveryCut(t, src, 2, 200, func(m *Machine) { m.InitBarrier(im.MustSymbol("bar"), 2) })
+	resumeEveryCut(t, src, func(m *Machine) { m.InitBarrier(im.MustSymbol("bar"), 2) })
 }
 
 // TestEveryFutexCutResumes is the futex twin: vCPU 0 waits on a word that
@@ -141,7 +142,7 @@ woke:
     svc #1
 .align 16
 cell: .word 0
-`, 2, 200, nil)
+`, nil)
 }
 
 // TestStepModeWaitReturns: in step mode a guest wait never blocks the
