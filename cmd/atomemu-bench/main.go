@@ -146,15 +146,16 @@ func run(args []string) error {
 
 	experiments := map[string]func() error{
 		"fig10": func() error {
-			fig, err := harness.RunFig10(*scale, threads, progress)
+			fig, err := harness.RunScalability(harness.Fig10Title, harness.Fig10Schemes(), harness.Fig10Threads(), *scale, threads, progress)
 			if err != nil {
 				return err
 			}
 			fig.Render(os.Stdout)
+			fig.RenderSummary(os.Stdout)
 			return saveCSV("fig10.csv", fig.CSV)
 		},
 		"fig11": func() error {
-			fig, err := harness.RunFig11(*scale, threads, progress)
+			fig, err := harness.RunScalability(harness.Fig11Title, harness.Fig11Schemes(), harness.Fig11Threads(), *scale, threads, progress)
 			if err != nil {
 				return err
 			}

@@ -10,6 +10,9 @@
 //	atomemu -stack [-scheme pico-cas] [-threads 16] [-ops 1048575]
 //	    run the §IV-A lock-free-stack ABA experiment
 //
+// With -trace-instrs an -image or -gac run single-steps its threads
+// round-robin and logs each guest instruction to stderr before it runs.
+//
 // On exit it prints guest output, the instruction census and the
 // virtual-time total.
 //
@@ -18,11 +21,15 @@
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
+	"atomemu/internal/arch"
 	"atomemu/internal/asm"
 	"atomemu/internal/core"
 	"atomemu/internal/engine"
@@ -64,7 +71,7 @@ func run() error {
 	nodes := flag.Uint("nodes", 64, "stack nodes (with -stack)")
 	arg := flag.Uint("arg", 0, "r0 argument for -image workers")
 	fuse := flag.Bool("fuse", false, "enable rule-based translation (fuse LL/SC retry loops into host atomics)")
-	traceInstrs := flag.Bool("trace-instrs", false, "log every executed guest instruction to stderr (-image only)")
+	traceInstrs := flag.Bool("trace-instrs", false, "single-step the threads round-robin, logging every guest instruction to stderr (-image/-gac only)")
 	traceFile := flag.String("trace", "", "write the atomic-event trace (virtual-timestamped JSON lines) to this file (-image/-gac only)")
 	ckptEvery := flag.Uint64("checkpoint-every", 0, "capture a recovery checkpoint every N virtual cycles (0 = off; -image/-gac only)")
 	deadline := flag.Uint64("deadline", 0, "abort when any vCPU passes N virtual cycles (0 = no deadline; -image/-gac only)")
@@ -121,13 +128,14 @@ func run() error {
 				return rerr
 			}
 		}
+		if *traceInstrs && *ckptEvery > 0 {
+			return errors.New("-trace-instrs single-steps the machine, which captures no checkpoints: drop -checkpoint-every")
+		}
 		cfg := engine.DefaultConfig(*scheme)
 		cfg.FuseAtomics = *fuse
 		cfg.CheckpointEvery = *ckptEvery
 		cfg.VirtualDeadline = *deadline
-		if *traceInstrs {
-			cfg.TraceWriter = os.Stderr
-		}
+		cfg.StepMode = *traceInstrs
 		if *traceFile != "" {
 			cfg.TraceEvents = true
 		}
@@ -143,7 +151,12 @@ func run() error {
 				return err
 			}
 		}
-		runErr := m.Run()
+		var runErr error
+		if *traceInstrs {
+			runErr = traceRun(m, os.Stderr)
+		} else {
+			runErr = m.Run()
+		}
 		// Flush the event trace even when the run failed: a trace of the
 		// cycles leading up to a fault is the whole point of having one.
 		if *traceFile != "" {
@@ -162,6 +175,41 @@ func run() error {
 	}
 	flag.Usage()
 	return fmt.Errorf("one of -image, -gac, -program or -stack is required (programs: %v)", names())
+}
+
+// traceRun drives a step-mode machine to its end: each round steps every
+// runnable vCPU once, in tid order, logging the instruction it is about to
+// execute to w. The schedule is fixed, so the log is the same on every run.
+// A round with live vCPUs but none runnable cannot happen: the wait that
+// left every live vCPU waiting has stopped the machine with a deadlock.
+func traceRun(m *engine.Machine, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	defer bw.Flush()
+	for !m.Stopped() {
+		live := false
+		for _, c := range m.CPUs() {
+			if c.Halted() || m.Stopped() {
+				continue
+			}
+			live = true
+			if c.Waiting() {
+				continue
+			}
+			if word, f := m.Mem().FetchWord(c.PC()); f == nil { // a fault is the step's to report
+				text := fmt.Sprintf(".word %#08x", word)
+				if in, err := arch.Decode(word); err == nil {
+					text = in.String()
+				}
+				fmt.Fprintf(bw, "T%d %08x: %-24s r0=%08x r1=%08x sp=%08x\n",
+					c.TID(), c.PC(), text, c.Reg(arch.R0), c.Reg(arch.R1), c.Reg(arch.SP))
+			}
+			c.Step() // a failing step stops the machine; m.Err reports it
+		}
+		if !live {
+			break
+		}
+	}
+	return m.Err()
 }
 
 // writeTrace dumps the machine's merged event stream as JSON lines.

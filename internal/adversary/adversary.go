@@ -227,7 +227,6 @@ func RunScenario(s Scenario) (*Outcome, error) {
 
 	cfg := engine.DefaultConfig(s.Scheme)
 	cfg.TraceEvents = true
-	cfg.TraceRingBits = 13
 	cfg.StrictPaper = s.StrictPaper
 	// Zero knobs take the engine defaults (Config.normalized).
 	cfg.HashBits = s.HashBits

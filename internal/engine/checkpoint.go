@@ -92,12 +92,10 @@ func (m *Machine) capture(c *CPU) *checkpoint.Snapshot {
 		}
 		snap.CPUs = append(snap.CPUs, v)
 	}
-	m.parkMu.Unlock()
-	m.barMu.Lock()
 	for addr, b := range m.barriers {
 		snap.Barriers = append(snap.Barriers, checkpoint.Barrier{Addr: addr, Total: b.total})
 	}
-	m.barMu.Unlock()
+	m.parkMu.Unlock()
 	m.outMu.Lock()
 	snap.Output = append([]uint32(nil), m.output...)
 	m.outMu.Unlock()
@@ -214,16 +212,12 @@ func (m *Machine) restore(snap *checkpoint.Snapshot, demote bool) error {
 	m.heapMu.Lock()
 	m.heapNext = snap.HeapNext
 	m.heapMu.Unlock()
-	m.futexMu.Lock()
+	m.parkMu.Lock()
 	m.futexes = make(map[uint32][]*CPU)
-	m.futexMu.Unlock()
-	m.barMu.Lock()
 	m.barriers = make(map[uint32]*guestBarrier, len(snap.Barriers))
 	for _, b := range snap.Barriers {
 		m.barriers[b.Addr] = &guestBarrier{total: b.Total}
 	}
-	m.barMu.Unlock()
-	m.parkMu.Lock()
 	m.parked = 0
 	m.parkMu.Unlock()
 	m.runningCPUs.Store(running)

@@ -56,9 +56,6 @@ func (cfg Config) Validate() error {
 	if n.ChainBudget < 0 {
 		return fmt.Errorf("engine: negative ChainBudget %d (0 disables chaining)", n.ChainBudget)
 	}
-	if n.TraceRingBits < 4 || n.TraceRingBits > 24 {
-		return fmt.Errorf("engine: TraceRingBits %d out of range [4,24]", n.TraceRingBits)
-	}
 	if n.HotThreshold < 1 {
 		return fmt.Errorf("engine: HotThreshold %d must be at least 1", n.HotThreshold)
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,15 +13,13 @@ import (
 // MemBytes must keep every caller-set field and only fill the zero-valued
 // sizing fields from DefaultConfig. (NewMachine used to swap in
 // DefaultConfig wholesale, silently discarding HashBits, FuseAtomics,
-// NoOptimize, TraceWriter, ….)
+// NoOptimize, ….)
 func TestNewMachineKeepsPartialConfig(t *testing.T) {
-	tw := &bytes.Buffer{}
 	cfg := Config{
 		Scheme:         "hst",
 		HashBits:       6,
 		FuseAtomics:    true,
 		NoOptimize:     true,
-		TraceWriter:    tw,
 		MaxGuestInstrs: 123,
 		StepMode:       true,
 	}
@@ -37,9 +34,6 @@ func TestNewMachineKeepsPartialConfig(t *testing.T) {
 	}
 	if !m.cfg.FuseAtomics || !m.cfg.NoOptimize {
 		t.Error("FuseAtomics/NoOptimize flags were discarded")
-	}
-	if m.cfg.TraceWriter != tw {
-		t.Error("TraceWriter was discarded")
 	}
 	if m.cfg.MaxGuestInstrs != 123 || !m.cfg.StepMode {
 		t.Error("MaxGuestInstrs/StepMode were discarded")

@@ -69,8 +69,6 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"mem below two pages", func(c *Config) { c.MemBytes = 4096 }, "two-page minimum"},
 		{"recovery below sentinel", func(c *Config) { c.RecoveryAttempts = -2 }, "-1 disables recovery"},
 		{"watchdog below sentinel", func(c *Config) { c.WatchdogSCFails = -2 }, "-1 disables the watchdog"},
-		{"trace ring over cap", func(c *Config) { c.TraceRingBits = 30 }, "TraceRingBits"},
-		{"trace ring under floor", func(c *Config) { c.TraceRingBits = 2 }, "TraceRingBits"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig("hst")

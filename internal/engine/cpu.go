@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync/atomic"
 
@@ -500,9 +499,6 @@ func (c *CPU) stepOnce() int {
 				}
 			}
 		}
-		if w := c.m.cfg.TraceWriter; w != nil {
-			c.trace(w)
-		}
 		// Resolve the next block: follow the chain link when one exists,
 		// otherwise look it up and install the link for next time.
 		var lt *localTB
@@ -535,22 +531,6 @@ func (c *CPU) stepOnce() int {
 		c.m.excl.checkpoint(c)
 		c.witnessStalls()
 	}
-}
-
-// trace logs the instruction about to execute (TraceWriter mode).
-func (c *CPU) trace(w io.Writer) {
-	word, f := c.m.mem.FetchWord(c.pc)
-	if f != nil {
-		return // the fault will be reported by execution
-	}
-	text := fmt.Sprintf(".word %#08x", word)
-	if in, err := arch.Decode(word); err == nil {
-		text = in.String()
-	}
-	c.m.outMu.Lock()
-	defer c.m.outMu.Unlock() // a panicking writer must not wedge outMu
-	fmt.Fprintf(w, "T%d %08x: %-24s r0=%08x r1=%08x sp=%08x\n",
-		c.tid, c.pc, text, c.slots[0], c.slots[1], c.slots[13])
 }
 
 // execBlock interprets one IR block and reports how it exited, for

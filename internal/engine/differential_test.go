@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -184,9 +183,8 @@ func TestDifferentialOptimizerPreservesSemantics(t *testing.T) {
 }
 
 // TestDifferentialBlockSizeInvariant: translation-block length must not
-// change semantics (single-step blocks vs full blocks). A TraceWriter forces
-// one-instruction blocks, as StepMode does, without giving up the vCPU
-// goroutines.
+// change semantics (single-step blocks vs full blocks). StepMode forces
+// one-instruction blocks; the test steps its one vCPU to halt.
 func TestDifferentialBlockSizeInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	im, err := genProgram(r, 120)
@@ -196,14 +194,14 @@ func TestDifferentialBlockSizeInvariant(t *testing.T) {
 	full := runDifferential(t, im, "hst", false)
 
 	cfg := DefaultConfig("hst")
-	cfg.TraceWriter = io.Discard
+	cfg.StepMode = true
 	cfg.MaxGuestInstrs = 10_000_000
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.topts.MaxGuestInstrs != 1 {
-		t.Fatalf("TraceWriter left the block cap at %d, want 1", m.topts.MaxGuestInstrs)
+		t.Fatalf("StepMode left the block cap at %d, want 1", m.topts.MaxGuestInstrs)
 	}
 	if err := m.LoadImage(im); err != nil {
 		t.Fatal(err)
@@ -211,11 +209,14 @@ func TestDifferentialBlockSizeInvariant(t *testing.T) {
 	if err := m.MapRegion(scratchBase, 4096, mmu.PermRW); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Start(im.Entry); err != nil {
+	c, err := m.Start(im.Entry)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
+	for alive := true; alive; {
+		if alive, err = c.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tiny := archResult{output: m.Output(), mem: make([]uint32, 1024)}
 	for i := range tiny.mem {

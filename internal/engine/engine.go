@@ -21,7 +21,6 @@ package engine
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,6 +66,10 @@ const (
 	// apply only while a second vCPU is live: a lone vCPU never yields.
 	quantumTBs    = 32
 	preemptMemOps = 600
+	// traceRingBits sizes each vCPU's event ring (Config.TraceEvents) at
+	// 2^bits events of 32 bytes: 256 KiB per traced vCPU. Older events are
+	// overwritten once a ring wraps.
+	traceRingBits = 13
 )
 
 // The stack region holds maxThreads stacks (+ guard pages) below the top of
@@ -95,8 +98,8 @@ type Config struct {
 	// Exclusive-protocol polling and witness stalls still run at every
 	// chained boundary; the budget only bounds how stale the loop-level
 	// services (deadline, checkpoint cadence, watchdog, host yield) can
-	// get. 0 (the default) disables chaining; forced off in StepMode and
-	// under TraceWriter, which need the loop after every block.
+	// get. 0 (the default) disables chaining; forced off in StepMode,
+	// which needs the loop after every block.
 	ChainBudget int
 	// Tiered enables profile-gated tiering: cold blocks run as unoptimized,
 	// unfused IR translated at the decode rate (Cost.TBDecode) and are
@@ -117,19 +120,11 @@ type Config struct {
 	// returns from Step with CPU.Waiting set until another vCPU's step
 	// ends it.
 	StepMode bool
-	// TraceWriter, when set, logs every executed guest instruction
-	// (tid, pc, disassembly). Forces one-instruction blocks; debugging only.
-	TraceWriter io.Writer
 	// TraceEvents enables the per-vCPU atomic-event tracer (internal/obs):
 	// LL/SC outcomes, exclusive sections, HTM aborts, watchdog trips,
 	// checkpoint/restore. Off (the default) costs one nil check per
 	// would-be event.
 	TraceEvents bool
-	// TraceRingBits sizes each vCPU's event ring at 2^bits events
-	// (32 bytes each), 4 ≤ bits ≤ 24. 0 selects the default (12: 4096
-	// events, 128 KiB per vCPU). Older events are overwritten once a ring
-	// wraps.
-	TraceRingBits uint
 	// ProfileCollisions enables the HST collision census (Table I support).
 	ProfileCollisions bool
 
@@ -193,7 +188,6 @@ func DefaultConfig(scheme string) Config {
 		Cost:             core.DefaultCostModel(),
 		MemBytes:         64 << 20,
 		HashBits:         14,
-		TraceRingBits:    12,
 		WatchdogSCFails:  1 << 17,
 		RecoveryAttempts: 3,
 		HotThreshold:     64,
@@ -222,7 +216,7 @@ type Machine struct {
 	sharedWatch *mmu.StoreWatch
 
 	// Effective chaining/tiering knobs (tier.go), derived from cfg at
-	// construction: StepMode and TraceWriter force both off.
+	// construction: StepMode forces both off.
 	chainBudget  int
 	tiered       bool
 	hotThreshold uint32
@@ -246,27 +240,22 @@ type Machine struct {
 	heapMu   sync.Mutex
 	heapNext uint32
 
-	// futexes queues each futex word's waiters, oldest first.
-	futexMu sync.Mutex
-	futexes map[uint32][]*CPU
-
-	barMu    sync.Mutex
-	barriers map[uint32]*guestBarrier
-
 	// exclSections counts stop-the-world sections (real or charged); every
 	// vCPU pays an ExclusiveStall for each section it witnesses.
 	exclSections atomic.Uint64
 	// runningCPUs counts vCPUs not yet halted.
 	runningCPUs atomic.Int32
 
-	// parkMu guards parked, the per-CPU blocked marks and joiners: the
-	// state of the guest wait and its deadlock detector. parked counts vCPUs
-	// waiting in a guest syscall that nobody has ended (a waker ends the
-	// wait before it delivers the wake, so parked == runningCPUs only at a
-	// true deadlock). Lock order: futexMu/barMu before parkMu, parkMu before
-	// cpuMu; never call stop while holding parkMu.
-	parkMu sync.Mutex
-	parked int
+	// parkMu guards the guest wait and its deadlock detector: futexes
+	// (each futex word's waiters, oldest first), barriers, parked, and the
+	// per-CPU blocked marks and joiners. parked counts vCPUs waiting in a
+	// guest syscall that nobody has ended (a waker ends the wait before it
+	// delivers the wake, so parked == runningCPUs only at a true deadlock).
+	// Lock order: parkMu before cpuMu; never call stop while holding parkMu.
+	parkMu   sync.Mutex
+	futexes  map[uint32][]*CPU
+	barriers map[uint32]*guestBarrier
+	parked   int
 	// launched is set (under cpuMu) when RunContext first takes the
 	// machine. Until then no vCPU has a goroutine: a machine set up by
 	// host-side spawns (or ResumeFromSnapshot) starts whole, so no vCPU
@@ -343,7 +332,7 @@ func newTB(block *ir.Block, cold bool) *TB {
 // normalized fills zero-valued sizing fields from DefaultConfig while
 // keeping every caller-set field. (A partially-specified Config used to be
 // replaced wholesale whenever MemBytes was 0, silently discarding options
-// like Scheme, HashBits, FuseAtomics, NoOptimize or TraceWriter.) Flags and
+// like Scheme, HashBits, FuseAtomics or NoOptimize.) Flags and
 // debug fields pass through untouched, as does MaxGuestInstrs, where zero
 // means unlimited.
 func (cfg Config) normalized() Config {
@@ -359,9 +348,6 @@ func (cfg Config) normalized() Config {
 	}
 	if cfg.HashBits == 0 {
 		cfg.HashBits = def.HashBits
-	}
-	if cfg.TraceRingBits == 0 {
-		cfg.TraceRingBits = def.TraceRingBits
 	}
 	// WatchdogSCFails: 0 means default, negative disables.
 	if cfg.WatchdogSCFails == 0 {
@@ -402,7 +388,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.mem.SetInjector(cfg.FaultInjector)
 	m.nextCkptVT.Store(cfg.CheckpointEvery)
 	if cfg.TraceEvents {
-		m.hostRing = obs.NewRing(0, m.cfg.TraceRingBits, nil)
+		m.hostRing = obs.NewRing(0, traceRingBits, nil)
 	}
 
 	res := m.cfg.resilience()
@@ -446,9 +432,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.chainBudget = cfg.ChainBudget
 	m.tiered = cfg.Tiered
 	m.hotThreshold = uint32(cfg.HotThreshold)
-	if cfg.StepMode || cfg.TraceWriter != nil {
-		// Single-stepping and per-instruction tracing rely on returning to
-		// the dispatch loop after every one-instruction block.
+	if cfg.StepMode {
+		// Single-stepping returns to the caller after every
+		// one-instruction block.
 		m.topts.MaxGuestInstrs = 1
 		m.chainBudget = 0
 		m.tiered = false
@@ -733,7 +719,7 @@ func (m *Machine) newTraceRing(tid uint32, clock *uint64) *obs.Ring {
 	if !m.cfg.TraceEvents {
 		return nil
 	}
-	r := obs.NewRing(tid, m.cfg.TraceRingBits, clock)
+	r := obs.NewRing(tid, traceRingBits, clock)
 	m.ringMu.Lock()
 	m.rings = append(m.rings, r)
 	m.ringMu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"atomemu/internal/checkpoint"
 	"atomemu/internal/core"
 	"atomemu/internal/faultinject"
 	"atomemu/internal/guestlib"
@@ -407,25 +408,26 @@ yvar: .word 2
 	}
 }
 
-// panicWriter panics on the first write, standing in for a buggy
-// tracing/IO integration inside the vCPU goroutine.
-type panicWriter struct{}
-
-func (panicWriter) Write([]byte) (int, error) { panic("injected writer panic") }
-
 // TestFaultVCPUPanicContained: a panic on a vCPU goroutine must not kill
-// the process; it surfaces as a machine stop error naming the vCPU.
+// the process; it surfaces as a machine stop error naming the vCPU. The
+// panic comes from a checkpoint sink, which runs on the capturing vCPU's
+// goroutine, standing in for a buggy host integration; recovery is off so
+// the run ends on the panic.
 func TestFaultVCPUPanicContained(t *testing.T) {
 	im := buildImage(t, `
 .org 0x10000
 .entry main
 main:
     movi r0, #0
+    b done
+done:
     svc #1
 `)
 	cfg := DefaultConfig("hst")
 	cfg.MaxGuestInstrs = 1_000_000
-	cfg.TraceWriter = panicWriter{}
+	cfg.CheckpointEvery = 1
+	cfg.RecoveryAttempts = -1
+	cfg.CheckpointSink = func(*checkpoint.Snapshot) { panic("injected sink panic") }
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -438,7 +440,7 @@ main:
 	}
 	err = m.Run()
 	if err == nil {
-		t.Fatal("panicking writer should fail the run")
+		t.Fatal("panicking sink should fail the run")
 	}
 	if !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "vCPU") {
 		t.Fatalf("error should report the contained panic with its vCPU: %v", err)

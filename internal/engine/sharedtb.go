@@ -43,9 +43,9 @@ func ImageKey(im *asm.Image) [32]byte {
 // sharedOptsKey canonically describes everything that changes what a
 // translation block means: scheme identity (demotion swaps the scheme, so
 // a demoted machine naturally re-keys), instrumentation flags, the block
-// cap (one instruction under StepMode and TraceWriter), the optimizer,
-// fusion, and the tier/chain configuration. Kept as a full descriptor
-// string so key equality is exact.
+// cap (one instruction under StepMode), the optimizer, fusion, and the
+// tier/chain configuration. Kept as a full descriptor string so key
+// equality is exact.
 func (m *Machine) sharedOptsKey() string {
 	o := m.topts
 	return fmt.Sprintf("scheme=%s st=%t ld=%t max=%d opt=%t fuse=%t tier=%t hot=%d chain=%d",

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"encoding/hex"
-	"io"
 	"reflect"
 	"slices"
 	"testing"
@@ -429,8 +428,7 @@ var sharedKeyShaping = map[string]func(*Config){
 	"ChainBudget":  func(c *Config) { c.ChainBudget = 16 },
 	"Tiered":       func(c *Config) { c.Tiered = true },
 	"HotThreshold": func(c *Config) { c.HotThreshold = 7 },
-	"StepMode":     func(c *Config) { c.StepMode = true },          // one-instruction blocks
-	"TraceWriter":  func(c *Config) { c.TraceWriter = io.Discard }, // likewise
+	"StepMode":     func(c *Config) { c.StepMode = true }, // one-instruction blocks
 }
 
 // sharedKeyNeutral names every other Config field and why two machines that
@@ -441,7 +439,6 @@ var sharedKeyNeutral = map[string]string{
 	"HashBits":          "sizes the scheme's table, reached through the same hooks",
 	"MaxGuestInstrs":    "run budget; the clamp's one-off blocks bypass both caches",
 	"TraceEvents":       "event ring, emitted by the executor",
-	"TraceRingBits":     "event ring size",
 	"ProfileCollisions": "census inside the hst scheme; same name, same hooks",
 	"StrictPaper":       "scheme retry policy at run time",
 	"ResilienceSeed":    "scheme retry policy at run time",

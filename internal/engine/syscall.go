@@ -111,21 +111,21 @@ func (m *Machine) cpuByTID(tid uint32) *CPU {
 
 // --- the guest wait ---
 //
-// futex_wait, barrier_wait and join are one wait. The waiter registers its
-// blocked mark under parkMu, together with the queue its waker looks in,
-// and from then on touches none of its own state. The waker (futex_wake,
-// the barrier's last arrival, the joined vCPU's finish) ends the wait under
-// parkMu before it delivers the wake: it writes the waiter's r0, lifts its
-// clock, clears the mark and counts the unpark. A delivered wake has thus
-// already written everything the wait returns, so no checkpoint cut can
-// record a woken waiter as blocked, and a waiter in step mode needs no
+// futex_wait, barrier_wait and join are one wait under one lock, parkMu.
+// The waiter registers its blocked mark together with the queue its waker
+// looks in, and from then on touches none of its own state. The waker
+// (futex_wake, the barrier's last arrival, the joined vCPU's finish) ends
+// the wait before it delivers the wake: it writes the waiter's r0, lifts
+// its clock, clears the mark and counts the unpark. A delivered wake has
+// thus already written everything the wait returns, so no checkpoint cut
+// can record a woken waiter as blocked, and a waiter in step mode needs no
 // goroutine: Step returns as soon as the wait begins (CPU.Waiting), and
 // the vCPU is runnable again once another vCPU's step has ended the wait.
 
 // parkLocked registers c as waiting with mark. The caller holds parkMu and
-// the lock its waker takes, and queues c where that waker looks before it
-// releases them. It registers nothing and reports false once the machine
-// has stopped: stop has woken every waiter already, and nobody would wake c.
+// queues c where its waker looks before it releases it. It registers
+// nothing and reports false once the machine has stopped: stop has woken
+// every waiter already, and nobody would wake c.
 func (m *Machine) parkLocked(c *CPU, mark blockedMark) bool {
 	if m.stopped.Load() {
 		return false
@@ -216,25 +216,23 @@ func (m *Machine) sysJoin(c *CPU, tid uint32) {
 // --- futex ---
 
 func (m *Machine) sysFutexWait(c *CPU, addr, expected uint32) {
-	m.futexMu.Lock()
+	m.parkMu.Lock()
 	v, f := m.mem.LoadWord(addr)
 	if f != nil {
-		m.futexMu.Unlock()
+		m.parkMu.Unlock()
 		c.fail(fmt.Errorf("engine: tid %d: futex_wait fault: %w", c.tid, f))
 		return
 	}
 	if v != expected {
-		m.futexMu.Unlock()
+		m.parkMu.Unlock()
 		c.slots[0] = 1
 		return
 	}
-	m.parkMu.Lock()
 	waits := m.parkLocked(c, blockedMark{active: true, kind: "futex", syscall: SysFutexWait, addr: addr})
 	if waits {
 		m.futexes[addr] = append(m.futexes[addr], c)
 	}
 	m.parkMu.Unlock()
-	m.futexMu.Unlock()
 	if waits {
 		c.wait()
 	}
@@ -244,18 +242,16 @@ func (m *Machine) sysFutexWait(c *CPU, addr, expected uint32) {
 // first; each returns 0 no earlier than the waker's clock plus a syscall,
 // the blocked time counted as synchronization overhead.
 func (m *Machine) sysFutexWake(c *CPU, addr, maxWake uint32) uint32 {
-	m.futexMu.Lock()
-	defer m.futexMu.Unlock()
+	m.parkMu.Lock()
+	defer m.parkMu.Unlock()
 	q := m.futexes[addr]
 	n := min(int(maxWake), len(q))
 	if n == 0 {
 		return 0
 	}
-	m.parkMu.Lock()
 	for _, w := range q[:n] {
 		m.endWaitLocked(w, 0, c.clock+m.cfg.Cost.SyscallBase, true)
 	}
-	m.parkMu.Unlock()
 	m.futexes[addr] = append(q[:0], q[n:]...)
 	return uint32(n)
 }
@@ -273,9 +269,9 @@ func (m *Machine) sysBarrierInit(addr uint32, total int) {
 	if total < 1 {
 		total = 1
 	}
-	m.barMu.Lock()
+	m.parkMu.Lock()
 	m.barriers[addr] = &guestBarrier{total: total}
-	m.barMu.Unlock()
+	m.parkMu.Unlock()
 }
 
 // sysBarrierWait arrives at the barrier at addr. The last arrival returns 1
@@ -283,10 +279,10 @@ func (m *Machine) sysBarrierInit(addr uint32, total int) {
 // than the latest arrival's clock plus a syscall, the wait charged as
 // synchronization overhead.
 func (m *Machine) sysBarrierWait(c *CPU, addr uint32) {
-	m.barMu.Lock()
+	m.parkMu.Lock()
 	b := m.barriers[addr]
 	if b == nil {
-		m.barMu.Unlock()
+		m.parkMu.Unlock()
 		c.fail(fmt.Errorf("engine: tid %d: barrier_wait on uninitialized barrier %#x", c.tid, addr))
 		return
 	}
@@ -294,13 +290,11 @@ func (m *Machine) sysBarrierWait(c *CPU, addr uint32) {
 	b.maxClk = max(b.maxClk, c.clock)
 	if b.arrived == b.total {
 		release := b.maxClk + m.cfg.Cost.SyscallBase
-		m.parkMu.Lock()
 		for _, w := range b.waiters {
 			m.endWaitLocked(w, 0, release, true)
 		}
-		m.parkMu.Unlock()
 		b.waiters, b.arrived, b.maxClk = b.waiters[:0], 0, 0
-		m.barMu.Unlock()
+		m.parkMu.Unlock()
 		c.slots[0] = 1
 		c.liftClockTo(release, true)
 		return
@@ -313,13 +307,11 @@ func (m *Machine) sysBarrierWait(c *CPU, addr uint32) {
 		arrived: b.arrived,
 		total:   b.total,
 	}
-	m.parkMu.Lock()
 	waits := m.parkLocked(c, mark)
 	if waits {
 		b.waiters = append(b.waiters, c)
 	}
 	m.parkMu.Unlock()
-	m.barMu.Unlock()
 	if waits {
 		c.wait()
 	}

@@ -23,6 +23,9 @@ type Point struct {
 	Crashed bool
 }
 
+// Fig10Title heads the paper's Figure 10.
+const Fig10Title = "Figure 10 — scalability (speedup vs own 1-thread)"
+
 // Fig10Schemes are the software schemes of the paper's Figure 10, plus the
 // PICO-CAS reference the text compares against.
 func Fig10Schemes() []string { return []string{"pico-cas", "pico-st", "hst", "hst-weak", "pst"} }
@@ -30,8 +33,19 @@ func Fig10Schemes() []string { return []string{"pico-cas", "pico-st", "hst", "hs
 // Fig10Threads is the paper's thread sweep.
 func Fig10Threads() []int { return []int{1, 2, 4, 8, 16, 32, 64} }
 
-// Fig10 holds the scalability experiment.
-type Fig10 struct {
+// Fig11Title heads Figure 11.
+const Fig11Title = "Figure 11 — HTM schemes scalability"
+
+// Fig11Schemes are the HTM-based schemes.
+func Fig11Schemes() []string { return []string{"pico-htm", "hst-htm"} }
+
+// Fig11Threads is the paper's HTM sweep (their workstation tops out at 32).
+func Fig11Threads() []int { return []int{1, 2, 4, 8, 16, 32} }
+
+// Scalability is a scalability experiment (Fig. 10, Fig. 11): every
+// scalability program under each scheme over a thread sweep.
+type Scalability struct {
+	Title    string
 	Scale    float64
 	Threads  []int
 	Programs []string
@@ -45,18 +59,20 @@ type Progress func(format string, args ...any)
 
 func noProgress(string, ...any) {}
 
-// RunFig10 sweeps the scalability matrix.
-func RunFig10(scale float64, threads []int, progress Progress) (*Fig10, error) {
+// RunScalability sweeps schemes over threads (defaultThreads when empty)
+// on every scalability program.
+func RunScalability(title string, schemes []string, defaultThreads []int, scale float64, threads []int, progress Progress) (*Scalability, error) {
 	if progress == nil {
 		progress = noProgress
 	}
 	if len(threads) == 0 {
-		threads = Fig10Threads()
+		threads = defaultThreads
 	}
-	fig := &Fig10{
+	fig := &Scalability{
+		Title:   title,
 		Scale:   scale,
 		Threads: threads,
-		Schemes: Fig10Schemes(),
+		Schemes: schemes,
 		Data:    make(map[string]map[string][]Point),
 	}
 	for _, spec := range workload.ScalabilitySpecs() {
@@ -112,7 +128,7 @@ type Summary struct {
 }
 
 // Summarize computes the headline comparison from a Fig. 10 dataset.
-func (fig *Fig10) Summarize() Summary {
+func (fig *Scalability) Summarize() Summary {
 	var s Summary
 	last := len(fig.Threads) - 1
 	var ratios []float64
@@ -176,8 +192,8 @@ func minOf(v []float64) float64 {
 }
 
 // Render writes the figure as aligned text series.
-func (fig *Fig10) Render(w io.Writer) {
-	fmt.Fprintf(w, "Figure 10 — scalability (speedup vs own 1-thread), scale=%.3f\n", fig.Scale)
+func (fig *Scalability) Render(w io.Writer) {
+	fmt.Fprintf(w, "%s, scale=%.3f\n", fig.Title, fig.Scale)
 	for _, prog := range fig.Programs {
 		fmt.Fprintf(w, "\n%s\n  %-10s", prog, "threads")
 		for _, t := range fig.Threads {
@@ -196,6 +212,11 @@ func (fig *Fig10) Render(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 	}
+}
+
+// RenderSummary writes Fig. 10's headline comparison (Summarize) against
+// the paper's numbers.
+func (fig *Scalability) RenderSummary(w io.Writer) {
 	s := fig.Summarize()
 	fmt.Fprintf(w, "\nHST vs PICO-ST speedup: min %.2fx max %.2fx geomean %.2fx (paper: 1.25x / 3.21x / 2.03x)\n",
 		s.HSTvsPicoSTMin, s.HSTvsPicoSTMax, s.HSTvsPicoSTGeo)
@@ -204,82 +225,7 @@ func (fig *Fig10) Render(w io.Writer) {
 }
 
 // CSV writes the figure as rows: program,scheme,threads,virtual_time,speedup,crashed.
-func (fig *Fig10) CSV(w io.Writer) {
-	fmt.Fprintln(w, "program,scheme,threads,virtual_time,speedup,crashed")
-	for _, prog := range fig.Programs {
-		for _, scheme := range fig.Schemes {
-			for _, p := range fig.Data[prog][scheme] {
-				fmt.Fprintf(w, "%s,%s,%d,%d,%.4f,%v\n", prog, scheme, p.Threads, p.VirtualTime, p.Speedup, p.Crashed)
-			}
-		}
-	}
-}
-
-// Fig11 is the HTM-scheme scalability experiment.
-type Fig11 struct {
-	Scale    float64
-	Threads  []int
-	Programs []string
-	Schemes  []string
-	Data     map[string]map[string][]Point
-}
-
-// Fig11Schemes are the HTM-based schemes.
-func Fig11Schemes() []string { return []string{"pico-htm", "hst-htm"} }
-
-// Fig11Threads is the paper's HTM sweep (their workstation tops out at 32).
-func Fig11Threads() []int { return []int{1, 2, 4, 8, 16, 32} }
-
-// RunFig11 sweeps the HTM matrix.
-func RunFig11(scale float64, threads []int, progress Progress) (*Fig11, error) {
-	if progress == nil {
-		progress = noProgress
-	}
-	if len(threads) == 0 {
-		threads = Fig11Threads()
-	}
-	fig := &Fig11{Scale: scale, Threads: threads, Schemes: Fig11Schemes(), Data: make(map[string]map[string][]Point)}
-	for _, spec := range workload.ScalabilitySpecs() {
-		fig.Programs = append(fig.Programs, spec.Name)
-	}
-	for _, prog := range fig.Programs {
-		fig.Data[prog] = make(map[string][]Point)
-		for _, scheme := range fig.Schemes {
-			series, err := runSeries(prog, scheme, threads, scale, progress)
-			if err != nil {
-				return nil, err
-			}
-			fig.Data[prog][scheme] = series
-		}
-	}
-	return fig, nil
-}
-
-// Render writes the HTM figure.
-func (fig *Fig11) Render(w io.Writer) {
-	fmt.Fprintf(w, "Figure 11 — HTM schemes scalability, scale=%.3f\n", fig.Scale)
-	for _, prog := range fig.Programs {
-		fmt.Fprintf(w, "\n%s\n  %-10s", prog, "threads")
-		for _, t := range fig.Threads {
-			fmt.Fprintf(w, "%8d", t)
-		}
-		fmt.Fprintln(w)
-		for _, scheme := range fig.Schemes {
-			fmt.Fprintf(w, "  %-10s", scheme)
-			for _, p := range fig.Data[prog][scheme] {
-				if p.Crashed {
-					fmt.Fprintf(w, "%8s", "crash")
-				} else {
-					fmt.Fprintf(w, "%8.2f", p.Speedup)
-				}
-			}
-			fmt.Fprintln(w)
-		}
-	}
-}
-
-// CSV writes the HTM figure rows.
-func (fig *Fig11) CSV(w io.Writer) {
+func (fig *Scalability) CSV(w io.Writer) {
 	fmt.Fprintln(w, "program,scheme,threads,virtual_time,speedup,crashed")
 	for _, prog := range fig.Programs {
 		for _, scheme := range fig.Schemes {

@@ -34,7 +34,7 @@ func TestRunWorkloadRejectsBadInput(t *testing.T) {
 }
 
 func TestFig10SmallSweep(t *testing.T) {
-	fig, err := RunFig10(0.01, []int{1, 2, 4}, nil)
+	fig, err := RunScalability(Fig10Title, Fig10Schemes(), Fig10Threads(), 0.01, []int{1, 2, 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +54,7 @@ func TestFig10SmallSweep(t *testing.T) {
 	}
 	var text, csv bytes.Buffer
 	fig.Render(&text)
+	fig.RenderSummary(&text)
 	fig.CSV(&csv)
 	if !strings.Contains(text.String(), "HST vs PICO-ST") {
 		t.Error("render missing summary")
@@ -237,7 +238,7 @@ func TestSpeedupHelper(t *testing.T) {
 }
 
 func TestFig11SmallSweep(t *testing.T) {
-	fig, err := RunFig11(0.01, []int{1, 4}, nil)
+	fig, err := RunScalability(Fig11Title, Fig11Schemes(), Fig11Threads(), 0.01, []int{1, 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestFig11SmallSweep(t *testing.T) {
 
 func TestFig11PicoHTMCrashesAtScale(t *testing.T) {
 	// The livelock crash must appear on a lock-based program at 32 threads.
-	fig, err := RunFig11(0.05, []int{8, 32}, nil)
+	fig, err := RunScalability(Fig11Title, Fig11Schemes(), Fig11Threads(), 0.05, []int{8, 32}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
