@@ -1,6 +1,7 @@
 package gac
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -313,32 +314,92 @@ func TestMainReceivesArgument(t *testing.T) {
 	}
 }
 
+// TestCompileErrors has one row per error path of the lexer, parser, code
+// generator and builder, each with the exact message, line included.
 func TestCompileErrors(t *testing.T) {
-	cases := map[string]string{
-		"no main":               "func f() {}",
-		"undefined variable":    "func main() { print(x); }",
-		"undefined function":    "func main() { f(); }",
-		"wrong arity":           "func f(a) {} func main() { f(1, 2); }",
-		"too many params":       "func f(a, b, c, d, e) {} func main() {}",
-		"duplicate local":       "func main() { var a; var a; }",
-		"duplicate global":      "var g; var g; func main() {}",
-		"duplicate function":    "func f() {} func f() {} func main() {}",
-		"break outside loop":    "func main() { break; }",
-		"address of local":      "func main() { var a; print(&a); }",
-		"assign to expression":  "func main() { 1 + 2 = 3; }",
-		"bad spawn target":      "func main() { spawn(1 + 2, 0); }",
-		"unterminated block":    "func main() {",
-		"bad token":             "func main() { $; }",
-		"array size not const":  "var a[x]; func main() {}",
-		"global init not const": "var g = 1 + 2; func main() {}",
-		"builtin arity":         "func main() { print(); }",
-		"spawn two params":      "func f(a, b) {} func main() { spawn(f, 0); }",
+	var manyLocals strings.Builder
+	manyLocals.WriteString("func main() {\n")
+	for i := 0; i < 513; i++ {
+		fmt.Fprintf(&manyLocals, "var l%d;\n", i)
 	}
-	for name, src := range cases {
-		if _, err := Compile(src); err == nil {
-			t.Errorf("%s: compile should fail:\n%s", name, src)
-		} else if !strings.Contains(err.Error(), "gac: line") {
-			t.Errorf("%s: error %v lacks position", name, err)
+	manyLocals.WriteString("}\n")
+	cases := []struct {
+		name, src string
+		org       uint32
+		want      string
+	}{
+		// lexer
+		{name: "bad token", src: "func main() { $; }", want: "gac: line 1: unexpected character \"$\""},
+		{name: "non-ASCII byte", src: "func main() {\n\x80; }", want: "gac: line 2: unexpected character \"\\u0080\""},
+		{name: "Latin-1 letter then bad byte", src: "func main() { \xc3\xa9; }", want: "gac: line 1: unexpected character \"©\""},
+		{name: "unterminated comment", src: "func main() {}\n/* never\nclosed", want: "gac: line 2: unterminated block comment"},
+		{name: "number overflows", src: "var x = 99999999999999;", want: "gac: line 1: bad number \"99999999999999\""},
+		{name: "bare hex prefix", src: "var x = 0x;", want: "gac: line 1: bad number \"0x\""},
+		{name: "bad octal", src: "\nvar x = 09;", want: "gac: line 2: bad number \"09\""},
+		{name: "letters in number", src: "var x = 1e5;", want: "gac: line 1: bad number \"1e5\""},
+		{name: "misplaced underscore", src: "var x = 1__0;", want: "gac: line 1: bad number \"1__0\""},
+		// parser
+		{name: "top level junk", src: "x = 1;", want: "gac: line 1: expected 'var' or 'func', got \"x\""},
+		{name: "top level number", src: "42", want: "gac: line 1: expected 'var' or 'func', got number 42"},
+		{name: "missing identifier", src: "func main( { }", want: "gac: line 1: expected identifier, got \"{\""},
+		{name: "var without name", src: "func main() { var; }", want: "gac: line 1: expected identifier, got \";\""},
+		{name: "while without parens", src: "func main() { while 1 {} }", want: "gac: line 1: expected \"(\", got number 1"},
+		{name: "missing semicolon", src: "func main() { return 1 }", want: "gac: line 1: expected \";\", got \"}\""},
+		{name: "missing semicolon at end", src: "var g", want: "gac: line 1: expected \";\", got end of file"},
+		{name: "array size not const", src: "var a[x]; func main() {}", want: "gac: line 1: array size must be a constant"},
+		{name: "array size zero", src: "var a[0]; func main() {}", want: "gac: line 1: array size 0 out of range"},
+		{name: "array size too big", src: "\n\nvar a[2000000]; func main() {}", want: "gac: line 3: array size 2000000 out of range"},
+		{name: "global init not const", src: "var g = x; func main() {}", want: "gac: line 1: global initializer must be a constant"},
+		{name: "global init not folded", src: "var g = 1 + 2; func main() {}", want: "gac: line 1: expected \";\", got \"+\""},
+		{name: "too many params", src: "func f(a, b, c, d, e) {} func main() {}", want: "gac: line 1: function f: at most 4 parameters (r0-r3 ABI)"},
+		{name: "missing comma", src: "func f(a b) {}", want: "gac: line 1: expected \",\", got \"b\""},
+		{name: "unterminated block", src: "func main() {", want: "gac: line 1: unterminated block"},
+		{name: "unexpected token in expression", src: "func main() { return ); }", want: "gac: line 1: unexpected \")\" in expression"},
+		{name: "expression at end of file", src: "func main() { return", want: "gac: line 1: unexpected end of file in expression"},
+		{name: "unclosed paren", src: "func main() { print((1 + 2); }", want: "gac: line 1: expected \",\", got \";\""},
+		{name: "unclosed index", src: "var a[2]; func main() { a[1 = 2; }", want: "gac: line 1: expected \"]\", got \"=\""},
+		// code generator
+		{name: "no main", src: "func f() {}", want: "gac: line 1: no main function"},
+		{name: "duplicate global", src: "var g;\nvar g; func main() {}", want: "gac: line 2: duplicate global \"g\""},
+		{name: "duplicate function", src: "func f() {}\nfunc f() {} func main() {}", want: "gac: line 2: duplicate function \"f\""},
+		{name: "global and function", src: "var f;\nfunc f() {} func main() {}", want: "gac: line 2: \"f\" is both a global and a function"},
+		{name: "duplicate parameter", src: "func f(a, a) {} func main() {}", want: "gac: line 1: duplicate parameter \"a\""},
+		{name: "duplicate local", src: "func main() {\nvar a;\nvar a; }", want: "gac: line 3: duplicate local \"a\""},
+		{name: "parameter redeclared", src: "func main(a) { var a; }", want: "gac: line 1: duplicate local \"a\""},
+		{name: "too many locals", src: manyLocals.String(), want: "gac: line 1: function main: too many locals (513)"},
+		{name: "break outside loop", src: "func main() { break; }", want: "gac: line 1: break outside loop"},
+		{name: "continue outside loop", src: "func main() {\ncontinue; }", want: "gac: line 2: continue outside loop"},
+		{name: "assign to undefined", src: "func main() { x = 1; }", want: "gac: line 1: assignment to undefined name \"x\""},
+		{name: "assign to unary", src: "func main() { var x; -x = 1; }", want: "gac: line 1: cannot assign to unary \"-\" expression"},
+		{name: "assign to expression", src: "func main() { 1 + 2 = 3; }", want: "gac: line 1: invalid assignment target"},
+		{name: "undefined variable", src: "func main() { print(x); }", want: "gac: line 1: undefined name \"x\""},
+		{name: "address of local", src: "func main() { var a; print(&a); }", want: "gac: line 1: cannot take the address of local \"a\" (locals live in the frame; use a global)"},
+		{name: "address of undefined", src: "func main() { print(&y); }", want: "gac: line 1: undefined name \"y\""},
+		{name: "address of constant", src: "func main() { print(&1); }", want: "gac: line 1: expression is not addressable"},
+		{name: "index a local", src: "func main() { var l; print(l[0]); }", want: "gac: line 1: indexing requires a global array"},
+		{name: "assign through bad index", src: "func main() { var l; l[0] = 1; }", want: "gac: line 1: indexing requires a global array"},
+		{name: "undefined function", src: "func main() { f(); }", want: "gac: line 1: call to undefined function \"f\""},
+		{name: "wrong arity", src: "func f(a) {} func main() { f(1, 2); }", want: "gac: line 1: f takes 1 argument(s), got 2"},
+		{name: "builtin arity", src: "func main() { print(); }", want: "gac: line 1: print takes 1 argument(s), got 0"},
+		{name: "spawn arity", src: "func main() { spawn(main); }", want: "gac: line 1: spawn takes (func, arg)"},
+		{name: "bad spawn target", src: "func main() { spawn(1 + 2, 0); }", want: "gac: line 1: spawn's first argument must name a function"},
+		{name: "spawn two params", src: "func f(a, b) {} func main() { spawn(f, 0); }", want: "gac: line 1: spawned function \"f\" may take at most one parameter"},
+		{name: "first error wins", src: "func main() { print(x); }\nfunc g() { break; }", want: "gac: line 1: undefined name \"x\""},
+		// builder
+		{name: "misaligned origin", src: "func main() {}", org: 0x10002, want: "asm: 1 error(s), first: asm: org 0x10002 not word-aligned"},
+	}
+	for _, c := range cases {
+		org := c.org
+		if org == 0 {
+			org = 0x10000
+		}
+		_, err := CompileAt(c.src, org)
+		if err == nil {
+			t.Errorf("%s: compile should fail:\n%s", c.name, c.src)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: error\n  %q\nwant\n  %q", c.name, err.Error(), c.want)
 		}
 	}
 }
