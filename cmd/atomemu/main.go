@@ -69,7 +69,7 @@ func run() error {
 	scale := flag.Float64("scale", 0.25, "workload scale factor")
 	ops := flag.Uint64("ops", 1048575, "stack operations (with -stack)")
 	nodes := flag.Uint("nodes", 64, "stack nodes (with -stack)")
-	arg := flag.Uint("arg", 0, "r0 argument for -image workers")
+	arg := flag.Uint("arg", 0, "r0 argument of every thread (-image/-gac only)")
 	fuse := flag.Bool("fuse", false, "enable rule-based translation (fuse LL/SC retry loops into host atomics)")
 	traceInstrs := flag.Bool("trace-instrs", false, "single-step the threads round-robin, logging every guest instruction to stderr (-image/-gac only)")
 	traceFile := flag.String("trace", "", "write the atomic-event trace (virtual-timestamped JSON lines) to this file (-image/-gac only)")

@@ -32,142 +32,129 @@ const (
 
 // Validate reports whether the instruction's operands fit its format.
 func (i Instruction) Validate() error {
-	if !i.Op.Valid() {
-		return fmt.Errorf("arch: invalid opcode %d", uint8(i.Op))
-	}
-	checkReg := func(r Reg, what string) error {
-		if !r.Valid() {
-			return fmt.Errorf("arch: %s: invalid %s register %d", i.Op, what, uint8(r))
-		}
-		return nil
-	}
-	switch i.Op.Format() {
-	case Fmt3R, FmtMemR:
-		for _, p := range []struct {
-			r    Reg
-			what string
-		}{{i.Rd, "rd"}, {i.Rn, "rn"}, {i.Rm, "rm"}} {
-			if err := checkReg(p.r, p.what); err != nil {
-				return err
-			}
-		}
-	case Fmt2RI, FmtMem:
-		if err := checkReg(i.Rd, "rd"); err != nil {
-			return err
-		}
-		if err := checkReg(i.Rn, "rn"); err != nil {
-			return err
-		}
-		if i.Imm < 0 || i.Imm > immMask12 {
-			return fmt.Errorf("arch: %s: imm12 out of range: %d", i.Op, i.Imm)
-		}
-	case Fmt2R:
-		if err := checkReg(i.Rd, "rd"); err != nil {
-			return err
-		}
-		if err := checkReg(i.Rm, "rm"); err != nil {
-			return err
-		}
-	case FmtRI16:
-		if err := checkReg(i.Rd, "rd"); err != nil {
-			return err
-		}
-		if i.Imm < 0 || i.Imm > immMask16 {
-			return fmt.Errorf("arch: %s: imm16 out of range: %d", i.Op, i.Imm)
-		}
-	case FmtRI12:
-		if err := checkReg(i.Rd, "rd"); err != nil {
-			return err
-		}
-		if i.Imm < 0 || i.Imm > immMask12 {
-			return fmt.Errorf("arch: %s: imm12 out of range: %d", i.Op, i.Imm)
-		}
-	case FmtCmpR:
-		if err := checkReg(i.Rn, "rn"); err != nil {
-			return err
-		}
-		if err := checkReg(i.Rm, "rm"); err != nil {
-			return err
-		}
-	case FmtCmpI:
-		if err := checkReg(i.Rn, "rn"); err != nil {
-			return err
-		}
-		if i.Imm < 0 || i.Imm > immMask12 {
-			return fmt.Errorf("arch: %s: imm12 out of range: %d", i.Op, i.Imm)
-		}
-	case FmtEx:
-		if err := checkReg(i.Rd, "rd"); err != nil {
-			return err
-		}
-		if err := checkReg(i.Rn, "rn"); err != nil {
-			return err
-		}
-		if i.Op == STREX {
-			if err := checkReg(i.Rm, "rm"); err != nil {
-				return err
-			}
-		}
-	case FmtB:
-		if !i.Cond.Valid() {
-			return fmt.Errorf("arch: b: invalid condition %d", uint8(i.Cond))
-		}
-		if i.Off < MinOff20 || i.Off > MaxOff20 {
-			return fmt.Errorf("arch: b: offset out of range: %d", i.Off)
-		}
-	case FmtBL:
-		if i.Off < MinOff24 || i.Off > MaxOff24 {
-			return fmt.Errorf("arch: bl: offset out of range: %d", i.Off)
-		}
-	case FmtBX:
-		if err := checkReg(i.Rm, "rm"); err != nil {
-			return err
-		}
-	case FmtSVC:
-		if i.Imm < 0 || i.Imm > immMask12 {
-			return fmt.Errorf("arch: svc: number out of range: %d", i.Imm)
-		}
-	case FmtNone:
-		// no operands
-	}
-	return nil
+	_, err := i.EncodeChecked()
+	return err
 }
 
 // Encode packs the instruction into its 32-bit GA32 encoding.
 // The instruction must be valid; Encode panics otherwise (callers that
-// handle untrusted input should Validate first).
+// handle untrusted input should Validate first, or use EncodeChecked).
 func (i Instruction) Encode() uint32 {
-	if err := i.Validate(); err != nil {
+	w, err := i.EncodeChecked()
+	if err != nil {
 		panic(err)
+	}
+	return w
+}
+
+// EncodeChecked checks the instruction's operands against its format and
+// packs it, in one pass: the encoding, or the error Validate reports.
+func (i Instruction) EncodeChecked() (uint32, error) {
+	if !i.Op.Valid() {
+		return 0, fmt.Errorf("arch: invalid opcode %d", uint8(i.Op))
 	}
 	w := uint32(i.Op) << 24
 	switch i.Op.Format() {
 	case Fmt3R, FmtMemR:
+		if err := i.checkRegs(true, true, true); err != nil {
+			return 0, err
+		}
 		w |= uint32(i.Rd)<<20 | uint32(i.Rn)<<16 | uint32(i.Rm)<<12
 	case Fmt2RI, FmtMem:
+		if err := i.checkRegs(true, true, false); err != nil {
+			return 0, err
+		}
+		if err := i.checkImm12(); err != nil {
+			return 0, err
+		}
 		w |= uint32(i.Rd)<<20 | uint32(i.Rn)<<16 | uint32(i.Imm)&immMask12
 	case Fmt2R:
+		if err := i.checkRegs(true, false, true); err != nil {
+			return 0, err
+		}
 		w |= uint32(i.Rd)<<20 | uint32(i.Rm)<<12
 	case FmtRI16:
+		if err := i.checkRegs(true, false, false); err != nil {
+			return 0, err
+		}
+		if i.Imm < 0 || i.Imm > immMask16 {
+			return 0, fmt.Errorf("arch: %s: imm16 out of range: %d", i.Op, i.Imm)
+		}
 		w |= uint32(i.Rd)<<20 | uint32(i.Imm)&immMask16
 	case FmtRI12:
+		if err := i.checkRegs(true, false, false); err != nil {
+			return 0, err
+		}
+		if err := i.checkImm12(); err != nil {
+			return 0, err
+		}
 		w |= uint32(i.Rd)<<20 | uint32(i.Imm)&immMask12
 	case FmtCmpR:
+		if err := i.checkRegs(false, true, true); err != nil {
+			return 0, err
+		}
 		w |= uint32(i.Rn)<<16 | uint32(i.Rm)<<12
 	case FmtCmpI:
+		if err := i.checkRegs(false, true, false); err != nil {
+			return 0, err
+		}
+		if err := i.checkImm12(); err != nil {
+			return 0, err
+		}
 		w |= uint32(i.Rn)<<16 | uint32(i.Imm)&immMask12
 	case FmtEx:
+		if err := i.checkRegs(true, true, i.Op == STREX); err != nil {
+			return 0, err
+		}
 		w |= uint32(i.Rd)<<20 | uint32(i.Rn)<<16 | uint32(i.Rm)<<12
 	case FmtB:
+		if !i.Cond.Valid() {
+			return 0, fmt.Errorf("arch: b: invalid condition %d", uint8(i.Cond))
+		}
+		if i.Off < MinOff20 || i.Off > MaxOff20 {
+			return 0, fmt.Errorf("arch: b: offset out of range: %d", i.Off)
+		}
 		w |= uint32(i.Cond)<<20 | uint32(i.Off)&((1<<off20Bits)-1)
 	case FmtBL:
+		if i.Off < MinOff24 || i.Off > MaxOff24 {
+			return 0, fmt.Errorf("arch: bl: offset out of range: %d", i.Off)
+		}
 		w |= uint32(i.Off) & ((1 << off24Bits) - 1)
 	case FmtBX:
+		if err := i.checkRegs(false, false, true); err != nil {
+			return 0, err
+		}
 		w |= uint32(i.Rm) << 12
 	case FmtSVC:
+		if i.Imm < 0 || i.Imm > immMask12 {
+			return 0, fmt.Errorf("arch: svc: number out of range: %d", i.Imm)
+		}
 		w |= uint32(i.Imm) & immMask12
+	case FmtNone:
+		// no operands
 	}
-	return w
+	return w, nil
+}
+
+// checkRegs checks the register fields the format uses, in the order
+// rd, rn, rm.
+func (i Instruction) checkRegs(rd, rn, rm bool) error {
+	switch {
+	case rd && !i.Rd.Valid():
+		return fmt.Errorf("arch: %s: invalid rd register %d", i.Op, uint8(i.Rd))
+	case rn && !i.Rn.Valid():
+		return fmt.Errorf("arch: %s: invalid rn register %d", i.Op, uint8(i.Rn))
+	case rm && !i.Rm.Valid():
+		return fmt.Errorf("arch: %s: invalid rm register %d", i.Op, uint8(i.Rm))
+	}
+	return nil
+}
+
+func (i Instruction) checkImm12() error {
+	if i.Imm < 0 || i.Imm > immMask12 {
+		return fmt.Errorf("arch: %s: imm12 out of range: %d", i.Op, i.Imm)
+	}
+	return nil
 }
 
 // Decode unpacks a 32-bit GA32 encoding. What it returns always passes

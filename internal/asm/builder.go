@@ -2,6 +2,7 @@ package asm
 
 import (
 	"fmt"
+	"strconv"
 
 	"atomemu/internal/arch"
 )
@@ -62,7 +63,11 @@ func (b *Builder) Label(name string) {
 // that need internal branch targets.
 func (b *Builder) Gensym(prefix string) string {
 	b.gen++
-	return fmt.Sprintf(".%s.%d", prefix, b.gen)
+	var buf [48]byte
+	name := append(buf[:0], '.')
+	name = append(name, prefix...)
+	name = append(name, '.')
+	return string(strconv.AppendInt(name, int64(b.gen), 10))
 }
 
 // Errf records a client-detected error to be reported by Finish.
@@ -70,13 +75,14 @@ func (b *Builder) Errf(format string, args ...any) {
 	b.errs = append(b.errs, fmt.Errorf(format, args...))
 }
 
+// emit checks and encodes in in one pass; an invalid instruction leaves a
+// zero word and an error for Finish.
 func (b *Builder) emit(in arch.Instruction) {
-	if err := in.Validate(); err != nil {
+	w, err := in.EncodeChecked()
+	if err != nil {
 		b.errs = append(b.errs, fmt.Errorf("asm: at %#x: %w", b.PC(), err))
-		b.words = append(b.words, 0)
-		return
 	}
-	b.words = append(b.words, in.Encode())
+	b.words = append(b.words, w)
 }
 
 // Raw emits a pre-built instruction.
@@ -395,11 +401,12 @@ func (b *Builder) Finish() (*Image, error) {
 				continue
 			}
 			in.Off = off
-			if err := in.Validate(); err != nil {
+			w, err := in.EncodeChecked()
+			if err != nil {
 				b.errs = append(b.errs, fmt.Errorf("asm: branch to %q out of range: %w", f.label, err))
 				continue
 			}
-			b.words[f.index] = in.Encode()
+			b.words[f.index] = w
 		case fixMOVWLo, fixMOVTHi:
 			in, err := arch.Decode(b.words[f.index])
 			if err != nil {

@@ -1,6 +1,8 @@
 package gac
 
-// The GAC abstract syntax tree. Every value is a 32-bit word.
+// The GAC abstract syntax tree. Every value is a 32-bit word. A name is a
+// symbol id (lexer.names), so the code generator
+// resolves it by indexing, never by hashing.
 
 type program struct {
 	globals []*globalDecl
@@ -8,7 +10,7 @@ type program struct {
 }
 
 type globalDecl struct {
-	name string
+	name uint32
 	// size is the word count: 1 for scalars, n for "var a[n]".
 	size uint32
 	// init is the scalar initializer (constant only).
@@ -17,8 +19,8 @@ type globalDecl struct {
 }
 
 type funcDecl struct {
-	name   string
-	params []string
+	name   uint32
+	params []uint32
 	body   *blockStmt
 	line   int
 }
@@ -33,7 +35,7 @@ type blockStmt struct {
 }
 
 type varStmt struct {
-	name string
+	name uint32
 	init expr // nil means zero
 	line int
 }
@@ -90,24 +92,24 @@ type numExpr struct {
 }
 
 type identExpr struct {
-	name string
+	name uint32
 	line int
 }
 
 type unaryExpr struct {
-	op   string // "-", "!", "~", "*", "&"
+	op   tokCode // opSub, opNot, opCompl, opMul or opAnd
 	x    expr
 	line int
 }
 
 type binExpr struct {
-	op   string
+	op   tokCode
 	l, r expr
 	line int
 }
 
 type callExpr struct {
-	name string
+	name uint32
 	args []expr
 	line int
 }
@@ -124,3 +126,43 @@ func (e *unaryExpr) exprLine() int { return e.line }
 func (e *binExpr) exprLine() int   { return e.line }
 func (e *callExpr) exprLine() int  { return e.line }
 func (e *indexExpr) exprLine() int { return e.line }
+
+// nodes allocates a program's statements and expressions from arenas, one
+// per node type, so a tree of tens of thousands of nodes costs tens of
+// allocations rather than one per node.
+type nodes struct {
+	blocks    arena[blockStmt]
+	vars      arena[varStmt]
+	ifs       arena[ifStmt]
+	whiles    arena[whileStmt]
+	returns   arena[returnStmt]
+	breaks    arena[breakStmt]
+	conts     arena[continueStmt]
+	exprStmts arena[exprStmt]
+	assigns   arena[assignStmt]
+	nums      arena[numExpr]
+	idents    arena[identExpr]
+	unaries   arena[unaryExpr]
+	bins      arena[binExpr]
+	calls     arena[callExpr]
+	indexes   arena[indexExpr]
+}
+
+// arena hands out values of one type from chunks that double in size, from
+// 8 up to 1024: a small program pays for few, a large one allocates once
+// per thousand nodes.
+type arena[T any] struct {
+	free []T
+	size int
+}
+
+func (a *arena[T]) new(v T) *T {
+	if len(a.free) == 0 {
+		a.size = min(max(2*a.size, 8), 1024)
+		a.free = make([]T, a.size)
+	}
+	p := &a.free[0]
+	a.free = a.free[1:]
+	*p = v
+	return p
+}

@@ -17,41 +17,54 @@ import (
 // after the code so PST-family schemes see realistic data placement.
 
 type gen struct {
-	b       *asm.Builder
-	globals map[string]*globalDecl
-	funcs   map[string]*funcDecl
+	b     *asm.Builder
+	names []string
+	syms  []symbol // by symbol id
 
 	// per-function state
-	locals   map[string]int
+	locals   []uint32 // the ids with a frame slot, in slot order
 	epilogue string
 	breaks   []string
 	conts    []string
 }
 
+// symbol is what a name means in the program being compiled. Names are
+// resolved through it by symbol id, so no use of a name hashes it.
+type symbol struct {
+	global      *globalDecl
+	fn          *funcDecl
+	globalLabel string // "g_<name>", made once
+	fnLabel     string // "fn_<name>", made once
+	// slot is the frame slot of the current function's parameter or
+	// local of this name, or -1.
+	slot int32
+}
+
 const fp = arch.R11
 
-func generate(prog *program, org uint32) (*asm.Image, error) {
-	g := &gen{
-		b:       asm.NewBuilder(org),
-		globals: make(map[string]*globalDecl),
-		funcs:   make(map[string]*funcDecl),
+func generate(prog *program, names []string, org uint32) (*asm.Image, error) {
+	g := &gen{b: asm.NewBuilder(org), names: names, syms: make([]symbol, len(names))}
+	for i := range g.syms {
+		g.syms[i].slot = -1
 	}
 	for _, gd := range prog.globals {
-		if g.globals[gd.name] != nil {
-			return nil, errf(gd.line, "duplicate global %q", gd.name)
+		sym := &g.syms[gd.name]
+		if sym.global != nil {
+			return nil, errf(gd.line, "duplicate global %q", names[gd.name])
 		}
-		g.globals[gd.name] = gd
+		sym.global, sym.globalLabel = gd, "g_"+names[gd.name]
 	}
 	var main *funcDecl
 	for _, f := range prog.funcs {
-		if g.funcs[f.name] != nil {
-			return nil, errf(f.line, "duplicate function %q", f.name)
+		sym := &g.syms[f.name]
+		if sym.fn != nil {
+			return nil, errf(f.line, "duplicate function %q", names[f.name])
 		}
-		if g.globals[f.name] != nil {
-			return nil, errf(f.line, "%q is both a global and a function", f.name)
+		if sym.global != nil {
+			return nil, errf(f.line, "%q is both a global and a function", names[f.name])
 		}
-		g.funcs[f.name] = f
-		if f.name == "main" {
+		sym.fn, sym.fnLabel = f, "fn_"+names[f.name]
+		if names[f.name] == "main" {
 			main = f
 		}
 	}
@@ -66,7 +79,7 @@ func generate(prog *program, org uint32) (*asm.Image, error) {
 	// Data page.
 	g.b.AlignWords(mmu.PageWords)
 	for _, gd := range prog.globals {
-		g.b.Label("g_" + gd.name)
+		g.b.Label(g.syms[gd.name].globalLabel)
 		if gd.size == 1 {
 			g.b.Word(gd.init)
 		} else {
@@ -81,60 +94,74 @@ func generate(prog *program, org uint32) (*asm.Image, error) {
 	return im, nil
 }
 
+// addLocal gives name the next frame slot; it reports false if name
+// already has one.
+func (g *gen) addLocal(name uint32) bool {
+	if g.syms[name].slot >= 0 {
+		return false
+	}
+	g.syms[name].slot = int32(len(g.locals))
+	g.locals = append(g.locals, name)
+	return true
+}
+
 // countLocals pre-scans a function body for var declarations.
-func countLocals(s stmt, names map[string]int) error {
+func (g *gen) countLocals(s stmt) error {
 	switch n := s.(type) {
 	case *blockStmt:
 		for _, c := range n.stmts {
-			if err := countLocals(c, names); err != nil {
+			if err := g.countLocals(c); err != nil {
 				return err
 			}
 		}
 	case *varStmt:
-		if _, dup := names[n.name]; dup {
-			return errf(n.line, "duplicate local %q", n.name)
+		if !g.addLocal(n.name) {
+			return errf(n.line, "duplicate local %q", g.names[n.name])
 		}
-		names[n.name] = len(names)
 	case *ifStmt:
-		if err := countLocals(n.then, names); err != nil {
+		if err := g.countLocals(n.then); err != nil {
 			return err
 		}
 		if n.els_ != nil {
-			return countLocals(n.els_, names)
+			return g.countLocals(n.els_)
 		}
 	case *whileStmt:
-		return countLocals(n.body, names)
+		return g.countLocals(n.body)
 	}
 	return nil
 }
 
+// function resolves f's parameters and locals to frame slots, once, and
+// emits it.
 func (g *gen) function(f *funcDecl) error {
-	g.locals = make(map[string]int)
-	for _, p := range f.params {
-		if _, dup := g.locals[p]; dup {
-			return errf(f.line, "duplicate parameter %q", p)
-		}
-		g.locals[p] = len(g.locals)
+	for _, name := range g.locals {
+		g.syms[name].slot = -1
 	}
-	if err := countLocals(f.body, g.locals); err != nil {
+	g.locals = g.locals[:0]
+	for _, p := range f.params {
+		if !g.addLocal(p) {
+			return errf(f.line, "duplicate parameter %q", g.names[p])
+		}
+	}
+	if err := g.countLocals(f.body); err != nil {
 		return err
 	}
 	n := len(g.locals)
 	if n > 512 {
-		return errf(f.line, "function %s: too many locals (%d)", f.name, n)
+		return errf(f.line, "function %s: too many locals (%d)", g.names[f.name], n)
 	}
 	frame := int32(n * 4)
-	g.epilogue = g.b.Gensym("ret_" + f.name)
-	g.breaks, g.conts = nil, nil
+	g.epilogue = g.b.Gensym("ret_" + g.names[f.name])
+	g.breaks, g.conts = g.breaks[:0], g.conts[:0]
 
-	g.b.Label("fn_" + f.name)
+	g.b.Label(g.syms[f.name].fnLabel)
 	g.b.Push(fp, arch.LR)
 	if frame > 0 {
 		g.b.SubI(arch.SP, arch.SP, frame)
 	}
 	g.b.Mov(fp, arch.SP)
 	for i := range f.params {
-		g.b.Str(arch.Reg(i), fp, int32(g.locals[f.params[i]])*4)
+		g.b.Str(arch.Reg(i), fp, int32(i)*4)
 	}
 	if err := g.stmt(f.body); err != nil {
 		return err
@@ -163,7 +190,7 @@ func (g *gen) stmt(s stmt) error {
 		}
 		return nil
 	case *varStmt:
-		slot := g.locals[n.name]
+		slot := g.syms[n.name].slot
 		if n.init != nil {
 			if err := g.expr(n.init); err != nil {
 				return err
@@ -171,7 +198,7 @@ func (g *gen) stmt(s stmt) error {
 		} else {
 			g.b.MovI(arch.R0, 0)
 		}
-		g.b.Str(arch.R0, fp, int32(slot)*4)
+		g.b.Str(arch.R0, fp, slot*4)
 		return nil
 	case *assignStmt:
 		return g.assign(n)
@@ -245,24 +272,24 @@ func (g *gen) stmt(s stmt) error {
 func (g *gen) assign(n *assignStmt) error {
 	switch lhs := n.lhs.(type) {
 	case *identExpr:
-		if slot, ok := g.locals[lhs.name]; ok {
+		if slot := g.syms[lhs.name].slot; slot >= 0 {
 			if err := g.expr(n.rhs); err != nil {
 				return err
 			}
-			g.b.Str(arch.R0, fp, int32(slot)*4)
+			g.b.Str(arch.R0, fp, slot*4)
 			return nil
 		}
-		if gd := g.globals[lhs.name]; gd != nil {
+		if g.syms[lhs.name].global != nil {
 			if err := g.expr(n.rhs); err != nil {
 				return err
 			}
-			g.b.LoadAddr(arch.R1, "g_"+lhs.name)
+			g.b.LoadAddr(arch.R1, g.syms[lhs.name].globalLabel)
 			g.b.Str(arch.R0, arch.R1, 0)
 			return nil
 		}
-		return errf(lhs.line, "assignment to undefined name %q", lhs.name)
+		return errf(lhs.line, "assignment to undefined name %q", g.names[lhs.name])
 	case *unaryExpr:
-		if lhs.op != "*" {
+		if lhs.op != opMul {
 			return errf(lhs.line, "cannot assign to unary %q expression", lhs.op)
 		}
 		if err := g.expr(n.rhs); err != nil {
@@ -310,31 +337,31 @@ func (g *gen) expr(e expr) error {
 		g.b.MovImm32(arch.R0, n.val)
 		return nil
 	case *identExpr:
-		if slot, ok := g.locals[n.name]; ok {
-			g.b.Ldr(arch.R0, fp, int32(slot)*4)
+		if slot := g.syms[n.name].slot; slot >= 0 {
+			g.b.Ldr(arch.R0, fp, slot*4)
 			return nil
 		}
-		if g.globals[n.name] != nil {
-			g.b.LoadAddr(arch.R0, "g_"+n.name)
+		if g.syms[n.name].global != nil {
+			g.b.LoadAddr(arch.R0, g.syms[n.name].globalLabel)
 			g.b.Ldr(arch.R0, arch.R0, 0)
 			return nil
 		}
-		return errf(n.line, "undefined name %q", n.name)
+		return errf(n.line, "undefined name %q", g.names[n.name])
 	case *unaryExpr:
 		switch n.op {
-		case "-":
+		case opSub:
 			if err := g.expr(n.x); err != nil {
 				return err
 			}
 			g.b.RsbI(arch.R0, arch.R0, 0)
 			return nil
-		case "~":
+		case opCompl:
 			if err := g.expr(n.x); err != nil {
 				return err
 			}
 			g.b.Mvn(arch.R0, arch.R0)
 			return nil
-		case "!":
+		case opNot:
 			if err := g.expr(n.x); err != nil {
 				return err
 			}
@@ -345,13 +372,13 @@ func (g *gen) expr(e expr) error {
 			g.b.MovI(arch.R0, 0)
 			g.b.Label(done)
 			return nil
-		case "*":
+		case opMul:
 			if err := g.expr(n.x); err != nil {
 				return err
 			}
 			g.b.Ldr(arch.R0, arch.R0, 0)
 			return nil
-		case "&":
+		case opAnd:
 			return g.addrOf(n.x)
 		}
 		return errf(n.line, "unhandled unary %q", n.op)
@@ -373,17 +400,17 @@ func (g *gen) expr(e expr) error {
 func (g *gen) addrOf(e expr) error {
 	switch n := e.(type) {
 	case *identExpr:
-		if g.globals[n.name] != nil {
-			g.b.LoadAddr(arch.R0, "g_"+n.name)
+		if g.syms[n.name].global != nil {
+			g.b.LoadAddr(arch.R0, g.syms[n.name].globalLabel)
 			return nil
 		}
-		if _, isLocal := g.locals[n.name]; isLocal {
-			return errf(n.line, "cannot take the address of local %q (locals live in the frame; use a global)", n.name)
+		if g.syms[n.name].slot >= 0 {
+			return errf(n.line, "cannot take the address of local %q (locals live in the frame; use a global)", g.names[n.name])
 		}
-		return errf(n.line, "undefined name %q", n.name)
+		return errf(n.line, "undefined name %q", g.names[n.name])
 	case *indexExpr:
 		base, ok := n.base.(*identExpr)
-		if !ok || g.globals[base.name] == nil {
+		if !ok || g.syms[base.name].global == nil {
 			return errf(n.line, "indexing requires a global array")
 		}
 		if err := g.expr(n.idx); err != nil {
@@ -391,33 +418,35 @@ func (g *gen) addrOf(e expr) error {
 		}
 		g.b.LslI(arch.R0, arch.R0, 2)
 		g.push(arch.R0)
-		g.b.LoadAddr(arch.R0, "g_"+base.name)
+		g.b.LoadAddr(arch.R0, g.syms[base.name].globalLabel)
 		g.pop(arch.R1)
 		g.b.Add(arch.R0, arch.R0, arch.R1)
 		return nil
 	case *unaryExpr:
-		if n.op == "*" {
+		if n.op == opMul {
 			return g.expr(n.x)
 		}
 	}
 	return errf(e.exprLine(), "expression is not addressable")
 }
 
-var cmpConds = map[string]arch.Cond{
-	"==": arch.EQ, "!=": arch.NE, "<": arch.LT, "<=": arch.LE,
-	">": arch.GT, ">=": arch.GE,
+// cmpConds maps each comparison operator to the condition that holds when
+// it is true.
+var cmpConds = [numCodes]arch.Cond{
+	opEq: arch.EQ, opNe: arch.NE, opLt: arch.LT, opLe: arch.LE,
+	opGt: arch.GT, opGe: arch.GE,
 }
 
 func (g *gen) binary(n *binExpr) error {
 	// Short-circuit forms first.
-	if n.op == "&&" || n.op == "||" {
+	if n.op == opAndAnd || n.op == opOrOr {
 		out := g.b.Gensym("sc_out")
 		short := g.b.Gensym("sc_short")
 		if err := g.expr(n.l); err != nil {
 			return err
 		}
 		g.b.CmpI(arch.R0, 0)
-		if n.op == "&&" {
+		if n.op == opAndAnd {
 			g.b.Beq(short)
 		} else {
 			g.b.Bne(short)
@@ -426,19 +455,19 @@ func (g *gen) binary(n *binExpr) error {
 			return err
 		}
 		g.b.CmpI(arch.R0, 0)
-		if n.op == "&&" {
+		if n.op == opAndAnd {
 			g.b.Beq(short)
 		} else {
 			g.b.Bne(short)
 		}
-		if n.op == "&&" {
+		if n.op == opAndAnd {
 			g.b.MovI(arch.R0, 1)
 		} else {
 			g.b.MovI(arch.R0, 0)
 		}
 		g.b.B(out)
 		g.b.Label(short)
-		if n.op == "&&" {
+		if n.op == opAndAnd {
 			g.b.MovI(arch.R0, 0)
 		} else {
 			g.b.MovI(arch.R0, 1)
@@ -458,54 +487,52 @@ func (g *gen) binary(n *binExpr) error {
 	g.pop(arch.R0)
 
 	switch n.op {
-	case "+":
+	case opAdd:
 		g.b.Add(arch.R0, arch.R0, arch.R1)
-	case "-":
+	case opSub:
 		g.b.Sub(arch.R0, arch.R0, arch.R1)
-	case "*":
+	case opMul:
 		g.b.Mul(arch.R0, arch.R0, arch.R1)
-	case "/":
+	case opDiv:
 		g.b.Sdiv(arch.R0, arch.R0, arch.R1)
-	case "%":
+	case opMod:
 		g.b.Sdiv(arch.R2, arch.R0, arch.R1)
 		g.b.Mul(arch.R2, arch.R2, arch.R1)
 		g.b.Sub(arch.R0, arch.R0, arch.R2)
-	case "&":
+	case opAnd:
 		g.b.And(arch.R0, arch.R0, arch.R1)
-	case "|":
+	case opOr:
 		g.b.Orr(arch.R0, arch.R0, arch.R1)
-	case "^":
+	case opXor:
 		g.b.Eor(arch.R0, arch.R0, arch.R1)
-	case "<<":
+	case opShl:
 		g.b.Lsl(arch.R0, arch.R0, arch.R1)
-	case ">>":
+	case opShr:
 		g.b.Lsr(arch.R0, arch.R0, arch.R1)
-	default:
-		cond, ok := cmpConds[n.op]
-		if !ok {
-			return errf(n.line, "unhandled operator %q", n.op)
-		}
+	case opEq, opNe, opLt, opLe, opGt, opGe:
 		g.b.Cmp(arch.R0, arch.R1)
 		g.b.MovI(arch.R0, 1)
 		done := g.b.Gensym("cmp")
-		g.b.BCond(cond, done)
+		g.b.BCond(cmpConds[n.op], done)
 		g.b.MovI(arch.R0, 0)
 		g.b.Label(done)
+	default:
+		return errf(n.line, "unhandled operator %q", n.op)
 	}
 	return nil
 }
 
 // call dispatches builtins and user functions.
 func (g *gen) call(n *callExpr) error {
-	if emit, ok := builtins[n.name]; ok {
-		return emit(g, n)
+	if b := n.name - numKeywords; b < uint32(len(builtins)) {
+		return builtins[b].emit(g, n)
 	}
-	f := g.funcs[n.name]
+	f := g.syms[n.name].fn
 	if f == nil {
-		return errf(n.line, "call to undefined function %q", n.name)
+		return errf(n.line, "call to undefined function %q", g.names[n.name])
 	}
 	if len(n.args) != len(f.params) {
-		return errf(n.line, "%s takes %d argument(s), got %d", n.name, len(f.params), len(n.args))
+		return errf(n.line, "%s takes %d argument(s), got %d", g.names[n.name], len(f.params), len(n.args))
 	}
 	for _, a := range n.args {
 		if err := g.expr(a); err != nil {
@@ -516,14 +543,14 @@ func (g *gen) call(n *callExpr) error {
 	for i := len(n.args) - 1; i >= 0; i-- {
 		g.pop(arch.Reg(i))
 	}
-	g.b.BL("fn_" + n.name)
+	g.b.BL(g.syms[n.name].fnLabel)
 	return nil
 }
 
 // argRegs evaluates call arguments into r0..rN-1 via the stack.
 func (g *gen) argRegs(n *callExpr, want int) error {
 	if len(n.args) != want {
-		return errf(n.line, "%s takes %d argument(s), got %d", n.name, want, len(n.args))
+		return errf(n.line, "%s takes %d argument(s), got %d", g.names[n.name], want, len(n.args))
 	}
 	for _, a := range n.args {
 		if err := g.expr(a); err != nil {
@@ -537,130 +564,138 @@ func (g *gen) argRegs(n *callExpr, want int) error {
 	return nil
 }
 
-var builtins map[string]func(*gen, *callExpr) error
+// builtins are the functions the compiler emits inline. Their symbol ids
+// follow the keywords', in this order (see lex).
+var builtins []struct {
+	name string
+	emit func(*gen, *callExpr) error
+}
 
 // init breaks the builtins/expr initialization cycle.
 func init() {
-	builtins = map[string]func(*gen, *callExpr) error{
-		"print": func(g *gen, n *callExpr) error {
+	builtins = []struct {
+		name string
+		emit func(*gen, *callExpr) error
+	}{
+		{"print", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 1); err != nil {
 				return err
 			}
 			g.b.Svc(6)
 			return nil
-		},
-		"exit": func(g *gen, n *callExpr) error {
+		}},
+		{"exit", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 1); err != nil {
 				return err
 			}
 			g.b.Svc(1)
 			return nil
-		},
-		"spawn": func(g *gen, n *callExpr) error {
+		}},
+		{"spawn", func(g *gen, n *callExpr) error {
 			if len(n.args) != 2 {
 				return errf(n.line, "spawn takes (func, arg)")
 			}
 			fn, ok := n.args[0].(*identExpr)
-			if !ok || g.funcs[fn.name] == nil {
+			if !ok || g.syms[fn.name].fn == nil {
 				return errf(n.line, "spawn's first argument must name a function")
 			}
-			if len(g.funcs[fn.name].params) > 1 {
-				return errf(n.line, "spawned function %q may take at most one parameter", fn.name)
+			if len(g.syms[fn.name].fn.params) > 1 {
+				return errf(n.line, "spawned function %q may take at most one parameter", g.names[fn.name])
 			}
 			if err := g.expr(n.args[1]); err != nil {
 				return err
 			}
 			g.b.Mov(arch.R1, arch.R0)
-			g.b.LoadAddr(arch.R0, "fn_"+fn.name)
+			g.b.LoadAddr(arch.R0, g.syms[fn.name].fnLabel)
 			g.b.Svc(3)
 			return nil
-		},
-		"join": func(g *gen, n *callExpr) error {
+		}},
+		{"join", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 1); err != nil {
 				return err
 			}
 			g.b.Svc(4)
 			return nil
-		},
-		"tid": func(g *gen, n *callExpr) error {
+		}},
+		{"tid", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 0); err != nil {
 				return err
 			}
 			g.b.Svc(5)
 			return nil
-		},
-		"futex_wait": func(g *gen, n *callExpr) error {
+		}},
+		{"futex_wait", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 2); err != nil {
 				return err
 			}
 			g.b.Svc(7)
 			return nil
-		},
-		"futex_wake": func(g *gen, n *callExpr) error {
+		}},
+		{"futex_wake", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 2); err != nil {
 				return err
 			}
 			g.b.Svc(8)
 			return nil
-		},
-		"barrier_init": func(g *gen, n *callExpr) error {
+		}},
+		{"barrier_init", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 2); err != nil {
 				return err
 			}
 			g.b.Svc(9)
 			return nil
-		},
-		"barrier_wait": func(g *gen, n *callExpr) error {
+		}},
+		{"barrier_wait", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 1); err != nil {
 				return err
 			}
 			g.b.Svc(10)
 			return nil
-		},
-		"mmap": func(g *gen, n *callExpr) error {
+		}},
+		{"mmap", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 1); err != nil {
 				return err
 			}
 			g.b.Svc(11)
 			return nil
-		},
-		"clock": func(g *gen, n *callExpr) error {
+		}},
+		{"clock", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 0); err != nil {
 				return err
 			}
 			g.b.Svc(12)
 			return nil
-		},
-		"yield": func(g *gen, n *callExpr) error {
+		}},
+		{"yield", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 0); err != nil {
 				return err
 			}
 			g.b.Yield()
 			return nil
-		},
-		"fence": func(g *gen, n *callExpr) error {
+		}},
+		{"fence", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 0); err != nil {
 				return err
 			}
 			g.b.Dmb()
 			return nil
-		},
-		"clrex": func(g *gen, n *callExpr) error {
+		}},
+		{"clrex", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 0); err != nil {
 				return err
 			}
 			g.b.Clrex()
 			return nil
-		},
-		"ll": func(g *gen, n *callExpr) error {
+		}},
+		{"ll", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 1); err != nil {
 				return err
 			}
 			g.b.Mov(arch.R1, arch.R0)
 			g.b.Ldrex(arch.R0, arch.R1)
 			return nil
-		},
-		"sc": func(g *gen, n *callExpr) error {
+		}},
+		{"sc", func(g *gen, n *callExpr) error {
 			// sc(addr, val) -> 0 on success, 1 on failure.
 			if err := g.argRegs(n, 2); err != nil {
 				return err
@@ -669,8 +704,8 @@ func init() {
 			g.b.Mov(arch.R1, arch.R0)
 			g.b.Strex(arch.R0, arch.R2, arch.R1)
 			return nil
-		},
-		"atomic_add": func(g *gen, n *callExpr) error {
+		}},
+		{"atomic_add", func(g *gen, n *callExpr) error {
 			// atomic_add(addr, delta) -> new value. The emitted retry loop is
 			// exactly the fuser's RMW pattern.
 			if err := g.argRegs(n, 2); err != nil {
@@ -686,8 +721,8 @@ func init() {
 			g.b.CmpI(arch.R3, 0)
 			g.b.Bne(retry)
 			return nil
-		},
-		"atomic_xchg": func(g *gen, n *callExpr) error {
+		}},
+		{"atomic_xchg", func(g *gen, n *callExpr) error {
 			// atomic_xchg(addr, val) -> old value.
 			if err := g.argRegs(n, 2); err != nil {
 				return err
@@ -701,8 +736,8 @@ func init() {
 			g.b.CmpI(arch.R3, 0)
 			g.b.Bne(retry)
 			return nil
-		},
-		"atomic_cas": func(g *gen, n *callExpr) error {
+		}},
+		{"atomic_cas", func(g *gen, n *callExpr) error {
 			// atomic_cas(addr, old, new) -> 0 on success, 1 on mismatch.
 			if err := g.argRegs(n, 3); err != nil {
 				return err
@@ -727,6 +762,6 @@ func init() {
 			g.b.MovI(arch.R0, 1)
 			g.b.Label(done)
 			return nil
-		},
+		}},
 	}
 }

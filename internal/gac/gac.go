@@ -49,15 +49,12 @@ func Compile(src string) (*asm.Image, error) {
 
 // CompileAt compiles with an explicit load address.
 func CompileAt(src string, org uint32) (*asm.Image, error) {
-	toks, err := lex(src)
+	l := newLexer(src)
+	prog, err := parse(l)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := parse(toks)
-	if err != nil {
-		return nil, err
-	}
-	return generate(prog, org)
+	return generate(prog, l.names, org)
 }
 
 // Error is a positioned compile error.

@@ -1,7 +1,6 @@
 package gac
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"unicode"
@@ -15,121 +14,313 @@ const (
 	tokIdent
 	tokNumber
 	tokKeyword
-	tokPunct // operators and punctuation, in tok.text
+	tokPunct // operators and punctuation; which one is in tok.code
 )
 
-type token struct {
-	kind tokKind
-	text string
-	num  uint32
-	line int
+// tokCode names a keyword or an operator: the parser and code generator
+// compare codes, never text.
+type tokCode uint8
+
+const (
+	codeNone tokCode = iota
+
+	// Keywords, in symbol-id order (see lex).
+	kwVar
+	kwFunc
+	kwIf
+	kwElse
+	kwWhile
+	kwReturn
+	kwBreak
+	kwContinue
+
+	// Operators and punctuation.
+	opOrOr
+	opAndAnd
+	opOr
+	opXor
+	opAnd
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opShl
+	opShr
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opMod
+	opNot
+	opCompl
+	opLParen
+	opRParen
+	opLBrace
+	opRBrace
+	opLBrack
+	opRBrack
+	opComma
+	opSemi
+	opAssign
+
+	numCodes
+
+	numKeywords = uint32(kwContinue - kwVar + 1)
+)
+
+// codeText is each code's source spelling, for error messages.
+var codeText = [numCodes]string{
+	kwVar: "var", kwFunc: "func", kwIf: "if", kwElse: "else", kwWhile: "while",
+	kwReturn: "return", kwBreak: "break", kwContinue: "continue",
+	opOrOr: "||", opAndAnd: "&&", opOr: "|", opXor: "^", opAnd: "&",
+	opEq: "==", opNe: "!=", opLt: "<", opLe: "<=", opGt: ">", opGe: ">=",
+	opShl: "<<", opShr: ">>", opAdd: "+", opSub: "-", opMul: "*", opDiv: "/",
+	opMod: "%", opNot: "!", opCompl: "~", opLParen: "(", opRParen: ")",
+	opLBrace: "{", opRBrace: "}", opLBrack: "[", opRBrack: "]", opComma: ",",
+	opSemi: ";", opAssign: "=",
 }
 
-func (t token) String() string {
+func (c tokCode) String() string { return codeText[c] }
+
+// token is one lexeme: fixed-size and pointer-free, its text is
+// src[off:off+n]. The parser holds the current token in place; no list of
+// tokens is ever built.
+type token struct {
+	kind tokKind
+	code tokCode // keyword or operator; codeNone otherwise
+	line int32
+	off  uint32
+	n    uint32
+	// val is a number's value, or an identifier's symbol id: an index
+	// into the lexer's names.
+	val uint32
+}
+
+// lexer scans a program one token at a time, as the parser asks for them.
+type lexer struct {
+	src  string
+	i    int
+	line int32
+	// err is the first lexical error. From it on, every token is tokEOF.
+	err error
+	// names maps symbol ids to names. The first ids are the keywords, in
+	// code order, then the builtins, in builtins order, so one lookup
+	// classifies a word and the code generator finds a builtin by id.
+	names []string
+	ids   map[string]uint32
+}
+
+func newLexer(src string) *lexer {
+	l := &lexer{src: src, line: 1, names: make([]string, 0, 64), ids: make(map[string]uint32, 64)}
+	for c := kwVar; c <= kwContinue; c++ {
+		l.intern(codeText[c])
+	}
+	for _, b := range builtins {
+		l.intern(b.name)
+	}
+	if uint64(len(src)) > 1<<31-1 {
+		// Offsets and lines are 32-bit.
+		l.err = errf(1, "source too large")
+	}
+	return l
+}
+
+// intern returns name's symbol id, giving it the next one if it has none.
+func (l *lexer) intern(name string) uint32 {
+	id, ok := l.ids[name]
+	if !ok {
+		id = uint32(len(l.names))
+		l.ids[name] = id
+		l.names = append(l.names, name)
+	}
+	return id
+}
+
+func (l *lexer) text(t *token) string { return l.src[t.off : t.off+t.n] }
+
+// describe renders a token for an error message.
+func (l *lexer) describe(t *token) string {
 	switch t.kind {
 	case tokEOF:
 		return "end of file"
 	case tokNumber:
-		return fmt.Sprintf("number %d", t.num)
-	default:
-		return fmt.Sprintf("%q", t.text)
+		return "number " + strconv.FormatUint(uint64(t.val), 10)
 	}
+	return strconv.Quote(l.text(t))
 }
 
-var keywords = map[string]bool{
-	"var": true, "func": true, "if": true, "else": true, "while": true,
-	"return": true, "break": true, "continue": true,
+// Byte classes. The table is built from the predicates the lexer has
+// always used (unicode.IsLetter and unicode.IsDigit on the byte as a
+// rune), so a non-ASCII byte means what it always has: a Latin-1 letter
+// is an identifier byte and anything else is an unexpected character.
+const (
+	clsOther   uint8 = iota // not valid outside a comment
+	clsSpace                // ' ', '\t', '\r'
+	clsNewline              // '\n'
+	clsLetter               // starts an identifier
+	clsDigit                // starts a number
+	clsPunct                // starts an operator or punctuation
+	clsMask    = 0x7f
+	// clsWord marks the bytes that continue an identifier or a number.
+	clsWord = 0x80
+)
+
+var byteClass [256]uint8
+
+// punctCode is the code of each one-byte operator.
+var punctCode = [256]tokCode{
+	'+': opAdd, '-': opSub, '*': opMul, '/': opDiv, '%': opMod, '&': opAnd,
+	'|': opOr, '^': opXor, '!': opNot, '~': opCompl, '(': opLParen,
+	')': opRParen, '{': opLBrace, '}': opRBrace, '[': opLBrack,
+	']': opRBrack, ',': opComma, ';': opSemi, '=': opAssign, '<': opLt,
+	'>': opGt,
 }
 
-// multi-character operators, longest first.
-var multiOps = []string{"<<", ">>", "<=", ">=", "==", "!=", "&&", "||"}
-
-func lex(src string) ([]token, error) {
-	// Spaced source runs about two bytes to the token; sizing for that up
-	// front replaces a dozen regrowths of a megabyte-class slice with none
-	// (denser source grows once).
-	toks := make([]token, 0, len(src)/2+1)
-	line := 1
-	i := 0
-	n := len(src)
-	for i < n {
-		c := src[i]
+func init() {
+	for i := range byteClass {
+		c := byte(i)
+		r := rune(c)
 		switch {
 		case c == '\n':
-			line++
-			i++
+			byteClass[i] = clsNewline
 		case c == ' ' || c == '\t' || c == '\r':
-			i++
-		case c == '/' && i+1 < n && src[i+1] == '/':
-			for i < n && src[i] != '\n' {
-				i++
-			}
-		case c == '/' && i+1 < n && src[i+1] == '*':
-			start := line
-			i += 2
-			for {
-				if i+1 >= n {
-					return nil, errf(start, "unterminated block comment")
-				}
-				if src[i] == '\n' {
-					line++
-				}
-				if src[i] == '*' && src[i+1] == '/' {
-					i += 2
-					break
-				}
-				i++
-			}
-		case unicode.IsLetter(rune(c)) || c == '_':
-			start := i
-			for i < n && (isIdentChar(src[i])) {
-				i++
-			}
-			word := src[start:i]
-			kind := tokIdent
-			if keywords[word] {
-				kind = tokKeyword
-			}
-			toks = append(toks, token{kind: kind, text: word, line: line})
-		case unicode.IsDigit(rune(c)):
-			start := i
-			for i < n && isIdentChar(src[i]) {
-				i++
-			}
-			lit := src[start:i]
-			v, err := strconv.ParseUint(lit, 0, 32)
-			if err != nil {
-				return nil, errf(line, "bad number %q", lit)
-			}
-			toks = append(toks, token{kind: tokNumber, text: lit, num: uint32(v), line: line})
-		default:
-			matched := false
-			for _, op := range multiOps {
-				if strings.HasPrefix(src[i:], op) {
-					toks = append(toks, token{kind: tokPunct, text: op, line: line})
-					i += len(op)
-					matched = true
-					break
-				}
-			}
-			if matched {
-				break
-			}
-			switch c {
-			case '+', '-', '*', '/', '%', '&', '|', '^', '!', '~',
-				'(', ')', '{', '}', '[', ']', ',', ';', '=', '<', '>':
-				toks = append(toks, token{kind: tokPunct, text: string(c), line: line})
-				i++
-			default:
-				return nil, errf(line, "unexpected character %q", string(c))
-			}
+			byteClass[i] = clsSpace
+		case unicode.IsLetter(r) || c == '_':
+			byteClass[i] = clsLetter
+		case unicode.IsDigit(r):
+			byteClass[i] = clsDigit
+		case punctCode[i] != codeNone:
+			byteClass[i] = clsPunct
+		}
+		if c == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) {
+			byteClass[i] |= clsWord
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, line: line})
-	return toks, nil
 }
 
-func isIdentChar(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c)) ||
-		(c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F') || c == 'x' || c == 'X'
+// twoByteOp returns the code of the two-byte operator c d, or codeNone.
+func twoByteOp(c, d byte) tokCode {
+	switch {
+	case c == '<' && d == '<':
+		return opShl
+	case c == '>' && d == '>':
+		return opShr
+	case c == '<' && d == '=':
+		return opLe
+	case c == '>' && d == '=':
+		return opGe
+	case c == '=' && d == '=':
+		return opEq
+	case c == '!' && d == '=':
+		return opNe
+	case c == '&' && d == '&':
+		return opAndAnd
+	case c == '|' && d == '|':
+		return opOrOr
+	}
+	return codeNone
+}
+
+// scan reads the next token into t.
+func (l *lexer) scan(t *token) {
+	src, n := l.src, len(l.src)
+	i := l.i
+	for l.err == nil && i < n {
+		c := src[i]
+		switch byteClass[c] & clsMask {
+		case clsNewline:
+			l.line++
+			i++
+		case clsSpace:
+			i++
+		case clsLetter:
+			start := i
+			for i++; i < n && byteClass[src[i]]&clsWord != 0; i++ {
+			}
+			*t = token{kind: tokIdent, line: l.line, off: uint32(start), n: uint32(i - start), val: l.intern(src[start:i])}
+			if t.val < numKeywords {
+				t.kind, t.code, t.val = tokKeyword, kwVar+tokCode(t.val), 0
+			}
+			l.i = i
+			return
+		case clsDigit:
+			start := i
+			for i++; i < n && byteClass[src[i]]&clsWord != 0; i++ {
+			}
+			v, ok := decimal(src[start:i])
+			if !ok {
+				u, err := strconv.ParseUint(src[start:i], 0, 32)
+				if err != nil {
+					l.err = errf(int(l.line), "bad number %q", src[start:i])
+					break
+				}
+				v = uint32(u)
+			}
+			*t = token{kind: tokNumber, line: l.line, off: uint32(start), n: uint32(i - start), val: v}
+			l.i = i
+			return
+		case clsPunct:
+			if c == '/' && i+1 < n && src[i+1] == '/' {
+				if j := strings.IndexByte(src[i:], '\n'); j >= 0 {
+					i += j
+				} else {
+					i = n
+				}
+				continue
+			}
+			if c == '/' && i+1 < n && src[i+1] == '*' {
+				j := strings.Index(src[i+2:], "*/")
+				if j < 0 {
+					l.err = errf(int(l.line), "unterminated block comment")
+					break
+				}
+				l.line += int32(strings.Count(src[i+2:i+2+j], "\n"))
+				i += j + 4
+				continue
+			}
+			*t = token{kind: tokPunct, code: punctCode[c], line: l.line, off: uint32(i), n: 1}
+			if i+1 < n {
+				if op := twoByteOp(c, src[i+1]); op != codeNone {
+					t.code, t.n = op, 2
+				}
+			}
+			l.i = i + int(t.n)
+			return
+		default:
+			l.err = errf(int(l.line), "unexpected character %q", string(rune(c)))
+		}
+	}
+	l.i = i
+	*t = token{kind: tokEOF, line: l.line, off: uint32(i)}
+}
+
+// finish scans the rest of the source and returns its first lexical
+// error, if any. A lexical error outranks every other: the compiler
+// reports it even when the parser has already failed earlier in the
+// source.
+func (l *lexer) finish() error {
+	var t token
+	for l.scan(&t); t.kind != tokEOF; l.scan(&t) {
+	}
+	return l.err
+}
+
+// decimal parses lit when it is a plain decimal number that surely fits 32
+// bits, the common case; anything else (hex, octal, binary, underscores,
+// overflow, bad digits) is left to strconv.ParseUint.
+func decimal(lit string) (uint32, bool) {
+	if len(lit) > 9 || (lit[0] == '0' && len(lit) > 1) {
+		return 0, false
+	}
+	var v uint32
+	for i := 0; i < len(lit); i++ {
+		d := lit[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		v = v*10 + uint32(d)
+	}
+	return v, true
 }

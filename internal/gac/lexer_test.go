@@ -2,47 +2,72 @@ package gac
 
 import "testing"
 
-func lexKinds(t *testing.T, src string) []token {
+// lexAll scans all of src into a list, with the lexer that did it.
+func lexAll(src string) ([]token, *lexer, error) {
+	l := newLexer(src)
+	var toks []token
+	for {
+		var t token
+		l.scan(&t)
+		if l.err != nil {
+			return nil, l, l.err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, l, nil
+		}
+	}
+}
+
+func mustLex(t *testing.T, src string) ([]token, *lexer) {
 	t.Helper()
-	toks, err := lex(src)
+	toks, l, err := lexAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return toks
+	return toks, l
 }
 
 func TestLexBasics(t *testing.T) {
-	toks := lexKinds(t, "var x = 0x1f + 42;")
+	toks, l := mustLex(t, "var x = 0x1f + 42;")
 	want := []struct {
 		kind tokKind
+		code tokCode
 		text string
 	}{
-		{tokKeyword, "var"}, {tokIdent, "x"}, {tokPunct, "="},
-		{tokNumber, "0x1f"}, {tokPunct, "+"}, {tokNumber, "42"},
-		{tokPunct, ";"}, {tokEOF, ""},
+		{tokKeyword, kwVar, "var"}, {tokIdent, codeNone, "x"}, {tokPunct, opAssign, "="},
+		{tokNumber, codeNone, "0x1f"}, {tokPunct, opAdd, "+"}, {tokNumber, codeNone, "42"},
+		{tokPunct, opSemi, ";"}, {tokEOF, codeNone, ""},
 	}
 	if len(toks) != len(want) {
 		t.Fatalf("token count %d, want %d: %v", len(toks), len(want), toks)
 	}
 	for i, w := range want {
-		if toks[i].kind != w.kind || (w.text != "" && toks[i].text != w.text) {
-			t.Errorf("token %d = %v, want %v %q", i, toks[i], w.kind, w.text)
+		tk := &toks[i]
+		if tk.kind != w.kind || tk.code != w.code || l.text(tk) != w.text {
+			t.Errorf("token %d = %v %v %q, want %v %v %q", i, tk.kind, tk.code, l.text(tk), w.kind, w.code, w.text)
 		}
 	}
-	if toks[3].num != 0x1f || toks[5].num != 42 {
-		t.Errorf("numbers: %d %d", toks[3].num, toks[5].num)
+	if toks[3].val != 0x1f || toks[5].val != 42 {
+		t.Errorf("numbers: %d %d", toks[3].val, toks[5].val)
+	}
+	if name := l.names[toks[1].val]; name != "x" {
+		t.Errorf("identifier interned as %q", name)
 	}
 }
 
 func TestLexMultiCharOps(t *testing.T) {
-	toks := lexKinds(t, "a<=b>=c==d!=e&&f||g<<h>>i")
-	var ops []string
-	for _, tk := range toks {
-		if tk.kind == tokPunct {
-			ops = append(ops, tk.text)
+	toks, l := mustLex(t, "a<=b>=c==d!=e&&f||g<<h>>i")
+	var ops []tokCode
+	for i := range toks {
+		if tk := &toks[i]; tk.kind == tokPunct {
+			if l.text(tk) != tk.code.String() {
+				t.Errorf("operator %q carries code %v", l.text(tk), tk.code)
+			}
+			ops = append(ops, tk.code)
 		}
 	}
-	want := []string{"<=", ">=", "==", "!=", "&&", "||", "<<", ">>"}
+	want := []tokCode{opLe, opGe, opEq, opNe, opAndAnd, opOrOr, opShl, opShr}
 	if len(ops) != len(want) {
 		t.Fatalf("ops = %v", ops)
 	}
@@ -54,11 +79,11 @@ func TestLexMultiCharOps(t *testing.T) {
 }
 
 func TestLexLineTracking(t *testing.T) {
-	toks := lexKinds(t, "a\nb\n\nc")
-	lines := map[string]int{}
-	for _, tk := range toks {
-		if tk.kind == tokIdent {
-			lines[tk.text] = tk.line
+	toks, l := mustLex(t, "a\nb\n\nc")
+	lines := map[string]int32{}
+	for i := range toks {
+		if tk := &toks[i]; tk.kind == tokIdent {
+			lines[l.text(tk)] = tk.line
 		}
 	}
 	if lines["a"] != 1 || lines["b"] != 2 || lines["c"] != 4 {
@@ -67,46 +92,44 @@ func TestLexLineTracking(t *testing.T) {
 }
 
 func TestLexErrors(t *testing.T) {
-	if _, err := lex("a $ b"); err == nil {
+	if _, _, err := lexAll("a $ b"); err == nil {
 		t.Error("bad character should fail")
 	}
-	if _, err := lex("/* never closed"); err == nil {
+	if _, _, err := lexAll("/* never closed"); err == nil {
 		t.Error("unterminated comment should fail")
 	}
-	if _, err := lex("var x = 99999999999999;"); err == nil {
+	if _, _, err := lexAll("var x = 99999999999999;"); err == nil {
 		t.Error("overflowing number should fail")
 	}
 }
 
 func TestParsePrecedenceShape(t *testing.T) {
-	toks := lexKinds(t, "func main() { return 1 + 2 * 3 == 7 && 1; }")
-	prog, err := parse(toks)
+	prog, err := parse(newLexer("func main() { return 1 + 2 * 3 == 7 && 1; }"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ret := prog.funcs[0].body.stmts[0].(*returnStmt)
 	// Top level must be &&.
 	and, ok := ret.val.(*binExpr)
-	if !ok || and.op != "&&" {
+	if !ok || and.op != opAndAnd {
 		t.Fatalf("top op = %#v", ret.val)
 	}
 	eq, ok := and.l.(*binExpr)
-	if !ok || eq.op != "==" {
+	if !ok || eq.op != opEq {
 		t.Fatalf("second level = %#v", and.l)
 	}
 	plus, ok := eq.l.(*binExpr)
-	if !ok || plus.op != "+" {
+	if !ok || plus.op != opAdd {
 		t.Fatalf("third level = %#v", eq.l)
 	}
 	mul, ok := plus.r.(*binExpr)
-	if !ok || mul.op != "*" {
+	if !ok || mul.op != opMul {
 		t.Fatalf("mul did not bind tighter: %#v", plus.r)
 	}
 }
 
 func TestParseDanglingElse(t *testing.T) {
-	toks := lexKinds(t, "func main() { if (1) if (2) return 3; else return 4; }")
-	prog, err := parse(toks)
+	prog, err := parse(newLexer("func main() { if (1) if (2) return 3; else return 4; }"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +152,10 @@ func TestParseErrorsHaveLines(t *testing.T) {
 		"func main() { return 1 }",
 	}
 	for _, src := range cases {
-		toks, err := lex(src)
-		if err != nil {
+		if _, _, err := lexAll(src); err != nil {
 			continue
 		}
-		if _, err := parse(toks); err == nil {
+		if _, err := parse(newLexer(src)); err == nil {
 			t.Errorf("parse(%q) should fail", src)
 		}
 	}
