@@ -1,8 +1,8 @@
 package gac
 
 // The GAC abstract syntax tree. Every value is a 32-bit word. A name is a
-// symbol id (lexer.names), so the code generator
-// resolves it by indexing, never by hashing.
+// symbol id (an index into lexer.names), so the code generator resolves it
+// by indexing, never by hashing.
 
 type program struct {
 	globals []*globalDecl

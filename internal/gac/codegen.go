@@ -564,19 +564,18 @@ func (g *gen) argRegs(n *callExpr, want int) error {
 	return nil
 }
 
-// builtins are the functions the compiler emits inline. Their symbol ids
-// follow the keywords', in this order (see lex).
-var builtins []struct {
+// builtin is a function the compiler emits inline.
+type builtin struct {
 	name string
 	emit func(*gen, *callExpr) error
 }
 
+// builtins' symbol ids follow the keywords', in this order (see newLexer).
+var builtins []builtin
+
 // init breaks the builtins/expr initialization cycle.
 func init() {
-	builtins = []struct {
-		name string
-		emit func(*gen, *callExpr) error
-	}{
+	builtins = []builtin{
 		{"print", func(g *gen, n *callExpr) error {
 			if err := g.argRegs(n, 1); err != nil {
 				return err

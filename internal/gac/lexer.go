@@ -24,7 +24,7 @@ type tokCode uint8
 const (
 	codeNone tokCode = iota
 
-	// Keywords, in symbol-id order (see lex).
+	// Keywords, in symbol-id order (see newLexer).
 	kwVar
 	kwFunc
 	kwIf
@@ -249,16 +249,12 @@ func (l *lexer) scan(t *token) {
 			start := i
 			for i++; i < n && byteClass[src[i]]&clsWord != 0; i++ {
 			}
-			v, ok := decimal(src[start:i])
-			if !ok {
-				u, err := strconv.ParseUint(src[start:i], 0, 32)
-				if err != nil {
-					l.err = errf(int(l.line), "bad number %q", src[start:i])
-					break
-				}
-				v = uint32(u)
+			v, err := strconv.ParseUint(src[start:i], 0, 32)
+			if err != nil {
+				l.err = errf(int(l.line), "bad number %q", src[start:i])
+				break
 			}
-			*t = token{kind: tokNumber, line: l.line, off: uint32(start), n: uint32(i - start), val: v}
+			*t = token{kind: tokNumber, line: l.line, off: uint32(start), n: uint32(i - start), val: uint32(v)}
 			l.i = i
 			return
 		case clsPunct:
@@ -305,22 +301,4 @@ func (l *lexer) finish() error {
 	for l.scan(&t); t.kind != tokEOF; l.scan(&t) {
 	}
 	return l.err
-}
-
-// decimal parses lit when it is a plain decimal number that surely fits 32
-// bits, the common case; anything else (hex, octal, binary, underscores,
-// overflow, bad digits) is left to strconv.ParseUint.
-func decimal(lit string) (uint32, bool) {
-	if len(lit) > 9 || (lit[0] == '0' && len(lit) > 1) {
-		return 0, false
-	}
-	var v uint32
-	for i := 0; i < len(lit); i++ {
-		d := lit[i] - '0'
-		if d > 9 {
-			return 0, false
-		}
-		v = v*10 + uint32(d)
-	}
-	return v, true
 }
