@@ -200,28 +200,12 @@ func init() {
 	}
 }
 
-// twoByteOp returns the code of the two-byte operator c d, or codeNone.
-func twoByteOp(c, d byte) tokCode {
-	switch {
-	case c == '<' && d == '<':
-		return opShl
-	case c == '>' && d == '>':
-		return opShr
-	case c == '<' && d == '=':
-		return opLe
-	case c == '>' && d == '=':
-		return opGe
-	case c == '=' && d == '=':
-		return opEq
-	case c == '!' && d == '=':
-		return opNe
-	case c == '&' && d == '&':
-		return opAndAnd
-	case c == '|' && d == '|':
-		return opOrOr
-	}
-	return codeNone
-}
+// The two-byte operators by first byte: that byte followed by '=', and
+// that byte doubled.
+var (
+	eqCode  = [256]tokCode{'<': opLe, '>': opGe, '=': opEq, '!': opNe}
+	dupCode = [256]tokCode{'<': opShl, '>': opShr, '&': opAndAnd, '|': opOrOr}
+)
 
 // scan reads the next token into t.
 func (l *lexer) scan(t *token) {
@@ -278,8 +262,11 @@ func (l *lexer) scan(t *token) {
 			}
 			*t = token{kind: tokPunct, code: punctCode[c], line: l.line, off: uint32(i), n: 1}
 			if i+1 < n {
-				if op := twoByteOp(c, src[i+1]); op != codeNone {
-					t.code, t.n = op, 2
+				switch d := src[i+1]; {
+				case d == '=' && eqCode[c] != codeNone:
+					t.code, t.n = eqCode[c], 2
+				case d == c && dupCode[c] != codeNone:
+					t.code, t.n = dupCode[c], 2
 				}
 			}
 			l.i = i + int(t.n)
